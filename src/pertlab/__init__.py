@@ -1,15 +1,17 @@
 """pertlab: exact perturbation calculus for filtered chain complexes.
 
-Subpackages are organized bottom-up:
+Subpackages are organized bottom-up; each imports only from lower layers:
 
 - exactlin: integer matrices, Smith normal form, homology invariants
-- chaincore: filtered chain complexes, graded maps, hom complexes
-- sdr_bpl: strong deformation retracts and the basic perturbation lemma
-- she_obstruction: homotopy equivalences, obstruction classes, extension
+- chaincore: filtered chain complexes, graded maps, hom complexes (the hom
+  differential is built from the composition matrices of the differentials)
 - operad_sym: the symbolic two-colored operad engine
+- sdr_bpl: strong deformation retracts and the basic perturbation lemma
+- she_obstruction: homotopy equivalences, obstruction classes, extension;
+  the tower identities are read from operad_sym's generator table
 - ipl_pipeline: operad actions and perturbation transfer along equivalences
 - fixtures: seeded deterministic example builders
-- cli_io: JSON document formats and the command-line surface
+- cli_io and cli: JSON document formats and the command-line surface
 """
 
 __version__ = "0.1.0"

@@ -217,6 +217,11 @@ def compose(f: GradedMap, g: GradedMap) -> GradedMap:
     return GradedMap.from_blocks(g.source, f.target, f.degree + g.degree, blocks)
 
 
+def rebase(f: GradedMap, src: ChainComplex, tgt: ChainComplex) -> GradedMap:
+    """Same block matrices, new source and target complexes."""
+    return GradedMap.from_blocks(src, tgt, f.degree, dict(f.blocks))
+
+
 def filtration_shift(f: GradedMap) -> int:
     """Largest q with f(stage p) inside stage p+q for all p.
 
@@ -304,22 +309,12 @@ class HomComplexSlice:
 
 
 def hom_complex(m: ChainComplex, n: ChainComplex, k: int) -> HomComplexSlice:
+    """D on Hom_k(m, n) as d_n o f - (-1)^k f o d_m, from the compose matrices."""
     basis = hom_basis(m, n, k)
     lower = hom_basis(m, n, k - 1)
-    cols: list[tuple[int, ...]] = []
-    for deg, i, j in basis:
-        e = _elementary(m, n, k, deg, i, j)
-        cols.append(map_to_vec(hom_differential(e), lower))
-    flat = tuple(cols[c][r] for r in range(len(lower)) for c in range(len(basis)))
-    return HomComplexSlice(m, n, k, basis, IntMatrix(len(lower), len(basis), flat))
-
-
-def _elementary(m: ChainComplex, n: ChainComplex, k: int, deg: int, i: int, j: int) -> GradedMap:
-    rows = n.rank_at(deg + k)
-    cols_ = m.rank_at(deg)
-    flat = [0] * (rows * cols_)
-    flat[j * cols_ + i] = 1
-    return GradedMap.from_blocks(m, n, k, {deg: IntMatrix(rows, cols_, tuple(flat))})
+    left = left_compose_matrix(n.differential_map(), m, k, basis, lower)
+    right = right_compose_matrix(m.differential_map(), n, k, basis, lower)
+    return HomComplexSlice(m, n, k, basis, left - right if k % 2 == 0 else left + right)
 
 
 def left_compose_matrix(

@@ -87,10 +87,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
-    def transpose(self) -> "IntMatrix":
-        flat = [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return IntMatrix(self.cols, self.rows, tuple(flat))
-
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
         return IntMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
@@ -139,22 +135,6 @@ class IntMatrix:
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows)) + "]"
-
-
-def hstack(left: IntMatrix, right: IntMatrix) -> IntMatrix:
-    if left.rows != right.rows:
-        raise ValueError("row count mismatch")
-    flat: list[int] = []
-    for i in range(left.rows):
-        flat.extend(left.row(i))
-        flat.extend(right.row(i))
-    return IntMatrix(left.rows, left.cols + right.cols, tuple(flat))
-
-
-def vstack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
-    if top.cols != bottom.cols:
-        raise ValueError("column count mismatch")
-    return IntMatrix(top.rows + bottom.rows, top.cols, top.entries + bottom.entries)
 
 
 @dataclass(frozen=True, slots=True)

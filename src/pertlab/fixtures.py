@@ -22,6 +22,8 @@ from .chaincore import (
     GradedMap,
     complex_with_differential,
     compose,
+    hom_differential,
+    rebase,
 )
 from .exactlin import IntMatrix
 from .sdr_bpl import Perturbation, SdrData, validate_perturbation, validate_sdr
@@ -56,11 +58,6 @@ def zero_complex(max_weight: int = 0) -> ChainComplex:
 def interval_complex() -> ChainComplex:
     """Two generators, one differential entry: the chain complex of an edge."""
     return build_complex(0, (1, 1), ((0,), (0,)), {1: [[1]]}, 0)
-
-
-def _rebase(f: GradedMap, src: ChainComplex, tgt: ChainComplex) -> GradedMap:
-    """Same block matrices, new source and target complexes."""
-    return GradedMap.from_blocks(src, tgt, f.degree, {n: f.block_at(n) for n, _ in f.blocks})
 
 
 def _unitriangular_automorphism(rng: random.Random, c: ChainComplex) -> tuple[GradedMap, GradedMap]:
@@ -134,25 +131,17 @@ def _random_core(rng: random.Random, total_rank: int, width: int, max_weight: in
     return build_complex(0, ranks, weights, diffs, max_weight)
 
 
-def cone_retract_sdr(seed: int, core_rank: int = 3, cone_pairs: int = 2, max_weight: int | None = None) -> SdrData:
-    """A random SDR with side conditions: core ⊕ acyclic cone, conjugated.
-
-    The big complex is the core plus ``cone_pairs`` two-term acyclic
-    summands d(b) = a with contracting homotopy H(a) = -b; the projection
-    and inclusion are the block maps.  HH = HG = FH = 0 hold on the nose
-    and survive the conjugation.
-    """
-    rng = random.Random(seed)
-    if max_weight is None:
-        max_weight = rng.randint(1, 6)
-    width = rng.randint(2, 4)
-    core = _random_core(rng, core_rank, width, max_weight)
-
+def _coned_sdr(core: ChainComplex, rng: random.Random, pairs: int, max_weight: int) -> SdrData:
+    """The core plus ``pairs`` two-term acyclic summands d(b) = a with
+    contracting homotopy H(a) = -b, retracted onto the core by the block
+    maps; HH = HG = FH = 0 hold on the nose.  Draws index, weight, then
+    sign for each pair."""
+    width = len(core.ranks)
     ranks = list(core.ranks)
     weights = [list(w) for w in core.weights]
     diffs = {n: [list(row) for row in core.d_block(n).to_rows()] for n in range(1, width)}
     cone_slots: list[tuple[int, int, int, int]] = []  # (deg of a, idx a, idx b, sign)
-    for _ in range(cone_pairs):
+    for _ in range(pairs):
         k = rng.randrange(width - 1)
         # d and the contracting homotopy run in opposite directions, so a
         # cone pair is filtered only with equal weights
@@ -192,9 +181,29 @@ def cone_retract_sdr(seed: int, core_rank: int = 3, cone_pairs: int = 2, max_wei
         rows = [list(r) for r in h.to_rows()] if h else [[0] * big.rank_at(k) for _ in range(big.rank_at(k + 1))]
         rows[ib][ia] = -sign
         h_blocks[k] = IntMatrix.from_rows(rows)
-    F = GradedMap.from_blocks(big, core, 0, f_blocks)
-    G = GradedMap.from_blocks(core, big, 0, g_blocks)
-    H = GradedMap.from_blocks(big, big, 1, h_blocks)
+    return SdrData(
+        big,
+        core,
+        GradedMap.from_blocks(big, core, 0, f_blocks),
+        GradedMap.from_blocks(core, big, 0, g_blocks),
+        GradedMap.from_blocks(big, big, 1, h_blocks),
+    )
+
+
+def cone_retract_sdr(seed: int, core_rank: int = 3, cone_pairs: int = 2, max_weight: int | None = None) -> SdrData:
+    """A random SDR with side conditions: core ⊕ acyclic cone, conjugated.
+
+    The big complex is the core plus ``cone_pairs`` two-term acyclic
+    summands (``_coned_sdr``).  HH = HG = FH = 0 hold on the nose and
+    survive the conjugation.
+    """
+    rng = random.Random(seed)
+    if max_weight is None:
+        max_weight = rng.randint(1, 6)
+    width = rng.randint(2, 4)
+    core = _random_core(rng, core_rank, width, max_weight)
+    cone = _coned_sdr(core, rng, cone_pairs, max_weight)
+    big = cone.M
 
     u, u_inv = _unitriangular_automorphism(rng, big)
     v, v_inv = _unitriangular_automorphism(rng, core)
@@ -205,9 +214,9 @@ def cone_retract_sdr(seed: int, core_rank: int = 3, cone_pairs: int = 2, max_wei
     s = SdrData(
         big2,
         core2,
-        _rebase(compose(v, compose(F, u_inv)), big2, core2),
-        _rebase(compose(u, compose(G, v_inv)), core2, big2),
-        _rebase(compose(u, compose(H, u_inv)), big2, big2),
+        rebase(compose(v, compose(cone.F, u_inv)), big2, core2),
+        rebase(compose(u, compose(cone.G, v_inv)), core2, big2),
+        rebase(compose(u, compose(cone.H, u_inv)), big2, big2),
     )
     problems = validate_sdr(s)
     assert not problems, problems
@@ -294,8 +303,6 @@ def he_fixture(seed: int) -> HeData:
     boundaries, which moves the cycles without moving their classes, and
     finally conjugated.
     """
-    from .chaincore import hom_differential
-
     rng = random.Random(seed)
     max_weight = rng.randint(1, 6)
     width = rng.randint(3, 4)
@@ -303,48 +310,7 @@ def he_fixture(seed: int) -> HeData:
 
     def coned(side_seed: int) -> SdrData:
         side_rng = random.Random(side_seed)
-        ranks = list(core.ranks)
-        weights = [list(w) for w in core.weights]
-        diffs = {n: [list(row) for row in core.d_block(n).to_rows()] for n in range(1, width)}
-        slots = []
-        for _ in range(side_rng.randint(0, 2)):
-            k = side_rng.randrange(width - 1)
-            w_a = w_b = side_rng.randint(0, max_weight)
-            ia, ib = ranks[k], ranks[k + 1]
-            ranks[k] += 1
-            ranks[k + 1] += 1
-            weights[k].append(w_a)
-            weights[k + 1].append(w_b)
-            slots.append((k, ia, ib, side_rng.choice((-1, 1))))
-        for n in range(1, width):
-            rows = diffs.get(n, [])
-            full = [[0] * ranks[n] for _ in range(ranks[n - 1])]
-            for i, row in enumerate(rows):
-                for j, val in enumerate(row):
-                    full[i][j] = val
-            diffs[n] = full
-        for k, ia, ib, sign in slots:
-            diffs[k + 1][ia][ib] = sign
-        big = build_complex(0, ranks, weights, diffs, max_weight)
-        f_blocks = {}
-        g_blocks = {}
-        h_blocks = {}
-        for n in core.degrees():
-            rc, rb = core.rank_at(n), big.rank_at(n)
-            f_blocks[n] = IntMatrix.from_rows([[1 if i == j else 0 for j in range(rb)] for i in range(rc)]) if rc else IntMatrix.zeros(rc, rb)
-            g_blocks[n] = IntMatrix.from_rows([[1 if i == j else 0 for j in range(rc)] for i in range(rb)]) if rb else IntMatrix.zeros(rb, rc)
-        for k, ia, ib, sign in slots:
-            h = h_blocks.get(k)
-            rows = [list(r) for r in h.to_rows()] if h else [[0] * big.rank_at(k) for _ in range(big.rank_at(k + 1))]
-            rows[ib][ia] = -sign
-            h_blocks[k] = IntMatrix.from_rows(rows)
-        return SdrData(
-            big,
-            core,
-            GradedMap.from_blocks(big, core, 0, f_blocks),
-            GradedMap.from_blocks(core, big, 0, g_blocks),
-            GradedMap.from_blocks(big, big, 1, h_blocks),
-        )
+        return _coned_sdr(core, side_rng, side_rng.randint(0, 2), max_weight)
 
     m_side = coned(seed * 31 + 11)
     n_side = coned(seed * 31 + 12)
@@ -375,10 +341,10 @@ def he_fixture(seed: int) -> HeData:
     he = HeData(
         M2,
         N2,
-        _rebase(compose(v, compose(F, u_inv)), M2, N2),
-        _rebase(compose(u, compose(G, v_inv)), N2, M2),
-        _rebase(compose(u, compose(H, u_inv)), M2, M2),
-        _rebase(compose(v, compose(L, v_inv)), N2, N2),
+        rebase(compose(v, compose(F, u_inv)), M2, N2),
+        rebase(compose(u, compose(G, v_inv)), N2, M2),
+        rebase(compose(u, compose(H, u_inv)), M2, M2),
+        rebase(compose(v, compose(L, v_inv)), N2, N2),
     )
     problems = validate_he(he)
     assert not problems, problems

@@ -24,14 +24,15 @@ from .chaincore import (
     ChainComplex,
     GradedMap,
     complex_with_differential,
-    compose,
     filtration_shift,
     hom_differential,
+    rebase,
 )
 from .operad_sym import (
     OperadElement,
     TruncationCaps,
     Generator,
+    XBAR,
     YBAR,
     diff,
     gen,
@@ -45,10 +46,12 @@ from .she_obstruction import (
     HeData,
     ObstructionError,
     SheData,
+    evaluate_words,
     extend_to_she,
     modify_homotopy_h,
     modify_homotopy_l,
     obstruction_cycles,
+    tower_assignment,
     trivial_extension,
     validate_he,
     validate_she,
@@ -84,15 +87,12 @@ class OperadAction:
         for z, f in self.assign.items():
             dz = diff(single(self.domain, word(z)))
             want = hom_differential(f)
-            got = evaluate(dz, self) if not dz.is_zero() else None
+            got = evaluate_words(dz.terms, self.assign, self.M, self.N)
             if got is None:
                 if not want.is_zero():
                     raise ValueError(f"assignment of {z.token} is not compatible: D of it should vanish")
             elif got != want:
                 raise ValueError(f"assignment of {z.token} does not intertwine the differentials")
-
-    def complex_of(self, color: str) -> ChainComplex:
-        return self.M if color == "B" else self.N
 
 
 def evaluate(e: OperadElement, act: OperadAction) -> GradedMap:
@@ -104,22 +104,7 @@ def evaluate(e: OperadElement, act: OperadAction) -> GradedMap:
     """
     if e.is_zero():
         raise ValueError("cannot evaluate the zero element: its hom group is ambiguous")
-    first = True
-    total: GradedMap | None = None
-    for w, c in e.terms:
-        if w.is_identity:
-            img = GradedMap.identity(act.complex_of(w.id_color))  # type: ignore[arg-type]
-        else:
-            img = None
-            for z in reversed(w.factors):
-                if z not in act.assign:
-                    raise ValueError(f"generator {z.token} is not assigned in this action")
-                img = act.assign[z] if img is None else compose(act.assign[z], img)
-        part = img.scale(c)
-        total = part if first else total + part
-        first = False
-    assert total is not None
-    return total
+    return evaluate_words(e.terms, act.assign, act.M, act.N)
 
 
 def _evaluate_or_none(e: OperadElement, act: OperadAction) -> GradedMap | None:
@@ -133,15 +118,7 @@ def action_from_she(she: SheData, p: Perturbation) -> OperadAction:
         problems.append("perturbation lives on a different complex than the tower")
     if problems:
         raise ValueError("; ".join(problems))
-    assign: dict[Generator, GradedMap] = {gen("xb"): p.delta}
-    for i, f in enumerate(she.F_even):
-        assign[gen("f", 2 * i)] = f
-    for j, h in enumerate(she.H_odd):
-        assign[gen("f", 2 * j + 1)] = h
-    for i, g in enumerate(she.G_even):
-        assign[gen("g", 2 * i)] = g
-    for j, l in enumerate(she.L_odd):
-        assign[gen("g", 2 * j + 1)] = l
+    assign = {XBAR: p.delta, **tower_assignment(she.F_even, she.G_even, she.H_odd, she.L_odd)}
     return OperadAction(she.M, she.N, assign)
 
 
@@ -206,11 +183,6 @@ def ipl_perturb(she: SheData, p: Perturbation, caps: TruncationCaps | None = Non
     m_tilde = complex_with_differential(she.M, she.M.differential_map() + p.delta)
     n_tilde = complex_with_differential(she.N, d_n_tilde)
 
-    def rebase(f: GradedMap) -> GradedMap:
-        src = m_tilde if f.source == she.M else n_tilde
-        tgt = m_tilde if f.target == she.M else n_tilde
-        return GradedMap.from_blocks(src, tgt, f.degree, {n: f.block_at(n) for n, _ in f.blocks})
-
     cap_out = she.index_cap - 1
     f_even: list[GradedMap] = []
     g_even: list[GradedMap] = []
@@ -218,13 +190,13 @@ def ipl_perturb(she: SheData, p: Perturbation, caps: TruncationCaps | None = Non
     l_odd: list[GradedMap] = []
     for i in range(cap_out + 1):
         corr = series(gen("fb", 2 * i), f"F correction {2 * i}")
-        f_even.append(rebase(she.F_even[i] + corr if corr else she.F_even[i]))
+        f_even.append(rebase(she.F_even[i] + corr if corr else she.F_even[i], m_tilde, n_tilde))
         corr = series(gen("gb", 2 * i), f"G correction {2 * i}")
-        g_even.append(rebase(she.G_even[i] + corr if corr else she.G_even[i]))
+        g_even.append(rebase(she.G_even[i] + corr if corr else she.G_even[i], n_tilde, m_tilde))
         corr = series(gen("fb", 2 * i + 1), f"H correction {2 * i + 1}")
-        h_odd.append(rebase(she.H_odd[i] + corr if corr else she.H_odd[i]))
+        h_odd.append(rebase(she.H_odd[i] + corr if corr else she.H_odd[i], m_tilde, m_tilde))
         corr = series(gen("gb", 2 * i + 1), f"L correction {2 * i + 1}")
-        l_odd.append(rebase(she.L_odd[i] + corr if corr else she.L_odd[i]))
+        l_odd.append(rebase(she.L_odd[i] + corr if corr else she.L_odd[i], n_tilde, n_tilde))
     out = SheData(
         m_tilde, n_tilde, cap_out,
         tuple(f_even), tuple(g_even), tuple(h_odd), tuple(l_odd),
@@ -234,7 +206,7 @@ def ipl_perturb(she: SheData, p: Perturbation, caps: TruncationCaps | None = Non
         raise InternalConsistencyError(
             "perturbed tower fails its identities: " + "; ".join(problems)
         )
-    return PerturbedShe(rebase(d_n_tilde), out, caps)
+    return PerturbedShe(rebase(d_n_tilde, n_tilde, n_tilde), out, caps)
 
 
 @dataclass(frozen=True)
@@ -326,4 +298,4 @@ def _forget(f: GradedMap) -> GradedMap:
     tgt = complex_with_differential(
         f.target, GradedMap.zero(f.target, f.target, -1)
     )
-    return GradedMap.from_blocks(src, tgt, f.degree, {n: f.block_at(n) for n, _ in f.blocks})
+    return rebase(f, src, tgt)

@@ -317,10 +317,6 @@ def degree_of(e: OperadElement) -> int:
     return degs.pop()
 
 
-def degree_component(e: OperadElement, n: int) -> OperadElement:
-    return element(e.ambient, {w: c for w, c in e.terms if w.degree == n})
-
-
 @dataclass(frozen=True, slots=True)
 class TruncationCaps:
     """Finite window onto the completed operads.
@@ -373,7 +369,7 @@ def _fam(base: str, barred: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _generator_diff(z: Generator) -> tuple[tuple[Word, int], ...]:
+def generator_diff(z: Generator) -> tuple[tuple[Word, int], ...]:
     """The differential of one generator, as (word, coefficient) pairs."""
     fam, n = z.family, z.index
     out: list[tuple[Word, int]] = []
@@ -491,7 +487,7 @@ def diff(e: OperadElement, *, _table=None) -> OperadElement:
     The Koszul sign for replacing the i-th factor is (-1) to the total
     degree of the factors to its left.
     """
-    table = _table or _generator_diff
+    table = _table or generator_diff
     acc: dict[Word, int] = {}
     for w, c in e.terms:
         if w.is_identity:
@@ -520,7 +516,7 @@ def split_homogeneity(e: OperadElement) -> tuple[OperadElement, OperadElement]:
     if e.ambient != "riso":
         raise ValueError("homogeneity split is defined on the plain ambient only")
     minus = diff(e, _table=_length_drop_table)
-    plus = diff(e, _table=_identity_free(_generator_diff))
+    plus = diff(e, _table=_identity_free(generator_diff))
     return minus, plus
 
 
@@ -946,7 +942,7 @@ def verify_identity_suite(caps: TruncationCaps, *, _table=None) -> list[Identity
     The report lists one entry per identity family with the first failing
     case in ``detail``.
     """
-    table = _table or _generator_diff
+    table = _table or generator_diff
     d = lambda e: diff(e, _table=table)  # noqa: E731
     w_band = caps.max_fweight
     checks: list[IdentityCheck] = []

@@ -35,6 +35,7 @@ from .chaincore import (
     compose,
     filtration_shift,
     hom_differential,
+    rebase,
     validate_complex,
 )
 
@@ -181,29 +182,15 @@ def bpl_transfer(s: SdrData, p: Perturbation) -> SdrData:
     d_n_new = s.N.differential_map() + compose(compose(s.F, k), s.G)
     n_new = complex_with_differential(s.N, d_n_new)
 
-    def rewire(f: GradedMap, src: ChainComplex, tgt: ChainComplex) -> GradedMap:
-        return GradedMap.from_blocks(src, tgt, f.degree, {n: f.block_at(n) for n, _ in f.blocks})
-
     out = SdrData(
         M=m_new,
         N=n_new,
-        F=rewire(s.F + compose(compose(s.F, k), s.H), m_new, n_new),
-        G=rewire(s.G + compose(compose(s.H, k), s.G), n_new, m_new),
-        H=rewire(s.H + compose(compose(s.H, k), s.H), m_new, m_new),
+        F=rebase(s.F + compose(compose(s.F, k), s.H), m_new, n_new),
+        G=rebase(s.G + compose(compose(s.H, k), s.G), n_new, m_new),
+        H=rebase(s.H + compose(compose(s.H, k), s.H), m_new, m_new),
     )
     report = validate_sdr(out)
     if report:
         raise InternalConsistencyError("transferred retract fails its identities: " + "; ".join(report))
     return out
 
-
-def crude_perturb(he, p: Perturbation):
-    """Perturb a plain homotopy equivalence, keeping only (d'_N, F', G').
-
-    Runs the full equivalence-perturbation pipeline with its default
-    homotopy repair strategy and discards the transferred homotopies.
-    """
-    from .ipl_pipeline import solve_pp
-
-    sol = solve_pp(he, p, strategy="modify_h")
-    return sol.d_n_tilde, sol.f_tilde, sol.g_tilde

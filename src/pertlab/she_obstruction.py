@@ -21,9 +21,12 @@ When they vanish the equivalence extends to a tower of higher components
     L_1, L_3, L_5, ...   (N -> N)
 
 whose defining identities express each D(component) through compositions
-of lower ones; ``extend_to_she`` constructs the tower degree by degree,
-falling back on a joint integer system that corrects the previous
-component by a cycle whenever the direct lift fails over Z.
+of lower ones.  Those identities are not restated here: they are the
+generator differential table of ``operad_sym``, evaluated with F_2i, H_2j+1
+as f_2i, f_2j+1 and G_2i, L_2j+1 as g_2i, g_2j+1.  ``extend_to_she``
+constructs the tower degree by degree, falling back on a joint integer
+system that corrects the previous component by a cycle whenever the
+direct lift fails over Z.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .chaincore import (
     ChainComplex,
     GradedMap,
     compose,
-    filtration_shift,
     hom_basis,
     hom_complex,
     hom_differential,
@@ -45,7 +47,8 @@ from .chaincore import (
     vec_to_map,
 )
 from .exactlin import IntMatrix, solve_integer
-from .sdr_bpl import InternalConsistencyError, SdrData
+from .operad_sym import Generator, Word, gen, generator_diff
+from .sdr_bpl import InternalConsistencyError, SdrData, _expect_map
 
 
 class ObstructionError(ValueError):
@@ -98,19 +101,6 @@ class ObstructionPair:
     witness_n: GradedMap | None
 
 
-def _expect_map(problems: list[str], f: GradedMap, name: str,
-                src: ChainComplex, tgt: ChainComplex, degree: int) -> bool:
-    if f.source != src or f.target != tgt:
-        problems.append(f"{name} does not run between the stated complexes")
-        return False
-    if f.degree != degree:
-        problems.append(f"{name} has degree {f.degree}, expected {degree}")
-        return False
-    if filtration_shift(f) < 0:
-        problems.append(f"{name} does not preserve the filtration (shift {filtration_shift(f)})")
-    return True
-
-
 def validate_he(he: HeData) -> list[str]:
     problems = [f"M: {p}" for p in validate_complex(he.M)]
     problems += [f"N: {p}" for p in validate_complex(he.N)]
@@ -144,43 +134,51 @@ def he_from_she(s: SheData) -> HeData:
     return HeData(s.M, s.N, s.F_even[0], s.G_even[0], s.H_odd[0], s.L_odd[0])
 
 
-# Required D-values of the tower components.  Conventions: F_even[i] has
-# degree 2i, H_odd[j] degree 2j+1, and juxtaposition is composition.
+def evaluate_words(
+    terms: tuple[tuple[Word, int], ...], assign: dict[Generator, GradedMap],
+    M: ChainComplex, N: ChainComplex,
+) -> GradedMap | None:
+    """Z-linear evaluation of (word, coefficient) pairs: a word becomes the
+    composite of its factor images (rightmost applied first), an identity
+    word the identity map of its color's complex (B on M, W on N).
 
-def _f_rhs(F, H, L, m: int, M: ChainComplex, N: ChainComplex) -> GradedMap:
-    acc = GradedMap.zero(M, N, 2 * m - 1)
-    for i in range(m):
-        acc = acc + compose(F[i], H[m - i - 1]) - compose(L[m - i - 1], F[i])
-    return acc
-
-
-def _g_rhs(G, H, L, m: int, M: ChainComplex, N: ChainComplex) -> GradedMap:
-    acc = GradedMap.zero(N, M, 2 * m - 1)
-    for i in range(m):
-        acc = acc + compose(G[i], L[m - i - 1]) - compose(H[m - i - 1], G[i])
-    return acc
-
-
-def _h_rhs(F, G, H, m: int, M: ChainComplex) -> GradedMap:
-    acc = GradedMap.zero(M, M, 2 * m)
-    for j in range(m + 1):
-        acc = acc + compose(G[j], F[m - j])
-    for j in range(m):
-        acc = acc - compose(H[j], H[m - j - 1])
-    if m == 0:
-        acc = acc - GradedMap.identity(M)
-    return acc
+    None when there are no terms; unassigned generators are an error.
+    """
+    total: GradedMap | None = None
+    for w, c in terms:
+        if w.is_identity:
+            img = GradedMap.identity(M if w.id_color == "B" else N)
+        else:
+            img = None
+            for z in reversed(w.factors):
+                if z not in assign:
+                    raise ValueError(f"generator {z.token} is not assigned in this action")
+                img = assign[z] if img is None else compose(assign[z], img)
+        part = img.scale(c)
+        total = part if total is None else total + part
+    return total
 
 
-def _l_rhs(F, G, L, m: int, N: ChainComplex) -> GradedMap:
-    acc = GradedMap.zero(N, N, 2 * m)
-    for j in range(m + 1):
-        acc = acc + compose(F[j], G[m - j])
-    for j in range(m):
-        acc = acc - compose(L[j], L[m - j - 1])
-    if m == 0:
-        acc = acc - GradedMap.identity(N)
-    return acc
+def tower_assignment(F, G, H, L) -> dict[Generator, GradedMap]:
+    """Tower components as operad generators: F_even[i] -> f_2i,
+    H_odd[j] -> f_2j+1, G_even[i] -> g_2i, L_odd[j] -> g_2j+1."""
+    assign: dict[Generator, GradedMap] = {}
+    for fam, even, odd in (("f", F, H), ("g", G, L)):
+        for i, x in enumerate(even):
+            assign[gen(fam, 2 * i)] = x
+        for j, x in enumerate(odd):
+            assign[gen(fam, 2 * j + 1)] = x
+    return assign
+
+
+def _tower_rhs(z: Generator, assign: dict[Generator, GradedMap],
+               M: ChainComplex, N: ChainComplex) -> GradedMap:
+    """Required D-value of the component assigned to z: the generator's
+    differential table from operad_sym, evaluated under the assignment."""
+    value = evaluate_words(generator_diff(z), assign, M, N)
+    if value is None:
+        return GradedMap.zero(M if z.src == "B" else N, M if z.dst == "B" else N, z.degree - 1)
+    return value
 
 
 def validate_she(s: SheData) -> list[str]:
@@ -204,15 +202,12 @@ def validate_she(s: SheData) -> list[str]:
         ok &= _expect_map(problems, s.L_odd[m], f"L_odd[{m}]", s.N, s.N, 2 * m + 1)
     if not ok or problems:
         return problems
+    assign = tower_assignment(s.F_even, s.G_even, s.H_odd, s.L_odd)
     for m in range(want):
-        if hom_differential(s.F_even[m]) != _f_rhs(s.F_even, s.H_odd, s.L_odd, m, s.M, s.N):
-            problems.append(f"tower identity fails for F_even[{m}]")
-        if hom_differential(s.G_even[m]) != _g_rhs(s.G_even, s.H_odd, s.L_odd, m, s.M, s.N):
-            problems.append(f"tower identity fails for G_even[{m}]")
-        if hom_differential(s.H_odd[m]) != _h_rhs(s.F_even, s.G_even, s.H_odd, m, s.M):
-            problems.append(f"tower identity fails for H_odd[{m}]")
-        if hom_differential(s.L_odd[m]) != _l_rhs(s.F_even, s.G_even, s.L_odd, m, s.N):
-            problems.append(f"tower identity fails for L_odd[{m}]")
+        for name, z in (("F_even", gen("f", 2 * m)), ("G_even", gen("g", 2 * m)),
+                        ("H_odd", gen("f", 2 * m + 1)), ("L_odd", gen("g", 2 * m + 1))):
+            if hom_differential(assign[z]) != _tower_rhs(z, assign, s.M, s.N):
+                problems.append(f"tower identity fails for {name}[{m}]")
     return problems
 
 
@@ -499,10 +494,11 @@ def extend_to_she(he: HeData, index_cap: int) -> SheData:
     h = [he.H]
     ll = [he.L]
     for n in range(2, 2 * index_cap + 2):
+        assign = tower_assignment(f, g, h, ll)
         if n % 2 == 0:
             m = n // 2
-            rhs_f = _f_rhs(f, h, ll, m, he.M, he.N)
-            rhs_g = _g_rhs(g, h, ll, m, he.M, he.N)
+            rhs_f = _tower_rhs(gen("f", n), assign, he.M, he.N)
+            rhs_g = _tower_rhs(gen("g", n), assign, he.M, he.N)
             x = _hom_solve(he.M, he.N, n, rhs_f)
             y = _hom_solve(he.N, he.M, n, rhs_g)
             if x is None or y is None:
@@ -518,8 +514,8 @@ def extend_to_she(he: HeData, index_cap: int) -> SheData:
             g.append(y)
         else:
             m = (n - 1) // 2
-            rhs_h = _h_rhs(f, g, h, m, he.M)
-            rhs_l = _l_rhs(f, g, ll, m, he.N)
+            rhs_h = _tower_rhs(gen("f", n), assign, he.M, he.N)
+            rhs_l = _tower_rhs(gen("g", n), assign, he.M, he.N)
             x = _hom_solve(he.M, he.M, n, rhs_h)
             y = _hom_solve(he.N, he.N, n, rhs_l)
             if x is None or y is None:

@@ -20,7 +20,7 @@ from pertlab.chaincore import (
     vec_to_map,
 )
 from pertlab.exactlin import IntMatrix
-from pertlab.fixtures import build_complex, interval_complex, sdr_fixture, zero_complex
+from pertlab.fixtures import build_complex, he_fixture, interval_complex, sdr_fixture, zero_complex
 
 
 def two_step():
@@ -139,16 +139,20 @@ def test_vec_round_trip(seed, degree, data):
     assert vec_to_map(s.M, s.N, degree, basis, map_to_vec(f, basis)) == f
 
 
-def test_hom_complex_matrix_matches_hom_differential():
-    s, _ = sdr_fixture(3)
-    for k in (0, 1, 2):
-        sl = hom_complex(s.M, s.N, k)
-        lower = hom_basis(s.M, s.N, k - 1)
-        # check on every basis element, which spans the slice
-        for idx in range(len(sl.basis)):
-            vec = tuple(1 if t == idx else 0 for t in range(len(sl.basis)))
-            e = vec_to_map(s.M, s.N, k, sl.basis, vec)
-            assert sl.differential_matrix.apply(vec) == map_to_vec(hom_differential(e), lower)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["sdr", "he"]), st.integers(0, 40))
+def test_hom_complex_matrix_matches_hom_differential(kind, seed):
+    x = sdr_fixture(seed)[0] if kind == "sdr" else he_fixture(seed)
+    for m, n in ((x.M, x.N), (x.N, x.M), (x.M, x.M)):
+        for k in range(-1, 4):
+            sl = hom_complex(m, n, k)
+            lower = hom_basis(m, n, k - 1)
+            assert sl.basis == hom_basis(m, n, k)
+            # check on every basis element, which spans the slice
+            for idx in range(len(sl.basis)):
+                vec = tuple(1 if t == idx else 0 for t in range(len(sl.basis)))
+                e = vec_to_map(m, n, k, sl.basis, vec)
+                assert sl.differential_matrix.apply(vec) == map_to_vec(hom_differential(e), lower)
 
 
 def test_hom_complex_squares_to_zero():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from pertlab.chaincore import GradedMap, compose
 from pertlab.fixtures import (
+    fixture_generate,
     he_fixture,
     layered_she_fixture,
     obstructed_he_fixture,
@@ -20,12 +21,14 @@ from pertlab.ipl_pipeline import (
 from pertlab.operad_sym import gen, parse_element, single, word
 from pertlab.sdr_bpl import Perturbation, bpl_transfer
 from pertlab.she_obstruction import (
+    HeData,
     ObstructionError,
     extend_to_she,
     he_from_sdr,
     modify_homotopy_h,
     she_from_he,
     trivial_extension,
+    validate_he,
     validate_she,
 )
 
@@ -160,3 +163,16 @@ def test_solve_pp_reference_is_the_repaired_quadruple():
     p = weight_raising_perturbation(3, he.M)
     sol = solve_pp(he, p, "modify_h")
     assert sol.reference == modify_homotopy_h(he)
+
+
+def test_solve_pp_between_equal_complexes():
+    # both sides of this equivalence are the same complex, so only explicit
+    # endpoints can tell the perturbed M from the perturbed N
+    docs = fixture_generate(1985322996)
+    he, p = docs["he"], docs["he_perturbation"]
+    assert he.M == he.N and not p.delta.is_zero()
+    for strategy in ("modify_h", "modify_l"):
+        sol = solve_pp(he, p, strategy)
+        quad = HeData(sol.m_perturbed, sol.n_perturbed,
+                      sol.f_tilde, sol.g_tilde, sol.h_tilde, sol.l_tilde)
+        assert validate_he(quad) == []

@@ -1,0 +1,44 @@
+"""Every module imports only from strictly lower layers of the package."""
+
+import ast
+import pathlib
+
+import pertlab
+
+LAYERS = {
+    "exactlin": 0,
+    "chaincore": 1,
+    "operad_sym": 1,
+    "sdr_bpl": 2,
+    "she_obstruction": 3,
+    "ipl_pipeline": 4,
+    "fixtures": 4,
+    "cli_io": 5,
+    "cli": 6,
+}
+
+PACKAGE = pathlib.Path(pertlab.__file__).parent
+
+
+def relative_imports(path):
+    """Names of the sibling modules a file imports, at any nesting depth."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(LAYERS)
+
+
+def test_imports_point_strictly_downward():
+    upward = []
+    for name, layer in LAYERS.items():
+        for target in relative_imports(PACKAGE / f"{name}.py"):
+            if LAYERS[target] >= layer:
+                upward.append(f"{name} (layer {layer}) imports {target} (layer {LAYERS[target]})")
+    assert upward == []

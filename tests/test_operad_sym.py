@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from pertlab.operad_sym import (
     TruncationCaps,
-    _generator_diff,
     alpha_iso_eval,
     all_passed,
     bounded_boundary_search,
@@ -15,6 +14,7 @@ from pertlab.operad_sym import (
     element,
     enumerate_words,
     gen,
+    generator_diff,
     id_word,
     iota,
     kernel_Z,
@@ -337,7 +337,7 @@ def test_identity_suite_passes_at_small_caps():
 
 def test_identity_suite_catches_a_planted_sign_error():
     def corrupt(z):
-        base = _generator_diff(z)
+        base = generator_diff(z)
         if z.family == "f" and z.index == 2:
             return tuple((w, -c) for w, c in base)
         return base

@@ -16,12 +16,12 @@ from pertlab.sdr_bpl import (
     SideConditionError,
     bpl_transfer,
     check_side_conditions,
-    crude_perturb,
     geometric_kernel,
     perturbed_complex,
     validate_perturbation,
     validate_sdr,
 )
+from pertlab.ipl_pipeline import solve_pp
 from pertlab.she_obstruction import he_from_sdr, validate_he
 
 
@@ -150,6 +150,16 @@ def test_bpl_transfer_property_over_seeds(seed):
     out = bpl_transfer(s, p)
     assert validate_sdr(out) == []
     assert check_side_conditions(s).all
+
+
+def crude_perturb(he, p: Perturbation):
+    """Perturb a plain homotopy equivalence, keeping only (d'_N, F', G').
+
+    Runs the full equivalence-perturbation pipeline with its default
+    homotopy repair strategy and discards the transferred homotopies.
+    """
+    sol = solve_pp(he, p, strategy="modify_h")
+    return sol.d_n_tilde, sol.f_tilde, sol.g_tilde
 
 
 def test_crude_perturb_matches_transfer_on_a_retract():
