@@ -7,6 +7,7 @@ profiling, without going through document IO.
 
 from __future__ import annotations
 
+import resource
 import sys
 import time
 
@@ -23,7 +24,8 @@ def main() -> int:
     for check in report:
         state = "PASS" if check.passed else "FAIL"
         print(f"{check.name:32s} {state}  {check.detail}")
-    print(f"total: {dt:.2f}s")
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"total: {dt:.2f}s  peak RSS: {peak_mib:.1f} MiB")
     return 0 if all_passed(report) else 1
 
 

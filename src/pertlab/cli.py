@@ -2,8 +2,10 @@
 
 Exit codes are part of the interface: 0 success, 1 invalid input,
 2 side-condition failure, 3 nonvanishing obstruction, 4 identity-suite
-failure.  ``--report FILE`` additionally writes a machine-readable JSON
-summary of whatever the command did.
+failure, 5 internal check failed (an ``InternalConsistencyError`` or any
+other unexpected exception; the traceback goes to stderr and the
+report).  ``--report FILE`` additionally writes a machine-readable JSON
+summary of whatever the command did, on every exit code.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import cli_io, fixtures
@@ -41,6 +44,7 @@ EXIT_INVALID = 1
 EXIT_SIDE_CONDITIONS = 2
 EXIT_OBSTRUCTED = 3
 EXIT_IDENTITY = 4
+EXIT_INTERNAL = 5
 
 
 class _UsageError(Exception):
@@ -314,6 +318,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         code = EXIT_INVALID
         report["error"] = str(e)
+    except Exception:  # InternalConsistencyError, or a fault nobody anticipated
+        trace = traceback.format_exc()
+        print(trace, file=sys.stderr, end="")
+        code = EXIT_INTERNAL
+        report["error"] = trace
     report["exit_code"] = code
     if report_path:
         Path(report_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -31,14 +31,24 @@ the completed operad; here they are computed per filtration band.  Only
 ``max_fweight`` truncates them (band-by-band results are exact because no
 operation lowers fweight); the other caps bound word enumeration in the
 boundary search and the identity suite.
+
+Cost: generators and words carry precomputed invariants (degree, fweight,
+colours, and a flat integer sort key that equality and hashing also
+read), so no invariant is recomputed on access.  Products are built from
+their parts, checking only the junction, and sums and products of
+elements skip the ambient and coefficient checks that ``Word`` and
+``element`` apply to outside input.  The retraction of each generator
+depends on nothing but the generator and the caps, so it is memoized per
+(generator, caps).
 """
 
 from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 from .exactlin import IntMatrix, solve_integer
 
@@ -66,47 +76,41 @@ _AMBIENT_INDEX_CAP: dict[str, int | None] = {
 
 @dataclass(frozen=True, slots=True)
 class Generator:
-    """One unary operation: family plus index (index 0 for xb and yb)."""
+    """One unary operation: family plus index (index 0 for xb and yb).
+
+    Degree, fweight, colours and the integer ``rank`` (6 * index plus the
+    family's rank, which orders generators as the sort key does) are
+    computed once, here; ``gen`` interns generators.
+    """
 
     family: str
     index: int
+    degree: int = field(init=False, compare=False, repr=False)
+    fweight: int = field(init=False, compare=False, repr=False)
+    src: str = field(init=False, compare=False, repr=False)
+    dst: str = field(init=False, compare=False, repr=False)
+    rank: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown generator family {self.family!r}")
-        if self.index < 0:
+        family, index = self.family, self.index
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown generator family {family!r}")
+        if index < 0:
             raise ValueError("generator index must be nonnegative")
-        if self.family in ("xb", "yb") and self.index != 0:
-            raise ValueError(f"{self.family} carries no index")
-
-    @property
-    def degree(self) -> int:
-        if self.family in ("xb", "yb"):
-            return -1
-        return self.index
-
-    @property
-    def fweight(self) -> int:
-        return 0 if self.family in ("f", "g") else 1
-
-    @property
-    def src(self) -> str:
-        if self.family == "xb":
-            return "B"
-        if self.family == "yb":
-            return "W"
-        return "B" if self.family in ("f", "fb") else "W"
-
-    @property
-    def dst(self) -> str:
-        if self.family == "xb":
-            return "B"
-        if self.family == "yb":
-            return "W"
-        even = self.index % 2 == 0
-        if self.family in ("f", "fb"):
-            return "W" if even else "B"
-        return "B" if even else "W"
+        if family in ("xb", "yb"):
+            if index != 0:
+                raise ValueError(f"{family} carries no index")
+            degree, src = -1, "B" if family == "xb" else "W"
+            dst = src
+        else:
+            degree, src = index, "B" if family in ("f", "fb") else "W"
+            # even indices cross to the other colour, odd ones stay
+            dst = src if index % 2 else ("W" if src == "B" else "B")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "fweight", 0 if family in ("f", "g") else 1)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "rank", 6 * index + _FAMILY_RANK[family])
 
     @property
     def token(self) -> str:
@@ -124,26 +128,50 @@ XBAR = gen("xb")
 YBAR = gen("yb")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Word:
-    """A composable chain of generators, or an identity of one color."""
+    """A composable chain of generators, or an identity of one color.
+
+    Degree, fweight and the flat sort key are computed once.  The key is
+    (fweight, 0, rank, rank, ...) for a chain and (0, 1, color) for an
+    identity; it orders words by fweight, identities after chains of
+    fweight 0, then factor by factor, and two words share a key exactly
+    when they are equal, so equality and hashing read it too.
+    """
 
     factors: tuple[Generator, ...]
     id_color: str | None = None
+    degree: int = field(init=False, repr=False)
+    fweight: int = field(init=False, repr=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.factors and self.id_color is not None:
-            raise ValueError("a word is either factors or an identity, not both")
-        if not self.factors:
+        factors = self.factors
+        if not factors:
             if self.id_color not in ("B", "W"):
                 raise ValueError("empty word needs an identity color B or W")
+            _set_invariants(self, 0, 0, (0, 1, self.id_color))
             return
-        for i in range(len(self.factors) - 1):
-            if self.factors[i].src != self.factors[i + 1].dst:
+        if self.id_color is not None:
+            raise ValueError("a word is either factors or an identity, not both")
+        for i in range(len(factors) - 1):
+            if factors[i].src != factors[i + 1].dst:
                 raise ValueError(
                     f"word not composable at position {i}: "
-                    f"{self.factors[i].token} after {self.factors[i + 1].token}"
+                    f"{factors[i].token} after {factors[i + 1].token}"
                 )
+        fweight = sum([z.fweight for z in factors])
+        _set_invariants(
+            self, sum([z.degree for z in factors]), fweight, (fweight, 0, *[z.rank for z in factors])
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self._key == other._key  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @property
     def is_identity(self) -> bool:
@@ -157,26 +185,22 @@ class Word:
     def dst(self) -> str:
         return self.factors[0].dst if self.factors else self.id_color  # type: ignore[return-value]
 
-    @property
-    def degree(self) -> int:
-        return sum(z.degree for z in self.factors)
-
-    @property
-    def fweight(self) -> int:
-        return sum(z.fweight for z in self.factors)
-
-    def sort_key(self):
-        return (
-            self.fweight,
-            1 if self.is_identity else 0,
-            tuple((z.index, _FAMILY_RANK[z.family]) for z in self.factors),
-            self.id_color or "",
-        )
+    def sort_key(self) -> tuple:
+        return self._key
 
     def render(self) -> str:
         if self.is_identity:
             return f"1{self.id_color}"
         return " ".join(z.token for z in self.factors)
+
+
+def _set_invariants(w: Word, degree: int, fweight: int, key: tuple) -> None:
+    object.__setattr__(w, "degree", degree)
+    object.__setattr__(w, "fweight", fweight)
+    object.__setattr__(w, "_key", key)
+
+
+_word_key = attrgetter("_key")
 
 
 def word(*factors: Generator) -> Word:
@@ -188,14 +212,23 @@ def id_word(color: str) -> Word:
 
 
 def word_mul(a: Word, b: Word) -> Word | None:
-    """a o b, or None when the colors do not match (path-algebra zero)."""
+    """a o b, or None when the colors do not match (path-algebra zero).
+
+    Only the junction is checked: both factors are words already, so the
+    product's invariants are the sums of theirs.
+    """
     if a.is_identity:
         return b if b.dst == a.id_color else None
     if b.is_identity:
         return a if a.src == b.id_color else None
     if a.src != b.dst:
         return None
-    return Word(a.factors + b.factors)
+    w = object.__new__(Word)
+    object.__setattr__(w, "factors", a.factors + b.factors)
+    object.__setattr__(w, "id_color", None)
+    fweight = a.fweight + b.fweight
+    _set_invariants(w, a.degree + b.degree, fweight, (fweight, 0, *a._key[2:], *b._key[2:]))
+    return w
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,7 +243,7 @@ class OperadElement:
         acc = dict(self.terms)
         for w, c in other.terms:
             acc[w] = acc.get(w, 0) + c
-        return element(self.ambient, acc)
+        return _canonical(self.ambient, acc)
 
     def __sub__(self, other: "OperadElement") -> "OperadElement":
         return self + (-other)
@@ -262,11 +295,17 @@ def element(ambient: str, terms) -> OperadElement:
             raise TypeError(f"coefficient {c!r} is not an int")
         if c:
             acc[w] = acc.get(w, 0) + c
-    kept = [(w, c) for w, c in acc.items() if c]
-    for w, _ in kept:
-        _check_word_ambient(ambient, w)
-    kept.sort(key=lambda wc: wc[0].sort_key())
-    return OperadElement(ambient, tuple(kept))
+    for w, c in acc.items():
+        if c:
+            _check_word_ambient(ambient, w)
+    return _canonical(ambient, acc)
+
+
+def _canonical(ambient: str, acc: dict[Word, int]) -> OperadElement:
+    """Sorted, zero-free element of words already known to lie in the ambient."""
+    words = [w for w, c in acc.items() if c]
+    words.sort(key=_word_key)
+    return OperadElement(ambient, tuple([(w, acc[w]) for w in words]))
 
 
 def zero(ambient: str) -> OperadElement:
@@ -287,13 +326,13 @@ def multiply(a: OperadElement, b: OperadElement, max_fweight: int | None = None)
     acc: dict[Word, int] = {}
     for wa, ca in a.terms:
         for wb, cb in b.terms:
+            if max_fweight is not None and wa.fweight + wb.fweight > max_fweight:
+                continue
             w = word_mul(wa, wb)
             if w is None:
                 continue
-            if max_fweight is not None and w.fweight > max_fweight:
-                continue
             acc[w] = acc.get(w, 0) + ca * cb
-    return element(a.ambient, acc)
+    return _canonical(a.ambient, acc)
 
 
 def truncate_fweight(e: OperadElement, max_fweight: int) -> OperadElement:
@@ -636,6 +675,7 @@ def retraction_terms(z: Generator) -> tuple[tuple[Generator, int, Generator], ..
     return tuple(triples)
 
 
+@lru_cache(maxsize=None)
 def _retraction_of_generator(z: Generator, caps: TruncationCaps) -> OperadElement:
     if z.family in ("f", "g", "xb"):
         return single("dif_riso", word(z))
@@ -655,16 +695,18 @@ def retraction_r(e: OperadElement, caps: TruncationCaps) -> OperadElement:
     """
     if e.ambient != "riso_tilde":
         raise ValueError("the retraction is defined on the riso_tilde ambient")
-    out = zero("dif_riso")
+    acc: dict[Word, int] = {}
     for w, c in e.terms:
         if w.is_identity:
-            img = single("dif_riso", w)
+            terms: tuple[tuple[Word, int], ...] = ((w, 1),)
         else:
             img = _retraction_of_generator(w.factors[0], caps)
             for z in w.factors[1:]:
                 img = multiply(img, _retraction_of_generator(z, caps), caps.max_fweight)
-        out = out + img.scale(c)
-    return out
+            terms = img.terms
+        for wi, ci in terms:
+            acc[wi] = acc.get(wi, 0) + c * ci
+    return _canonical("dif_riso", acc)
 
 
 # ---------------------------------------------------------------------------
@@ -737,25 +779,18 @@ def enumerate_words(
     found: list[Word] = []
     if include_identity and src == dst and (degree is None or degree == 0):
         found.append(id_word(src))
-
-    def grow(rev: list[Generator], fweight: int) -> None:
+    # depth-first over (factors rightmost first, fweight, degree)
+    stack = [((z,), z.fweight, z.degree) for z in gens if z.src == src and z.fweight <= caps.max_fweight]
+    while stack:
+        rev, fweight, deg = stack.pop()
         head_dst = rev[-1].dst
-        if head_dst == dst:
-            w = Word(tuple(reversed(rev)))
-            if (degree is None or w.degree == degree) and abs(w.degree) <= caps.max_degree:
-                found.append(w)
-        if len(rev) == caps.max_length:
-            return
-        for z in gens:
-            if z.src == head_dst and fweight + z.fweight <= caps.max_fweight:
-                rev.append(z)
-                grow(rev, fweight + z.fweight)
-                rev.pop()
-
-    for z in gens:
-        if z.src == src and z.fweight <= caps.max_fweight:
-            grow([z], z.fweight)
-    found.sort(key=lambda w: w.sort_key())
+        if head_dst == dst and (degree is None or deg == degree) and abs(deg) <= caps.max_degree:
+            found.append(Word(rev[::-1]))
+        if len(rev) < caps.max_length:
+            for z in gens:
+                if z.src == head_dst and fweight + z.fweight <= caps.max_fweight:
+                    stack.append((rev + (z,), fweight + z.fweight, deg + z.degree))
+    found.sort(key=_word_key)
     return found
 
 
@@ -784,7 +819,7 @@ def bounded_boundary_search(
     images = [cut(diff(single(c.ambient, w))) for w in candidates]
     row_words: list[Word] = sorted(
         {w for img in images for w, _ in img.terms} | {w for w, _ in c.terms},
-        key=lambda w: w.sort_key(),
+        key=_word_key,
     )
     pos = {w: i for i, w in enumerate(row_words)}
     flat = [0] * (len(row_words) * len(candidates))
@@ -792,7 +827,8 @@ def bounded_boundary_search(
         for w, coeff in img.terms:
             flat[pos[w] * len(candidates) + j] = coeff
     a = IntMatrix(len(row_words), len(candidates), tuple(flat))
-    b = tuple(c.coefficient(w) for w in row_words)
+    coeffs = dict(c.terms)
+    b = tuple(coeffs.get(w, 0) for w in row_words)
     x = solve_integer(a, b)
     if x is None:
         return None

@@ -210,6 +210,27 @@ def test_cli_pp_as_is_obstructed(tmp_path, capsys):
     assert code == 3
 
 
+def test_cli_internal_failure_exit_and_report(tmp_path, monkeypatch, capsys):
+    import pertlab.cli as cli_mod
+    from pertlab.sdr_bpl import InternalConsistencyError
+
+    def broken(he, p, strategy):
+        raise InternalConsistencyError("forced for the test")
+
+    monkeypatch.setattr(cli_mod, "solve_pp", broken)
+    he = obstructed_he_fixture()
+    p = Perturbation(he.M, GradedMap.zero(he.M, he.M, -1))
+    hepath = write_doc(tmp_path, "he.json", he)
+    dpath = write_doc(tmp_path, "delta.json", p)
+    report = tmp_path / "report.json"
+    code = main(["pp", "--he", hepath, "--delta", dpath, "--report", str(report)])
+    assert code == 5
+    rep = json.loads(report.read_text())
+    assert rep["exit_code"] == 5
+    assert "InternalConsistencyError: forced for the test" in rep["error"]
+    assert "Traceback" in capsys.readouterr().err
+
+
 def test_cli_operad_verify(capsys):
     assert main(["operad", "verify", "--caps", "2,3,1,6"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import gc
 import pathlib
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from pertlab.operad_sym import (
     TruncationCaps,
+    Word,
     alpha_iso_eval,
     all_passed,
     bounded_boundary_search,
@@ -98,6 +100,125 @@ def test_word_mul_is_path_algebra():
     assert word_mul(b, a) is None
     assert word_mul(a, id_word("B")) == a
     assert word_mul(id_word("W"), a) == a
+
+
+# Reference rules: each invariant as it was once evaluated on every access,
+# and the nested sort key words were once ordered and compared by.  The
+# precomputed invariants and the flat key must agree with them.
+_REF_FAMILY_RANK = {"f": 0, "g": 1, "fb": 2, "gb": 3, "xb": 4, "yb": 5}
+
+
+def ref_generator_invariants(z):
+    degree = -1 if z.family in ("xb", "yb") else z.index
+    fweight = 0 if z.family in ("f", "g") else 1
+    if z.family in ("xb", "yb"):
+        src = dst = "B" if z.family == "xb" else "W"
+    else:
+        even = z.index % 2 == 0
+        src = "B" if z.family in ("f", "fb") else "W"
+        if z.family in ("f", "fb"):
+            dst = "W" if even else "B"
+        else:
+            dst = "B" if even else "W"
+    return degree, fweight, src, dst
+
+
+def ref_word_invariants(w):
+    degree = sum(ref_generator_invariants(z)[0] for z in w.factors)
+    fweight = sum(ref_generator_invariants(z)[1] for z in w.factors)
+    key = (
+        fweight,
+        1 if w.is_identity else 0,
+        tuple((z.index, _REF_FAMILY_RANK[z.family]) for z in w.factors),
+        w.id_color or "",
+    )
+    return degree, fweight, key
+
+
+def _all_fields(w):
+    return (w.factors, w.id_color, w.degree, w.fweight, w.src, w.dst, w.sort_key(), hash(w))
+
+
+_TILDE_WORDS = [
+    w
+    for src in ("B", "W")
+    for dst in ("B", "W")
+    for w in enumerate_words("riso_tilde", src, dst, TruncationCaps(3, 4, 2, 8), include_identity=False)
+] + [id_word("B"), id_word("W")]
+
+
+def test_generator_invariants_match_the_reference():
+    for fam in ("f", "g", "fb", "gb"):
+        for n in range(8):
+            z = gen(fam, n)
+            assert (z.degree, z.fweight, z.src, z.dst) == ref_generator_invariants(z)
+            assert z.rank == 6 * n + _REF_FAMILY_RANK[fam]
+    for z in (gen("xb"), gen("yb")):
+        assert (z.degree, z.fweight, z.src, z.dst) == ref_generator_invariants(z)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_TILDE_WORDS), st.sampled_from(_TILDE_WORDS))
+def test_word_key_orders_and_equates_like_the_reference(a, b):
+    # a fresh copy, so equality is decided by the key and not by identity
+    b = Word(b.factors, b.id_color)
+    ref_a, ref_b = ref_word_invariants(a), ref_word_invariants(b)
+    assert (a.degree, a.fweight) == ref_a[:2]
+    assert (b.degree, b.fweight) == ref_b[:2]
+    assert (a.sort_key() < b.sort_key()) == (ref_a[2] < ref_b[2])
+    assert (a == b) == (ref_a[2] == ref_b[2]) == (a.sort_key() == b.sort_key())
+    if a == b:
+        assert hash(a) == hash(b)
+    if a.src == b.dst:
+        product = word_mul(a, b)
+        if a.is_identity or b.is_identity:
+            assert product is (b if a.is_identity else a)
+        else:
+            assert _all_fields(product) == _all_fields(Word(a.factors + b.factors))
+    else:
+        assert word_mul(a, b) is None
+
+
+def _checked_product(a, b, max_fweight=None):
+    acc = {}
+    for wa, ca in a.terms:
+        for wb, cb in b.terms:
+            if wa.src != wb.dst:
+                continue
+            if wa.is_identity or wb.is_identity:
+                w = wb if wa.is_identity else wa
+            else:
+                w = Word(wa.factors + wb.factors)
+            if max_fweight is None or w.fweight <= max_fweight:
+                acc[w] = acc.get(w, 0) + ca * cb
+    return element(a.ambient, acc)
+
+
+def _all_term_fields(e):
+    return [(_all_fields(w), c) for w, c in e.terms]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_elements(), small_elements(), st.sampled_from([None, 1, 2]))
+def test_products_and_sums_equal_the_checked_construction(a, b, max_fweight):
+    got = multiply(a, b, max_fweight)
+    assert _all_term_fields(got) == _all_term_fields(_checked_product(a, b, max_fweight))
+    acc = dict(a.terms)
+    for w, c in b.terms:
+        acc[w] = acc.get(w, 0) + c
+    assert _all_term_fields(a + b) == _all_term_fields(element(a.ambient, acc))
+
+
+def test_enumerate_words_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        words = enumerate_words("dif_riso", "B", "W", TruncationCaps(3, 4, 2, 6))
+        assert words
+        del words
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_element_canonicalization():
