@@ -8,7 +8,8 @@ Subpackages are organized bottom-up; each imports only from lower layers:
 - operad_sym: the symbolic two-colored operad engine
 - sdr_bpl: strong deformation retracts and the basic perturbation lemma
 - she_obstruction: homotopy equivalences, obstruction classes, extension;
-  the tower identities are read from operad_sym's generator table
+  the tower identities, the obstruction cycles and the joint correction
+  system of the extension are read from operad_sym's generator table
 - ipl_pipeline: operad actions and perturbation transfer along equivalences
 - fixtures: seeded deterministic example builders
 - cli_io and cli: JSON document formats and the command-line surface

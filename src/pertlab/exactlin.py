@@ -363,22 +363,11 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbelianGroupInvariants:
         return AbelianGroupInvariants(k.cols, ())
     # coordinates of im(d_in) in the kernel basis; solvable because the
     # kernel basis is saturated and the image lies inside the kernel
-    dec = smith_normal_form(k)
     coords: list[list[int]] = [[0] * d_in.cols for _ in range(k.cols)]
-    n = min(k.rows, k.cols)
     for col in range(d_in.cols):
-        b = tuple(d_in.entry(i, col) for i in range(d_in.rows))
-        c = dec.U.apply(b)
-        y = [0] * k.cols
-        for i in range(k.rows):
-            si = dec.S.entry(i, i) if i < n else 0
-            if si:
-                if c[i] % si:
-                    raise ValueError("image vector escapes the kernel lattice")
-                y[i] = c[i] // si
-            elif c[i]:
-                raise ValueError("image vector escapes the kernel lattice")
-        x = dec.V.apply(tuple(y))
+        x = solve_integer(k, tuple(d_in.entry(i, col) for i in range(d_in.rows)))
+        if x is None:
+            raise ValueError("image vector escapes the kernel lattice")
         for i in range(k.cols):
             coords[i][col] = x[i]
     return cokernel_invariants(IntMatrix.from_rows(coords))

@@ -46,12 +46,16 @@ from .she_obstruction import (
     HeData,
     ObstructionError,
     SheData,
+    component_name,
     evaluate_words,
     extend_to_she,
+    he_from_she,
     modify_homotopy_h,
     modify_homotopy_l,
     obstruction_cycles,
+    she_from_assignment,
     tower_assignment,
+    tower_generators,
     trivial_extension,
     validate_he,
     validate_she,
@@ -118,7 +122,7 @@ def action_from_she(she: SheData, p: Perturbation) -> OperadAction:
         problems.append("perturbation lives on a different complex than the tower")
     if problems:
         raise ValueError("; ".join(problems))
-    assign = {XBAR: p.delta, **tower_assignment(she.F_even, she.G_even, she.H_odd, she.L_odd)}
+    assign = {XBAR: p.delta, **tower_assignment(she)}
     return OperadAction(she.M, she.N, assign)
 
 
@@ -184,23 +188,13 @@ def ipl_perturb(she: SheData, p: Perturbation, caps: TruncationCaps | None = Non
     n_tilde = complex_with_differential(she.N, d_n_tilde)
 
     cap_out = she.index_cap - 1
-    f_even: list[GradedMap] = []
-    g_even: list[GradedMap] = []
-    h_odd: list[GradedMap] = []
-    l_odd: list[GradedMap] = []
-    for i in range(cap_out + 1):
-        corr = series(gen("fb", 2 * i), f"F correction {2 * i}")
-        f_even.append(rebase(she.F_even[i] + corr if corr else she.F_even[i], m_tilde, n_tilde))
-        corr = series(gen("gb", 2 * i), f"G correction {2 * i}")
-        g_even.append(rebase(she.G_even[i] + corr if corr else she.G_even[i], n_tilde, m_tilde))
-        corr = series(gen("fb", 2 * i + 1), f"H correction {2 * i + 1}")
-        h_odd.append(rebase(she.H_odd[i] + corr if corr else she.H_odd[i], m_tilde, m_tilde))
-        corr = series(gen("gb", 2 * i + 1), f"L correction {2 * i + 1}")
-        l_odd.append(rebase(she.L_odd[i] + corr if corr else she.L_odd[i], n_tilde, n_tilde))
-    out = SheData(
-        m_tilde, n_tilde, cap_out,
-        tuple(f_even), tuple(g_even), tuple(h_odd), tuple(l_odd),
-    )
+    over = {"B": m_tilde, "W": n_tilde}
+    components: dict[Generator, GradedMap] = {}
+    for z in tower_generators(cap_out):
+        corr = series(gen(z.family + "b", z.index), f"the {component_name(z)} correction")
+        base = act.assign[z]
+        components[z] = rebase(base + corr if corr else base, over[z.src], over[z.dst])
+    out = she_from_assignment(m_tilde, n_tilde, cap_out, components)
     problems = validate_she(out)
     if problems:
         raise InternalConsistencyError(
@@ -261,15 +255,10 @@ def solve_pp(he: HeData, p: Perturbation, strategy: str = "modify_h") -> PpSolut
     if she is None:
         she = extend_to_she(he2, 1)
     perturbed = ipl_perturb(she, p)
+    # ipl_perturb has validated this cap-0 tower, whose identities are
+    # exactly those of an equivalence, so the quadruple is not rechecked
     out = perturbed.she
-    quad = HeData(
-        out.M, out.N, out.F_even[0], out.G_even[0], out.H_odd[0], out.L_odd[0]
-    )
-    bad = validate_he(quad)
-    if bad:
-        raise InternalConsistencyError(
-            "perturbed quadruple fails its identities: " + "; ".join(bad)
-        )
+    quad = he_from_she(out)
     shifts = {
         "F": filtration_shift(_forget(quad.F) - _forget(he2.F)),
         "G": filtration_shift(_forget(quad.G) - _forget(he2.G)),

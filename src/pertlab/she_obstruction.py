@@ -23,10 +23,14 @@ When they vanish the equivalence extends to a tower of higher components
 whose defining identities express each D(component) through compositions
 of lower ones.  Those identities are not restated here: they are the
 generator differential table of ``operad_sym``, evaluated with F_2i, H_2j+1
-as f_2i, f_2j+1 and G_2i, L_2j+1 as g_2i, g_2j+1.  ``extend_to_she``
-constructs the tower degree by degree, falling back on a joint integer
-system that corrects the previous component by a cycle whenever the
-direct lift fails over Z.
+as f_2i, f_2j+1 and G_2i, L_2j+1 as g_2i, g_2j+1 (this parity layout of
+``SheData`` is known to this module only; everything else goes through
+``tower_assignment`` and ``she_from_assignment``).  The obstruction cycles
+are the table's index-2 right-hand sides.  ``extend_to_she`` constructs
+the tower one index at a time, the same step for every index, falling back
+on a joint integer system that corrects the previous components by cycles
+whenever the direct lift fails over Z; that system's coupling blocks are
+read from the same table.
 """
 
 from __future__ import annotations
@@ -101,26 +105,6 @@ class ObstructionPair:
     witness_n: GradedMap | None
 
 
-def validate_he(he: HeData) -> list[str]:
-    problems = [f"M: {p}" for p in validate_complex(he.M)]
-    problems += [f"N: {p}" for p in validate_complex(he.N)]
-    ok = _expect_map(problems, he.F, "F", he.M, he.N, 0)
-    ok &= _expect_map(problems, he.G, "G", he.N, he.M, 0)
-    ok &= _expect_map(problems, he.H, "H", he.M, he.M, 1)
-    ok &= _expect_map(problems, he.L, "L", he.N, he.N, 1)
-    if not ok or problems:
-        return problems
-    if not hom_differential(he.F).is_zero():
-        problems.append("F is not a chain map")
-    if not hom_differential(he.G).is_zero():
-        problems.append("G is not a chain map")
-    if hom_differential(he.H) != compose(he.G, he.F) - GradedMap.identity(he.M):
-        problems.append("d H + H d != G F - 1 on M")
-    if hom_differential(he.L) != compose(he.F, he.G) - GradedMap.identity(he.N):
-        problems.append("d L + L d != F G - 1 on N")
-    return problems
-
-
 def he_from_sdr(s: SdrData) -> HeData:
     """A retract is an equivalence whose big-side defect homotopy is zero."""
     return HeData(s.M, s.N, s.F, s.G, s.H, GradedMap.zero(s.N, s.N, 1))
@@ -132,6 +116,43 @@ def she_from_he(he: HeData) -> SheData:
 
 def he_from_she(s: SheData) -> HeData:
     return HeData(s.M, s.N, s.F_even[0], s.G_even[0], s.H_odd[0], s.L_odd[0])
+
+
+# The parity layout of SheData, known to this module only: generator family
+# and index parity -> field, so F_even[i] is f_2i, H_odd[j] is f_2j+1,
+# G_even[i] is g_2i and L_odd[j] is g_2j+1.
+_LAYOUT = {("f", 0): "F_even", ("g", 0): "G_even", ("f", 1): "H_odd", ("g", 1): "L_odd"}
+
+
+def tower_generators(index_cap: int) -> tuple[Generator, ...]:
+    """The generators a tower of this cap assigns, index by index:
+    f_0, g_0, f_1, g_1, ..., f_2c+1, g_2c+1."""
+    return tuple(gen(fam, n) for n in range(2 * index_cap + 2) for fam in ("f", "g"))
+
+
+def component_name(z: Generator) -> str:
+    """The SheData entry holding z's component, e.g. H_odd[1] for f_3."""
+    return f"{_LAYOUT[z.family, z.index % 2]}[{z.index // 2}]"
+
+
+def tower_assignment(s: SheData) -> dict[Generator, GradedMap]:
+    """Tower components as operad generators, in ``tower_generators`` order."""
+    return {z: getattr(s, _LAYOUT[z.family, z.index % 2])[z.index // 2]
+            for z in tower_generators(s.index_cap)}
+
+
+def she_from_assignment(M: ChainComplex, N: ChainComplex, index_cap: int,
+                        assign: dict[Generator, GradedMap]) -> SheData:
+    """The inverse of ``tower_assignment``: pack the components of
+    f_0, g_0, ..., f_2c+1, g_2c+1 into a tower of cap c."""
+    fields = {name: tuple(assign[gen(fam, 2 * m + parity)] for m in range(index_cap + 1))
+              for (fam, parity), name in _LAYOUT.items()}
+    return SheData(M, N, index_cap, **fields)
+
+
+def _hom_space(z: Generator, M: ChainComplex, N: ChainComplex) -> tuple[ChainComplex, ChainComplex]:
+    """Source and target of z's component: colour B is M, colour W is N."""
+    return (M if z.src == "B" else N), (M if z.dst == "B" else N)
 
 
 def evaluate_words(
@@ -159,26 +180,51 @@ def evaluate_words(
     return total
 
 
-def tower_assignment(F, G, H, L) -> dict[Generator, GradedMap]:
-    """Tower components as operad generators: F_even[i] -> f_2i,
-    H_odd[j] -> f_2j+1, G_even[i] -> g_2i, L_odd[j] -> g_2j+1."""
-    assign: dict[Generator, GradedMap] = {}
-    for fam, even, odd in (("f", F, H), ("g", G, L)):
-        for i, x in enumerate(even):
-            assign[gen(fam, 2 * i)] = x
-        for j, x in enumerate(odd):
-            assign[gen(fam, 2 * j + 1)] = x
-    return assign
-
-
 def _tower_rhs(z: Generator, assign: dict[Generator, GradedMap],
                M: ChainComplex, N: ChainComplex) -> GradedMap:
     """Required D-value of the component assigned to z: the generator's
     differential table from operad_sym, evaluated under the assignment."""
     value = evaluate_words(generator_diff(z), assign, M, N)
     if value is None:
-        return GradedMap.zero(M if z.src == "B" else N, M if z.dst == "B" else N, z.degree - 1)
+        return GradedMap.zero(*_hom_space(z, M, N), z.degree - 1)
     return value
+
+
+def _obstruction_cycle(he: HeData, family: str) -> GradedMap:
+    """o_M = F H - L F (family "f") or o_N = G L - H G (family "g"): the
+    table's right-hand side for that family's index-2 generator."""
+    return _tower_rhs(gen(family, 2), tower_assignment(she_from_he(he)), he.M, he.N)
+
+
+def _check_components(problems: list[str], assign: dict[Generator, GradedMap],
+                      M: ChainComplex, N: ChainComplex, name, failure) -> None:
+    """Report each component that runs between the wrong complexes, has the
+    wrong degree or lowers the filtration (under ``name(z)``); if none
+    does, report each that fails its tower identity (as ``failure(z)``)."""
+    ok = True
+    for z, f in assign.items():
+        ok &= _expect_map(problems, f, name(z), *_hom_space(z, M, N), z.degree)
+    if not ok or problems:
+        return
+    for z, f in assign.items():
+        if hom_differential(f) != _tower_rhs(z, assign, M, N):
+            problems.append(failure(z))
+
+
+# An equivalence is a tower of cap 0: F, G, H, L are f_0, g_0, f_1, g_1.
+_HE_NAMES = dict(zip(tower_generators(0), "FGHL"))
+_HE_FAILURES = dict(zip(tower_generators(0), (
+    "F is not a chain map", "G is not a chain map",
+    "d H + H d != G F - 1 on M", "d L + L d != F G - 1 on N",
+)))
+
+
+def validate_he(he: HeData) -> list[str]:
+    problems = [f"M: {p}" for p in validate_complex(he.M)]
+    problems += [f"N: {p}" for p in validate_complex(he.N)]
+    _check_components(problems, tower_assignment(she_from_he(he)), he.M, he.N,
+                      _HE_NAMES.get, _HE_FAILURES.get)
+    return problems
 
 
 def validate_she(s: SheData) -> list[str]:
@@ -188,41 +234,27 @@ def validate_she(s: SheData) -> list[str]:
         problems.append("index_cap must be nonnegative")
         return problems
     want = s.index_cap + 1
-    for fam, name in ((s.F_even, "F_even"), (s.G_even, "G_even"),
-                      (s.H_odd, "H_odd"), (s.L_odd, "L_odd")):
-        if len(fam) != want:
-            problems.append(f"{name} has {len(fam)} components, expected {want}")
+    for name in _LAYOUT.values():
+        have = len(getattr(s, name))
+        if have != want:
+            problems.append(f"{name} has {have} components, expected {want}")
     if problems:
         return problems
-    ok = True
-    for m in range(want):
-        ok &= _expect_map(problems, s.F_even[m], f"F_even[{m}]", s.M, s.N, 2 * m)
-        ok &= _expect_map(problems, s.G_even[m], f"G_even[{m}]", s.N, s.M, 2 * m)
-        ok &= _expect_map(problems, s.H_odd[m], f"H_odd[{m}]", s.M, s.M, 2 * m + 1)
-        ok &= _expect_map(problems, s.L_odd[m], f"L_odd[{m}]", s.N, s.N, 2 * m + 1)
-    if not ok or problems:
-        return problems
-    assign = tower_assignment(s.F_even, s.G_even, s.H_odd, s.L_odd)
-    for m in range(want):
-        for name, z in (("F_even", gen("f", 2 * m)), ("G_even", gen("g", 2 * m)),
-                        ("H_odd", gen("f", 2 * m + 1)), ("L_odd", gen("g", 2 * m + 1))):
-            if hom_differential(assign[z]) != _tower_rhs(z, assign, s.M, s.N):
-                problems.append(f"tower identity fails for {name}[{m}]")
+    _check_components(problems, tower_assignment(s), s.M, s.N, component_name,
+                      lambda z: f"tower identity fails for {component_name(z)}")
     return problems
 
 
-def _filtered_hom(src: ChainComplex, tgt: ChainComplex, k: int):
-    """The degree-k elementary maps that do not lower the filtration, plus
-    their positions in the full enumeration of ``hom_basis``."""
-    full = hom_basis(src, tgt, k)
-    keep = [c for c, (deg, i, j) in enumerate(full)
+def _filtered_differential(src: ChainComplex, tgt: ChainComplex, k: int):
+    """D restricted to the degree-k maps that do not lower the filtration:
+    their basis (a sub-enumeration of ``hom_basis``) and D's matrix from it
+    into the full degree-(k-1) enumeration."""
+    sl = hom_complex(src, tgt, k)
+    keep = [c for c, (deg, i, j) in enumerate(sl.basis)
             if tgt.weight_at(deg + k, j) >= src.weight_at(deg, i)]
-    return tuple(full[c] for c in keep), keep
-
-
-def _column_select(mat: IntMatrix, keep: list[int]) -> IntMatrix:
-    flat = tuple(mat.entry(r, c) for r in range(mat.rows) for c in keep)
-    return IntMatrix(mat.rows, len(keep), flat)
+    d = sl.differential_matrix
+    flat = tuple(d.entry(r, c) for r in range(d.rows) for c in keep)
+    return tuple(sl.basis[c] for c in keep), IntMatrix(d.rows, len(keep), flat)
 
 
 def _hom_solve(src: ChainComplex, tgt: ChainComplex, k: int, rhs: GradedMap) -> GradedMap | None:
@@ -232,27 +264,33 @@ def _hom_solve(src: ChainComplex, tgt: ChainComplex, k: int, rhs: GradedMap) -> 
     solution would poison the filtration bound of every component built
     from it, so solvability is decided where the answer has to live.
     """
-    sl = hom_complex(src, tgt, k)
-    basis, keep = _filtered_hom(src, tgt, k)
-    b = map_to_vec(rhs, hom_basis(src, tgt, k - 1))
-    x = solve_integer(_column_select(sl.differential_matrix, keep), b)
+    basis, d = _filtered_differential(src, tgt, k)
+    x = solve_integer(d, map_to_vec(rhs, hom_basis(src, tgt, k - 1)))
     if x is None:
         return None
     return vec_to_map(src, tgt, k, basis, x)
 
 
-def obstruction_cycles(he: HeData) -> ObstructionPair:
-    """Both obstruction cycles and the integral decision for each class."""
+def _require_valid(he: HeData) -> None:
     report = validate_he(he)
     if report:
         raise ValueError("invalid homotopy equivalence: " + "; ".join(report))
-    o_m = compose(he.F, he.H) - compose(he.L, he.F)
-    o_n = compose(he.G, he.L) - compose(he.H, he.G)
+
+
+def _decide_obstructions(he: HeData) -> ObstructionPair:
+    """``obstruction_cycles`` on an equivalence already validated."""
+    o_m, o_n = _obstruction_cycle(he, "f"), _obstruction_cycle(he, "g")
     if not hom_differential(o_m).is_zero() or not hom_differential(o_n).is_zero():
         raise InternalConsistencyError("obstruction cycles are not cycles")
     w_m = _hom_solve(he.M, he.N, 2, o_m)
     w_n = _hom_solve(he.N, he.M, 2, o_n)
     return ObstructionPair(o_m, o_n, w_m is not None, w_n is not None, w_m, w_n)
+
+
+def obstruction_cycles(he: HeData) -> ObstructionPair:
+    """Both obstruction cycles and the integral decision for each class."""
+    _require_valid(he)
+    return _decide_obstructions(he)
 
 
 def obstruction_classes_linked(he: HeData) -> bool:
@@ -270,13 +308,13 @@ def obstruction_classes_linked(he: HeData) -> bool:
 
 def modify_homotopy_h(he: HeData) -> HeData:
     """Replace H by H - G(FH - LF); the result's obstruction classes vanish."""
-    o_m = compose(he.F, he.H) - compose(he.L, he.F)
+    o_m = _obstruction_cycle(he, "f")
     return HeData(he.M, he.N, he.F, he.G, he.H - compose(he.G, o_m), he.L)
 
 
 def modify_homotopy_l(he: HeData) -> HeData:
     """Replace L by L - F(GL - HG); the result's obstruction classes vanish."""
-    o_n = compose(he.G, he.L) - compose(he.H, he.G)
+    o_n = _obstruction_cycle(he, "g")
     return HeData(he.M, he.N, he.F, he.G, he.H, he.L - compose(he.F, o_n))
 
 
@@ -289,22 +327,19 @@ def modification_witnesses(he: HeData, which: str = "h") -> tuple[HeData, Obstru
     """
     if which == "h":
         he2 = modify_homotopy_h(he)
-        o_m = compose(he.F, he.H) - compose(he.L, he.F)
-        w_m = -compose(he.L, o_m)
+        w_m = -compose(he.L, _obstruction_cycle(he, "f"))
         w_n = (compose(compose(he.H, he.H), he.G)
                + compose(he.G, compose(he.L, he.L))
                - compose(he.H, compose(he.G, he.L)))
     elif which == "l":
         he2 = modify_homotopy_l(he)
-        o_n = compose(he.G, he.L) - compose(he.H, he.G)
-        w_n = -compose(he.H, o_n)
+        w_n = -compose(he.H, _obstruction_cycle(he, "g"))
         w_m = (compose(compose(he.L, he.L), he.F)
                + compose(he.F, compose(he.H, he.H))
                - compose(he.L, compose(he.F, he.H)))
     else:
         raise ValueError(f"which must be 'h' or 'l', got {which!r}")
-    o_m2 = compose(he2.F, he2.H) - compose(he2.L, he2.F)
-    o_n2 = compose(he2.G, he2.L) - compose(he2.H, he2.G)
+    o_m2, o_n2 = _obstruction_cycle(he2, "f"), _obstruction_cycle(he2, "g")
     if hom_differential(w_m) != o_m2 or hom_differential(w_n) != o_n2:
         raise InternalConsistencyError("closed-form modification witnesses failed to verify")
     return he2, ObstructionPair(o_m2, o_n2, True, True, w_m, w_n)
@@ -314,17 +349,14 @@ def trivial_extension(he: HeData, index_cap: int = 1) -> SheData | None:
     """Zero-padded tower, available only when every defect vanishes on the
     nose: both obstruction cycles are the zero map and H H = L L = 0.
     Returns None when the data does not qualify."""
-    o_m = compose(he.F, he.H) - compose(he.L, he.F)
-    o_n = compose(he.G, he.L) - compose(he.H, he.G)
-    if not (o_m.is_zero() and o_n.is_zero()):
+    if not (_obstruction_cycle(he, "f").is_zero() and _obstruction_cycle(he, "g").is_zero()):
         return None
     if not (compose(he.H, he.H).is_zero() and compose(he.L, he.L).is_zero()):
         return None
-    f = [he.F] + [GradedMap.zero(he.M, he.N, 2 * m) for m in range(1, index_cap + 1)]
-    g = [he.G] + [GradedMap.zero(he.N, he.M, 2 * m) for m in range(1, index_cap + 1)]
-    h = [he.H] + [GradedMap.zero(he.M, he.M, 2 * m + 1) for m in range(1, index_cap + 1)]
-    ll = [he.L] + [GradedMap.zero(he.N, he.N, 2 * m + 1) for m in range(1, index_cap + 1)]
-    out = SheData(he.M, he.N, index_cap, tuple(f), tuple(g), tuple(h), tuple(ll))
+    assign = tower_assignment(she_from_he(he))
+    for z in tower_generators(index_cap)[4:]:
+        assign[z] = GradedMap.zero(*_hom_space(z, he.M, he.N), z.degree)
+    out = she_from_assignment(he.M, he.N, index_cap, assign)
     report = validate_she(out)
     if report:
         raise InternalConsistencyError("zero-padded tower fails its identities: " + "; ".join(report))
@@ -341,128 +373,84 @@ def _solve_block_system(
     basis); ``equations`` are (row count, {column index: coefficient
     matrix}, rhs).
     """
-    bases = [b for _, _, _, b in columns]
-    widths = [len(b) for b in bases]
-    cols_total = sum(widths)
-    rows_total = sum(e[0] for e in equations)
-    flat = [0] * (rows_total * cols_total)
+    widths = [len(basis) for *_, basis in columns]
+    starts = [sum(widths[:ci]) for ci in range(len(widths))]
+    flat: list[int] = []
     rhs_all: list[int] = []
-    r0 = 0
     for row_dim, blocks, rhs in equations:
         if len(rhs) != row_dim:
             raise ValueError("equation right-hand side has wrong length")
-        c0 = 0
-        for ci, w in enumerate(widths):
-            mat = blocks.get(ci)
-            if mat is not None:
-                if (mat.rows, mat.cols) != (row_dim, w):
-                    raise ValueError("coefficient block has wrong shape")
-                for i in range(row_dim):
-                    row = mat.row(i)
-                    base = (r0 + i) * cols_total + c0
-                    for j in range(w):
-                        if row[j]:
-                            flat[base + j] = row[j]
-            c0 += w
-        rhs_all.extend(rhs)
-        r0 += row_dim
-    sol = solve_integer(IntMatrix(rows_total, cols_total, tuple(flat)), tuple(rhs_all))
+        rows = [[0] * sum(widths) for _ in range(row_dim)]
+        for ci, mat in blocks.items():
+            if (mat.rows, mat.cols) != (row_dim, widths[ci]):
+                raise ValueError("coefficient block has wrong shape")
+            for i in range(row_dim):
+                rows[i][starts[ci]:starts[ci] + widths[ci]] = mat.row(i)
+        flat += [v for row in rows for v in row]
+        rhs_all += rhs
+    sol = solve_integer(IntMatrix(len(rhs_all), sum(widths), tuple(flat)), tuple(rhs_all))
     if sol is None:
         return None
-    out: list[GradedMap] = []
-    c0 = 0
-    for (s, t, k, basis), w in zip(columns, widths):
-        out.append(vec_to_map(s, t, k, basis, tuple(sol[c0:c0 + w])))
-        c0 += w
-    return out
+    return [vec_to_map(src, tgt, k, basis, tuple(sol[c0:c0 + len(basis)]))
+            for (src, tgt, k, basis), c0 in zip(columns, starts)]
 
 
-def _recalibrate_even(he: HeData, m: int, rhs_f: GradedMap, rhs_g: GradedMap):
-    """Joint lift at even index 2m: find x, y together with cycle
-    corrections phi to H_{2m-1} and psi to L_{2m-1} making both lifts
-    integrally solvable.  Unknowns range over the filtered sub-lattices;
-    equation rows stay in the full enumeration."""
-    M, N, F0, G0 = he.M, he.N, he.F, he.G
-    k = 2 * m
-    fb_x, keep_x = _filtered_hom(M, N, k)
-    fb_y, keep_y = _filtered_hom(N, M, k)
-    fb_phi, keep_phi = _filtered_hom(M, M, k - 1)
-    fb_psi, keep_psi = _filtered_hom(N, N, k - 1)
-    columns = [(M, N, k, fb_x), (N, M, k, fb_y),
-               (M, M, k - 1, fb_phi), (N, N, k - 1, fb_psi)]
-    b_x = hom_basis(M, N, k - 1)
-    b_y = hom_basis(N, M, k - 1)
-    b_phi_rows = hom_basis(M, N, k - 1)
-    b_psi_rows = hom_basis(N, M, k - 1)
-    eq1 = (
-        len(b_x),
-        {
-            0: _column_select(hom_complex(M, N, k).differential_matrix, keep_x),
-            2: -left_compose_matrix(F0, M, k - 1, fb_phi, b_phi_rows),
-            3: right_compose_matrix(F0, N, k - 1, fb_psi, b_phi_rows),
-        },
-        map_to_vec(rhs_f, b_x),
-    )
-    eq2 = (
-        len(b_y),
-        {
-            1: _column_select(hom_complex(N, M, k).differential_matrix, keep_y),
-            2: right_compose_matrix(G0, M, k - 1, fb_phi, b_psi_rows),
-            3: -left_compose_matrix(G0, N, k - 1, fb_psi, b_psi_rows),
-        },
-        map_to_vec(rhs_g, b_y),
-    )
-    eq3_rows = len(hom_basis(M, M, k - 2))
-    eq4_rows = len(hom_basis(N, N, k - 2))
-    eq3 = (eq3_rows,
-           {2: _column_select(hom_complex(M, M, k - 1).differential_matrix, keep_phi)},
-           (0,) * eq3_rows)
-    eq4 = (eq4_rows,
-           {3: _column_select(hom_complex(N, N, k - 1).differential_matrix, keep_psi)},
-           (0,) * eq4_rows)
-    return _solve_block_system(columns, [eq1, eq2, eq3, eq4])
+def _joint_system(assign: dict[Generator, GradedMap], n: int,
+                  rhs: dict[Generator, GradedMap]):
+    """The joint lift at index n as (columns, equations) for
+    ``_solve_block_system``, read from the generator differential table.
+
+    Unknowns, in this order: the lifts of f_n and g_n, which must satisfy
+    D(x) = rhs, and corrections c of f_n-1 and g_n-1, which must be
+    cycles.  Adding c to an index-(n-1) factor of a term (a b, k) of d z
+    changes the required D(x_z) by k a c or k c b (the other factor has
+    index 0, since the indices of a term sum to n - 1); moved to the left,
+    that is -k times a left or right compose matrix.  Unknowns range over
+    the filtered sub-lattices; equation rows stay in the full enumeration.
+    """
+    f0 = assign[gen("f", 0)]
+    M, N = f0.source, f0.target
+    tops, lows = (gen("f", n), gen("g", n)), (gen("f", n - 1), gen("g", n - 1))
+    columns, equations = [], []
+    for ci, z in enumerate(tops + lows):
+        src, tgt = _hom_space(z, M, N)
+        basis, d = _filtered_differential(src, tgt, z.degree)
+        columns.append((src, tgt, z.degree, basis))
+        b = map_to_vec(rhs[z], hom_basis(src, tgt, n - 1)) if z in tops else (0,) * d.rows
+        equations.append((d.rows, {ci: d}, b))
+    for z, (_, blocks, _) in zip(tops, equations):
+        rows = hom_basis(*_hom_space(z, M, N), n - 1)
+        for w, k in generator_diff(z):
+            for pos, y in enumerate(w.factors):
+                if y not in lows:
+                    continue
+                cj = 2 + lows.index(y)
+                y_src, y_tgt, _, y_basis = columns[cj]
+                other = assign[w.factors[1 - pos]]
+                if pos == 1:
+                    mat = left_compose_matrix(other, y_src, n - 1, y_basis, rows)
+                else:
+                    mat = right_compose_matrix(other, y_tgt, n - 1, y_basis, rows)
+                mat = mat.scale(-k)
+                blocks[cj] = blocks[cj] + mat if cj in blocks else mat
+    return columns, equations
 
 
-def _recalibrate_odd(he: HeData, m: int, rhs_h: GradedMap, rhs_l: GradedMap):
-    """Joint lift at odd index 2m+1 with cycle corrections phi to F_{2m}
-    and psi to G_{2m}.  Same filtered-column convention as the even case."""
-    M, N, F0, G0 = he.M, he.N, he.F, he.G
-    k = 2 * m + 1
-    fb_x, keep_x = _filtered_hom(M, M, k)
-    fb_y, keep_y = _filtered_hom(N, N, k)
-    fb_phi, keep_phi = _filtered_hom(M, N, k - 1)
-    fb_psi, keep_psi = _filtered_hom(N, M, k - 1)
-    columns = [(M, M, k, fb_x), (N, N, k, fb_y),
-               (M, N, k - 1, fb_phi), (N, M, k - 1, fb_psi)]
-    b_x = hom_basis(M, M, k - 1)
-    b_y = hom_basis(N, N, k - 1)
-    eq1 = (
-        len(b_x),
-        {
-            0: _column_select(hom_complex(M, M, k).differential_matrix, keep_x),
-            2: -left_compose_matrix(G0, M, k - 1, fb_phi, b_x),
-            3: -right_compose_matrix(F0, M, k - 1, fb_psi, b_x),
-        },
-        map_to_vec(rhs_h, b_x),
-    )
-    eq2 = (
-        len(b_y),
-        {
-            1: _column_select(hom_complex(N, N, k).differential_matrix, keep_y),
-            2: -right_compose_matrix(G0, N, k - 1, fb_phi, b_y),
-            3: -left_compose_matrix(F0, N, k - 1, fb_psi, b_y),
-        },
-        map_to_vec(rhs_l, b_y),
-    )
-    eq3_rows = len(hom_basis(M, N, k - 2))
-    eq4_rows = len(hom_basis(N, M, k - 2))
-    eq3 = (eq3_rows,
-           {2: _column_select(hom_complex(M, N, k - 1).differential_matrix, keep_phi)},
-           (0,) * eq3_rows)
-    eq4 = (eq4_rows,
-           {3: _column_select(hom_complex(N, M, k - 1).differential_matrix, keep_psi)},
-           (0,) * eq4_rows)
-    return _solve_block_system(columns, [eq1, eq2, eq3, eq4])
+def _recalibrate(assign: dict[Generator, GradedMap], n: int,
+                 rhs: dict[Generator, GradedMap]) -> list[GradedMap]:
+    """Joint step at index n: the lifts of f_n and g_n, found together with
+    cycle corrections of f_n-1 and g_n-1, which are added to ``assign``.
+
+    The system is solvable whenever the tower extends, so failure raises
+    InternalConsistencyError rather than returning partial data.
+    """
+    got = _solve_block_system(*_joint_system(assign, n, rhs))
+    if got is None:
+        raise InternalConsistencyError(f"joint correction system unsolvable at index {n}")
+    x, y, phi, psi = got
+    assign[gen("f", n - 1)] += phi
+    assign[gen("g", n - 1)] += psi
+    return [x, y]
 
 
 def extend_to_she(he: HeData, index_cap: int) -> SheData:
@@ -471,65 +459,35 @@ def extend_to_she(he: HeData, index_cap: int) -> SheData:
     Requires the obstruction classes to vanish when index_cap >= 1
     (ObstructionError otherwise); with that settled, the base components
     F, G, H, L are kept as given and every higher component is produced by
-    a canonical integer lift.  When a direct lift fails, the previous
-    component is corrected by a cycle found jointly with the lift; the
-    joint system is always solvable in exact arithmetic, so its failure
-    raises InternalConsistencyError rather than returning partial data.
+    a canonical integer lift.  At index 2 the lifts are the obstruction
+    witnesses themselves: the right-hand sides of f_2 and g_2 are the
+    obstruction cycles, so their lifts exist exactly when the classes
+    vanish, and no joint step (which would correct the base H and L) is
+    ever needed there.  From index 3 on, when a direct lift of f_n or g_n
+    fails, the index-(n-1) components are corrected by cycles found
+    jointly with the lifts (``_recalibrate``).
     """
     if index_cap < 0:
         raise ValueError("index_cap must be nonnegative")
-    report = validate_he(he)
-    if report:
-        raise ValueError("invalid homotopy equivalence: " + "; ".join(report))
+    _require_valid(he)
     if index_cap == 0:
         return she_from_he(he)
-    pair = obstruction_cycles(he)
+    pair = _decide_obstructions(he)
     if not (pair.class_m_vanishes and pair.class_n_vanishes):
         raise ObstructionError(
             "extension obstructed: the obstruction classes do not vanish; "
             "repair the homotopies first (modify_homotopy_h or modify_homotopy_l)"
         )
-    f = [he.F]
-    g = [he.G]
-    h = [he.H]
-    ll = [he.L]
-    for n in range(2, 2 * index_cap + 2):
-        assign = tower_assignment(f, g, h, ll)
-        if n % 2 == 0:
-            m = n // 2
-            rhs_f = _tower_rhs(gen("f", n), assign, he.M, he.N)
-            rhs_g = _tower_rhs(gen("g", n), assign, he.M, he.N)
-            x = _hom_solve(he.M, he.N, n, rhs_f)
-            y = _hom_solve(he.N, he.M, n, rhs_g)
-            if x is None or y is None:
-                got = _recalibrate_even(he, m, rhs_f, rhs_g)
-                if got is None:
-                    raise InternalConsistencyError(
-                        f"joint correction system unsolvable at even index {n}"
-                    )
-                x, y, phi, psi = got
-                h[m - 1] = h[m - 1] + phi
-                ll[m - 1] = ll[m - 1] + psi
-            f.append(x)
-            g.append(y)
-        else:
-            m = (n - 1) // 2
-            rhs_h = _tower_rhs(gen("f", n), assign, he.M, he.N)
-            rhs_l = _tower_rhs(gen("g", n), assign, he.M, he.N)
-            x = _hom_solve(he.M, he.M, n, rhs_h)
-            y = _hom_solve(he.N, he.N, n, rhs_l)
-            if x is None or y is None:
-                got = _recalibrate_odd(he, m, rhs_h, rhs_l)
-                if got is None:
-                    raise InternalConsistencyError(
-                        f"joint correction system unsolvable at odd index {n}"
-                    )
-                x, y, phi, psi = got
-                f[m] = f[m] + phi
-                g[m] = g[m] + psi
-            h.append(x)
-            ll.append(y)
-    out = SheData(he.M, he.N, index_cap, tuple(f), tuple(g), tuple(h), tuple(ll))
+    assign = tower_assignment(she_from_he(he))
+    assign[gen("f", 2)], assign[gen("g", 2)] = pair.witness_m, pair.witness_n
+    for n in range(3, 2 * index_cap + 2):
+        tops = (gen("f", n), gen("g", n))
+        rhs = {z: _tower_rhs(z, assign, he.M, he.N) for z in tops}
+        lifts = [_hom_solve(*_hom_space(z, he.M, he.N), n, rhs[z]) for z in tops]
+        if None in lifts:
+            lifts = _recalibrate(assign, n, rhs)
+        assign.update(zip(tops, lifts))
+    out = she_from_assignment(he.M, he.N, index_cap, assign)
     report = validate_she(out)
     if report:
         raise InternalConsistencyError("extension fails its identities: " + "; ".join(report))

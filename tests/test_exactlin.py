@@ -152,3 +152,53 @@ def test_huge_entries_survive():
     dec = smith_normal_form(a)
     assert dec.U @ a @ dec.V == dec.S
     assert dec.diagonal()[0] == 1
+
+
+@st.composite
+def complexes_with_torsion(draw):
+    """(d_in, d_out) with d_out d_in = 0, at most 8x8: the split pair
+    d_out = [X | 0], d_in = [0 ; T Y] (T a diagonal of small factors, so
+    torsion is common) conjugated by a random unimodular change of the
+    middle basis."""
+    lower, a, b, upper = (draw(st.integers(0, 4)) for _ in range(4))
+    mid = a + b
+    entries = st.integers(-3, 3)
+    x = [[draw(entries) for _ in range(a)] for _ in range(lower)]
+    t = [draw(st.sampled_from([1, 2, 3, 4])) for _ in range(b)]
+    y = [[t[i] * draw(entries) for _ in range(upper)] for i in range(b)]
+    d_out = IntMatrix(lower, mid, tuple(v for row in x for v in row + [0] * b))
+    d_in = IntMatrix(mid, upper, tuple(v for row in [[0] * upper] * a + y for v in row))
+    # U = product of elementary row operations, U^-1 = inverses in reverse
+    u, u_inv = IntMatrix.identity(mid), IntMatrix.identity(mid)
+    for _ in range(draw(st.integers(0, 6)) if mid >= 2 else 0):
+        i, j = draw(st.lists(st.integers(0, mid - 1), min_size=2, max_size=2, unique=True))
+        q = draw(st.integers(-2, 2))
+        e = [[int(r == c) for c in range(mid)] for r in range(mid)]
+        e[i][j] = q
+        e_inv = [row[:] for row in e]
+        e_inv[i][j] = -q
+        u = IntMatrix.from_rows(e) @ u
+        u_inv = u_inv @ IntMatrix.from_rows(e_inv)
+    return u @ d_in, d_out @ u_inv
+
+
+@settings(max_examples=120, deadline=None)
+@given(complexes_with_torsion())
+def test_homology_matches_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    d_in, d_out = pair
+    assert (d_out @ d_in).is_zero()
+    h = homology_at(d_in, d_out)
+
+    def rank(m):
+        return sympy.Matrix(m.rows, m.cols, list(m.entries)).rank() if m.rows and m.cols else 0
+
+    assert h.free_rank == d_out.cols - rank(d_out) - rank(d_in)
+    if d_in.rows and d_in.cols:
+        snf = sympy_snf(sympy.Matrix(d_in.rows, d_in.cols, list(d_in.entries)), domain=sympy.ZZ)
+        torsion = sorted(abs(int(snf[i, i])) for i in range(min(snf.shape)) if abs(snf[i, i]) >= 2)
+    else:
+        torsion = []
+    assert sorted(h.torsion) == torsion

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pertlab import ipl_pipeline, she_obstruction
 from pertlab.chaincore import GradedMap, compose
 from pertlab.fixtures import (
     fixture_generate,
@@ -176,3 +177,28 @@ def test_solve_pp_between_equal_complexes():
         quad = HeData(sol.m_perturbed, sol.n_perturbed,
                       sol.f_tilde, sol.g_tilde, sol.h_tilde, sol.l_tilde)
         assert validate_he(quad) == []
+
+
+def test_solve_pp_validates_the_input_once(monkeypatch):
+    # ipl_perturb's validate_she checks the perturbed cap-0 tower, whose
+    # identities are those of the output quadruple, so it is not revalidated
+    calls = []
+    real = validate_he
+
+    def counted(he):
+        calls.append(he)
+        return real(he)
+
+    monkeypatch.setattr(ipl_pipeline, "validate_he", counted)
+    monkeypatch.setattr(she_obstruction, "validate_he", counted)
+    s, p = sdr_fixture(2)
+    he = he_from_sdr(s)
+    assert trivial_extension(modify_homotopy_h(he), 1) is not None
+    solve_pp(he, p, "modify_h")
+    assert calls == [he]
+    # through extend_to_she the repaired input is validated once more
+    calls.clear()
+    he = he_fixture(7)
+    assert trivial_extension(modify_homotopy_h(he), 1) is None
+    solve_pp(he, weight_raising_perturbation(8, he.M), "modify_h")
+    assert calls == [he, modify_homotopy_h(he)]

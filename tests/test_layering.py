@@ -42,3 +42,21 @@ def test_imports_point_strictly_downward():
             if LAYERS[target] >= layer:
                 upward.append(f"{name} (layer {layer}) imports {target} (layer {LAYERS[target]})")
     assert upward == []
+
+
+# The parity layout of a tower (F_even[i] is f_2i, H_odd[j] is f_2j+1, ...)
+# is read in she_obstruction, which defines it, and in cli_io's document
+# format; every other module goes through tower_assignment.
+PARITY_FIELDS = {"F_even", "G_even", "H_odd", "L_odd"}
+LAYOUT_READERS = {"she_obstruction", "cli_io"}
+
+
+def test_parity_layout_stays_behind_she_obstruction():
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in LAYOUT_READERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in PARITY_FIELDS:
+                readers.append(f"{path.stem}:{node.lineno} reads .{node.attr}")
+    assert readers == []

@@ -2,7 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pertlab.chaincore import compose, filtration_shift, hom_differential
+from pertlab import she_obstruction
+from pertlab.chaincore import (
+    compose,
+    filtration_shift,
+    hom_basis,
+    hom_complex,
+    hom_differential,
+    left_compose_matrix,
+    map_to_vec,
+    right_compose_matrix,
+)
 from pertlab.fixtures import (
     cone_retract_sdr,
     he_fixture,
@@ -25,9 +35,17 @@ from pertlab.she_obstruction import (
     obstruction_cycles,
     she_from_he,
     trivial_extension,
+    tower_assignment,
     validate_he,
     validate_she,
+    _hom_solve,
+    _hom_space,
+    _joint_system,
+    _recalibrate,
+    _tower_rhs,
 )
+from pertlab.exactlin import IntMatrix
+from pertlab.operad_sym import gen
 
 
 def test_he_fixtures_validate():
@@ -99,7 +117,7 @@ def test_trivial_extension_requires_vanishing_on_the_nose():
     assert trivial_extension(obstructed_he_fixture()) is None
     # this seed's twist leaves a nonzero obstruction cycle behind
     he = he_fixture(6)
-    assert not (compose(he.F, he.H) - compose(he.L, he.F)).is_zero()
+    assert not obstruction_cycles(he).cycle_m.is_zero()
     assert trivial_extension(he) is None
 
 
@@ -143,14 +161,6 @@ def test_extension_components_preserve_the_filtration():
             assert filtration_shift(comp) >= 0
 
 
-def test_recalibration_fixture_needs_the_joint_solver():
-    he = recalibration_he_fixture()
-    assert validate_he(he) == []
-    assert obstruction_classes_linked(he) is True
-    tower = extend_to_she(he, 2)
-    assert validate_she(tower) == []
-
-
 def test_layered_fixture_is_a_genuine_tower_seed():
     he, p = layered_she_fixture()
     assert validate_he(he) == []
@@ -187,3 +197,237 @@ def test_obstruction_cycles_on_retract_vanish():
     # the side conditions make the big-side cycle vanish on the nose
     assert pair.cycle_m.is_zero()
     assert pair.class_m_vanishes and pair.class_n_vanishes
+
+
+# --- the joint step -------------------------------------------------------
+
+
+def _filtered_hom(src, tgt, k):
+    full = hom_basis(src, tgt, k)
+    keep = [c for c, (deg, i, j) in enumerate(full)
+            if tgt.weight_at(deg + k, j) >= src.weight_at(deg, i)]
+    return tuple(full[c] for c in keep), keep
+
+
+def _column_select(mat, keep):
+    return IntMatrix(mat.rows, len(keep), tuple(mat.entry(r, c) for r in range(mat.rows) for c in keep))
+
+
+def _old_even_system(he, m, rhs_f, rhs_g):
+    """Reference: the hand-written block system of the even joint step at
+    index 2m, correcting H_{2m-1} by phi and L_{2m-1} by psi."""
+    M, N, F0, G0 = he.M, he.N, he.F, he.G
+    k = 2 * m
+    fb_x, keep_x = _filtered_hom(M, N, k)
+    fb_y, keep_y = _filtered_hom(N, M, k)
+    fb_phi, keep_phi = _filtered_hom(M, M, k - 1)
+    fb_psi, keep_psi = _filtered_hom(N, N, k - 1)
+    columns = [(M, N, k, fb_x), (N, M, k, fb_y),
+               (M, M, k - 1, fb_phi), (N, N, k - 1, fb_psi)]
+    b_x = hom_basis(M, N, k - 1)
+    b_y = hom_basis(N, M, k - 1)
+    eq1 = (len(b_x), {
+        0: _column_select(hom_complex(M, N, k).differential_matrix, keep_x),
+        2: -left_compose_matrix(F0, M, k - 1, fb_phi, b_x),
+        3: right_compose_matrix(F0, N, k - 1, fb_psi, b_x),
+    }, map_to_vec(rhs_f, b_x))
+    eq2 = (len(b_y), {
+        1: _column_select(hom_complex(N, M, k).differential_matrix, keep_y),
+        2: right_compose_matrix(G0, M, k - 1, fb_phi, b_y),
+        3: -left_compose_matrix(G0, N, k - 1, fb_psi, b_y),
+    }, map_to_vec(rhs_g, b_y))
+    eq3_rows = len(hom_basis(M, M, k - 2))
+    eq4_rows = len(hom_basis(N, N, k - 2))
+    eq3 = (eq3_rows, {2: _column_select(hom_complex(M, M, k - 1).differential_matrix, keep_phi)},
+           (0,) * eq3_rows)
+    eq4 = (eq4_rows, {3: _column_select(hom_complex(N, N, k - 1).differential_matrix, keep_psi)},
+           (0,) * eq4_rows)
+    return columns, [eq1, eq2, eq3, eq4]
+
+
+def _old_odd_system(he, m, rhs_h, rhs_l):
+    """Reference: the hand-written block system of the odd joint step at
+    index 2m+1, correcting F_{2m} by phi and G_{2m} by psi."""
+    M, N, F0, G0 = he.M, he.N, he.F, he.G
+    k = 2 * m + 1
+    fb_x, keep_x = _filtered_hom(M, M, k)
+    fb_y, keep_y = _filtered_hom(N, N, k)
+    fb_phi, keep_phi = _filtered_hom(M, N, k - 1)
+    fb_psi, keep_psi = _filtered_hom(N, M, k - 1)
+    columns = [(M, M, k, fb_x), (N, N, k, fb_y),
+               (M, N, k - 1, fb_phi), (N, M, k - 1, fb_psi)]
+    b_x = hom_basis(M, M, k - 1)
+    b_y = hom_basis(N, N, k - 1)
+    eq1 = (len(b_x), {
+        0: _column_select(hom_complex(M, M, k).differential_matrix, keep_x),
+        2: -left_compose_matrix(G0, M, k - 1, fb_phi, b_x),
+        3: -right_compose_matrix(F0, M, k - 1, fb_psi, b_x),
+    }, map_to_vec(rhs_h, b_x))
+    eq2 = (len(b_y), {
+        1: _column_select(hom_complex(N, N, k).differential_matrix, keep_y),
+        2: -right_compose_matrix(G0, N, k - 1, fb_phi, b_y),
+        3: -left_compose_matrix(F0, N, k - 1, fb_psi, b_y),
+    }, map_to_vec(rhs_l, b_y))
+    eq3_rows = len(hom_basis(M, N, k - 2))
+    eq4_rows = len(hom_basis(N, M, k - 2))
+    eq3 = (eq3_rows, {2: _column_select(hom_complex(M, N, k - 1).differential_matrix, keep_phi)},
+           (0,) * eq3_rows)
+    eq4 = (eq4_rows, {3: _column_select(hom_complex(N, M, k - 1).differential_matrix, keep_psi)},
+           (0,) * eq4_rows)
+    return columns, [eq1, eq2, eq3, eq4]
+
+
+def _tower_below(he, n):
+    """A valid tower's components of index < n, as the extension has them
+    before its step n, plus the right-hand sides of f_n and g_n."""
+    assign = tower_assignment(extend_to_she(he, (n - 2) // 2))
+    for z in (gen("f", n - 1), gen("g", n - 1)) if n % 2 else ():
+        lift = _hom_solve(*_hom_space(z, he.M, he.N), n - 1, _tower_rhs(z, assign, he.M, he.N))
+        assert lift is not None
+        assign[z] = lift
+    rhs = {z: _tower_rhs(z, assign, he.M, he.N) for z in (gen("f", n), gen("g", n))}
+    return assign, rhs
+
+
+def test_joint_system_matches_the_hand_written_blocks():
+    cases = 0
+    fixtures = [he_fixture(seed) for seed in range(30)]
+    for he in fixtures + [recalibration_he_fixture(), layered_she_fixture()[0]]:
+        tower = extend_to_she(he, 3)
+        full = tower_assignment(tower)
+        for n in range(2, 8):
+            assign = {z: f for z, f in full.items() if z.index < n}
+            rhs = {z: _tower_rhs(z, assign, he.M, he.N) for z in (gen("f", n), gen("g", n))}
+            f, g = rhs[gen("f", n)], rhs[gen("g", n)]
+            old = _old_even_system(he, n // 2, f, g) if n % 2 == 0 else _old_odd_system(he, n // 2, f, g)
+            assert _joint_system(assign, n, rhs) == old
+            cases += 1
+    assert cases == 192
+
+
+def _spy_on_joint_steps(monkeypatch):
+    fired = []
+    real = she_obstruction._recalibrate
+
+    def spy(assign, n, rhs):
+        fired.append(n)
+        return real(assign, n, rhs)
+
+    monkeypatch.setattr(she_obstruction, "_recalibrate", spy)
+    return fired
+
+
+def test_recalibration_fixture_needs_the_joint_solver(monkeypatch):
+    he = recalibration_he_fixture()
+    assert validate_he(he) == []
+    assert obstruction_classes_linked(he) is True
+    fired = _spy_on_joint_steps(monkeypatch)
+    tower = extend_to_she(he, 2)
+    assert validate_she(tower) == []
+    # the odd step at index 3 needs the joint system, nothing else does
+    assert fired == [3]
+
+
+def test_he_fixture_70_needs_the_even_joint_step(monkeypatch):
+    fired = _spy_on_joint_steps(monkeypatch)
+    tower = extend_to_she(he_fixture(70), 2)
+    assert validate_she(tower) == []
+    assert fired == [4]
+
+
+def _check_joint_step(he, n):
+    """Run the joint step at index n on a valid tower below n: D(x) must
+    equal the right-hand side plus the coupling terms of the corrections,
+    and the corrections must be cycles.  Returns whether it corrected."""
+    assign, rhs = _tower_below(he, n)
+    before = dict(assign)
+    x, y = _recalibrate(assign, n, rhs)
+    f_low, g_low = gen("f", n - 1), gen("g", n - 1)
+    phi = assign[f_low] - before[f_low]
+    psi = assign[g_low] - before[g_low]
+    assert hom_differential(phi).is_zero() and hom_differential(psi).is_zero()
+    if n % 2 == 0:
+        # d f_n = f_0 f_n-1 - g_n-1 f_0 + ...,  d g_n = g_0 g_n-1 - f_n-1 g_0 + ...
+        assert hom_differential(x) == rhs[gen("f", n)] + compose(he.F, phi) - compose(psi, he.F)
+        assert hom_differential(y) == rhs[gen("g", n)] + compose(he.G, psi) - compose(phi, he.G)
+    else:
+        # d f_n = g_0 f_n-1 + g_n-1 f_0 + ...,  d g_n = f_0 g_n-1 + f_n-1 g_0 + ...
+        assert hom_differential(x) == rhs[gen("f", n)] + compose(he.G, phi) + compose(psi, he.F)
+        assert hom_differential(y) == rhs[gen("g", n)] + compose(he.F, psi) + compose(phi, he.G)
+    # the corrected assignment satisfies the table at index n, below n - 1
+    # nothing moved
+    assert hom_differential(x) == _tower_rhs(gen("f", n), assign, he.M, he.N)
+    assert hom_differential(y) == _tower_rhs(gen("g", n), assign, he.M, he.N)
+    assert all(assign[z] == f for z, f in before.items() if z.index < n - 1)
+    return not (phi.is_zero() and psi.is_zero())
+
+
+@pytest.mark.parametrize("seed", [70, 103, 164])
+def test_even_joint_step_corrects_where_the_direct_lift_fails(seed):
+    # these are the seeds below 200 whose cap-3 extension fires the even step
+    assert _check_joint_step(he_fixture(seed), 4)
+
+
+def test_odd_joint_step_corrects_where_the_direct_lift_fails():
+    assert _check_joint_step(recalibration_he_fixture(), 3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 40), st.sampled_from([4, 6]))
+def test_even_joint_step_holds_where_the_direct_lift_succeeds(seed, n):
+    _check_joint_step(he_fixture(seed), n)
+
+
+# --- the witnesses and the single checks ----------------------------------
+
+
+def _assert_index_two_lifts_are_the_witnesses(he, cap, fired):
+    """F_2 and G_2 are the obstruction witnesses, unless the joint step at
+    index 3 corrected them, and then only by cycles."""
+    pair = obstruction_cycles(he)
+    fired.clear()
+    tower = extend_to_she(he, cap)
+    phi = tower.F_even[1] - pair.witness_m
+    psi = tower.G_even[1] - pair.witness_n
+    if 3 in fired:
+        assert hom_differential(phi).is_zero() and hom_differential(psi).is_zero()
+        assert not (phi.is_zero() and psi.is_zero())
+    else:
+        assert phi.is_zero() and psi.is_zero()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]))
+def test_index_two_lifts_are_the_obstruction_witnesses(seed, cap):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fired = _spy_on_joint_steps(monkeypatch)
+        _assert_index_two_lifts_are_the_witnesses(he_fixture(seed), cap, fired)
+
+
+def test_index_two_lifts_are_the_witnesses_after_repair(monkeypatch):
+    fired = _spy_on_joint_steps(monkeypatch)
+    for he in [he_fixture(seed) for seed in (0, 49, 125)] + [
+        modify_homotopy_h(obstructed_he_fixture()), modify_homotopy_l(obstructed_he_fixture()),
+    ]:
+        _assert_index_two_lifts_are_the_witnesses(he, 2, fired)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_extension_validates_once_and_solves_index_two_once(monkeypatch):
+    validations = _count_calls(monkeypatch, she_obstruction, "validate_he")
+    solves = _count_calls(monkeypatch, she_obstruction, "_hom_solve")
+    extend_to_she(he_fixture(3), 1)
+    assert len(validations) == 1
+    # two for the obstruction witnesses (which are f_2, g_2), two at index 3
+    assert len(solves) == 4
