@@ -1,0 +1,62 @@
+"""Time the Smith elimination on the baseline matrices, one line per case.
+
+The cases are the degree-1 hom-complex differentials Hom(M, M) of
+`cone_retract_sdr(5, c, c // 2, 4)` for c = 12, 16, 20 (164x129, 266x214
+and 438x350), and a seeded sparse 40x40 matrix with entries from
+{-1, 0, 0, 0, 1, 2}.  (The 60x60 sparse case is left out: one cold
+elimination of it takes tens of seconds.)  Each case prints its shape,
+rank, the largest bit length of an entry of U or V, and the cold times of
+`solve_integer` (on a consistent right-hand side, checked) and of
+`cokernel_invariants`; "cold" means the elimination cache is emptied
+before each timed call.
+
+    PYTHONPATH=src python3 scripts/run_snf_cases.py
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import time
+
+from pertlab import exactlin
+from pertlab.chaincore import hom_complex
+from pertlab.exactlin import IntMatrix
+from pertlab.fixtures import cone_retract_sdr
+
+
+def cases() -> list[tuple[str, IntMatrix]]:
+    out = []
+    for c in (12, 16, 20):
+        s = cone_retract_sdr(5, c, c // 2, 4)
+        out.append((f"hom(M,M)_1 c={c}", hom_complex(s.M, s.M, 1).differential_matrix))
+    rng = random.Random(0)
+    out.append(("sparse seed 0", IntMatrix(40, 40, tuple(rng.choice((-1, 0, 0, 0, 1, 2)) for _ in range(1600)))))
+    return out
+
+
+def cold(fn, *args) -> tuple[object, float]:
+    exactlin._eliminate.cache_clear()
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - t0
+
+
+def main() -> int:
+    print(f"{'case':20s} {'shape':>8s} {'rank':>5s} {'bits':>7s} {'solve_s':>8s} {'cokernel_s':>10s}")
+    ok = True
+    rng = random.Random(1)
+    for name, a in cases():
+        b = a.apply(tuple(rng.randint(-3, 3) for _ in range(a.cols)))
+        x, t_solve = cold(exactlin.solve_integer, a, b)
+        ok = ok and x is not None and a.apply(x) == b
+        _, t_coker = cold(exactlin.cokernel_invariants, a)
+        dec = exactlin.smith_normal_form(a)
+        bits = max(abs(e).bit_length() for e in dec.U.entries + dec.V.entries)
+        print(f"{name:20s} {a.rows:>3d}x{a.cols:<4d} {dec.rank:5d} {bits:7d} {t_solve:8.3f} {t_coker:10.3f}")
+    print("solutions verified" if ok else "A x != b on some case")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

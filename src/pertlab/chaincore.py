@@ -272,7 +272,8 @@ def hom_basis(m: ChainComplex, n: ChainComplex, k: int) -> tuple[tuple[int, int,
 
 
 def map_to_vec(f: GradedMap, basis: tuple[tuple[int, int, int], ...]) -> tuple[int, ...]:
-    return tuple(f.block_at(deg).entry(j, i) for deg, i, j in basis)
+    blocks = dict(f.blocks)
+    return tuple(m.entries[j * m.cols + i] if (m := blocks.get(deg)) is not None else 0 for deg, i, j in basis)
 
 
 def vec_to_map(

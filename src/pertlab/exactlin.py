@@ -5,17 +5,21 @@ floating point is ever introduced; intermediate entries during a Smith
 reduction can exceed any fixed-width type even for small inputs, which is
 why the matrix type refuses anything that is not an ``int``.
 
-The three workhorses:
+One cached elimination serves every entry point.  Its pivot policy is
+fixed (smallest nonzero absolute value, ties by smallest (row, col)), so
+it is deterministic and reproducible.  It keeps the transforms as logs of
+the row and column operations it made, not as matrices: solves replay the
+logs on vectors, cokernels read the diagonal alone, and only
+``smith_normal_form`` and ``kernel_basis`` build matrices from the logs.
 
 ``smith_normal_form``
     U * A * V = S with U, V unimodular and S diagonal, entries nonnegative,
-    each dividing the next, zeros trailing.  The pivot policy is fixed
-    (smallest nonzero absolute value, ties by smallest (row, col)), so the
-    decomposition is deterministic and reproducible.
+    each dividing the next, zeros trailing.
 
 ``solve_integer``
-    canonical integer solution of A x = b, or None when no integer solution
-    exists.  Absence of a solution is an ordinary return value.
+    canonical integer solution of A x = b (free parameters zero in Smith
+    coordinates), or None when no integer solution exists.  Absence of a
+    solution is an ordinary return value.
 
 ``homology_at``
     invariant factors of ker(d_out) / im(d_in) for one degree of a chain
@@ -182,53 +186,44 @@ def _pivot(s: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] 
     return None if best is None else (best[1], best[2])
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Deterministic Smith normal form with both transforms.
-
-    >>> dec = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    >>> dec.diagonal(), dec.rank
-    ((2, 4), 2)
-    >>> dec.U @ IntMatrix.from_rows([[2, 4], [6, 8]]) @ dec.V == dec.S
-    True
-    """
-    return _smith_cached(a)
-
-
 @lru_cache(maxsize=4096)
-def _smith_cached(a: IntMatrix) -> SmithDecomposition:
+def _eliminate(a: IntMatrix) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[tuple, ...]]:
+    """The Smith elimination of ``a``: (diagonal, row log, column log).
+
+    The diagonal holds the nonzero invariant factors, so its length is the
+    rank.  Log entries, in the order made: ``("swap", i, k)``, ``("add",
+    dst, src, q)`` for line dst += q * line src, and, for rows only,
+    ``("neg", i)``.  Each step touches only the trailing submatrix: the
+    rows and columns before it are already cleared.
+    """
     rows, cols = a.rows, a.cols
     s = a.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
+    row_log: list[tuple] = []
+    col_log: list[tuple] = []
 
     def swap_rows(i: int, k: int) -> None:
         s[i], s[k] = s[k], s[i]
-        u[i], u[k] = u[k], u[i]
+        row_log.append(("swap", i, k))
 
     def swap_cols(j: int, k: int) -> None:
-        for r in s:
-            r[j], r[k] = r[k], r[j]
-        for r in v:
-            r[j], r[k] = r[k], r[j]
+        for r in range(t, rows):
+            sr = s[r]
+            sr[j], sr[k] = sr[k], sr[j]
+        col_log.append(("swap", j, k))
 
     def add_row(dst: int, src: int, q: int) -> None:
-        # row_dst += q * row_src
         sd, ss = s[dst], s[src]
-        for j in range(cols):
-            sd[j] += q * ss[j]
-        ud, us = u[dst], u[src]
-        for j in range(rows):
-            ud[j] += q * us[j]
+        for j in range(t, cols):
+            if ss[j]:
+                sd[j] += q * ss[j]
+        row_log.append(("add", dst, src, q))
 
     def add_col(dst: int, src: int, q: int) -> None:
-        for r in s:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def negate_row(i: int) -> None:
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
+        for r in range(t, rows):
+            sr = s[r]
+            if sr[src]:
+                sr[dst] += q * sr[src]
+        col_log.append(("add", dst, src, q))
 
     t = 0
     limit = min(rows, cols)
@@ -268,34 +263,73 @@ def _smith_cached(a: IntMatrix) -> SmithDecomposition:
                         break
             if dirty:
                 continue
-            # make the pivot divide the whole trailing submatrix
-            stuck = None
-            for i in range(t + 1, rows):
-                srow = s[i]
-                for j in range(t + 1, cols):
-                    if srow[j] % p:
-                        stuck = i
-                        break
-                if stuck is not None:
-                    break
+            # make the pivot divide the whole trailing submatrix (a unit does)
+            if p == 1 or p == -1:
+                break
+            stuck = next((i for i in range(t + 1, rows) if any(x % p for x in s[i][t + 1:])), None)
             if stuck is None:
                 break
             add_row(t, stuck, 1)
         if s[t][t] < 0:
-            negate_row(t)
+            s[t][t] = -s[t][t]
+            row_log.append(("neg", t))
         t += 1
+    return tuple(s[i][i] for i in range(t)), tuple(row_log), tuple(col_log)
 
-    rank = 0
-    for i in range(limit):
-        if s[i][i]:
-            rank += 1
-    dec = SmithDecomposition(
-        IntMatrix(rows, rows, tuple(x for r in u for x in r)),
-        IntMatrix(rows, cols, tuple(x for r in s for x in r)),
-        IntMatrix(cols, cols, tuple(x for r in v for x in r)),
-        rank,
+
+def _apply_row_log(log: tuple[tuple, ...], vec: list[int]) -> list[int]:
+    """U * vec, in place: the row operations in order."""
+    for op in log:
+        if op[0] == "add":
+            vec[op[1]] += op[3] * vec[op[2]]
+        elif op[0] == "swap":
+            vec[op[1]], vec[op[2]] = vec[op[2]], vec[op[1]]
+        else:
+            vec[op[1]] = -vec[op[1]]
+    return vec
+
+
+def _apply_col_log(log: tuple[tuple, ...], vec: list[int]) -> list[int]:
+    """V * vec, in place.  V is the product of the column operations in
+    the order made, so they act on a vector last to first, and adding q
+    times column src to column dst acts as vec[src] += q * vec[dst]."""
+    for op in reversed(log):
+        if op[0] == "add":
+            vec[op[2]] += op[3] * vec[op[1]]
+        else:
+            vec[op[1]], vec[op[2]] = vec[op[2]], vec[op[1]]
+    return vec
+
+
+def _replayed_columns(apply, log: tuple[tuple, ...], n: int, js: range) -> IntMatrix:
+    """The n-row matrix whose columns are apply(log, e_j) for j in js."""
+    columns = [apply(log, [int(i == j) for i in range(n)]) for j in js]
+    return IntMatrix(n, len(columns), tuple(c[i] for i in range(n) for c in columns))
+
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Deterministic Smith normal form with both transforms.
+
+    The cached elimination keeps U and V as operation logs; only this
+    function and ``kernel_basis`` build matrices from them.
+
+    >>> dec = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    >>> dec.diagonal(), dec.rank
+    ((2, 4), 2)
+    >>> dec.U @ IntMatrix.from_rows([[2, 4], [6, 8]]) @ dec.V == dec.S
+    True
+    """
+    diagonal, row_log, col_log = _eliminate(a)
+    rows, cols = a.rows, a.cols
+    s = [0] * (rows * cols)
+    for i, d in enumerate(diagonal):
+        s[i * cols + i] = d
+    return SmithDecomposition(
+        _replayed_columns(_apply_row_log, row_log, rows, range(rows)),
+        IntMatrix(rows, cols, tuple(s)),
+        _replayed_columns(_apply_col_log, col_log, cols, range(cols)),
+        len(diagonal),
     )
-    return dec
 
 
 def solve_integer(a: IntMatrix, b: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -303,41 +337,35 @@ def solve_integer(a: IntMatrix, b: tuple[int, ...]) -> tuple[int, ...] | None:
 
     The canonical solution sets every free parameter of the general solution
     to zero in Smith coordinates, so equal inputs always produce the same
-    output.  None is an ordinary value meaning "no integer solution".
+    output.  None is an ordinary value meaning "no integer solution".  No
+    transform is built: the row log turns b into c = U b, the diagonal
+    gives y = c / S, and the column log, replayed backwards, gives V y.
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length does not match row count")
-    dec = smith_normal_form(a)
-    c = dec.U.apply(tuple(int(x) for x in b))
+    diagonal, row_log, col_log = _eliminate(a)
+    c = _apply_row_log(row_log, [int(x) for x in b])
     y = [0] * a.cols
-    n = min(a.rows, a.cols)
-    for i in range(a.rows):
-        si = dec.S.entry(i, i) if i < n else 0
-        if si:
-            if c[i] % si:
+    for i, ci in enumerate(c):
+        if i < len(diagonal):
+            if ci % diagonal[i]:
                 return None
-            y[i] = c[i] // si
-        elif c[i]:
+            y[i] = ci // diagonal[i]
+        elif ci:
             return None
-    return dec.V.apply(tuple(y))
+    return tuple(_apply_col_log(col_log, y))
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Columns form an integer basis of ker(a); the basis is saturated."""
-    dec = smith_normal_form(a)
-    ker_cols = range(dec.rank, a.cols)
-    flat: list[int] = []
-    for i in range(a.cols):
-        vrow = dec.V.row(i)
-        flat.extend(vrow[j] for j in ker_cols)
-    return IntMatrix(a.cols, a.cols - dec.rank, tuple(flat))
+    """Columns form an integer basis of ker(a), saturated: V's columns past the rank."""
+    diagonal, _, col_log = _eliminate(a)
+    return _replayed_columns(_apply_col_log, col_log, a.cols, range(len(diagonal), a.cols))
 
 
 def cokernel_invariants(a: IntMatrix) -> AbelianGroupInvariants:
-    """Invariant factors of Z^rows / column span of a."""
-    dec = smith_normal_form(a)
-    torsion = tuple(d for d in dec.diagonal() if d >= 2)
-    return AbelianGroupInvariants(a.rows - dec.rank, torsion)
+    """Invariant factors of Z^rows / column span of a, from the diagonal."""
+    diagonal = _eliminate(a)[0]
+    return AbelianGroupInvariants(a.rows - len(diagonal), tuple(d for d in diagonal if d >= 2))
 
 
 def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbelianGroupInvariants:

@@ -46,13 +46,13 @@ from .she_obstruction import (
     HeData,
     ObstructionError,
     SheData,
+    _decide_obstructions,
     component_name,
     evaluate_words,
     extend_to_she,
     he_from_she,
     modify_homotopy_h,
     modify_homotopy_l,
-    obstruction_cycles,
     she_from_assignment,
     tower_assignment,
     tower_generators,
@@ -244,7 +244,7 @@ def solve_pp(he: HeData, p: Perturbation, strategy: str = "modify_h") -> PpSolut
     elif strategy == "modify_l":
         he2 = modify_homotopy_l(he)
     else:
-        pair = obstruction_cycles(he)
+        pair = _decide_obstructions(he)
         if not (pair.class_m_vanishes and pair.class_n_vanishes):
             raise ObstructionError(
                 "extension obstructed: the obstruction classes do not vanish; "

@@ -253,7 +253,7 @@ def _filtered_differential(src: ChainComplex, tgt: ChainComplex, k: int):
     keep = [c for c, (deg, i, j) in enumerate(sl.basis)
             if tgt.weight_at(deg + k, j) >= src.weight_at(deg, i)]
     d = sl.differential_matrix
-    flat = tuple(d.entry(r, c) for r in range(d.rows) for c in keep)
+    flat = tuple(row[c] for row in map(d.row, range(d.rows)) for c in keep)
     return tuple(sl.basis[c] for c in keep), IntMatrix(d.rows, len(keep), flat)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pertlab import exactlin
 from pertlab.exactlin import (
     AbelianGroupInvariants,
     IntMatrix,
@@ -202,3 +203,214 @@ def test_homology_matches_sympy(pair):
     else:
         torsion = []
     assert sorted(h.torsion) == torsion
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_dim=8, max_entry=9))
+def test_smith_diagonal_matches_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    dec = smith_normal_form(a)
+    assert dec.U @ a @ dec.V == dec.S
+    snf = sympy_snf(sympy.Matrix(a.rows, a.cols, list(a.entries)), domain=sympy.ZZ)
+    assert dec.diagonal() == tuple(abs(int(snf[i, i])) for i in range(min(snf.shape)))
+
+
+# The dense elimination that builds both transforms as it goes, kept as the
+# reference for the elimination log: the same operations, applied to U and V
+# directly, so every result must agree field by field.  It shares _pivot, so
+# it checks the logs and their replay, not the pivot policy.
+
+
+def reference_smith(a):
+    rows, cols = a.rows, a.cols
+    s = a.to_rows()
+    u = IntMatrix.identity(rows).to_rows()
+    v = IntMatrix.identity(cols).to_rows()
+
+    def swap_rows(i, k):
+        s[i], s[k] = s[k], s[i]
+        u[i], u[k] = u[k], u[i]
+
+    def swap_cols(j, k):
+        for r in s:
+            r[j], r[k] = r[k], r[j]
+        for r in v:
+            r[j], r[k] = r[k], r[j]
+
+    def add_row(dst, src, q):
+        sd, ss = s[dst], s[src]
+        for j in range(cols):
+            sd[j] += q * ss[j]
+        ud, us = u[dst], u[src]
+        for j in range(rows):
+            ud[j] += q * us[j]
+
+    def add_col(dst, src, q):
+        for r in s:
+            r[dst] += q * r[src]
+        for r in v:
+            r[dst] += q * r[src]
+
+    def negate_row(i):
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        pos = exactlin._pivot(s, t, rows, cols)
+        if pos is None:
+            break
+        i, j = pos
+        if i != t:
+            swap_rows(t, i)
+        if j != t:
+            swap_cols(t, j)
+        while True:
+            p = s[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if s[i][t]:
+                    q = s[i][t] // p
+                    if q:
+                        add_row(i, t, -q)
+                    if s[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(t + 1, cols):
+                if s[t][j]:
+                    q = s[t][j] // p
+                    if q:
+                        add_col(j, t, -q)
+                    if s[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            stuck = None
+            for i in range(t + 1, rows):
+                srow = s[i]
+                for j in range(t + 1, cols):
+                    if srow[j] % p:
+                        stuck = i
+                        break
+                if stuck is not None:
+                    break
+            if stuck is None:
+                break
+            add_row(t, stuck, 1)
+        if s[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    def matrix(m, n_cols):
+        return IntMatrix(len(m), n_cols, tuple(x for r in m for x in r))
+
+    rank = sum(1 for i in range(limit) if s[i][i])
+    return matrix(u, rows), matrix(s, cols), matrix(v, cols), rank
+
+
+def reference_solve(ref, b):
+    u, s, v, _ = ref
+    c = u.apply(b)
+    y = [0] * s.cols
+    for i in range(s.rows):
+        si = s.entry(i, i) if i < min(s.rows, s.cols) else 0
+        if si:
+            if c[i] % si:
+                return None
+            y[i] = c[i] // si
+        elif c[i]:
+            return None
+    return v.apply(tuple(y))
+
+
+def reference_kernel(ref):
+    _, _, v, rank = ref
+    return IntMatrix(v.rows, v.cols - rank, tuple(v.entry(i, j) for i in range(v.rows) for j in range(rank, v.cols)))
+
+
+def reference_cokernel(ref):
+    _, s, _, rank = ref
+    diag = tuple(s.entry(i, i) for i in range(min(s.rows, s.cols)))
+    return AbelianGroupInvariants(s.rows - rank, tuple(d for d in diag if d >= 2))
+
+
+def assert_matches_reference(a, x):
+    """Every entry point on ``a`` against the reference: the transforms,
+    the kernel, the cokernel, and solves of a consistent right-hand side
+    a x and, when the column span is not all of Z^rows, an inconsistent
+    one a x + e_k (some unit vector e_k lies outside the span then)."""
+    ref = reference_smith(a)
+    dec = smith_normal_form(a)
+    assert (dec.U, dec.S, dec.V, dec.rank) == ref
+    assert kernel_basis(a) == reference_kernel(ref)
+    assert cokernel_invariants(a) == reference_cokernel(ref)
+    b = a.apply(x)
+    x0 = solve_integer(a, b)
+    assert x0 is not None and x0 == reference_solve(ref, b)
+    units = [tuple(int(i == k) for i in range(a.rows)) for k in range(a.rows)]
+    outside = [e for e in units if reference_solve(ref, e) is None]
+    assert bool(outside) == (cokernel_invariants(a) != AbelianGroupInvariants(0, ()))
+    if outside:
+        b = tuple(p + q for p, q in zip(b, outside[0]))
+        assert solve_integer(a, b) is None and reference_solve(ref, b) is None
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(a, x): small, tall (up to 40x6) or wide matrices, dense or sparse,
+    with some rows and columns zeroed, and a vector x to multiply."""
+    shape = draw(st.sampled_from(("small", "tall", "wide")))
+    if shape == "small":
+        rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    elif shape == "tall":
+        rows, cols = draw(st.integers(9, 40)), draw(st.integers(0, 6))
+    else:
+        rows, cols = draw(st.integers(0, 6)), draw(st.integers(9, 40))
+    entry = st.integers(-9, 9) if draw(st.booleans()) else st.sampled_from((0, 0, 0, 1, -1, 2))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=2)) if rows else set()
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=2)) if cols else set()
+    flat = tuple(0 if i in zero_rows or j in zero_cols else draw(entry)
+                 for i in range(rows) for j in range(cols))
+    x = tuple(draw(st.integers(-3, 3)) for _ in range(cols))
+    return IntMatrix(rows, cols, flat), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_inputs())
+def test_elimination_log_matches_the_dense_reference(case):
+    assert_matches_reference(*case)
+
+
+def test_elimination_log_fixed_cases_run_every_branch():
+    def logs(rows):
+        a = IntMatrix.from_rows(rows)
+        assert_matches_reference(a, (1,) * a.cols)
+        return exactlin._eliminate(a)
+
+    # the pivot is found in another column; the trailing submatrix runs out of pivots early
+    assert logs([[0, 3], [0, 6]]) == ((3,), (("add", 1, 0, -2),), (("swap", 0, 1),))
+    # the pivot 2 does not divide 3: row 1 is added to row 0, and (2, 3) -> (1, 6)
+    diag, row_log, _ = logs([[2, 0], [0, 3]])
+    assert diag == (1, 6) and ("add", 0, 1, 1) in row_log
+    # clearing leaves a remainder below (row swap) or right of (column swap) the pivot
+    assert logs([[2], [3]])[1] == (("add", 1, 0, -1), ("swap", 0, 1), ("add", 1, 0, -2))
+    assert logs([[2, 3]])[2] == (("add", 1, 0, -1), ("swap", 0, 1), ("add", 1, 0, -2))
+    # a negative pivot is negated at the end of its step
+    assert logs([[-2]])[:2] == ((2,), (("neg", 0),))
+    # a unit pivot skips the divisibility scan and still yields the same result
+    assert logs([[-1, 4, 7], [6, 8, 9], [5, 3, 2]])[0] == (1, 1, 11)
+    # no columns: nothing to eliminate, and every nonzero b is inconsistent
+    a = IntMatrix.zeros(3, 0)
+    assert_matches_reference(a, ())
+    assert solve_integer(a, (0, 0, 0)) == ()
+    assert solve_integer(a, (0, 1, 0)) is None
+    assert kernel_basis(a) == IntMatrix(0, 0, ())
+    assert cokernel_invariants(a) == AbelianGroupInvariants(3, ())

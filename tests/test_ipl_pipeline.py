@@ -202,3 +202,8 @@ def test_solve_pp_validates_the_input_once(monkeypatch):
     assert trivial_extension(modify_homotopy_h(he), 1) is None
     solve_pp(he, weight_raising_perturbation(8, he.M), "modify_h")
     assert calls == [he, modify_homotopy_h(he)]
+    # as_is decides the obstruction classes without validating again
+    calls.clear()
+    he = he_from_sdr(sdr_fixture(2)[0])
+    solve_pp(he, p, "as_is")
+    assert calls == [he]
