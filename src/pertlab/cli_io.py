@@ -15,6 +15,7 @@ objects produce byte-equal documents and golden files diff cleanly.
 from __future__ import annotations
 
 import json
+import re
 
 from .chaincore import ChainComplex, GradedMap
 from .exactlin import IntMatrix
@@ -91,10 +92,17 @@ def _int(v, where: str) -> int:
     return v
 
 
+_ENTRY_RE = re.compile(r"-?[0-9]+")
+
+
 def _entry(v, where: str) -> int:
-    if type(v) is not str or not v or not v.lstrip("-").isdigit():
+    if type(v) is not str or not _ENTRY_RE.fullmatch(v):
         raise DocumentError(f"{where}: matrix entries are decimal integer strings, got {v!r}")
-    return int(v)
+    try:
+        return int(v)
+    except ValueError:
+        # past the interpreter's limit on digits in an integer string
+        raise DocumentError(f"{where}: matrix entry of {len(v)} characters is too long") from None
 
 
 def _rows_to_matrix(rows, nrows: int, ncols: int, where: str) -> IntMatrix:
@@ -134,8 +142,11 @@ def _complex_from_body(body, where: str = "complex") -> ChainComplex:
     if type(ranks) is not list or not ranks:
         raise DocumentError(f"{where}.ranks: expected a nonempty list")
     ranks = tuple(_int(r, f"{where}.ranks") for r in ranks)
+    if min(ranks) < 0:
+        raise DocumentError(f"{where}.ranks: ranks must be nonnegative")
     weights_raw = body["weights"]
-    if type(weights_raw) is not list or len(weights_raw) != len(ranks):
+    if (type(weights_raw) is not list or len(weights_raw) != len(ranks)
+            or any(type(row) is not list for row in weights_raw)):
         raise DocumentError(f"{where}.weights: expected one list per degree")
     weights = tuple(
         tuple(_int(w, f"{where}.weights[{t}]") for w in row) for t, row in enumerate(weights_raw)
@@ -147,10 +158,11 @@ def _complex_from_body(body, where: str = "complex") -> ChainComplex:
         _rows_to_matrix(rows, ranks[t], ranks[t + 1], f"{where}.diffs[{t}]")
         for t, rows in enumerate(diffs_raw)
     )
-    return ChainComplex(
-        lo, lo + len(ranks) - 1, ranks, weights, diffs,
-        _int(body["max_weight"], f"{where}.max_weight"),
-    )
+    max_weight = _int(body["max_weight"], f"{where}.max_weight")
+    try:
+        return ChainComplex(lo, lo + len(ranks) - 1, ranks, weights, diffs, max_weight)
+    except ValueError as e:
+        raise DocumentError(f"{where}: {e}") from None
 
 
 # maps, bound to already-known complexes
@@ -266,6 +278,10 @@ def parse_document(text: str):
         env = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"{e.msg} at line {e.lineno}, column {e.colno}") from None
+    except (ValueError, RecursionError) as e:
+        # an integer literal past the interpreter's digit limit, or nesting
+        # deeper than the decoder's recursion limit
+        raise DocumentError(f"unreadable JSON: {e}") from None
     if type(env) is not dict:
         raise DocumentError("envelope: expected an object")
     _require_keys(env, {"format_version", "kind", "payload"}, "envelope")

@@ -14,6 +14,14 @@ a cheap certificate beats an argument.
 The transfer specialization at tower index 0 (``solve_pp``) repairs the
 input homotopies first when their obstruction classes force it, extends
 by one index, perturbs, and projects back down.
+
+Identities are checked where ``she_obstruction`` says: ``OperadAction``
+checks its assignment, ``action_from_she`` and ``ipl_perturb`` check their
+tower and perturbation, and the perturbed tower is checked as it is built.
+``solve_pp`` checks the equivalence and the perturbation before building
+anything and then runs the private cores (``_extend``, ``_perturb``), so
+the cap-1 tower and the cap-0 output are each checked once, by their
+constructor.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from .chaincore import (
     GradedMap,
     complex_with_differential,
     filtration_shift,
-    hom_differential,
     rebase,
 )
 from .operad_sym import (
@@ -34,7 +41,6 @@ from .operad_sym import (
     Generator,
     XBAR,
     YBAR,
-    diff,
     gen,
     retraction_r,
     single,
@@ -44,12 +50,13 @@ from .operad_sym import (
 from .sdr_bpl import InternalConsistencyError, Perturbation, validate_perturbation
 from .she_obstruction import (
     HeData,
-    ObstructionError,
     SheData,
-    _decide_obstructions,
+    _check_components,
+    _checked,
+    _extend,
+    _require_vanishing,
     component_name,
     evaluate_words,
-    extend_to_she,
     he_from_she,
     modify_homotopy_h,
     modify_homotopy_l,
@@ -67,36 +74,25 @@ class OperadAction:
     """An assignment of graded maps to generators, checked to be an action.
 
     Color B is realized by ``M``, color W by ``N``; each assigned generator
-    must get a map between the right complexes of the generator's degree,
-    and the assignment must intertwine the symbolic differential with the
-    hom differential: evaluate(d z) = D(assign[z]) for every assigned z.
-    That one equation is simultaneously the chain-map conditions, the
-    tower identities and, for the degree -1 generator, the requirement
-    that the perturbed differential squares to zero.
+    must get a filtration-preserving map between the right complexes of the
+    generator's degree, and the assignment must intertwine the symbolic
+    differential with the hom differential: evaluate(d z) = D(assign[z])
+    for every assigned z.  That one equation is the tower identity of z,
+    checked by ``she_obstruction``'s tower check; for the degree -1
+    generator it says that the perturbed differential squares to zero.
     """
 
     M: ChainComplex
     N: ChainComplex
     assign: dict[Generator, GradedMap]
-    domain: str = "dif_riso"
 
     def __post_init__(self) -> None:
-        for z, f in self.assign.items():
-            src = self.M if z.src == "B" else self.N
-            tgt = self.M if z.dst == "B" else self.N
-            if f.source != src or f.target != tgt:
-                raise ValueError(f"assignment of {z.token} runs between the wrong complexes")
-            if f.degree != z.degree:
-                raise ValueError(f"assignment of {z.token} has degree {f.degree}, expected {z.degree}")
-        for z, f in self.assign.items():
-            dz = diff(single(self.domain, word(z)))
-            want = hom_differential(f)
-            got = evaluate_words(dz.terms, self.assign, self.M, self.N)
-            if got is None:
-                if not want.is_zero():
-                    raise ValueError(f"assignment of {z.token} is not compatible: D of it should vanish")
-            elif got != want:
-                raise ValueError(f"assignment of {z.token} does not intertwine the differentials")
+        problems: list[str] = []
+        _check_components(problems, self.assign, self.M, self.N,
+                          lambda z: f"assignment of {z.token}",
+                          lambda z: f"assignment of {z.token} does not intertwine the differentials")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 def evaluate(e: OperadElement, act: OperadAction) -> GradedMap:
@@ -111,19 +107,20 @@ def evaluate(e: OperadElement, act: OperadAction) -> GradedMap:
     return evaluate_words(e.terms, act.assign, act.M, act.N)
 
 
-def _evaluate_or_none(e: OperadElement, act: OperadAction) -> GradedMap | None:
-    return None if e.is_zero() else evaluate(e, act)
+def _require_perturbable(problems: list[str], M: ChainComplex, p: Perturbation) -> None:
+    """Raise on the problems of a tower or an equivalence with big side M,
+    together with those of a perturbation p, which must live on M."""
+    problems = problems + validate_perturbation(p)
+    if p.base != M:
+        problems.append("perturbation lives on a different complex than the tower")
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 def action_from_she(she: SheData, p: Perturbation) -> OperadAction:
     """The action realizing a tower and a perturbation of its big side."""
-    problems = validate_she(she) + validate_perturbation(p)
-    if p.base != she.M:
-        problems.append("perturbation lives on a different complex than the tower")
-    if problems:
-        raise ValueError("; ".join(problems))
-    assign = {XBAR: p.delta, **tower_assignment(she)}
-    return OperadAction(she.M, she.N, assign)
+    _require_perturbable(validate_she(she), she.M, p)
+    return OperadAction(she.M, she.N, {XBAR: p.delta, **tower_assignment(she)})
 
 
 @dataclass(frozen=True)
@@ -139,22 +136,6 @@ class PerturbedShe:
     provenance: TruncationCaps
 
 
-def _band_evaluate(
-    e: OperadElement, act: OperadAction, band: int, label: str
-) -> GradedMap | None:
-    """Evaluate the series band by band: the part within the filtration
-    length is the value, the first band beyond it must evaluate to zero."""
-    lo = truncate_fweight(e, band)
-    hi = e - lo
-    value = _evaluate_or_none(lo, act)
-    leak = _evaluate_or_none(hi, act)
-    if leak is not None and not leak.is_zero():
-        raise InternalConsistencyError(
-            f"truncation leak: the band past the filtration length contributes to {label}"
-        )
-    return value
-
-
 def ipl_perturb(she: SheData, p: Perturbation, caps: TruncationCaps | None = None) -> PerturbedShe:
     """Perturb a tower of index cap m >= 1 into one of cap m - 1.
 
@@ -166,7 +147,14 @@ def ipl_perturb(she: SheData, p: Perturbation, caps: TruncationCaps | None = Non
         raise ValueError(
             "a tower of index cap 0 cannot absorb a perturbation; extend it to cap 1 first"
         )
-    act = action_from_she(she, p)
+    _require_perturbable(validate_she(she), she.M, p)
+    return _perturb(she, p, caps)
+
+
+def _perturb(she: SheData, p: Perturbation, caps: TruncationCaps | None) -> PerturbedShe:
+    """``ipl_perturb`` on a tower of cap >= 1 and a perturbation of its big
+    side that are already checked; checks only its output."""
+    assign = {XBAR: p.delta, **tower_assignment(she)}
     band = she.M.max_weight
     if caps is None:
         caps = TruncationCaps(
@@ -179,7 +167,18 @@ def ipl_perturb(she: SheData, p: Perturbation, caps: TruncationCaps | None = Non
         raise ValueError("caps insufficient: the fweight window must clear the filtration length")
 
     def series(z: Generator, label: str) -> GradedMap | None:
-        return _band_evaluate(retraction_r(single("riso_tilde", word(z)), caps), act, band, label)
+        """The retraction of z evaluated band by band: the part within the
+        filtration length is the value, the first band beyond it must
+        evaluate to zero."""
+        e = retraction_r(single("riso_tilde", word(z)), caps)
+        lo = truncate_fweight(e, band)
+        value = evaluate_words(lo.terms, assign, she.M, she.N)
+        leak = evaluate_words((e - lo).terms, assign, she.M, she.N)
+        if leak is not None and not leak.is_zero():
+            raise InternalConsistencyError(
+                f"truncation leak: the band past the filtration length contributes to {label}"
+            )
+        return value
 
     d_n_corr = series(YBAR, "the perturbed differential")
     d_n = she.N.differential_map()
@@ -192,14 +191,9 @@ def ipl_perturb(she: SheData, p: Perturbation, caps: TruncationCaps | None = Non
     components: dict[Generator, GradedMap] = {}
     for z in tower_generators(cap_out):
         corr = series(gen(z.family + "b", z.index), f"the {component_name(z)} correction")
-        base = act.assign[z]
+        base = assign[z]
         components[z] = rebase(base + corr if corr else base, over[z.src], over[z.dst])
-    out = she_from_assignment(m_tilde, n_tilde, cap_out, components)
-    problems = validate_she(out)
-    if problems:
-        raise InternalConsistencyError(
-            "perturbed tower fails its identities: " + "; ".join(problems)
-        )
+    out = _checked(she_from_assignment(m_tilde, n_tilde, cap_out, components), "perturbed tower")
     return PerturbedShe(rebase(d_n_tilde, n_tilde, n_tilde), out, caps)
 
 
@@ -223,7 +217,8 @@ class PpSolution:
     shifts: dict[str, int] = field(default_factory=dict)
 
 
-_STRATEGIES = ("modify_h", "modify_l", "as_is")
+_REPAIRS = {"modify_h": modify_homotopy_h, "modify_l": modify_homotopy_l, "as_is": lambda he: he}
+_STRATEGIES = tuple(_REPAIRS)
 
 
 def solve_pp(he: HeData, p: Perturbation, strategy: str = "modify_h") -> PpSolution:
@@ -236,35 +231,18 @@ def solve_pp(he: HeData, p: Perturbation, strategy: str = "modify_h") -> PpSolut
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose one of {_STRATEGIES}")
-    problems = validate_he(he)
-    if problems:
-        raise ValueError("; ".join(problems))
-    if strategy == "modify_h":
-        he2 = modify_homotopy_h(he)
-    elif strategy == "modify_l":
-        he2 = modify_homotopy_l(he)
-    else:
-        pair = _decide_obstructions(he)
-        if not (pair.class_m_vanishes and pair.class_n_vanishes):
-            raise ObstructionError(
-                "extension obstructed: the obstruction classes do not vanish; "
-                "use a homotopy-repair strategy"
-            )
-        he2 = he
+    _require_perturbable(validate_he(he), he.M, p)
+    he2 = _REPAIRS[strategy](he)
     she = trivial_extension(he2, 1)
     if she is None:
-        she = extend_to_she(he2, 1)
-    perturbed = ipl_perturb(she, p)
-    # ipl_perturb has validated this cap-0 tower, whose identities are
-    # exactly those of an equivalence, so the quadruple is not rechecked
+        # only as_is can be refused: after either repair both classes vanish
+        she = _extend(he2, 1, _require_vanishing(he2, "use a homotopy-repair strategy"))
+    perturbed = _perturb(she, p, None)
+    # the cap-0 tower's identities are exactly those of the output quadruple
     out = perturbed.she
     quad = he_from_she(out)
-    shifts = {
-        "F": filtration_shift(_forget(quad.F) - _forget(he2.F)),
-        "G": filtration_shift(_forget(quad.G) - _forget(he2.G)),
-        "H": filtration_shift(_forget(quad.H) - _forget(he2.H)),
-        "L": filtration_shift(_forget(quad.L) - _forget(he2.L)),
-    }
+    shifts = {k: filtration_shift(_forget(getattr(quad, k)) - _forget(getattr(he2, k)))
+              for k in "FGHL"}
     return PpSolution(
         d_n_tilde=perturbed.d_n_tilde,
         f_tilde=quad.F,
@@ -281,10 +259,5 @@ def solve_pp(he: HeData, p: Perturbation, strategy: str = "modify_h") -> PpSolut
 def _forget(f: GradedMap) -> GradedMap:
     """The same blocks over the unperturbed-differential complexes, so maps
     over perturbed and unperturbed complexes become comparable."""
-    src = complex_with_differential(
-        f.source, GradedMap.zero(f.source, f.source, -1)
-    )
-    tgt = complex_with_differential(
-        f.target, GradedMap.zero(f.target, f.target, -1)
-    )
-    return rebase(f, src, tgt)
+    return rebase(f, *(complex_with_differential(c, GradedMap.zero(c, c, -1))
+                       for c in (f.source, f.target)))

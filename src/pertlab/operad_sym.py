@@ -398,111 +398,48 @@ def default_caps() -> TruncationCaps:
 # Differentials
 
 
-def _mixed_pairs():
-    # all ways to bar at least one of the two factors
-    return ((0, 1), (1, 0), (1, 1))
-
-
 def _fam(base: str, barred: int) -> str:
     return base + "b" if barred else base
 
 
 @lru_cache(maxsize=None)
 def generator_diff(z: Generator) -> tuple[tuple[Word, int], ...]:
-    """The differential of one generator, as (word, coefficient) pairs."""
+    """The differential of one generator, as (word, coefficient) pairs.
+
+    Each g-side row is the colour mirror of the f-side one (swap f with g
+    and xb with yb), and a plain row is the part of the barred row of the
+    same index in which no factor is barred."""
     fam, n = z.family, z.index
-    out: list[tuple[Word, int]] = []
-    if fam == "xb":
-        return ((word(XBAR, XBAR), -1),)
-    if fam == "yb":
-        return ((word(YBAR, YBAR), -1),)
-    if fam == "f":
+    if fam in ("xb", "yb"):
+        return ((word(z, z), -1),)
+    f, g, x, y = ("f", "g", XBAR, YBAR) if fam[0] == "f" else ("g", "f", YBAR, XBAR)
+    if fam in ("f", "g"):
         if n == 0:
             return ()
         if n == 1:
-            return ((word(gen("g", 0), gen("f", 0)), 1), (id_word("B"), -1))
-        if n % 2 == 0:
-            m = n // 2
-            for i in range(m):
-                out.append((word(gen("f", 2 * i), gen("f", 2 * (m - i) - 1)), 1))
-                out.append((word(gen("g", 2 * (m - i) - 1), gen("f", 2 * i)), -1))
-        else:
-            m = (n - 1) // 2
-            for j in range(m + 1):
-                out.append((word(gen("g", 2 * j), gen("f", 2 * (m - j))), 1))
-            for j in range(m):
-                out.append((word(gen("f", 2 * j + 1), gen("f", 2 * (m - j) - 1)), -1))
-        return tuple(out)
-    if fam == "g":
-        if n == 0:
-            return ()
-        if n == 1:
-            return ((word(gen("f", 0), gen("g", 0)), 1), (id_word("W"), -1))
-        if n % 2 == 0:
-            m = n // 2
-            for i in range(m):
-                out.append((word(gen("g", 2 * i), gen("g", 2 * (m - i) - 1)), 1))
-                out.append((word(gen("f", 2 * (m - i) - 1), gen("g", 2 * i)), -1))
-        else:
-            m = (n - 1) // 2
-            for j in range(m + 1):
-                out.append((word(gen("f", 2 * j), gen("g", 2 * (m - j))), 1))
-            for j in range(m):
-                out.append((word(gen("g", 2 * j + 1), gen("g", 2 * (m - j) - 1)), -1))
-        return tuple(out)
-    if fam == "fb":
-        if n % 2 == 0:
-            m = n // 2
-            out = [
-                (word(gen("f", n), XBAR), 1),
-                (word(YBAR, gen("f", n)), -1),
-                (word(gen("fb", n), XBAR), 1),
-                (word(YBAR, gen("fb", n)), -1),
-            ]
-            for t, r in _mixed_pairs():
-                for i in range(m):
-                    out.append((word(gen(_fam("f", t), 2 * i), gen(_fam("f", r), 2 * (m - i) - 1)), 1))
-                    out.append((word(gen(_fam("g", t), 2 * (m - i) - 1), gen(_fam("f", r), 2 * i)), -1))
-        else:
-            m = (n - 1) // 2
-            out = [
-                (word(gen("f", n), XBAR), -1),
-                (word(XBAR, gen("f", n)), -1),
-                (word(gen("fb", n), XBAR), -1),
-                (word(XBAR, gen("fb", n)), -1),
-            ]
-            for t, r in _mixed_pairs():
-                for j in range(m + 1):
-                    out.append((word(gen(_fam("g", t), 2 * j), gen(_fam("f", r), 2 * (m - j))), 1))
-                for j in range(m):
-                    out.append((word(gen(_fam("f", t), 2 * j + 1), gen(_fam("f", r), 2 * (m - j) - 1)), -1))
-        return tuple(out)
-    # fam == "gb"
-    if n % 2 == 0:
-        m = n // 2
-        out = [
-            (word(gen("g", n), YBAR), 1),
-            (word(XBAR, gen("g", n)), -1),
-            (word(gen("gb", n), YBAR), 1),
-            (word(XBAR, gen("gb", n)), -1),
-        ]
-        for t, r in _mixed_pairs():
-            for i in range(m):
-                out.append((word(gen(_fam("g", t), 2 * i), gen(_fam("g", r), 2 * (m - i) - 1)), 1))
-                out.append((word(gen(_fam("f", t), 2 * (m - i) - 1), gen(_fam("g", r), 2 * i)), -1))
+            return ((word(gen(g, 0), gen(f, 0)), 1), (id_word(z.src), -1))
+        out: list[tuple[Word, int]] = []
+        bars = ((0, 0),)
     else:
-        m = (n - 1) // 2
-        out = [
-            (word(gen("g", n), YBAR), -1),
-            (word(YBAR, gen("g", n)), -1),
-            (word(gen("gb", n), YBAR), -1),
-            (word(YBAR, gen("gb", n)), -1),
-        ]
-        for t, r in _mixed_pairs():
+        # four terms with the perturbations, then every way to bar at least
+        # one factor of the plain row's terms
+        fz, fb = gen(f, n), gen(f + "b", n)
+        if n % 2 == 0:
+            out = [(word(fz, x), 1), (word(y, fz), -1), (word(fb, x), 1), (word(y, fb), -1)]
+        else:
+            out = [(word(fz, x), -1), (word(x, fz), -1), (word(fb, x), -1), (word(x, fb), -1)]
+        bars = ((0, 1), (1, 0), (1, 1))
+    m = n // 2
+    for t, r in bars:
+        if n % 2 == 0:
+            for i in range(m):
+                out.append((word(gen(_fam(f, t), 2 * i), gen(_fam(f, r), 2 * (m - i) - 1)), 1))
+                out.append((word(gen(_fam(g, t), 2 * (m - i) - 1), gen(_fam(f, r), 2 * i)), -1))
+        else:
             for j in range(m + 1):
-                out.append((word(gen(_fam("f", t), 2 * j), gen(_fam("g", r), 2 * (m - j))), 1))
+                out.append((word(gen(_fam(g, t), 2 * j), gen(_fam(f, r), 2 * (m - j))), 1))
             for j in range(m):
-                out.append((word(gen(_fam("g", t), 2 * j + 1), gen(_fam("g", r), 2 * (m - j) - 1)), -1))
+                out.append((word(gen(_fam(f, t), 2 * j + 1), gen(_fam(f, r), 2 * (m - j) - 1)), -1))
     return tuple(out)
 
 
@@ -883,6 +820,8 @@ def parse_element(text: str, ambient: str) -> OperadElement:
         if tokens[i] in ("+", "-"):
             sign = 1 if tokens[i] == "+" else -1
             i += 1
+            if i == len(tokens):
+                raise ValueError("empty term")
         elif not first:
             raise ValueError(f"expected + or - before term at token {i}")
         coeff = 1

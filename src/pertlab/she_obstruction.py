@@ -31,6 +31,12 @@ the tower one index at a time, the same step for every index, falling back
 on a joint integer system that corrects the previous components by cycles
 whenever the direct lift fails over Z; that system's coupling blocks are
 read from the same table.
+
+Every tower identity is evaluated by ``_check_components``, which
+``validate_he``, ``validate_she`` and ``ipl_pipeline.OperadAction`` share.
+Constructors check their output (``_checked``), public entry points check
+their input, and the private cores (``_extend``, ``_decide_obstructions``)
+trust their caller, so a pipeline checks each object once.
 """
 
 from __future__ import annotations
@@ -148,6 +154,17 @@ def she_from_assignment(M: ChainComplex, N: ChainComplex, index_cap: int,
     fields = {name: tuple(assign[gen(fam, 2 * m + parity)] for m in range(index_cap + 1))
               for (fam, parity), name in _LAYOUT.items()}
     return SheData(M, N, index_cap, **fields)
+
+
+def _checked(out: SheData, what: str, source: HeData | None = None) -> SheData:
+    """A constructed tower, once its identities hold.  Failure is a
+    consistency error, unless the ``source`` it was built from is invalid."""
+    report = validate_she(out)
+    if report:
+        if source is not None:
+            _require_valid(source)
+        raise InternalConsistencyError(f"{what} fails its identities: " + "; ".join(report))
+    return out
 
 
 def _hom_space(z: Generator, M: ChainComplex, N: ChainComplex) -> tuple[ChainComplex, ChainComplex]:
@@ -287,6 +304,15 @@ def _decide_obstructions(he: HeData) -> ObstructionPair:
     return ObstructionPair(o_m, o_n, w_m is not None, w_n is not None, w_m, w_n)
 
 
+def _require_vanishing(he: HeData, advice: str) -> ObstructionPair:
+    """``_decide_obstructions``, refusing (with ``advice``) unless both
+    classes vanish."""
+    pair = _decide_obstructions(he)
+    if not (pair.class_m_vanishes and pair.class_n_vanishes):
+        raise ObstructionError(f"extension obstructed: the obstruction classes do not vanish; {advice}")
+    return pair
+
+
 def obstruction_cycles(he: HeData) -> ObstructionPair:
     """Both obstruction cycles and the integral decision for each class."""
     _require_valid(he)
@@ -356,11 +382,8 @@ def trivial_extension(he: HeData, index_cap: int = 1) -> SheData | None:
     assign = tower_assignment(she_from_he(he))
     for z in tower_generators(index_cap)[4:]:
         assign[z] = GradedMap.zero(*_hom_space(z, he.M, he.N), z.degree)
-    out = she_from_assignment(he.M, he.N, index_cap, assign)
-    report = validate_she(out)
-    if report:
-        raise InternalConsistencyError("zero-padded tower fails its identities: " + "; ".join(report))
-    return out
+    # the padding is sound on valid input, so a failure blames the input first
+    return _checked(she_from_assignment(he.M, he.N, index_cap, assign), "zero-padded tower", he)
 
 
 def _solve_block_system(
@@ -472,12 +495,13 @@ def extend_to_she(he: HeData, index_cap: int) -> SheData:
     _require_valid(he)
     if index_cap == 0:
         return she_from_he(he)
-    pair = _decide_obstructions(he)
-    if not (pair.class_m_vanishes and pair.class_n_vanishes):
-        raise ObstructionError(
-            "extension obstructed: the obstruction classes do not vanish; "
-            "repair the homotopies first (modify_homotopy_h or modify_homotopy_l)"
-        )
+    advice = "repair the homotopies first (modify_homotopy_h or modify_homotopy_l)"
+    return _extend(he, index_cap, _require_vanishing(he, advice))
+
+
+def _extend(he: HeData, index_cap: int, pair: ObstructionPair) -> SheData:
+    """``extend_to_she`` at cap >= 1 on a valid equivalence whose
+    obstruction classes ``pair`` decided to vanish; checks only its output."""
     assign = tower_assignment(she_from_he(he))
     assign[gen("f", 2)], assign[gen("g", 2)] = pair.witness_m, pair.witness_n
     for n in range(3, 2 * index_cap + 2):
@@ -487,8 +511,4 @@ def extend_to_she(he: HeData, index_cap: int) -> SheData:
         if None in lifts:
             lifts = _recalibrate(assign, n, rhs)
         assign.update(zip(tops, lifts))
-    out = she_from_assignment(he.M, he.N, index_cap, assign)
-    report = validate_she(out)
-    if report:
-        raise InternalConsistencyError("extension fails its identities: " + "; ".join(report))
-    return out
+    return _checked(she_from_assignment(he.M, he.N, index_cap, assign), "extension")

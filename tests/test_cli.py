@@ -1,6 +1,9 @@
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pertlab.chaincore import GradedMap
 from pertlab.cli import main
@@ -26,16 +29,118 @@ from pertlab.she_obstruction import extend_to_she
 # --- document round trips -----------------------------------------------------
 
 
-def test_round_trip_every_kind():
-    s, p = sdr_fixture(2)
-    he = he_fixture(2)
-    tower = extend_to_she(he, 1)
+def _objects(seed: int) -> tuple:
+    """One object of every document kind, built from the seed's fixtures."""
+    s, p = sdr_fixture(seed)
+    he = he_fixture(seed)
     e = parse_element("f0 f1 - g1 f0", "rfake")
-    for obj in (s.M, s.F, s, p, he, tower, e):
+    return (s.M, s.F, s, p, he, extend_to_she(he, 1), e)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000))
+def test_round_trip_every_kind(seed):
+    for obj in _objects(seed):
         text = serialize_document(obj)
         again = parse_document(text)
         assert again == obj
         assert serialize_document(again) == text
+
+
+@functools.cache
+def _mutation_documents() -> list[str]:
+    return [serialize_document(obj) for obj in _objects(2)]
+
+
+def _parses_to_a_fixed_point(text: str) -> None:
+    """Only DocumentError may escape parse_document, and whatever parses
+    serializes to a document that parses back to the same object."""
+    try:
+        obj = parse_document(text)
+    except DocumentError:
+        return
+    again = serialize_document(obj)
+    assert parse_document(again) == obj
+    assert serialize_document(parse_document(again)) == again
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_document_fuzz_text_edits(data):
+    text = data.draw(st.sampled_from(_mutation_documents()))
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + data.draw(st.text('{}[]",:-019 eE.\\fg+\n²٣', max_size=6)) + text[j:]
+    _parses_to_a_fixed_point(text)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text("-019fg+ ²", max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["at", "rows", "degree", "blocks", "x"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def _slots(node):
+    """Every (container, key) pair of a decoded JSON document."""
+    keys = list(node) if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_document_fuzz_tree_edits(data):
+    doc = json.loads(data.draw(st.sampled_from(_mutation_documents())))
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        node, key = data.draw(st.sampled_from(slots))
+        edit = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if edit == "replace":
+            node[key] = data.draw(_JSON_VALUES)
+        elif edit == "delete":
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, node[key])
+        else:
+            node["x"] = node[key]
+    _parses_to_a_fixed_point(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def test_parse_document_refuses_hostile_text():
+    # each of these once escaped as a plain ValueError, TypeError or RecursionError
+    complex_doc = json.loads(serialize_document(sdr_fixture(2)[0].M))
+    body = complex_doc["payload"]
+    hostile = [
+        ("weights", [5] + body["weights"][1:], "expected one list per degree"),
+        ("weights", [[0, 0]] + body["weights"][1:], "weight list at degree 0 has wrong length"),
+        ("max_weight", -1, "max_weight must be nonnegative"),
+        ("ranks", [-1] + body["ranks"][1:], "ranks must be nonnegative"),
+        ("diffs", [[["--5"] * len(body["diffs"][0][0])] * len(body["diffs"][0])],
+         "decimal integer strings"),
+        ("diffs", [[["²"] * len(body["diffs"][0][0])] * len(body["diffs"][0])],
+         "decimal integer strings"),
+        ("diffs", [[["7" * 5000] * len(body["diffs"][0][0])] * len(body["diffs"][0])],
+         "too long"),
+    ]
+    for key, value, message in hostile:
+        doc = json.loads(json.dumps(complex_doc))
+        doc["payload"][key] = value
+        with pytest.raises(DocumentError, match=message):
+            parse_document(json.dumps(doc))
+    with pytest.raises(DocumentError, match="unreadable JSON"):
+        parse_document(json.dumps(complex_doc).replace('"max_weight": ', '"max_weight": ' + "7" * 5000))
+    with pytest.raises(DocumentError, match="unreadable JSON"):
+        parse_document("[" * 100_000)
+    with pytest.raises(DocumentError, match="payload.element: empty term"):
+        parse_document(json.dumps({"format_version": "1", "kind": "operad-element",
+                                   "payload": {"ambient": "riso", "element": "f0 -"}}))
 
 
 def test_serialization_is_canonical():

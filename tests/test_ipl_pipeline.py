@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pertlab import ipl_pipeline, she_obstruction
-from pertlab.chaincore import GradedMap, compose
+from pertlab.chaincore import ChainComplex, GradedMap, compose
+from pertlab.exactlin import IntMatrix
 from pertlab.fixtures import (
     fixture_generate,
     he_fixture,
@@ -19,7 +22,7 @@ from pertlab.ipl_pipeline import (
     ipl_perturb,
     solve_pp,
 )
-from pertlab.operad_sym import gen, parse_element, single, word
+from pertlab.operad_sym import XBAR, gen, parse_element, single, word
 from pertlab.sdr_bpl import Perturbation, bpl_transfer
 from pertlab.she_obstruction import (
     HeData,
@@ -28,6 +31,7 @@ from pertlab.she_obstruction import (
     he_from_sdr,
     modify_homotopy_h,
     she_from_he,
+    tower_assignment,
     trivial_extension,
     validate_he,
     validate_she,
@@ -71,13 +75,22 @@ def test_action_checks_intertwining():
     he = he_fixture(6)
     p = weight_raising_perturbation(1, he.M)
     tower = extend_to_she(he, 1)
-    act = action_from_she(tower, p)
     # seed 6 has a nonzero obstruction cycle, so D(F_even[1]) != 0 and the
     # zero map cannot satisfy f2's identity
-    corrupted = dict(act.assign)
-    corrupted[gen("f", 2)] = GradedMap.zero(he.M, he.N, 2)
+    forged = dataclasses.replace(tower, F_even=(tower.F_even[0], GradedMap.zero(he.M, he.N, 2)))
+    for entry in (ipl_perturb, action_from_she):
+        with pytest.raises(ValueError, match=r"tower identity fails for F_even\[1\]"):
+            entry(forged, p)
     with pytest.raises(ValueError, match="assignment of f2 does not intertwine"):
-        OperadAction(act.M, act.N, corrupted)
+        OperadAction(he.M, he.N, {XBAR: p.delta, **tower_assignment(forged)})
+
+
+def test_action_refuses_filtration_lowering_maps():
+    # with zero differential every map is a chain map, so f0's identity holds
+    c = ChainComplex(0, 0, (2,), ((0, 1),), (), 1)
+    lowering = GradedMap.from_blocks(c, c, 0, {0: IntMatrix.from_rows([[0, 1], [0, 0]])})
+    with pytest.raises(ValueError, match=r"assignment of f0 does not preserve the filtration \(shift -1\)"):
+        OperadAction(c, c, {gen("f", 0): lowering})
 
 
 def test_ipl_rejects_cap_zero_towers():
@@ -180,7 +193,7 @@ def test_solve_pp_between_equal_complexes():
 
 
 def test_solve_pp_validates_the_input_once(monkeypatch):
-    # ipl_perturb's validate_she checks the perturbed cap-0 tower, whose
+    # the perturbation core's validate_she checks the perturbed cap-0 tower, whose
     # identities are those of the output quadruple, so it is not revalidated
     calls = []
     real = validate_he
@@ -196,14 +209,68 @@ def test_solve_pp_validates_the_input_once(monkeypatch):
     assert trivial_extension(modify_homotopy_h(he), 1) is not None
     solve_pp(he, p, "modify_h")
     assert calls == [he]
-    # through extend_to_she the repaired input is validated once more
+    # the extension trusts the repaired input: its output check covers it
     calls.clear()
     he = he_fixture(7)
     assert trivial_extension(modify_homotopy_h(he), 1) is None
     solve_pp(he, weight_raising_perturbation(8, he.M), "modify_h")
-    assert calls == [he, modify_homotopy_h(he)]
+    assert calls == [he]
     # as_is decides the obstruction classes without validating again
     calls.clear()
     he = he_from_sdr(sdr_fixture(2)[0])
     solve_pp(he, p, "as_is")
     assert calls == [he]
+
+
+@pytest.mark.parametrize("seed, strategy, most", [
+    (3, "modify_h", 19), (7, "modify_h", 23), (7, "as_is", 22),
+])
+def test_solve_pp_checks_each_identity_once(monkeypatch, seed, strategy, most):
+    # the input is checked once, then each constructed tower once: the
+    # cap-1 tower by its constructor, the cap-0 output by the perturbation
+    he = he_fixture(seed)
+    if strategy == "as_is":
+        he = modify_homotopy_h(he)
+    p = weight_raising_perturbation(seed + 1, he.M)
+    seen = {"validate_he": [], "validate_she": [], "_tower_rhs": [], "action": []}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            seen[name].append(args[0])
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (ipl_pipeline, she_obstruction):
+        spy(module, "validate_he")
+        spy(module, "validate_she")
+    spy(she_obstruction, "_tower_rhs")
+    monkeypatch.setattr(OperadAction, "__post_init__", lambda act: seen["action"].append(act))
+    solve_pp(he, p, strategy)
+    assert seen["validate_he"] == [he]
+    assert [s.index_cap for s in seen["validate_she"]] == [1, 0]
+    assert seen["action"] == []
+    assert len(seen["_tower_rhs"]) <= most
+
+
+@pytest.mark.parametrize("strategy", ["modify_h", "as_is"])
+def test_solve_pp_checks_the_perturbation_before_extending(monkeypatch, strategy):
+    def refuse(*args):
+        raise AssertionError("the tower was built before the perturbation was checked")
+
+    for module, name in ((ipl_pipeline, "trivial_extension"), (ipl_pipeline, "_extend"),
+                         (she_obstruction, "trivial_extension"), (she_obstruction, "extend_to_she"),
+                         (she_obstruction, "_extend")):
+        monkeypatch.setattr(module, name, refuse)
+    he = he_fixture(7)
+    elsewhere = weight_raising_perturbation(1, he_fixture(4).M)
+    with pytest.raises(ValueError, match="^perturbation lives on a different complex than the tower$"):
+        solve_pp(he, elsewhere, strategy)
+    # two filtration-raising unit maps whose composite survives
+    square = GradedMap.from_blocks(he.M, he.M, -1, {
+        1: IntMatrix.from_rows([[1, 0], [0, 0], [0, 0], [0, 0]]),
+        2: IntMatrix.from_rows([[1, 0, 0], [0, 0, 0]]),
+    })
+    with pytest.raises(ValueError, match=r"^\(d \+ delta\)\^2 != 0$"):
+        solve_pp(he, Perturbation(he.M, square), strategy)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import pathlib
 
 import pytest
@@ -56,6 +57,29 @@ def small_elements(ambient="riso_tilde", max_terms=3):
             min_size=1, max_size=max_terms,
         )
     ).map(lambda pairs: element(ambient, dict(pairs)))
+
+
+_WORD_GENERATORS = [gen(fam, i) for fam in ("f", "g", "fb", "gb") for i in range(13)] + [
+    gen("xb"), gen("yb")]
+
+
+@st.composite
+def composable_words(draw, max_length=6):
+    factors = [draw(st.sampled_from(_WORD_GENERATORS))]
+    for _ in range(draw(st.integers(0, max_length - 1))):
+        # the rightmost factor acts first, so each new left factor must
+        # start in the colour where the word so far ends
+        after = [z for z in _WORD_GENERATORS if z.src == factors[0].dst]
+        factors.insert(0, draw(st.sampled_from(after)))
+    return word(*factors)
+
+
+def random_elements():
+    """Sums of random composable words and identities, with multi-digit
+    indices and coefficients, beyond any enumeration window."""
+    words = composable_words() | st.sampled_from([id_word("B"), id_word("W")])
+    return st.lists(st.tuples(words, st.integers(-10**6, 10**6)), max_size=4).map(
+        lambda pairs: element("riso_tilde", pairs))
 
 
 # --- generators and words ---------------------------------------------------
@@ -258,6 +282,11 @@ def test_differential_tables_match_goldens():
     zs = [gen("xb"), gen("yb")] + [gen(fam, i) for i in (0, 1, 2) for fam in ("fb", "gb")]
     extended = [render_generator_diff(z) for z in zs]
     assert "\n".join(extended) + "\n" == (GOLDENS / "diff_riso_tilde.txt").read_text()
+    # the golden files stop at index 4; every row up to index 11 is pinned by digest
+    zs = [gen("xb"), gen("yb")] + [gen(fam, i) for i in range(12) for fam in ("f", "g", "fb", "gb")]
+    rows = "\n".join(render_generator_diff(z) for z in zs)
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "eeeb55c474a812eb3968237ddfcee61a31e44703997d0cd7b0e46ced85d05631")
 
 
 @settings(max_examples=150, deadline=None)
@@ -373,10 +402,12 @@ def test_render_parse_frozen():
         parse_element("f0 qq", "riso")
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_elements())
+@settings(max_examples=300, deadline=None)
+@given(small_elements() | random_elements())
 def test_render_parse_round_trip(e):
-    assert parse_element(render_element(e), "riso_tilde") == e
+    text = render_element(e)
+    assert parse_element(text, "riso_tilde") == e
+    assert render_element(parse_element(text, "riso_tilde")) == text
 
 
 # --- word enumeration and boundary search ------------------------------------

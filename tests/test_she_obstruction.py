@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from pertlab import she_obstruction
 from pertlab.chaincore import (
+    GradedMap,
     compose,
     filtration_shift,
     hom_basis,
@@ -119,6 +120,15 @@ def test_trivial_extension_requires_vanishing_on_the_nose():
     he = he_fixture(6)
     assert not obstruction_cycles(he).cycle_m.is_zero()
     assert trivial_extension(he) is None
+
+
+def test_trivial_extension_reports_invalid_input():
+    # zero homotopies leave every defect zero, so the padding goes ahead and
+    # only the output check sees that d H != G F - 1
+    s, _ = sdr_fixture(0)
+    he = HeData(s.M, s.N, s.F, s.G, GradedMap.zero(s.M, s.M, 1), GradedMap.zero(s.N, s.N, 1))
+    with pytest.raises(ValueError, match="^invalid homotopy equivalence: d H"):
+        trivial_extension(he)
 
 
 def test_she_round_trip_cap_zero():
