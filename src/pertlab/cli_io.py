@@ -92,7 +92,7 @@ def _int(v, where: str) -> int:
     return v
 
 
-_ENTRY_RE = re.compile(r"-?[0-9]+")
+_ENTRY_RE = re.compile(r"0|-?[1-9][0-9]*")  # canonical spellings only: no "07", "-0"
 
 
 def _entry(v, where: str) -> int:

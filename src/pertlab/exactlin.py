@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, neg, sub
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,8 +50,7 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimension")
+        _check_shape(self.rows, self.cols)
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
         for e in self.entries:
@@ -70,14 +70,16 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        _check_shape(rows, cols)
+        return _closed(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        _check_shape(n, n)
         flat = [0] * (n * n)
         for i in range(n):
             flat[i * n + i] = 1
-        return cls(n, n, tuple(flat))
+        return _closed(n, n, tuple(flat))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -89,21 +91,23 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.entries)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return _closed(self.rows, self.cols, tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return _closed(self.rows, self.cols, tuple(map(sub, self.entries, other.entries)))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return _closed(self.rows, self.cols, tuple(map(neg, self.entries)))
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(k * a for a in self.entries))
+        if not isinstance(k, int):
+            raise TypeError(f"scale factor {k!r} is not an int")
+        return _closed(self.rows, self.cols, tuple([k * a for a in self.entries]))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -121,7 +125,7 @@ class IntMatrix:
                     for j in range(p):
                         if brow[j]:
                             flat[base + j] += aik * brow[j]
-        return IntMatrix(n, p, tuple(flat))
+        return _closed(n, p, tuple(flat))
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -139,6 +143,21 @@ class IntMatrix:
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows)) + "]"
+
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError("negative matrix dimension")
+
+
+def _closed(rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
+    """The result of a closed operation on checked matrices: its shape and
+    integer entries hold by construction, so the per-entry check is skipped."""
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "entries", entries)
+    return m
 
 
 @dataclass(frozen=True, slots=True)

@@ -54,7 +54,9 @@ from .she_obstruction import (
     _check_components,
     _checked,
     _extend,
+    _obstruction_cycles,
     _require_vanishing,
+    _zero_padded,
     component_name,
     evaluate_words,
     he_from_she,
@@ -63,7 +65,6 @@ from .she_obstruction import (
     she_from_assignment,
     tower_assignment,
     tower_generators,
-    trivial_extension,
     validate_he,
     validate_she,
 )
@@ -233,10 +234,12 @@ def solve_pp(he: HeData, p: Perturbation, strategy: str = "modify_h") -> PpSolut
         raise ValueError(f"unknown strategy {strategy!r}; choose one of {_STRATEGIES}")
     _require_perturbable(validate_he(he), he.M, p)
     he2 = _REPAIRS[strategy](he)
-    she = trivial_extension(he2, 1)
+    # trivial_extension, keeping the cycles for the extension if it fails
+    o_m, o_n = _obstruction_cycles(he2)
+    she = _zero_padded(he2, 1) if o_m.is_zero() and o_n.is_zero() else None
     if she is None:
         # only as_is can be refused: after either repair both classes vanish
-        she = _extend(he2, 1, _require_vanishing(he2, "use a homotopy-repair strategy"))
+        she = _extend(he2, 1, _require_vanishing(he2, o_m, o_n, "use a homotopy-repair strategy"))
     perturbed = _perturb(she, p, None)
     # the cap-0 tower's identities are exactly those of the output quadruple
     out = perturbed.she

@@ -34,12 +34,19 @@ boundary search and the identity suite.
 
 Cost: generators and words carry precomputed invariants (degree, fweight,
 colours, and a flat integer sort key that equality and hashing also
-read), so no invariant is recomputed on access.  Products are built from
-their parts, checking only the junction, and sums and products of
-elements skip the ambient and coefficient checks that ``Word`` and
-``element`` apply to outside input.  The retraction of each generator
+read), so no invariant is recomputed on access.  The checked constructors
+(``Word``, ``element``, ``single``, ``parse_element``) stand at the edges,
+for outside input; inside, a value is built unchecked wherever its
+validity follows from how it was made, with its invariants added up from
+its parts.  Products check only the junction; ``diff`` splices a table
+row into a word when the row has the replaced generator's colours (other
+rows, and the output of a caller's table, go through the checks);
+``theta`` rewrites a leading pair into a generator between the same
+colours; ``enumerate_words`` joins only composable generators; ``iota``
+reuses its input's canonical terms.  The retraction of each generator
 depends on nothing but the generator and the caps, so it is memoized per
-(generator, caps).
+(generator, caps), and ``retraction_r`` folds those images into one plain
+dict per word, canonicalizing once per call.
 """
 
 from __future__ import annotations
@@ -194,10 +201,29 @@ class Word:
         return " ".join(z.token for z in self.factors)
 
 
+# The slot setters of Word: a frozen dataclass refuses plain assignment,
+# and calling the slots' own setters is the cheapest way past that.
+_set_factors, _set_id_color, _set_degree, _set_fweight, _set_key = (
+    Word.__dict__[name].__set__ for name in ("factors", "id_color", "degree", "fweight", "_key")
+)
+
+
 def _set_invariants(w: Word, degree: int, fweight: int, key: tuple) -> None:
-    object.__setattr__(w, "degree", degree)
-    object.__setattr__(w, "fweight", fweight)
-    object.__setattr__(w, "_key", key)
+    _set_degree(w, degree)
+    _set_fweight(w, fweight)
+    _set_key(w, key)
+
+
+def _chain(factors: tuple[Generator, ...], degree: int, fweight: int, key: tuple) -> Word:
+    """A chain word from invariants its caller derived from words and
+    generators already checked; composability is the caller's to ensure."""
+    w = object.__new__(Word)
+    _set_factors(w, factors)
+    _set_id_color(w, None)
+    _set_degree(w, degree)
+    _set_fweight(w, fweight)
+    _set_key(w, key)
+    return w
 
 
 _word_key = attrgetter("_key")
@@ -207,6 +233,7 @@ def word(*factors: Generator) -> Word:
     return Word(tuple(factors))
 
 
+@lru_cache(maxsize=None)
 def id_word(color: str) -> Word:
     return Word((), color)
 
@@ -217,18 +244,15 @@ def word_mul(a: Word, b: Word) -> Word | None:
     Only the junction is checked: both factors are words already, so the
     product's invariants are the sums of theirs.
     """
-    if a.is_identity:
+    af, bf = a.factors, b.factors
+    if not af:
         return b if b.dst == a.id_color else None
-    if b.is_identity:
-        return a if a.src == b.id_color else None
-    if a.src != b.dst:
+    if not bf:
+        return a if af[-1].src == b.id_color else None
+    if af[-1].src != bf[0].dst:
         return None
-    w = object.__new__(Word)
-    object.__setattr__(w, "factors", a.factors + b.factors)
-    object.__setattr__(w, "id_color", None)
     fweight = a.fweight + b.fweight
-    _set_invariants(w, a.degree + b.degree, fweight, (fweight, 0, *a._key[2:], *b._key[2:]))
-    return w
+    return _chain(af + bf, a.degree + b.degree, fweight, (fweight, 0) + a._key[2:] + b._key[2:])
 
 
 @dataclass(frozen=True, slots=True)
@@ -443,10 +467,9 @@ def generator_diff(z: Generator) -> tuple[tuple[Word, int], ...]:
     return tuple(out)
 
 
-def _identity_free(table):
-    def stripped(z: Generator):
-        return tuple((w, c) for w, c in table(z) if not w.is_identity)
-    return stripped
+@lru_cache(maxsize=None)
+def _identity_free_diff(z: Generator) -> tuple[tuple[Word, int], ...]:
+    return tuple((w, c) for w, c in generator_diff(z) if not w.is_identity)
 
 
 def _length_drop_table(z: Generator):
@@ -457,29 +480,44 @@ def _length_drop_table(z: Generator):
     return ()
 
 
+_BUILT_IN_TABLES = (generator_diff, _identity_free_diff, _length_drop_table)
+
+
 def diff(e: OperadElement, *, _table=None) -> OperadElement:
     """Derivation extension of the generator differential tables.
 
     The Koszul sign for replacing the i-th factor is (-1) to the total
-    degree of the factors to its left.
+    degree of the factors to its left.  A row word with the colours of the
+    generator it replaces is spliced in from its parts; any other row (an
+    identity, or a wrong row of a caller's ``_table``) goes through the
+    checked ``Word``.
     """
     table = _table or generator_diff
     acc: dict[Word, int] = {}
     for w, c in e.terms:
-        if w.is_identity:
-            continue
         factors = w.factors
+        if not factors:
+            continue
+        key, degree, fweight = w._key, w.degree, w.fweight
         prefix_degree = 0
         for i, z in enumerate(factors):
-            sign = -1 if prefix_degree % 2 else 1
+            signed = -c if prefix_degree % 2 else c
             for wz, cz in table(z):
                 new_factors = factors[:i] + wz.factors + factors[i + 1:]
-                if new_factors:
+                if wz.factors and wz.factors[-1].src == z.src and wz.factors[0].dst == z.dst:
+                    fw = fweight - z.fweight + wz.fweight
+                    nw = _chain(new_factors, degree - z.degree + wz.degree, fw,
+                                (fw, 0, *key[2:i + 2], *wz._key[2:], *key[i + 3:]))
+                elif new_factors:
                     nw = Word(new_factors)
                 else:
                     nw = id_word(wz.id_color)  # type: ignore[arg-type]
-                acc[nw] = acc.get(nw, 0) + sign * c * cz
+                acc[nw] = acc.get(nw, 0) + signed * cz
             prefix_degree += z.degree
+    if table in _BUILT_IN_TABLES:
+        # a built-in row lies in every ambient that holds the generator it
+        # replaces, so the words need no ambient check
+        return _canonical(e.ambient, acc)
     return element(e.ambient, acc)
 
 
@@ -491,9 +529,7 @@ def split_homogeneity(e: OperadElement) -> tuple[OperadElement, OperadElement]:
     """
     if e.ambient != "riso":
         raise ValueError("homogeneity split is defined on the plain ambient only")
-    minus = diff(e, _table=_length_drop_table)
-    plus = diff(e, _table=_identity_free(generator_diff))
-    return minus, plus
+    return diff(e, _table=_length_drop_table), diff(e, _table=_identity_free_diff)
 
 
 def theta(e: OperadElement) -> OperadElement:
@@ -523,9 +559,11 @@ def theta(e: OperadElement) -> OperadElement:
             rep = gen("f", z2.index + 1)
         if rep is None:
             continue
-        nw = Word((rep,) + w.factors[2:])
+        # rep runs between the colours of z1 z2 and is one degree higher
+        key = w._key
+        nw = _chain((rep,) + w.factors[2:], w.degree + 1, key[0], key[:2] + (rep.rank,) + key[4:])
         acc[nw] = acc.get(nw, 0) + c
-    return element("riso", acc)
+    return _canonical("riso", acc)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +611,9 @@ def iota(e: OperadElement) -> OperadElement:
     """Inclusion of the unbarred ambient into the barred one."""
     if e.ambient != "dif_riso":
         raise ValueError("inclusion is defined on the dif_riso ambient")
-    return element("riso_tilde", dict(e.terms))
+    # every dif_riso word lies in riso_tilde and the order does not depend
+    # on the ambient, so the terms are canonical there already
+    return OperadElement("riso_tilde", e.terms)
 
 
 @lru_cache(maxsize=None)
@@ -632,17 +672,29 @@ def retraction_r(e: OperadElement, caps: TruncationCaps) -> OperadElement:
     """
     if e.ambient != "riso_tilde":
         raise ValueError("the retraction is defined on the riso_tilde ambient")
+    band = caps.max_fweight
+    images: dict[int, tuple[tuple[Word, int], ...]] = {}  # by generator rank
     acc: dict[Word, int] = {}
     for w, c in e.terms:
-        if w.is_identity:
-            terms: tuple[tuple[Word, int], ...] = ((w, 1),)
-        else:
-            img = _retraction_of_generator(w.factors[0], caps)
-            for z in w.factors[1:]:
-                img = multiply(img, _retraction_of_generator(z, caps), caps.max_fweight)
-            terms = img.terms
-        for wi, ci in terms:
-            acc[wi] = acc.get(wi, 0) + c * ci
+        # fold the factor images left to right in one plain dict, band-cut
+        img = {w: c} if w.is_identity else None
+        for z in w.factors:
+            right = images.get(z.rank)
+            if right is None:
+                right = images[z.rank] = _retraction_of_generator(z, caps).terms
+            if img is None:
+                img = {wb: c * cb for wb, cb in right}
+                continue
+            nxt: dict[Word, int] = {}
+            for wa, ca in img.items():
+                for wb, cb in right:
+                    if wa.fweight + wb.fweight <= band:
+                        wm = word_mul(wa, wb)
+                        if wm is not None:
+                            nxt[wm] = nxt.get(wm, 0) + ca * cb
+            img = nxt
+        for wi, ci in img.items():
+            acc[wi] = acc.get(wi, 0) + ci
     return _canonical("dif_riso", acc)
 
 
@@ -713,19 +765,23 @@ def enumerate_words(
     """All composable words of the ambient within caps, rightmost-first
     construction; optionally filtered to one degree."""
     gens = _ambient_generators(ambient, caps.max_index)
+    max_fweight = caps.max_fweight
+    by_src = {col: [z for z in gens if z.src == col and z.fweight <= max_fweight] for col in ("B", "W")}
     found: list[Word] = []
     if include_identity and src == dst and (degree is None or degree == 0):
         found.append(id_word(src))
-    # depth-first over (factors rightmost first, fweight, degree)
-    stack = [((z,), z.fweight, z.degree) for z in gens if z.src == src and z.fweight <= caps.max_fweight]
+    # depth-first over (factors rightmost first, fweight, degree); the stack
+    # only ever joins composable generators, so words are built unchecked
+    stack = [((z,), z.fweight, z.degree) for z in by_src[src]]
     while stack:
         rev, fweight, deg = stack.pop()
         head_dst = rev[-1].dst
         if head_dst == dst and (degree is None or deg == degree) and abs(deg) <= caps.max_degree:
-            found.append(Word(rev[::-1]))
+            factors = rev[::-1]
+            found.append(_chain(factors, deg, fweight, (fweight, 0, *[z.rank for z in factors])))
         if len(rev) < caps.max_length:
-            for z in gens:
-                if z.src == head_dst and fweight + z.fweight <= caps.max_fweight:
+            for z in by_src[head_dst]:
+                if fweight + z.fweight <= max_fweight:
                     stack.append((rev + (z,), fweight + z.fweight, deg + z.degree))
     found.sort(key=_word_key)
     return found

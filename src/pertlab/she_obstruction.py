@@ -35,8 +35,9 @@ read from the same table.
 Every tower identity is evaluated by ``_check_components``, which
 ``validate_he``, ``validate_she`` and ``ipl_pipeline.OperadAction`` share.
 Constructors check their output (``_checked``), public entry points check
-their input, and the private cores (``_extend``, ``_decide_obstructions``)
-trust their caller, so a pipeline checks each object once.
+their input, and the private cores (``_extend``, ``_decide_obstructions``,
+``_zero_padded``) trust their caller, so a pipeline checks each object
+once and evaluates each obstruction cycle once.
 """
 
 from __future__ import annotations
@@ -213,6 +214,10 @@ def _obstruction_cycle(he: HeData, family: str) -> GradedMap:
     return _tower_rhs(gen(family, 2), tower_assignment(she_from_he(he)), he.M, he.N)
 
 
+def _obstruction_cycles(he: HeData) -> tuple[GradedMap, GradedMap]:
+    return _obstruction_cycle(he, "f"), _obstruction_cycle(he, "g")
+
+
 def _check_components(problems: list[str], assign: dict[Generator, GradedMap],
                       M: ChainComplex, N: ChainComplex, name, failure) -> None:
     """Report each component that runs between the wrong complexes, has the
@@ -294,9 +299,9 @@ def _require_valid(he: HeData) -> None:
         raise ValueError("invalid homotopy equivalence: " + "; ".join(report))
 
 
-def _decide_obstructions(he: HeData) -> ObstructionPair:
-    """``obstruction_cycles`` on an equivalence already validated."""
-    o_m, o_n = _obstruction_cycle(he, "f"), _obstruction_cycle(he, "g")
+def _decide_obstructions(he: HeData, o_m: GradedMap, o_n: GradedMap) -> ObstructionPair:
+    """``obstruction_cycles`` on an equivalence already validated, given
+    its two cycles."""
     if not hom_differential(o_m).is_zero() or not hom_differential(o_n).is_zero():
         raise InternalConsistencyError("obstruction cycles are not cycles")
     w_m = _hom_solve(he.M, he.N, 2, o_m)
@@ -304,10 +309,10 @@ def _decide_obstructions(he: HeData) -> ObstructionPair:
     return ObstructionPair(o_m, o_n, w_m is not None, w_n is not None, w_m, w_n)
 
 
-def _require_vanishing(he: HeData, advice: str) -> ObstructionPair:
+def _require_vanishing(he: HeData, o_m: GradedMap, o_n: GradedMap, advice: str) -> ObstructionPair:
     """``_decide_obstructions``, refusing (with ``advice``) unless both
     classes vanish."""
-    pair = _decide_obstructions(he)
+    pair = _decide_obstructions(he, o_m, o_n)
     if not (pair.class_m_vanishes and pair.class_n_vanishes):
         raise ObstructionError(f"extension obstructed: the obstruction classes do not vanish; {advice}")
     return pair
@@ -316,7 +321,7 @@ def _require_vanishing(he: HeData, advice: str) -> ObstructionPair:
 def obstruction_cycles(he: HeData) -> ObstructionPair:
     """Both obstruction cycles and the integral decision for each class."""
     _require_valid(he)
-    return _decide_obstructions(he)
+    return _decide_obstructions(he, *_obstruction_cycles(he))
 
 
 def obstruction_classes_linked(he: HeData) -> bool:
@@ -377,6 +382,12 @@ def trivial_extension(he: HeData, index_cap: int = 1) -> SheData | None:
     Returns None when the data does not qualify."""
     if not (_obstruction_cycle(he, "f").is_zero() and _obstruction_cycle(he, "g").is_zero()):
         return None
+    return _zero_padded(he, index_cap)
+
+
+def _zero_padded(he: HeData, index_cap: int) -> SheData | None:
+    """``trivial_extension`` once both obstruction cycles are known to be
+    the zero map."""
     if not (compose(he.H, he.H).is_zero() and compose(he.L, he.L).is_zero()):
         return None
     assign = tower_assignment(she_from_he(he))
@@ -496,7 +507,7 @@ def extend_to_she(he: HeData, index_cap: int) -> SheData:
     if index_cap == 0:
         return she_from_he(he)
     advice = "repair the homotopies first (modify_homotopy_h or modify_homotopy_l)"
-    return _extend(he, index_cap, _require_vanishing(he, advice))
+    return _extend(he, index_cap, _require_vanishing(he, *_obstruction_cycles(he), advice))
 
 
 def _extend(he: HeData, index_cap: int, pair: ObstructionPair) -> SheData:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pertlab.chaincore import GradedMap
+from pertlab.exactlin import IntMatrix
 from pertlab.cli import main
 from pertlab.cli_io import (
     DocumentError,
@@ -184,6 +185,25 @@ def test_matrix_entries_must_be_strings():
     rows[0][0] = 1
     with pytest.raises(DocumentError, match="decimal integer strings"):
         parse_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("spelling", ["07", "-0", "-007", "00"])
+def test_matrix_entries_must_be_canonical(spelling):
+    doc = json.loads(serialize_document(sdr_fixture(2)[0].F))
+    doc["payload"]["blocks"][0]["rows"][0][0] = spelling
+    with pytest.raises(DocumentError, match="decimal integer strings"):
+        parse_document(json.dumps(doc))
+
+
+def test_zero_and_unordered_blocks_are_normalized():
+    m = sdr_fixture(2)[0].M
+    doc = json.loads(serialize_document(GradedMap.identity(m)))
+    blocks = doc["payload"]["blocks"]
+    assert [b["at"] for b in blocks] == [0, 1]
+    blocks[0]["rows"] = [["0"]]
+    blocks.reverse()
+    kept = GradedMap.from_blocks(m, m, 0, {1: IntMatrix.identity(2)})
+    assert serialize_document(parse_document(json.dumps(doc))) == serialize_document(kept)
 
 
 def test_bundle_contains_named_documents():

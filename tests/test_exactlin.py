@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,11 @@ def matrices(max_dim=6, max_entry=9):
             )
         )
     ).map(lambda t: IntMatrix(t[0], t[1], t[2]))
+
+
+def matrices_of(rows, cols, max_entry=9):
+    return st.tuples(*([st.integers(-max_entry, max_entry)] * (rows * cols))).map(
+        lambda t: IntMatrix(rows, cols, t))
 
 
 def test_smith_frozen_example():
@@ -145,6 +151,43 @@ def test_cokernel_invariants():
 def test_matrix_rejects_non_int():
     with pytest.raises(TypeError):
         IntMatrix(1, 1, (1.5,))
+
+
+@pytest.mark.parametrize("k", [2.0, Fraction(1, 2), "2"])
+def test_scale_rejects_non_int_factors(k):
+    for a in (IntMatrix.from_rows([[1, 2], [3, 4]]), IntMatrix.zeros(0, 3)):
+        with pytest.raises(TypeError, match="not an int"):
+            a.scale(k)
+
+
+def test_shape_constructors_reject_negative_dimensions():
+    with pytest.raises(ValueError, match="negative matrix dimension"):
+        IntMatrix.zeros(-1, 2)
+    with pytest.raises(ValueError, match="negative matrix dimension"):
+        IntMatrix.identity(-1)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    matrices_of(n, n), matrices_of(n, n), st.integers(-5, 5))))
+def test_closed_operations_equal_the_checked_construction(case):
+    a, b, k = case
+
+    def checked(m):
+        # the unchecked result must be what the checked constructor builds
+        assert all(type(e) is int for e in m.entries)
+        return IntMatrix(m.rows, m.cols, m.entries)
+
+    n = a.rows
+    assert checked(a + b) == IntMatrix(n, n, tuple(x + y for x, y in zip(a.entries, b.entries)))
+    assert checked(a - b) == IntMatrix(n, n, tuple(x - y for x, y in zip(a.entries, b.entries)))
+    assert checked(-a) == IntMatrix(n, n, tuple(-x for x in a.entries))
+    assert checked(a.scale(k)) == IntMatrix(n, n, tuple(k * x for x in a.entries))
+    assert checked(a @ b) == IntMatrix.from_rows(
+        [[sum(a.entry(i, t) * b.entry(t, j) for t in range(n)) for j in range(n)] for i in range(n)])
+    assert checked(IntMatrix.identity(n)) == IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+    assert checked(IntMatrix.zeros(n, n + 1)).is_zero()
+    assert a.is_zero() == all(x == 0 for x in a.entries)
 
 
 def test_huge_entries_survive():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pertlab import operad_sym
 from pertlab.operad_sym import (
     TruncationCaps,
     Word,
@@ -35,6 +36,12 @@ from pertlab.operad_sym import (
     verify_identity_suite,
     word,
     word_mul,
+)
+from pertlab.operad_sym import (
+    _ambient_generators,
+    _identity_free_diff,
+    _length_drop_table,
+    _retraction_of_generator,
 )
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
@@ -498,3 +505,192 @@ def test_identity_suite_catches_a_planted_sign_error():
     assert not all_passed(report)
     failed = {c.name for c in report if not c.passed}
     assert "square_zero_plain" in failed
+
+
+# --- unchecked hot paths against the checked construction ---------------------
+# Each reference below is the earlier implementation, which built every word
+# through the checked ``Word`` constructor and every intermediate product
+# through ``multiply``; the hot paths must agree with it field by field,
+# term order included.
+
+
+def ref_retraction_r(e, caps):
+    acc = {}
+    for w, c in e.terms:
+        if w.is_identity:
+            terms = ((w, 1),)
+        else:
+            img = _retraction_of_generator(w.factors[0], caps)
+            for z in w.factors[1:]:
+                img = multiply(img, _retraction_of_generator(z, caps), caps.max_fweight)
+            terms = img.terms
+        for wi, ci in terms:
+            acc[wi] = acc.get(wi, 0) + c * ci
+    return element("dif_riso", acc)
+
+
+def ref_diff(e, table):
+    acc = {}
+    for w, c in e.terms:
+        if w.is_identity:
+            continue
+        prefix_degree = 0
+        for i, z in enumerate(w.factors):
+            sign = -1 if prefix_degree % 2 else 1
+            for wz, cz in table(z):
+                new_factors = w.factors[:i] + wz.factors + w.factors[i + 1:]
+                nw = Word(new_factors) if new_factors else Word((), wz.id_color)
+                acc[nw] = acc.get(nw, 0) + sign * c * cz
+            prefix_degree += z.degree
+    return element(e.ambient, acc)
+
+
+def ref_theta(e):
+    acc = {}
+    for w, c in e.terms:
+        if len(w.factors) < 2 or w.factors[0].index != 0:
+            continue
+        z1, z2 = w.factors[0], w.factors[1]
+        rep = {("f", "f", 1): "f", ("g", "g", 1): "g", ("f", "g", 0): "g", ("g", "f", 0): "f"}.get(
+            (z1.family, z2.family, z2.index % 2))
+        if rep is not None:
+            nw = Word((gen(rep, z2.index + 1),) + w.factors[2:])
+            acc[nw] = acc.get(nw, 0) + c
+    return element("riso", acc)
+
+
+def ref_enumerate_words(ambient, src, dst, caps, degree=None, include_identity=True):
+    gens = _ambient_generators(ambient, caps.max_index)
+    found = []
+    if include_identity and src == dst and (degree is None or degree == 0):
+        found.append(Word((), src))
+    stack = [(z,) for z in gens if z.src == src and z.fweight <= caps.max_fweight]
+    while stack:
+        rev = stack.pop()
+        w = Word(rev[::-1])
+        if w.dst == dst and (degree is None or w.degree == degree) and abs(w.degree) <= caps.max_degree:
+            found.append(w)
+        if len(rev) < caps.max_length:
+            stack.extend(rev + (z,) for z in gens
+                         if z.src == w.dst and w.fweight + z.fweight <= caps.max_fweight)
+    return sorted(found, key=lambda w: w.sort_key())
+
+
+_FIELD_CAPS = TruncationCaps(3, 4, 2, 8)
+
+
+def tilde_elements(ambient="riso_tilde"):
+    words = _TILDE_WORDS
+    if ambient == "riso":
+        words = [w for w in words if all(z.family in ("f", "g") for z in w.factors)]
+    return st.lists(st.tuples(st.sampled_from(words), st.integers(-9, 9)), max_size=5).map(
+        lambda pairs: element(ambient, pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tilde_elements())
+def test_retraction_equals_the_chain_of_products(e):
+    got = retraction_r(e, _FIELD_CAPS)
+    want = ref_retraction_r(e, _FIELD_CAPS)
+    assert got.ambient == want.ambient == "dif_riso"
+    assert _all_term_fields(got) == _all_term_fields(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tilde_elements() | tilde_elements("riso"))
+def test_diff_and_theta_equal_the_checked_construction(e):
+    tables = [generator_diff, _identity_free_diff, _length_drop_table]
+    for got, want in [(diff(e), ref_diff(e, generator_diff))] + [
+            (diff(e, _table=t), ref_diff(e, t)) for t in tables]:
+        assert got.ambient == want.ambient
+        assert _all_term_fields(got) == _all_term_fields(want)
+    if e.ambient == "riso":
+        assert _all_term_fields(theta(e)) == _all_term_fields(ref_theta(e))
+        minus, plus = split_homogeneity(e)
+        assert _all_term_fields(minus) == _all_term_fields(ref_diff(e, _length_drop_table))
+        assert _all_term_fields(plus) == _all_term_fields(ref_diff(e, _identity_free_diff))
+
+
+def test_iota_reuses_the_canonical_terms():
+    for w in _TILDE_WORDS:
+        if any(z.family in ("fb", "gb", "yb") for z in w.factors):
+            continue
+        e = element("dif_riso", {w: 3})
+        assert iota(e) == element("riso_tilde", {w: 3})
+
+
+def test_enumerate_words_equals_the_checked_construction():
+    for ambient in ("riso", "rfake", "dif", "dif_riso", "riso_tilde"):
+        for src in ("B", "W"):
+            for dst in ("B", "W"):
+                for degree in (None, 0, 1, -2):
+                    got = enumerate_words(ambient, src, dst, _FIELD_CAPS, degree=degree)
+                    want = ref_enumerate_words(ambient, src, dst, _FIELD_CAPS, degree=degree)
+                    assert [_all_fields(w) for w in got] == [_all_fields(w) for w in want]
+
+
+def test_diff_refuses_a_table_row_with_the_wrong_colours():
+    def wrong(z):
+        # f1 runs B -> B, but f2 runs B -> W
+        return ((word(gen("f", 1)), 1),) if z == gen("f", 2) else generator_diff(z)
+
+    with pytest.raises(ValueError, match="not composable"):
+        diff(parse_element("g0 f2", "riso"), _table=wrong)
+    with pytest.raises(ValueError, match="not composable"):
+        verify_identity_suite(TruncationCaps(2, 3, 0, 6), _table=wrong)
+
+    def barred(z):
+        # right colours, but fb2 is not in the plain ambient
+        return ((word(gen("fb", 2)), 1),) if z == gen("f", 2) else generator_diff(z)
+
+    with pytest.raises(ValueError, match="not available in ambient riso"):
+        diff(parse_element("g0 f2", "riso"), _table=barred)
+
+
+def test_identity_suite_builds_no_checked_words_on_its_hot_paths(monkeypatch):
+    caps = TruncationCaps(3, 4, 2, 8)
+    # the per-generator memos (retraction images, kernel terms, tables) are
+    # built once with checked words; warm them so only the hot paths count
+    verify_identity_suite(caps)
+    watched = ("diff", "retraction_r", "enumerate_words", "theta")
+    active = []
+    calls = dict.fromkeys(watched, 0)
+    built = dict.fromkeys(watched, 0)
+    inside_retraction = {"multiply": 0, "_canonical": 0}
+    identity_rows = 0
+    real_post_init = Word.__post_init__
+
+    def counted(self):
+        if active:
+            built[active[-1]] += 1
+        real_post_init(self)
+
+    def watch(name):
+        real = getattr(operad_sym, name)
+
+        def wrapped(*args, **kwargs):
+            nonlocal identity_rows
+            if name in calls:
+                calls[name] += 1
+            elif active and active[-1] == "retraction_r":
+                inside_retraction[name] += 1
+            if name == "diff" and kwargs.get("_table") is not _identity_free_diff:
+                # d(f1) and d(g1) carry the only identity rows; splicing one
+                # into a longer word is the only checked construction left
+                identity_rows += sum(len(w.factors) > 1 and z in (gen("f", 1), gen("g", 1))
+                                     for w, _ in args[0].terms for z in w.factors)
+            active.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                active.pop()
+        monkeypatch.setattr(operad_sym, name, wrapped)
+
+    for name in watched + tuple(inside_retraction):
+        watch(name)
+    monkeypatch.setattr(Word, "__post_init__", counted)
+    assert all_passed(verify_identity_suite(caps))
+    assert all(calls.values()) and identity_rows > 0
+    assert built == {"diff": identity_rows, "retraction_r": 0, "enumerate_words": 0, "theta": 0}
+    # one canonicalization per retraction and no products along the way
+    assert inside_retraction == {"multiply": 0, "_canonical": calls["retraction_r"]}
