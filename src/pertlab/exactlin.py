@@ -403,18 +403,7 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbelianGroupInvariants:
         raise ValueError("middle-degree rank mismatch between d_in and d_out")
     if d_out.rows and d_in.cols and not (d_out @ d_in).is_zero():
         raise ValueError("d_out composed with d_in is nonzero")
-    k = kernel_basis(d_out)
-    if k.cols == 0:
-        return AbelianGroupInvariants(0, ())
-    if d_in.cols == 0:
-        return AbelianGroupInvariants(k.cols, ())
-    # coordinates of im(d_in) in the kernel basis; solvable because the
-    # kernel basis is saturated and the image lies inside the kernel
-    coords: list[list[int]] = [[0] * d_in.cols for _ in range(k.cols)]
-    for col in range(d_in.cols):
-        x = solve_integer(k, tuple(d_in.entry(i, col) for i in range(d_in.rows)))
-        if x is None:
-            raise ValueError("image vector escapes the kernel lattice")
-        for i in range(k.cols):
-            coords[i][col] = x[i]
-    return cokernel_invariants(IntMatrix.from_rows(coords))
+    # ker(d_out) is saturated and holds im(d_in), so coker(d_in) splits as
+    # H plus the free module Z^middle / ker(d_out), of rank rank(d_out)
+    coker = cokernel_invariants(d_in)
+    return AbelianGroupInvariants(coker.free_rank - len(_eliminate(d_out)[0]), coker.torsion)

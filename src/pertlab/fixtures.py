@@ -400,9 +400,14 @@ def fixture_generate(seed: int, ranks: tuple[int, int] = (2, 1), filtration: int
     complexes, so each workflow gets a delta that composes with it).
 
     ``ranks`` is (core rank, cone pairs); all-zero ranks produce the empty
-    complex everywhere, which is still a valid document set.
+    complex everywhere, which is still a valid document set.  A negative
+    size raises ``ValueError``.
     """
     core_rank, cone_pairs = ranks
+    for name, size in (("core rank", core_rank), ("number of cone pairs", cone_pairs),
+                       ("filtration", filtration)):
+        if size < 0:
+            raise ValueError(f"{name} must be nonnegative, got {size}")
     if core_rank == 0 and cone_pairs == 0:
         c = zero_complex(filtration)
         zid = GradedMap.identity(c)

@@ -345,8 +345,13 @@ def modify_homotopy_h(he: HeData) -> HeData:
 
 def modify_homotopy_l(he: HeData) -> HeData:
     """Replace L by L - F(GL - HG); the result's obstruction classes vanish."""
-    o_n = _obstruction_cycle(he, "g")
-    return HeData(he.M, he.N, he.F, he.G, he.H, he.L - compose(he.F, o_n))
+    return _mirror(modify_homotopy_h(_mirror(he)))
+
+
+def _mirror(he: HeData) -> HeData:
+    """The same equivalence read from N to M: F and G swap, H and L swap, so
+    each obstruction cycle of the mirror is the other cycle of ``he``."""
+    return HeData(he.N, he.M, he.G, he.F, he.L, he.H)
 
 
 def modification_witnesses(he: HeData, which: str = "h") -> tuple[HeData, ObstructionPair]:
@@ -356,20 +361,16 @@ def modification_witnesses(he: HeData, which: str = "h") -> tuple[HeData, Obstru
     exactly against the modified cycles before returning; they certify that
     the repair works over the integers, with no solver involved.
     """
-    if which == "h":
-        he2 = modify_homotopy_h(he)
-        w_m = -compose(he.L, _obstruction_cycle(he, "f"))
-        w_n = (compose(compose(he.H, he.H), he.G)
-               + compose(he.G, compose(he.L, he.L))
-               - compose(he.H, compose(he.G, he.L)))
-    elif which == "l":
-        he2 = modify_homotopy_l(he)
-        w_n = -compose(he.H, _obstruction_cycle(he, "g"))
-        w_m = (compose(compose(he.L, he.L), he.F)
-               + compose(he.F, compose(he.H, he.H))
-               - compose(he.L, compose(he.F, he.H)))
-    else:
+    if which == "l":
+        he2, p = modification_witnesses(_mirror(he), "h")
+        return _mirror(he2), ObstructionPair(p.cycle_n, p.cycle_m, True, True, p.witness_n, p.witness_m)
+    if which != "h":
         raise ValueError(f"which must be 'h' or 'l', got {which!r}")
+    he2 = modify_homotopy_h(he)
+    w_m = -compose(he.L, _obstruction_cycle(he, "f"))
+    w_n = (compose(compose(he.H, he.H), he.G)
+           + compose(he.G, compose(he.L, he.L))
+           - compose(he.H, compose(he.G, he.L)))
     o_m2, o_n2 = _obstruction_cycle(he2, "f"), _obstruction_cycle(he2, "g")
     if hom_differential(w_m) != o_m2 or hom_differential(w_n) != o_n2:
         raise InternalConsistencyError("closed-form modification witnesses failed to verify")

@@ -403,6 +403,19 @@ def test_cli_fixture_deterministic(tmp_path):
     assert a.read_text() != b.read_text()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--ranks=-1,2"], "core rank must be nonnegative, got -1"),
+    (["--ranks=-2,-1"], "core rank must be nonnegative, got -2"),
+    (["--ranks=2,-1"], "number of cone pairs must be nonnegative, got -1"),
+    (["--filtration", "-1"], "filtration must be nonnegative, got -1"),
+])
+def test_cli_fixture_refuses_negative_sizes(tmp_path, capsys, args, message):
+    out = tmp_path / "bundle.json"
+    assert main(["fixture", *args, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_usage_error_exit_code(capsys):
     assert main(["bpl", "--sdr"]) == 1
     assert main(["nonsense"]) == 1

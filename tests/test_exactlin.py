@@ -15,6 +15,7 @@ from pertlab.exactlin import (
     smith_normal_form,
     solve_integer,
 )
+from pertlab.fixtures import cone_retract_sdr, he_fixture
 
 
 def matrices(max_dim=6, max_entry=9):
@@ -457,3 +458,55 @@ def test_elimination_log_fixed_cases_run_every_branch():
     assert solve_integer(a, (0, 1, 0)) is None
     assert kernel_basis(a) == IntMatrix(0, 0, ())
     assert cokernel_invariants(a) == AbelianGroupInvariants(3, ())
+
+
+# --- homology from two Smith diagonals against the kernel-lattice construction
+
+def ref_homology_at(d_in, d_out):
+    """The earlier construction: coordinates of im(d_in) in a saturated
+    basis of ker(d_out), then the cokernel of that coordinate matrix."""
+    k = kernel_basis(d_out)
+    if k.cols == 0:
+        return AbelianGroupInvariants(0, ())
+    if d_in.cols == 0:
+        return AbelianGroupInvariants(k.cols, ())
+    coords = [[0] * d_in.cols for _ in range(k.cols)]
+    for col in range(d_in.cols):
+        x = solve_integer(k, tuple(d_in.entry(i, col) for i in range(d_in.rows)))
+        assert x is not None
+        for i in range(k.cols):
+            coords[i][col] = x[i]
+    return cokernel_invariants(IntMatrix.from_rows(coords))
+
+
+def transpose(m):
+    return IntMatrix(m.cols, m.rows, tuple(m.entry(i, j) for j in range(m.cols) for i in range(m.rows)))
+
+
+@st.composite
+def chain_pairs_from_left_kernels(draw):
+    """(d_in, d_out) with d_in random (entries in -3..3, so torsion is
+    common) and the rows of d_out random combinations of a basis of the
+    left kernel of d_in."""
+    lower, mid, upper = draw(st.integers(0, 4)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    d_in = draw(matrices_of(mid, upper, max_entry=3))
+    left = kernel_basis(transpose(d_in))
+    d_out = draw(matrices_of(lower, left.cols, max_entry=3)) @ transpose(left)
+    return d_in, d_out
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_pairs_from_left_kernels())
+def test_homology_equals_the_kernel_lattice_construction(pair):
+    d_in, d_out = pair
+    assert homology_at(d_in, d_out) == ref_homology_at(d_in, d_out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_homology_of_fixture_complexes_equals_the_kernel_lattice_construction(seed):
+    s, he = cone_retract_sdr(seed), he_fixture(seed)
+    for c in (s.M, s.N, he.M, he.N):
+        for n in c.degrees():
+            d_in, d_out = c.d_block(n + 1), c.d_block(n)
+            assert homology_at(d_in, d_out) == ref_homology_at(d_in, d_out)

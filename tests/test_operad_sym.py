@@ -502,9 +502,19 @@ def test_identity_suite_catches_a_planted_sign_error():
         return base
 
     report = verify_identity_suite(TruncationCaps(3, 3, 0, 6), _table=corrupt)
-    assert not all_passed(report)
-    failed = {c.name for c in report if not c.passed}
-    assert "square_zero_plain" in failed
+    # every family reports, in order, with its first failing case
+    assert [(c.name, c.passed, c.detail) for c in report] == [
+        ("square_zero_plain", False, "d d f3 != 0"),
+        ("square_zero_extended", False, "d d f3 != 0"),
+        ("contracting_homotopy", True, "ok"),
+        ("retraction_chain_map", False, "r d != d r on f2"),
+        ("retraction_splits_inclusion", True, "ok"),
+        ("compact_square", False, "d(hh) != d(gf) in degree 2"),
+        ("kernel_differential", True, "ok"),
+        ("kernel_absorption", True, "ok"),
+        ("chain_level_transfer_even", False, "even transfer witness fails at index 2"),
+        ("chain_level_transfer_odd", False, "odd transfer witness fails at index 3"),
+    ]
 
 
 # --- unchecked hot paths against the checked construction ---------------------
@@ -691,6 +701,11 @@ def test_identity_suite_builds_no_checked_words_on_its_hot_paths(monkeypatch):
     monkeypatch.setattr(Word, "__post_init__", counted)
     assert all_passed(verify_identity_suite(caps))
     assert all(calls.values()) and identity_rows > 0
+    # the suite's cases: two retractions per generator in (c) and one per
+    # enumerated word in (c'), two theta per word in (b), four enumerations
+    # each in (b) and (c')
+    assert {name: calls[name] for name in ("retraction_r", "theta", "enumerate_words")} == {
+        "retraction_r": 1042, "theta": 320, "enumerate_words": 8}
     assert built == {"diff": identity_rows, "retraction_r": 0, "enumerate_words": 0, "theta": 0}
     # one canonicalization per retraction and no products along the way
     assert inside_retraction == {"multiply": 0, "_canonical": calls["retraction_r"]}

@@ -25,6 +25,7 @@ from pertlab.fixtures import (
 from pertlab.she_obstruction import (
     HeData,
     ObstructionError,
+    ObstructionPair,
     SheData,
     extend_to_she,
     he_from_sdr,
@@ -42,6 +43,7 @@ from pertlab.she_obstruction import (
     _hom_solve,
     _hom_space,
     _joint_system,
+    _obstruction_cycle,
     _recalibrate,
     _tower_rhs,
 )
@@ -95,6 +97,25 @@ def test_modification_witnesses_verify_on_random_fixtures(seed, which):
     # D(witness) = cycle, rechecked here rather than trusted
     assert hom_differential(pair.witness_m) == pair.cycle_m
     assert hom_differential(pair.witness_n) == pair.cycle_n
+
+
+def ref_modification_witnesses_l(he):
+    """The "l" repair written out: L - F o_N and its two witnesses."""
+    o_n = _obstruction_cycle(he, "g")
+    he2 = HeData(he.M, he.N, he.F, he.G, he.H, he.L - compose(he.F, o_n))
+    w_n = -compose(he.H, o_n)
+    w_m = (compose(compose(he.L, he.L), he.F)
+           + compose(he.F, compose(he.H, he.H))
+           - compose(he.L, compose(he.F, he.H)))
+    return he2, ObstructionPair(_obstruction_cycle(he2, "f"), _obstruction_cycle(he2, "g"),
+                                True, True, w_m, w_n)
+
+
+def test_l_repair_is_the_mirrored_h_repair():
+    for he in [*map(he_fixture, range(40)), obstructed_he_fixture(), recalibration_he_fixture()]:
+        want_he, want_pair = ref_modification_witnesses_l(he)
+        assert modify_homotopy_l(he) == want_he
+        assert modification_witnesses(he, "l") == (want_he, want_pair)
 
 
 def test_modification_witnesses_rejects_unknown_flavor():
