@@ -8,7 +8,9 @@ elimination of it takes tens of seconds.)  Each case prints its shape,
 rank, the largest bit length of an entry of U or V, and the cold times of
 `solve_integer` (on a consistent right-hand side, checked) and of
 `cokernel_invariants`; "cold" means the elimination cache is emptied
-before each timed call.
+before each timed call.  Each hom-complex case also prints the time of one
+`hom_complex` build of its matrix (the `chaincore` layer's own number;
+`hom_complex` keeps no cache, so every build is cold).
 
     PYTHONPATH=src python3 scripts/run_snf_cases.py
 """
@@ -25,13 +27,16 @@ from pertlab.exactlin import IntMatrix
 from pertlab.fixtures import cone_retract_sdr
 
 
-def cases() -> list[tuple[str, IntMatrix]]:
+def cases() -> list[tuple[str, IntMatrix, float | None]]:
+    """(name, matrix, seconds its hom_complex build took, or None)."""
     out = []
     for c in (12, 16, 20):
         s = cone_retract_sdr(5, c, c // 2, 4)
-        out.append((f"hom(M,M)_1 c={c}", hom_complex(s.M, s.M, 1).differential_matrix))
+        t0 = time.perf_counter()
+        a = hom_complex(s.M, s.M, 1).differential_matrix
+        out.append((f"hom(M,M)_1 c={c}", a, time.perf_counter() - t0))
     rng = random.Random(0)
-    out.append(("sparse seed 0", IntMatrix(40, 40, tuple(rng.choice((-1, 0, 0, 0, 1, 2)) for _ in range(1600)))))
+    out.append(("sparse seed 0", IntMatrix(40, 40, tuple(rng.choice((-1, 0, 0, 0, 1, 2)) for _ in range(1600))), None))
     return out
 
 
@@ -43,17 +48,18 @@ def cold(fn, *args) -> tuple[object, float]:
 
 
 def main() -> int:
-    print(f"{'case':20s} {'shape':>8s} {'rank':>5s} {'bits':>7s} {'solve_s':>8s} {'cokernel_s':>10s}")
+    print(f"{'case':20s} {'shape':>8s} {'rank':>5s} {'bits':>7s} {'hom_s':>7s} {'solve_s':>8s} {'cokernel_s':>10s}")
     ok = True
     rng = random.Random(1)
-    for name, a in cases():
+    for name, a, t_hom in cases():
         b = a.apply(tuple(rng.randint(-3, 3) for _ in range(a.cols)))
         x, t_solve = cold(exactlin.solve_integer, a, b)
         ok = ok and x is not None and a.apply(x) == b
         _, t_coker = cold(exactlin.cokernel_invariants, a)
         dec = exactlin.smith_normal_form(a)
         bits = max(abs(e).bit_length() for e in dec.U.entries + dec.V.entries)
-        print(f"{name:20s} {a.rows:>3d}x{a.cols:<4d} {dec.rank:5d} {bits:7d} {t_solve:8.3f} {t_coker:10.3f}")
+        hom = "-" if t_hom is None else f"{t_hom:.3f}"
+        print(f"{name:20s} {a.rows:>3d}x{a.cols:<4d} {dec.rank:5d} {bits:7d} {hom:>7s} {t_solve:8.3f} {t_coker:10.3f}")
     print("solutions verified" if ok else "A x != b on some case")
     return 0 if ok else 1
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import IntMatrix
+from .exactlin import IntMatrix, _closed
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,19 +225,26 @@ def rebase(f: GradedMap, src: ChainComplex, tgt: ChainComplex) -> GradedMap:
 def filtration_shift(f: GradedMap) -> int:
     """Largest q with f(stage p) inside stage p+q for all p.
 
-    The zero map reports one more than the filtration length, the neutral
-    element for min.
+    One pass over the entries of each block: a nonzero at (i, j) of the
+    block at source degree n bounds q by the weight of target basis
+    element i in degree n + deg(f) minus that of source basis element j
+    in degree n.  The zero map reports one more than the filtration
+    length, the neutral element for min.
     """
     best: int | None = None
+    src, tgt = f.source, f.target
     for n, mat in f.blocks:
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                if mat.entry(i, j):
-                    s = f.target.weight_at(n + f.degree, i) - f.source.weight_at(n, j)
-                    if best is None or s < best:
-                        best = s
+        tw = tgt.weights[n + f.degree - tgt.degree_lo]
+        sw = src.weights[n - src.degree_lo]
+        cols = mat.cols
+        for p, v in enumerate(mat.entries):
+            if v:
+                i, j = divmod(p, cols)
+                s = tw[i] - sw[j]
+                if best is None or s < best:
+                    best = s
     if best is None:
-        return max(f.source.max_weight, f.target.max_weight) + 1
+        return max(src.max_weight, tgt.max_weight) + 1
     return best
 
 
@@ -248,10 +255,20 @@ def is_perturbation(f: GradedMap, g: GradedMap) -> bool:
 
 
 def hom_differential(f: GradedMap) -> GradedMap:
-    """D(f) = d o f - (-1)^deg(f) f o d; the package-wide convention."""
-    left = compose(f.target.differential_map(), f)
-    right = compose(f, f.source.differential_map())
-    return left - right if f.degree % 2 == 0 else left + right
+    """D(f) = d o f - (-1)^deg(f) f o d; the package-wide convention.
+
+    Composed block by block: the block f_n at source degree n contributes
+    d_block(n + k) @ f_n of the target at source degree n, and
+    -(-1)^k f_n @ d_block(n + 1) of the source at source degree n + 1.
+    """
+    src, tgt, k = f.source, f.target, f.degree
+    parts = {n: tgt.d_block(n + k) @ fn for n, fn in f.blocks}
+    for n, fn in f.blocks:
+        right = fn @ src.d_block(n + 1)
+        if not k % 2:
+            right = -right
+        parts[n + 1] = parts[n + 1] + right if n + 1 in parts else right
+    return GradedMap.from_blocks(src, tgt, k - 1, parts)
 
 
 def is_chain_map(f: GradedMap) -> bool:
@@ -310,12 +327,40 @@ class HomComplexSlice:
 
 
 def hom_complex(m: ChainComplex, n: ChainComplex, k: int) -> HomComplexSlice:
-    """D on Hom_k(m, n) as d_n o f - (-1)^k f o d_m, from the compose matrices."""
+    """D on Hom_k(m, n) as d_n o f - (-1)^k f o d_m, one column per basis map.
+
+    The basis map (deg, i, j) sends source basis element i of degree deg
+    to target basis element j of degree deg + k.  Its image under D has two
+    parts in disjoint rows: column j of ``n.d_block(deg + k)`` at the
+    degree-(k-1) basis maps (deg, i, .), and row i of ``m.d_block(deg + 1)``
+    times -(-1)^k at the basis maps (deg + 1, ., j).  Row positions follow
+    from the lexicographic ``hom_basis`` enumeration by arithmetic.
+    """
     basis = hom_basis(m, n, k)
-    lower = hom_basis(m, n, k - 1)
-    left = left_compose_matrix(n.differential_map(), m, k, basis, lower)
-    right = right_compose_matrix(m.differential_map(), n, k, basis, lower)
-    return HomComplexSlice(m, n, k, basis, left - right if k % 2 == 0 else left + right)
+    offset: dict[int, int] = {}
+    rows = 0
+    for deg in m.degrees():
+        offset[deg] = rows
+        rows += m.rank_at(deg) * n.rank_at(deg + k - 1)
+    cols = len(basis)
+    flat = [0] * (rows * cols)
+    odd = k % 2
+    c = 0
+    for deg in m.degrees():
+        r_tgt = n.rank_at(deg + k)
+        dn, dm = n.d_block(deg + k), m.d_block(deg + 1)
+        down = [[(j2, v) for j2, v in enumerate(dn.entries[j::dn.cols]) if v] for j in range(dn.cols)]
+        lo, w_lo = offset[deg], n.rank_at(deg + k - 1)
+        hi = offset.get(deg + 1, 0)
+        for i in range(m.rank_at(deg)):
+            back = [(i2, v if odd else -v) for i2, v in enumerate(dm.row(i)) if v]
+            for j in range(r_tgt):
+                for j2, v in down[j]:
+                    flat[(lo + i * w_lo + j2) * cols + c] = v
+                for i2, v in back:
+                    flat[(hi + i2 * r_tgt + j) * cols + c] = v
+                c += 1
+    return HomComplexSlice(m, n, k, basis, _closed(rows, cols, tuple(flat)))
 
 
 def left_compose_matrix(

@@ -65,7 +65,7 @@ class IntMatrix:
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
-            flat.extend(int(x) for x in row)
+            flat.extend(row)
         return cls(r, c, tuple(flat))
 
     @classmethod

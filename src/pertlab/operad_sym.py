@@ -406,8 +406,13 @@ def parse_caps(text: str) -> TruncationCaps:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("caps must be four comma-separated integers: index,length,fweight,degree")
-    idx, length, fw, deg = (int(p.strip()) for p in parts)
-    return TruncationCaps(idx, length, fw, deg)
+    values = []
+    for name, p in zip(("index", "length", "fweight", "degree"), parts):
+        p = p.strip()
+        if not (p.isascii() and p.isdigit()):
+            raise ValueError(f"caps: {name} must be a nonnegative integer, got {p!r}")
+        values.append(int(p))
+    return TruncationCaps(*values)
 
 
 def default_caps() -> TruncationCaps:

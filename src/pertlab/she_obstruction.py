@@ -43,6 +43,8 @@ once and evaluates each obstruction cycle once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .chaincore import (
     ChainComplex,
@@ -57,7 +59,7 @@ from .chaincore import (
     validate_complex,
     vec_to_map,
 )
-from .exactlin import IntMatrix, solve_integer
+from .exactlin import IntMatrix, _closed, solve_integer
 from .operad_sym import Generator, Word, gen, generator_diff
 from .sdr_bpl import InternalConsistencyError, SdrData, _expect_map
 
@@ -275,8 +277,12 @@ def _filtered_differential(src: ChainComplex, tgt: ChainComplex, k: int):
     keep = [c for c, (deg, i, j) in enumerate(sl.basis)
             if tgt.weight_at(deg + k, j) >= src.weight_at(deg, i)]
     d = sl.differential_matrix
-    flat = tuple(row[c] for row in map(d.row, range(d.rows)) for c in keep)
-    return tuple(sl.basis[c] for c in keep), IntMatrix(d.rows, len(keep), flat)
+    if len(keep) == len(sl.basis):
+        return sl.basis, d
+    # itemgetter of fewer than two indices does not return a tuple
+    pick = itemgetter(*keep) if len(keep) > 1 else lambda row: tuple(row[c] for c in keep)
+    flat = tuple(chain.from_iterable(map(pick, map(d.row, range(d.rows)))))
+    return pick(sl.basis), _closed(d.rows, len(keep), flat)
 
 
 def _hom_solve(src: ChainComplex, tgt: ChainComplex, k: int, rhs: GradedMap) -> GradedMap | None:

@@ -155,6 +155,91 @@ def test_hom_complex_matrix_matches_hom_differential(kind, seed):
                 assert sl.differential_matrix.apply(vec) == map_to_vec(hom_differential(e), lower)
 
 
+# Reference kernels: hom_complex, hom_differential and filtration_shift as
+# they read before they were built from the nonzeros of d.  The library
+# must agree with them bit for bit.
+
+
+def ref_hom_complex_matrix(m, n, k):
+    basis, lower = hom_basis(m, n, k), hom_basis(m, n, k - 1)
+    left = left_compose_matrix(n.differential_map(), m, k, basis, lower)
+    right = right_compose_matrix(m.differential_map(), n, k, basis, lower)
+    return left - right if k % 2 == 0 else left + right
+
+
+def ref_hom_differential(f):
+    left = compose(f.target.differential_map(), f)
+    right = compose(f, f.source.differential_map())
+    return left - right if f.degree % 2 == 0 else left + right
+
+
+def ref_filtration_shift(f):
+    best = None
+    for n, mat in f.blocks:
+        for i in range(mat.rows):
+            for j in range(mat.cols):
+                if mat.entry(i, j):
+                    s = f.target.weight_at(n + f.degree, i) - f.source.weight_at(n, j)
+                    if best is None or s < best:
+                        best = s
+    if best is None:
+        return max(f.source.max_weight, f.target.max_weight) + 1
+    return best
+
+
+def fixture_pair(kind, seed, pair):
+    x = sdr_fixture(seed)[0] if kind == "sdr" else he_fixture(seed)
+    return {"MN": (x.M, x.N), "NM": (x.N, x.M), "MM": (x.M, x.M)}[pair]
+
+
+def drawn_map(src, tgt, k, shape, data):
+    """A random degree-k map: all blocks, none, or only the blocks whose
+    source or target degree is at the edge of its window."""
+    f = maps_between(src, tgt, k, data)
+    if shape == "zero":
+        return GradedMap.zero(src, tgt, k)
+    if shape == "edges":
+        edges = {src.degree_lo, src.degree_hi, tgt.degree_lo - k, tgt.degree_hi - k}
+        return GradedMap.from_blocks(src, tgt, k, {n: m for n, m in f.blocks if n in edges})
+    return f
+
+
+KINDS = st.sampled_from(["sdr", "he"])
+PAIRS = st.sampled_from(["MN", "NM", "MM"])
+SHAPES = st.sampled_from(["full", "zero", "edges"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(KINDS, st.integers(0, 40), PAIRS)
+def test_hom_complex_matches_compose_reference(kind, seed, pair):
+    m, n = fixture_pair(kind, seed, pair)
+    for k in range(-1, 4):
+        sl = hom_complex(m, n, k)
+        want = ref_hom_complex_matrix(m, n, k)
+        assert sl.basis == hom_basis(m, n, k)
+        assert (sl.differential_matrix.rows, sl.differential_matrix.cols) == (want.rows, want.cols)
+        assert sl.differential_matrix.entries == want.entries
+        assert all(type(e) is int for e in sl.differential_matrix.entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(KINDS, st.integers(0, 40), PAIRS, st.integers(-1, 3), SHAPES, st.data())
+def test_hom_differential_matches_compose_reference(kind, seed, pair, k, shape, data):
+    m, n = fixture_pair(kind, seed, pair)
+    f = drawn_map(m, n, k, shape, data)
+    got = hom_differential(f)
+    assert got == ref_hom_differential(f)
+    assert all(type(e) is int for _, mat in got.blocks for e in mat.entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(KINDS, st.integers(0, 40), PAIRS, st.integers(-1, 3), SHAPES, st.data())
+def test_filtration_shift_matches_cell_scan_reference(kind, seed, pair, k, shape, data):
+    m, n = fixture_pair(kind, seed, pair)
+    f = drawn_map(m, n, k, shape, data)
+    assert filtration_shift(f) == ref_filtration_shift(f)
+
+
 def test_hom_complex_squares_to_zero():
     s, _ = sdr_fixture(5)
     for k in (0, 1, 2):

@@ -362,6 +362,21 @@ def test_cli_operad_verify(capsys):
     assert out.count("PASS") == 10 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("caps, message", [
+    ("a,b,c,d", "caps: index must be a nonnegative integer, got 'a'"),
+    ("4,1_0,3,8", "caps: length must be a nonnegative integer, got '1_0'"),
+])
+def test_cli_operad_verify_refuses_malformed_caps(capsys, caps, message):
+    assert main(["operad", "verify", "--caps", caps]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_operad_verify_refuses_malformed_caps_from_environment(monkeypatch, capsys):
+    monkeypatch.setenv("PERTLAB_CAPS", "4,5,\u0663,8")
+    assert main(["operad", "verify"]) == 1
+    assert "caps: fweight must be a nonnegative integer" in capsys.readouterr().err
+
+
 def test_cli_operad_verify_failure_exit(monkeypatch, capsys):
     import pertlab.cli as cli_mod
     from pertlab.operad_sym import IdentityCheck

@@ -41,6 +41,12 @@ def test_smith_frozen_example():
     assert dec.rank == 2
 
 
+@pytest.mark.parametrize("rows", [[[2.7, 3]], [[1, "3"]], [[True, -1]], [[0], [2.0]]])
+def test_from_rows_refuses_entries_that_are_not_ints(rows):
+    with pytest.raises(TypeError, match="is not an int"):
+        IntMatrix.from_rows(rows)
+
+
 def test_smith_identity_and_zero():
     dec = smith_normal_form(IntMatrix.identity(3))
     assert dec.diagonal() == (1, 1, 1)

@@ -466,6 +466,16 @@ def test_caps_parsing():
     assert parse_caps(" 2, 3 ,1,6") == TruncationCaps(2, 3, 1, 6)
     with pytest.raises(ValueError, match="four comma-separated integers"):
         parse_caps("4,5,3")
+    for text, message in [
+        ("a,b,c,d", "caps: index must be a nonnegative integer, got 'a'"),
+        ("4,1_0,3,8", "caps: length must be a nonnegative integer, got '1_0'"),
+        ("4,5,\u0663,8", "caps: fweight must be a nonnegative integer, got '\u0663'"),
+        ("4,5,3,-8", "caps: degree must be a nonnegative integer, got '-8'"),
+        ("4,5,3,", "caps: degree must be a nonnegative integer, got ''"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            parse_caps(text)
+        assert str(info.value) == message
     with pytest.raises(ValueError, match="must be nonnegative"):
         TruncationCaps(-1, 5, 3, 8)
 

@@ -40,6 +40,7 @@ from pertlab.she_obstruction import (
     tower_assignment,
     validate_he,
     validate_she,
+    _filtered_differential,
     _hom_solve,
     _hom_space,
     _joint_system,
@@ -462,3 +463,23 @@ def test_extension_validates_once_and_solves_index_two_once(monkeypatch):
     assert len(validations) == 1
     # two for the obstruction witnesses (which are f_2, g_2), two at index 3
     assert len(solves) == 4
+
+
+def test_filtered_differential_keeps_the_filtered_columns():
+    # per-cell reference; the fixtures reach every case of the selection:
+    # all columns kept, none, exactly one, and a proper subset
+    seen = set()
+    for seed in range(41):
+        for x in (sdr_fixture(seed)[0], he_fixture(seed)):
+            for m, n in ((x.M, x.N), (x.N, x.M), (x.M, x.M)):
+                for k in range(-1, 4):
+                    sl = hom_complex(m, n, k)
+                    keep = [c for c, (deg, i, j) in enumerate(sl.basis)
+                            if n.weight_at(deg + k, j) >= m.weight_at(deg, i)]
+                    d = sl.differential_matrix
+                    want = IntMatrix(d.rows, len(keep), tuple(d.entry(r, c) for r in range(d.rows) for c in keep))
+                    basis, got = _filtered_differential(m, n, k)
+                    assert basis == tuple(sl.basis[c] for c in keep)
+                    assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+                    seen.add("all" if len(keep) == len(sl.basis) else min(len(keep), 2))
+    assert seen == {"all", 0, 1, 2}
