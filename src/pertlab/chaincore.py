@@ -257,9 +257,10 @@ def is_perturbation(f: GradedMap, g: GradedMap) -> bool:
 def hom_differential(f: GradedMap) -> GradedMap:
     """D(f) = d o f - (-1)^deg(f) f o d; the package-wide convention.
 
-    Composed block by block: the block f_n at source degree n contributes
-    d_block(n + k) @ f_n of the target at source degree n, and
-    -(-1)^k f_n @ d_block(n + 1) of the source at source degree n + 1.
+    Composed block by block, with k = deg(f): the block f_n at source
+    degree n contributes d_block(n + k) @ f_n of the target at source
+    degree n, and -(-1)^k f_n @ d_block(n + 1) of the source at source
+    degree n + 1.
     """
     src, tgt, k = f.source, f.target, f.degree
     parts = {n: tgt.d_block(n + k) @ fn for n, fn in f.blocks}

@@ -195,9 +195,9 @@ def fixture_pair(kind, seed, pair):
 def drawn_map(src, tgt, k, shape, data):
     """A random degree-k map: all blocks, none, or only the blocks whose
     source or target degree is at the edge of its window."""
-    f = maps_between(src, tgt, k, data)
     if shape == "zero":
         return GradedMap.zero(src, tgt, k)
+    f = maps_between(src, tgt, k, data)
     if shape == "edges":
         edges = {src.degree_lo, src.degree_hi, tgt.degree_lo - k, tgt.degree_hi - k}
         return GradedMap.from_blocks(src, tgt, k, {n: m for n, m in f.blocks if n in edges})
