@@ -7,6 +7,8 @@ profiling, without going through document IO.
 
 from __future__ import annotations
 
+import os
+import platform
 import resource
 import sys
 import time
@@ -18,6 +20,7 @@ def main() -> int:
     caps = default_caps()
     print(f"caps: index<={caps.max_index} length<={caps.max_length} "
           f"fweight<={caps.max_fweight} degree<={caps.max_degree}")
+    print(f"python={platform.python_version()} nproc={os.cpu_count()}")
     t0 = time.perf_counter()
     report = verify_identity_suite(caps)
     dt = time.perf_counter() - t0

@@ -209,10 +209,12 @@ def compose(f: GradedMap, g: GradedMap) -> GradedMap:
     """f o g, defined when g lands where f starts."""
     if f.source != g.target:
         raise ValueError("composition mismatch: source of the left map differs from target of the right")
+    # degrees where f has no block give zero; from_blocks drops those anyway
+    fblocks = dict(f.blocks)
     blocks: dict[int, IntMatrix] = {}
     for n, gmat in g.blocks:
-        fmat = f.block_at(n + g.degree)
-        if fmat.rows and fmat.cols:
+        fmat = fblocks.get(n + g.degree)
+        if fmat is not None:
             blocks[n] = fmat @ gmat
     return GradedMap.from_blocks(g.source, f.target, f.degree + g.degree, blocks)
 
@@ -260,12 +262,19 @@ def hom_differential(f: GradedMap) -> GradedMap:
     Composed block by block, with k = deg(f): the block f_n at source
     degree n contributes d_block(n + k) @ f_n of the target at source
     degree n, and -(-1)^k f_n @ d_block(n + 1) of the source at source
-    degree n + 1.
+    degree n + 1.  A zero d block contributes nothing and is skipped.
     """
     src, tgt, k = f.source, f.target, f.degree
-    parts = {n: tgt.d_block(n + k) @ fn for n, fn in f.blocks}
+    parts: dict[int, IntMatrix] = {}
     for n, fn in f.blocks:
-        right = fn @ src.d_block(n + 1)
+        left = tgt.d_block(n + k)
+        if not left.is_zero():
+            parts[n] = left @ fn
+    for n, fn in f.blocks:
+        d = src.d_block(n + 1)
+        if d.is_zero():
+            continue
+        right = fn @ d
         if not k % 2:
             right = -right
         parts[n + 1] = parts[n + 1] + right if n + 1 in parts else right

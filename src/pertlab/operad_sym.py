@@ -44,9 +44,10 @@ rows, and the output of a caller's table, go through the checks);
 ``theta`` rewrites a leading pair into a generator between the same
 colours; ``enumerate_words`` joins only composable generators; ``iota``
 reuses its input's canonical terms.  The retraction of each generator
-depends on nothing but the generator and the caps, so it is memoized per
-(generator, caps), and ``retraction_r`` folds those images into one plain
-dict per word, canonicalizing once per call.
+depends on nothing but the generator and the caps, so each caps has one
+table of images by generator rank, and ``retraction_r`` folds them on the
+words' rank tuples, builds each output word once and canonicalizes once
+per call.
 """
 
 from __future__ import annotations
@@ -657,7 +658,6 @@ def retraction_terms(z: Generator) -> tuple[tuple[Generator, int, Generator], ..
     return tuple(triples)
 
 
-@lru_cache(maxsize=None)
 def _retraction_of_generator(z: Generator, caps: TruncationCaps) -> OperadElement:
     if z.family in ("f", "g", "xb"):
         return single("dif_riso", word(z))
@@ -669,38 +669,67 @@ def _retraction_of_generator(z: Generator, caps: TruncationCaps) -> OperadElemen
     return acc
 
 
+@lru_cache(maxsize=None)
+def _retraction_table(caps: TruncationCaps) -> dict[int, tuple[tuple, ...]]:
+    """The retraction images at these caps, by generator rank, each a tuple
+    of (rank tuple, factors, fweight, degree, coefficient) per term; empty
+    at first, ``retraction_r`` fills it as it meets generators."""
+    return {}
+
+
 def retraction_r(e: OperadElement, caps: TruncationCaps) -> OperadElement:
     """The retraction onto the unbarred ambient, band-exact to max_fweight.
 
     Multiplicative on words; fixes f's, g's and xb; sends each barred
     generator to its kernel-series value (see ``retraction_terms``).
+    Each word folds its factors' images left to right, taken from the
+    per-caps table, in one dict keyed by the rank tuple of the product
+    word; products past the band or not composable at the junction drop
+    out, and each nonzero output word is built once at the end.
     """
     if e.ambient != "riso_tilde":
         raise ValueError("the retraction is defined on the riso_tilde ambient")
     band = caps.max_fweight
-    images: dict[int, tuple[tuple[Word, int], ...]] = {}  # by generator rank
-    acc: dict[Word, int] = {}
+    table = _retraction_table(caps)
+    out: dict[Word, int] = {}
+    acc: dict[tuple[int, ...], list] = {}  # ranks -> [coefficient, factors, fweight, degree]
     for w, c in e.terms:
-        # fold the factor images left to right in one plain dict, band-cut
-        img = {w: c} if w.is_identity else None
+        if not w.factors:
+            out[w] = c
+            continue
+        img = None
         for z in w.factors:
-            right = images.get(z.rank)
+            right = table.get(z.rank)
             if right is None:
-                right = images[z.rank] = _retraction_of_generator(z, caps).terms
+                right = table[z.rank] = tuple(
+                    (wb._key[2:], wb.factors, wb.fweight, wb.degree, cb)
+                    for wb, cb in _retraction_of_generator(z, caps).terms)
             if img is None:
-                img = {wb: c * cb for wb, cb in right}
+                img = {rb: [c * cb, fb, fwb, dgb] for rb, fb, fwb, dgb, cb in right}
                 continue
-            nxt: dict[Word, int] = {}
-            for wa, ca in img.items():
-                for wb, cb in right:
-                    if wa.fweight + wb.fweight <= band:
-                        wm = word_mul(wa, wb)
-                        if wm is not None:
-                            nxt[wm] = nxt.get(wm, 0) + ca * cb
+            nxt: dict[tuple[int, ...], list] = {}
+            for ra, (ca, fa, fwa, dga) in img.items():
+                # no image term is an identity, so every term has end factors
+                src = fa[-1].src
+                for rb, fb, fwb, dgb, cb in right:
+                    if fwa + fwb <= band and fb[0].dst == src:
+                        rm = ra + rb
+                        entry = nxt.get(rm)
+                        if entry is None:
+                            nxt[rm] = [ca * cb, fa + fb, fwa + fwb, dga + dgb]
+                        else:
+                            entry[0] += ca * cb
             img = nxt
-        for wi, ci in img.items():
-            acc[wi] = acc.get(wi, 0) + ci
-    return _canonical("dif_riso", acc)
+        for rm, term in img.items():
+            entry = acc.get(rm)
+            if entry is None:
+                acc[rm] = term
+            else:
+                entry[0] += term[0]
+    for rm, (ci, fs, fw, dg) in acc.items():
+        if ci:
+            out[_chain(fs, dg, fw, (fw, 0) + rm)] = ci
+    return _canonical("dif_riso", out)
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +915,7 @@ def parse_element(text: str, ambient: str) -> OperadElement:
         elif not first:
             raise ValueError(f"expected + or - before term at token {i}")
         coeff = 1
-        if tokens[i].isdigit():
+        if tokens[i].isascii() and tokens[i].isdigit():
             coeff = int(tokens[i])
             i += 1
         factors: list[Generator] = []

@@ -395,6 +395,17 @@ def test_cli_operad_eval(capsys):
     assert capsys.readouterr().out.strip() == "2 f0 + f0 g0 f0"
 
 
+@pytest.mark.parametrize("expr, token", [("\u0663 f1", "\u0663"), ("\u00b2 f1", "\u00b2")])
+def test_cli_operad_eval_refuses_non_ascii_coefficients(capsys, expr, token):
+    # an Arabic-Indic three or a superscript two is no coefficient
+    assert main(["operad", "eval", "--expr", expr]) == 1
+    assert capsys.readouterr().err == f"error: unrecognized token '{token}'\n"
+    doc = {"format_version": "1", "kind": "operad-element",
+           "payload": {"ambient": "riso", "element": expr}}
+    with pytest.raises(DocumentError, match=f"payload.element: unrecognized token '{token}'"):
+        parse_document(json.dumps(doc))
+
+
 def test_cli_operad_eval_matrix(tmp_path, capsys):
     he, p = layered_she_fixture()
     tower = extend_to_she(he, 1)

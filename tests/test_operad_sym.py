@@ -407,6 +407,12 @@ def test_render_parse_frozen():
     assert parse_element("0", "riso").is_zero()
     with pytest.raises(ValueError, match="unrecognized token"):
         parse_element("f0 qq", "riso")
+    # a coefficient is ASCII digits, as in parse_caps; str.isdigit also holds
+    # for superscripts and the digits of other scripts
+    for text, token in (("\u0663 f1", "\u0663"), ("\u00b2 f1", "\u00b2"),
+                        ("f0 + \u0661\u0660 g0 f0", "\u0661\u0660")):
+        with pytest.raises(ValueError, match=f"unrecognized token '{token}'"):
+            parse_element(text, "riso")
 
 
 @settings(max_examples=300, deadline=None)
@@ -608,12 +614,59 @@ def tilde_elements(ambient="riso_tilde"):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tilde_elements())
-def test_retraction_equals_the_chain_of_products(e):
-    got = retraction_r(e, _FIELD_CAPS)
-    want = ref_retraction_r(e, _FIELD_CAPS)
+@given(tilde_elements(), st.integers(0, 3))
+def test_retraction_equals_the_chain_of_products(e, max_fweight):
+    # every band from 0 up, so the band cut drops products at each of them
+    caps = TruncationCaps(3, 4, max_fweight, 8)
+    got = retraction_r(e, caps)
+    want = ref_retraction_r(e, caps)
     assert got.ambient == want.ambient == "dif_riso"
     assert _all_term_fields(got) == _all_term_fields(want)
+
+
+def test_retraction_keeps_the_images_of_each_caps_apart():
+    # the images are memoized per caps; alternating two caps in one process
+    # must give each its own images, and the two bands give different ones
+    low, high = TruncationCaps(3, 4, 1, 8), TruncationCaps(3, 4, 3, 8)
+    barred = [gen(fam, n) for fam in ("fb", "gb") for n in range(4)] + [gen("yb")]
+    for _ in range(2):
+        for z in barred + [gen("xb"), gen("f", 2), gen("g", 3)]:
+            e = single("riso_tilde", word(z))
+            got = [retraction_r(e, caps) for caps in (low, high)]
+            for caps, value in zip((low, high), got):
+                assert _all_term_fields(value) == _all_term_fields(ref_retraction_r(e, caps))
+            assert (got[0] != got[1]) == (z in barred)
+
+
+@pytest.mark.parametrize("planted, expected", [
+    (gen("fb", 2), [("retraction_chain_map", False, "r d != d r on fb2"),
+                    ("retraction_splits_inclusion", True, "ok")]),
+    (gen("f", 1), [("retraction_chain_map", False, "r d != d r on f1"),
+                   # the first B -> B word with an f1 factor, in key order
+                   ("retraction_splits_inclusion", False, "r(iota(g0 f0 f1)) != g0 f0 f1")]),
+])
+def test_identity_suite_reads_the_retraction_images_it_memoizes(monkeypatch, planted, expected):
+    # a wrong image for one generator, planted where the memo is filled
+    # from: the negated image of fb2, or 2 f1 for f1
+    real = operad_sym._retraction_of_generator
+
+    def planted_image(z, caps):
+        image = real(z, caps)
+        if z != planted:
+            return image
+        return -image if z.family == "fb" else image.scale(2)
+
+    caps = TruncationCaps(2, 3, 1, 5)  # used by no other test
+    monkeypatch.setattr(operad_sym, "_retraction_of_generator", planted_image)
+    operad_sym._retraction_table.cache_clear()
+    try:
+        report = verify_identity_suite(caps)
+    finally:
+        operad_sym._retraction_table.cache_clear()
+    # only the two retraction checks read r, and each names its first case
+    failing = {name: (name, passed, detail) for name, passed, detail in expected}
+    assert [(c.name, c.passed, c.detail) for c in report] == [
+        failing.get(c.name, (c.name, True, "ok")) for c in report]
 
 
 @settings(max_examples=200, deadline=None)
