@@ -372,39 +372,3 @@ def hom_complex(m: ChainComplex, n: ChainComplex, k: int) -> HomComplexSlice:
                 c += 1
     return HomComplexSlice(m, n, k, basis, _closed(rows, cols, tuple(flat)))
 
-
-def left_compose_matrix(
-    u: GradedMap, m: ChainComplex, k: int,
-    basis_in: tuple[tuple[int, int, int], ...],
-    basis_out: tuple[tuple[int, int, int], ...],
-) -> IntMatrix:
-    """Matrix of f |-> u o f from Hom_k(m, source(u)) to Hom_{k+deg u}(m, target(u))."""
-    pos = {b: r for r, b in enumerate(basis_out)}
-    rows, cols = len(basis_out), len(basis_in)
-    flat = [0] * (rows * cols)
-    for c, (deg, i, j) in enumerate(basis_in):
-        ub = u.block_at(deg + k)
-        for j2 in range(ub.rows):
-            v = ub.entry(j2, j)
-            if v:
-                flat[pos[(deg, i, j2)] * cols + c] = v
-    return IntMatrix(rows, cols, tuple(flat))
-
-
-def right_compose_matrix(
-    u: GradedMap, n: ChainComplex, k: int,
-    basis_in: tuple[tuple[int, int, int], ...],
-    basis_out: tuple[tuple[int, int, int], ...],
-) -> IntMatrix:
-    """Matrix of f |-> f o u from Hom_k(target(u), n) to Hom_{k+deg u}(source(u), n)."""
-    pos = {b: r for r, b in enumerate(basis_out)}
-    rows, cols = len(basis_out), len(basis_in)
-    flat = [0] * (rows * cols)
-    du = u.degree
-    for c, (deg, i, j) in enumerate(basis_in):
-        ub = u.block_at(deg - du)
-        for i2 in range(ub.cols):
-            v = ub.entry(i, i2)
-            if v:
-                flat[pos[(deg - du, i2, j)] * cols + c] = v
-    return IntMatrix(rows, cols, tuple(flat))

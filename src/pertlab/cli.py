@@ -11,7 +11,9 @@ summary of whatever the command did, on every exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -49,6 +51,13 @@ EXIT_INTERNAL = 5
 
 class _UsageError(Exception):
     pass
+
+
+def _ascii_int(text: str) -> int:
+    """An integer in ASCII digits, as ``parse_caps`` reads them: int() alone takes any script's."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,13 +163,7 @@ def _cmd_ipl(args, report: dict) -> int:
     p = _load(args.delta, Perturbation, "perturbation")
     out = ipl_perturb(she, p)
     _write_out(args.out, out.she, report)
-    caps = out.provenance
-    report["caps"] = {
-        "max_index": caps.max_index,
-        "max_length": caps.max_length,
-        "max_fweight": caps.max_fweight,
-        "max_degree": caps.max_degree,
-    }
+    report["caps"] = dataclasses.asdict(out.provenance)
     return EXIT_OK
 
 
@@ -205,8 +208,8 @@ def _cmd_operad_eval(args, report: dict) -> int:
 
 def _cmd_fixture(args, report: dict) -> int:
     try:
-        a, b = (int(x) for x in args.ranks.split(","))
-    except ValueError:
+        a, b = (_ascii_int(x) for x in args.ranks.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
         raise _UsageError("--ranks takes two comma-separated integers") from None
     docs = fixtures.fixture_generate(args.seed, (a, b), args.filtration)
     text = serialize_bundle(docs)
@@ -249,7 +252,7 @@ def _build_parser() -> _Parser:
 
     q = add("extend", help="extend a homotopy equivalence to a tower")
     q.add_argument("--he", required=True)
-    q.add_argument("--cap", type=int, required=True)
+    q.add_argument("--cap", type=_ascii_int, required=True)
     q.add_argument("-o", "--out")
     q.set_defaults(handler=_cmd_extend)
 
@@ -281,13 +284,22 @@ def _build_parser() -> _Parser:
     q.set_defaults(handler=_cmd_operad_eval)
 
     q = add("fixture", help="deterministic valid example documents")
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_ascii_int, default=0)
     q.add_argument("--ranks", default="2,1", help="core rank, cone pairs")
-    q.add_argument("--filtration", type=int, default=2)
+    q.add_argument("--filtration", type=_ascii_int, default=2)
     q.add_argument("-o", "--out")
     q.set_defaults(handler=_cmd_fixture)
 
     return parser
+
+
+# (exception kinds, exit code), first match wins: the ValueError subclasses
+# come first; any other exception is an internal failure
+_EXIT_CODES = (
+    (SideConditionError, EXIT_SIDE_CONDITIONS),
+    (ObstructionError, EXIT_OBSTRUCTED),
+    ((_UsageError, ValueError, OSError), EXIT_INVALID),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -298,31 +310,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         report_path = args.report
         code = args.handler(args, report)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_INVALID
-        report["error"] = str(e)
-    except SideConditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_SIDE_CONDITIONS
-        report["error"] = str(e)
-    except ObstructionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_OBSTRUCTED
-        report["error"] = str(e)
-    except (DocumentError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_INVALID
-        report["error"] = str(e)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_INVALID
-        report["error"] = str(e)
-    except Exception:  # InternalConsistencyError, or a fault nobody anticipated
-        trace = traceback.format_exc()
-        print(trace, file=sys.stderr, end="")
-        code = EXIT_INTERNAL
-        report["error"] = trace
+    except Exception as e:  # every failure gets an exit code, a message and a report
+        code = next((c for kinds, c in _EXIT_CODES if isinstance(e, kinds)), EXIT_INTERNAL)
+        if code == EXIT_INTERNAL:  # InternalConsistencyError, or a fault nobody anticipated
+            report["error"] = traceback.format_exc()
+            print(report["error"], file=sys.stderr, end="")
+        else:
+            report["error"] = str(e)
+            print(f"error: {e}", file=sys.stderr)
     report["exit_code"] = code
     if report_path:
         Path(report_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")

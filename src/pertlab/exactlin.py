@@ -10,7 +10,7 @@ fixed (smallest nonzero absolute value, ties by smallest (row, col)), so
 it is deterministic and reproducible.  It keeps the transforms as logs of
 the row and column operations it made, not as matrices: solves replay the
 logs on vectors, cokernels read the diagonal alone, and only
-``smith_normal_form`` and ``kernel_basis`` build matrices from the logs.
+``smith_normal_form`` builds matrices from the logs.
 
 ``smith_normal_form``
     U * A * V = S with U, V unimodular and S diagonal, entries nonnegative,
@@ -320,17 +320,17 @@ def _apply_col_log(log: tuple[tuple, ...], vec: list[int]) -> list[int]:
     return vec
 
 
-def _replayed_columns(apply, log: tuple[tuple, ...], n: int, js: range) -> IntMatrix:
-    """The n-row matrix whose columns are apply(log, e_j) for j in js."""
-    columns = [apply(log, [int(i == j) for i in range(n)]) for j in js]
-    return IntMatrix(n, len(columns), tuple(c[i] for i in range(n) for c in columns))
+def _replayed_columns(apply, log: tuple[tuple, ...], n: int) -> IntMatrix:
+    """The n x n matrix whose columns are apply(log, e_j)."""
+    columns = [apply(log, [int(i == j) for i in range(n)]) for j in range(n)]
+    return IntMatrix(n, n, tuple(c[i] for i in range(n) for c in columns))
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Deterministic Smith normal form with both transforms.
 
     The cached elimination keeps U and V as operation logs; only this
-    function and ``kernel_basis`` build matrices from them.
+    function builds matrices from them.
 
     >>> dec = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> dec.diagonal(), dec.rank
@@ -344,9 +344,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     for i, d in enumerate(diagonal):
         s[i * cols + i] = d
     return SmithDecomposition(
-        _replayed_columns(_apply_row_log, row_log, rows, range(rows)),
+        _replayed_columns(_apply_row_log, row_log, rows),
         IntMatrix(rows, cols, tuple(s)),
-        _replayed_columns(_apply_col_log, col_log, cols, range(cols)),
+        _replayed_columns(_apply_col_log, col_log, cols),
         len(diagonal),
     )
 
@@ -373,12 +373,6 @@ def solve_integer(a: IntMatrix, b: tuple[int, ...]) -> tuple[int, ...] | None:
         elif ci:
             return None
     return tuple(_apply_col_log(col_log, y))
-
-
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Columns form an integer basis of ker(a), saturated: V's columns past the rank."""
-    diagonal, _, col_log = _eliminate(a)
-    return _replayed_columns(_apply_col_log, col_log, a.cols, range(len(diagonal), a.cols))
 
 
 def cokernel_invariants(a: IntMatrix) -> AbelianGroupInvariants:

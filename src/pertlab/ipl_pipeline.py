@@ -119,9 +119,13 @@ def _require_perturbable(problems: list[str], M: ChainComplex, p: Perturbation) 
 
 
 def action_from_she(she: SheData, p: Perturbation) -> OperadAction:
-    """The action realizing a tower and a perturbation of its big side."""
+    """The action realizing a tower and a perturbation of its big side.
+    Their two checks cover every identity of the action (xb's is (d +
+    delta)^2 = 0), so the action is built without checking them again."""
     _require_perturbable(validate_she(she), she.M, p)
-    return OperadAction(she.M, she.N, {XBAR: p.delta, **tower_assignment(she)})
+    act = object.__new__(OperadAction)
+    act.__dict__.update(M=she.M, N=she.N, assign={XBAR: p.delta, **tower_assignment(she)})
+    return act
 
 
 @dataclass(frozen=True)

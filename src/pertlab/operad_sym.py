@@ -328,9 +328,9 @@ def element(ambient: str, terms) -> OperadElement:
 
 def _canonical(ambient: str, acc: dict[Word, int]) -> OperadElement:
     """Sorted, zero-free element of words already known to lie in the ambient."""
-    words = [w for w, c in acc.items() if c]
-    words.sort(key=_word_key)
-    return OperadElement(ambient, tuple([(w, acc[w]) for w in words]))
+    terms = [item for item in acc.items() if item[1]]
+    terms.sort(key=lambda term: term[0]._key)
+    return OperadElement(ambient, tuple(terms))
 
 
 def zero(ambient: str) -> OperadElement:
@@ -478,15 +478,7 @@ def _identity_free_diff(z: Generator) -> tuple[tuple[Word, int], ...]:
     return tuple((w, c) for w, c in generator_diff(z) if not w.is_identity)
 
 
-def _length_drop_table(z: Generator):
-    if z.family == "f" and z.index == 1:
-        return ((id_word("B"), -1),)
-    if z.family == "g" and z.index == 1:
-        return ((id_word("W"), -1),)
-    return ()
-
-
-_BUILT_IN_TABLES = (generator_diff, _identity_free_diff, _length_drop_table)
+_BUILT_IN_TABLES = (generator_diff, _identity_free_diff)
 
 
 def diff(e: OperadElement, *, _table=None) -> OperadElement:
@@ -525,17 +517,6 @@ def diff(e: OperadElement, *, _table=None) -> OperadElement:
         # replaces, so the words need no ambient check
         return _canonical(e.ambient, acc)
     return element(e.ambient, acc)
-
-
-def split_homogeneity(e: OperadElement) -> tuple[OperadElement, OperadElement]:
-    """The differential split by word-length effect: (shortening, lengthening).
-
-    Only the identity terms of d(f1) and d(g1) shorten words; everything
-    else lengthens.  The two parts sum to diff(e).
-    """
-    if e.ambient != "riso":
-        raise ValueError("homogeneity split is defined on the plain ambient only")
-    return diff(e, _table=_length_drop_table), diff(e, _table=_identity_free_diff)
 
 
 def theta(e: OperadElement) -> OperadElement:
@@ -629,31 +610,17 @@ def retraction_terms(z: Generator) -> tuple[tuple[Generator, int, Generator], ..
     Each triple (left, r, right) stands for left * kernel(r) * right; the
     value of the retraction is the sum over the listed triples.  Base
     generators and xb are fixed by the retraction and not listed here.
+    One rule for fb_n, gb_n and yb (n = -1, its degree): left f_(2a+lp),
+    kernel Z_(2b-1), right f_(2c+1) for fb and g_(2c) otherwise (parity
+    rp), where lp = (n + [not fb]) mod 2 and a + b + c = (n-lp-rp+1) / 2.
     """
-    fam, n = z.family, z.index
-    triples: list[tuple[Generator, int, Generator]] = []
-    if fam == "yb":
-        triples = [(gen("f", 0), -1, gen("g", 0))]
-    elif fam == "fb":
-        if n % 2 == 0:
-            m = n // 2
-            for a, b, c in _compositions(m, 3):
-                triples.append((gen("f", 2 * a), 2 * b - 1, gen("f", 2 * c + 1)))
-        else:
-            m = (n - 1) // 2
-            for a, b, c in _compositions(m, 3):
-                triples.append((gen("f", 2 * a + 1), 2 * b - 1, gen("f", 2 * c + 1)))
-    elif fam == "gb":
-        if n % 2 == 0:
-            m = n // 2
-            for a, b, c in _compositions(m, 3):
-                triples.append((gen("f", 2 * a + 1), 2 * b - 1, gen("g", 2 * c)))
-        else:
-            m = (n - 1) // 2
-            for a, b, c in _compositions(m + 1, 3):
-                triples.append((gen("f", 2 * a), 2 * b - 1, gen("g", 2 * c)))
-    else:
+    if z.family not in ("fb", "gb", "yb"):
         raise ValueError(f"retraction of {z.token} is the generator itself; no kernel terms")
+    n, rp = z.degree, int(z.family == "fb")
+    lp = (n + 1 - rp) % 2
+    right = "f" if rp else "g"
+    triples = [(gen("f", 2 * a + lp), 2 * b - 1, gen(right, 2 * c + rp))
+               for a, b, c in _compositions((n - lp - rp + 1) // 2, 3)]
     triples.sort(key=lambda t: (t[1], t[0].index, t[2].index))
     return tuple(triples)
 
@@ -684,8 +651,9 @@ def retraction_r(e: OperadElement, caps: TruncationCaps) -> OperadElement:
     generator to its kernel-series value (see ``retraction_terms``).
     Each word folds its factors' images left to right, taken from the
     per-caps table, in one dict keyed by the rank tuple of the product
-    word; products past the band or not composable at the junction drop
-    out, and each nonzero output word is built once at the end.
+    word; each image runs between its generator's colours, so every
+    product is composable, products past the band drop out, and each
+    nonzero output word is built once at the end.
     """
     if e.ambient != "riso_tilde":
         raise ValueError("the retraction is defined on the riso_tilde ambient")
@@ -701,18 +669,21 @@ def retraction_r(e: OperadElement, caps: TruncationCaps) -> OperadElement:
         for z in w.factors:
             right = table.get(z.rank)
             if right is None:
+                # checked once here, so products of images need no junction check
+                image = _retraction_of_generator(z, caps).terms
+                for wb, _ in image:
+                    if (wb.src, wb.dst) != (z.src, z.dst):
+                        raise RuntimeError(f"retraction image of {z.token} has a term {wb.render()} "
+                                           f"from {wb.src} to {wb.dst}, not {z.src} to {z.dst}")
                 right = table[z.rank] = tuple(
-                    (wb._key[2:], wb.factors, wb.fweight, wb.degree, cb)
-                    for wb, cb in _retraction_of_generator(z, caps).terms)
+                    (wb._key[2:], wb.factors, wb.fweight, wb.degree, cb) for wb, cb in image)
             if img is None:
                 img = {rb: [c * cb, fb, fwb, dgb] for rb, fb, fwb, dgb, cb in right}
                 continue
             nxt: dict[tuple[int, ...], list] = {}
             for ra, (ca, fa, fwa, dga) in img.items():
-                # no image term is an identity, so every term has end factors
-                src = fa[-1].src
                 for rb, fb, fwb, dgb, cb in right:
-                    if fwa + fwb <= band and fb[0].dst == src:
+                    if fwa + fwb <= band:
                         rm = ra + rb
                         entry = nxt.get(rm)
                         if entry is None:

@@ -27,10 +27,10 @@ as f_2i, f_2j+1 and G_2i, L_2j+1 as g_2i, g_2j+1 (this parity layout of
 ``SheData`` is known to this module only; everything else goes through
 ``tower_assignment`` and ``she_from_assignment``).  The obstruction cycles
 are the table's index-2 right-hand sides.  ``extend_to_she`` constructs
-the tower one index at a time, the same step for every index, falling back
-on a joint integer system that corrects the previous components by cycles
-whenever the direct lift fails over Z; that system's coupling blocks are
-read from the same table.
+the tower one index at a time, the same step for every index.  When the
+direct lift fails over Z, it assembles one integer system that solves for
+both lifts together with cycle corrections of the previous components;
+that system's coupling entries are read from the same table.
 
 Every tower identity is evaluated by ``_check_components``, which
 ``validate_he``, ``validate_she`` and ``ipl_pipeline.OperadAction`` share.
@@ -43,7 +43,7 @@ once and evaluates each obstruction cycle once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 
 from .chaincore import (
@@ -53,13 +53,11 @@ from .chaincore import (
     hom_basis,
     hom_complex,
     hom_differential,
-    left_compose_matrix,
     map_to_vec,
-    right_compose_matrix,
     validate_complex,
     vec_to_map,
 )
-from .exactlin import IntMatrix, _closed, solve_integer
+from .exactlin import _closed, solve_integer
 from .operad_sym import Generator, Word, gen, generator_diff
 from .sdr_bpl import InternalConsistencyError, SdrData, _expect_map
 
@@ -404,77 +402,57 @@ def _zero_padded(he: HeData, index_cap: int) -> SheData | None:
     return _checked(she_from_assignment(he.M, he.N, index_cap, assign), "zero-padded tower", he)
 
 
-def _solve_block_system(
-    columns: list[tuple[ChainComplex, ChainComplex, int, tuple]],
-    equations: list[tuple[int, dict[int, IntMatrix], tuple[int, ...]]],
-) -> list[GradedMap] | None:
-    """Solve one stacked integer system over several hom spaces at once.
-
-    ``columns`` names the unknown blocks as (source, target, hom degree,
-    basis); ``equations`` are (row count, {column index: coefficient
-    matrix}, rhs).
-    """
-    widths = [len(basis) for *_, basis in columns]
-    starts = [sum(widths[:ci]) for ci in range(len(widths))]
-    flat: list[int] = []
-    rhs_all: list[int] = []
-    for row_dim, blocks, rhs in equations:
-        if len(rhs) != row_dim:
-            raise ValueError("equation right-hand side has wrong length")
-        rows = [[0] * sum(widths) for _ in range(row_dim)]
-        for ci, mat in blocks.items():
-            if (mat.rows, mat.cols) != (row_dim, widths[ci]):
-                raise ValueError("coefficient block has wrong shape")
-            for i in range(row_dim):
-                rows[i][starts[ci]:starts[ci] + widths[ci]] = mat.row(i)
-        flat += [v for row in rows for v in row]
-        rhs_all += rhs
-    sol = solve_integer(IntMatrix(len(rhs_all), sum(widths), tuple(flat)), tuple(rhs_all))
-    if sol is None:
-        return None
-    return [vec_to_map(src, tgt, k, basis, tuple(sol[c0:c0 + len(basis)]))
-            for (src, tgt, k, basis), c0 in zip(columns, starts)]
-
-
 def _joint_system(assign: dict[Generator, GradedMap], n: int,
                   rhs: dict[Generator, GradedMap]):
-    """The joint lift at index n as (columns, equations) for
-    ``_solve_block_system``, read from the generator differential table.
+    """The joint lift at index n as one integer system (matrix, right-hand
+    side, column blocks), read from the generator differential table.
 
     Unknowns, in this order: the lifts of f_n and g_n, which must satisfy
-    D(x) = rhs, and corrections c of f_n-1 and g_n-1, which must be
-    cycles.  Adding c to an index-(n-1) factor of a term (a b, k) of d z
-    changes the required D(x_z) by k a c or k c b (the other factor has
-    index 0, since the indices of a term sum to n - 1); moved to the left,
-    that is -k times a left or right compose matrix.  Unknowns range over
-    the filtered sub-lattices; equation rows stay in the full enumeration.
+    D(x) = rhs, and corrections c of f_n-1 and g_n-1, which must be cycles;
+    a column block is (source, target, hom degree, filtered basis), and the
+    diagonal blocks are ``_filtered_differential``.  Adding c to the
+    index-(n-1) factor of a term (a b, k) of d z changes the required
+    D(x_z) by k a c or k c b, the other factor having index 0; moved to the
+    left, that is -k times the nonzeros of that factor's blocks, in the
+    rows of z's ``hom_basis(..., n - 1)`` enumeration.
     """
     f0 = assign[gen("f", 0)]
     M, N = f0.source, f0.target
     tops, lows = (gen("f", n), gen("g", n)), (gen("f", n - 1), gen("g", n - 1))
-    columns, equations = [], []
-    for ci, z in enumerate(tops + lows):
+    columns, diagonal = [], []
+    for z in tops + lows:
         src, tgt = _hom_space(z, M, N)
         basis, d = _filtered_differential(src, tgt, z.degree)
         columns.append((src, tgt, z.degree, basis))
-        b = map_to_vec(rhs[z], hom_basis(src, tgt, n - 1)) if z in tops else (0,) * d.rows
-        equations.append((d.rows, {ci: d}, b))
-    for z, (_, blocks, _) in zip(tops, equations):
-        rows = hom_basis(*_hom_space(z, M, N), n - 1)
+        diagonal.append(d)
+    col0 = list(accumulate([len(basis) for *_, basis in columns], initial=0))
+    rows: list[list[int]] = []
+    for t, d in enumerate(diagonal):
+        for r in range(d.rows):
+            rows.append([0] * col0[-1])
+            rows[-1][col0[t]:col0[t + 1]] = d.row(r)
+    b: list[int] = []
+    for z in tops:
+        hom = hom_basis(*_hom_space(z, M, N), n - 1)
+        at = {e: len(b) + r for r, e in enumerate(hom)}
+        b += map_to_vec(rhs[z], hom)
         for w, k in generator_diff(z):
             for pos, y in enumerate(w.factors):
                 if y not in lows:
                     continue
-                cj = 2 + lows.index(y)
-                y_src, y_tgt, _, y_basis = columns[cj]
-                other = assign[w.factors[1 - pos]]
-                if pos == 1:
-                    mat = left_compose_matrix(other, y_src, n - 1, y_basis, rows)
-                else:
-                    mat = right_compose_matrix(other, y_tgt, n - 1, y_basis, rows)
-                mat = mat.scale(-k)
-                blocks[cj] = blocks[cj] + mat if cj in blocks else mat
-    return columns, equations
+                u = 2 + lows.index(y)
+                blocks = dict(assign[w.factors[1 - pos]].blocks)
+                for c, (deg, i, j) in enumerate(columns[u][3], col0[u]):
+                    # a c takes column j of a's block to (deg, i, .), c b
+                    # takes row i of b's block to (deg, ., j)
+                    a = blocks.get(deg + n - 1 if pos else deg)
+                    if a is None:
+                        continue
+                    for x, v in enumerate(a.entries[j::a.cols] if pos else a.row(i)):
+                        if v:
+                            rows[at[(deg, i, x) if pos else (deg, x, j)]][c] -= k * v
+    b += [0] * (len(rows) - len(b))
+    return _closed(len(rows), col0[-1], tuple(chain.from_iterable(rows))), tuple(b), columns
 
 
 def _recalibrate(assign: dict[Generator, GradedMap], n: int,
@@ -485,10 +463,12 @@ def _recalibrate(assign: dict[Generator, GradedMap], n: int,
     The system is solvable whenever the tower extends, so failure raises
     InternalConsistencyError rather than returning partial data.
     """
-    got = _solve_block_system(*_joint_system(assign, n, rhs))
-    if got is None:
+    matrix, b, columns = _joint_system(assign, n, rhs)
+    sol = solve_integer(matrix, b)
+    if sol is None:
         raise InternalConsistencyError(f"joint correction system unsolvable at index {n}")
-    x, y, phi, psi = got
+    rest = iter(sol)
+    x, y, phi, psi = (vec_to_map(*block, tuple(islice(rest, len(block[3])))) for block in columns)
     assign[gen("f", n - 1)] += phi
     assign[gen("g", n - 1)] += psi
     return [x, y]

@@ -442,6 +442,23 @@ def test_cli_fixture_refuses_negative_sizes(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["fixture", "--seed", "\u0663"], "argument --seed: invalid int value: '\u0663'"),
+    (["fixture", "--filtration", "\u0663"], "argument --filtration: invalid int value: '\u0663'"),
+    (["fixture", "--ranks", "\u0663,1"], "--ranks takes two comma-separated integers"),
+    (["extend", "--cap", "\u0663"], "argument --cap: invalid int value: '\u0663'"),
+])
+def test_cli_integer_options_refuse_non_ascii_digits(tmp_path, capsys, args, message):
+    # int() reads an Arabic-Indic three as 3; the options take ASCII only,
+    # as --caps does
+    out = tmp_path / "out.json"
+    if args[0] == "extend":
+        args = [*args, "--he", write_doc(tmp_path, "he.json", layered_she_fixture()[0])]
+    assert main([*args, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_usage_error_exit_code(capsys):
     assert main(["bpl", "--sdr"]) == 1
     assert main(["nonsense"]) == 1

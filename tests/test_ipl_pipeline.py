@@ -32,6 +32,7 @@ from pertlab.she_obstruction import (
     modify_homotopy_h,
     she_from_he,
     tower_assignment,
+    tower_generators,
     trivial_extension,
     validate_he,
     validate_she,
@@ -83,6 +84,26 @@ def test_action_checks_intertwining():
             entry(forged, p)
     with pytest.raises(ValueError, match="assignment of f2 does not intertwine"):
         OperadAction(he.M, he.N, {XBAR: p.delta, **tower_assignment(forged)})
+
+
+def test_action_from_she_checks_each_identity_once(monkeypatch):
+    he = he_fixture(3)
+    tower = extend_to_she(he, 1)
+    p = weight_raising_perturbation(4, he.M)
+    seen = []
+    real = she_obstruction._tower_rhs
+
+    def counted(z, *args):
+        seen.append(z)
+        return real(z, *args)
+
+    monkeypatch.setattr(she_obstruction, "_tower_rhs", counted)
+    act = action_from_she(tower, p)
+    # the tower check evaluates f0 ... g3 once each; xb's identity is the
+    # perturbation check's (d + delta)^2 = 0
+    assert seen == list(tower_generators(1))
+    monkeypatch.undo()
+    assert act == OperadAction(he.M, he.N, {XBAR: p.delta, **tower_assignment(tower)})
 
 
 def test_action_refuses_filtration_lowering_maps():

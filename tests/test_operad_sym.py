@@ -31,7 +31,6 @@ from pertlab.operad_sym import (
     retraction_r,
     retraction_terms,
     single,
-    split_homogeneity,
     theta,
     verify_identity_suite,
     word,
@@ -40,7 +39,6 @@ from pertlab.operad_sym import (
 from pertlab.operad_sym import (
     _ambient_generators,
     _identity_free_diff,
-    _length_drop_table,
     _retraction_of_generator,
 )
 
@@ -325,18 +323,12 @@ def test_powers_of_the_dot_generator():
             assert d.is_zero()
 
 
-def test_split_homogeneity_frozen():
-    minus, plus = split_homogeneity(single("riso", word(gen("f", 1), gen("f", 1))))
-    # the identity parts of the two d(f1) factors cancel against each other
-    assert minus.is_zero()
+def test_identity_free_diff_frozen():
+    e = single("riso", word(gen("f", 1), gen("f", 1)))
+    plus = diff(e, _table=_identity_free_diff)
     assert render_element(plus) == "g0 f0 f1 - f1 g0 f0"
-
-
-@settings(max_examples=80, deadline=None)
-@given(small_elements("riso"))
-def test_split_homogeneity_recombines(e):
-    minus, plus = split_homogeneity(e)
-    assert minus + plus == diff(e)
+    # the identity parts of the two d(f1) factors cancel against each other
+    assert plus == diff(e)
 
 
 # --- contracting homotopy and quotients --------------------------------------
@@ -669,19 +661,41 @@ def test_identity_suite_reads_the_retraction_images_it_memoizes(monkeypatch, pla
         failing.get(c.name, (c.name, True, "ok")) for c in report]
 
 
+def test_retraction_table_refuses_an_image_with_the_wrong_colours(monkeypatch):
+    # fb2 runs from B to W; a planted image f1 runs from B to B, so the
+    # product g0 f1 in the image of g0 fb2 would not compose
+    real = operad_sym._retraction_of_generator
+
+    def planted_image(z, caps):
+        return single("dif_riso", word(gen("f", 1))) if z == gen("fb", 2) else real(z, caps)
+
+    monkeypatch.setattr(operad_sym, "_retraction_of_generator", planted_image)
+    operad_sym._retraction_table.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="^retraction image of fb2 has a term f1 from B to B, not B to W$"):
+            retraction_r(single("riso_tilde", word(gen("g", 0), gen("fb", 2))), TruncationCaps(2, 3, 1, 5))
+    finally:
+        operad_sym._retraction_table.cache_clear()
+
+
+@pytest.mark.slow
+def test_identity_suite_passes_at_high_caps():
+    # the strongest check of the retraction_terms rule at high indices;
+    # about 20 s, so it runs only under -m slow
+    report = verify_identity_suite(TruncationCaps(6, 7, 4, 12))
+    assert [c for c in report if not c.passed] == []
+
+
 @settings(max_examples=200, deadline=None)
 @given(tilde_elements() | tilde_elements("riso"))
 def test_diff_and_theta_equal_the_checked_construction(e):
-    tables = [generator_diff, _identity_free_diff, _length_drop_table]
+    tables = [generator_diff, _identity_free_diff]
     for got, want in [(diff(e), ref_diff(e, generator_diff))] + [
             (diff(e, _table=t), ref_diff(e, t)) for t in tables]:
         assert got.ambient == want.ambient
         assert _all_term_fields(got) == _all_term_fields(want)
     if e.ambient == "riso":
         assert _all_term_fields(theta(e)) == _all_term_fields(ref_theta(e))
-        minus, plus = split_homogeneity(e)
-        assert _all_term_fields(minus) == _all_term_fields(ref_diff(e, _length_drop_table))
-        assert _all_term_fields(plus) == _all_term_fields(ref_diff(e, _identity_free_diff))
 
 
 def test_iota_reuses_the_canonical_terms():

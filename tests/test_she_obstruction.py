@@ -10,9 +10,8 @@ from pertlab.chaincore import (
     hom_basis,
     hom_complex,
     hom_differential,
-    left_compose_matrix,
     map_to_vec,
-    right_compose_matrix,
+    vec_to_map,
 )
 from pertlab.fixtures import (
     cone_retract_sdr,
@@ -245,6 +244,35 @@ def _column_select(mat, keep):
     return IntMatrix(mat.rows, len(keep), tuple(mat.entry(r, c) for r in range(mat.rows) for c in keep))
 
 
+def _composite_matrix(apply, src, tgt, k, basis_in, basis_out):
+    """Matrix of f |-> apply(f) on the degree-k maps src -> tgt spanned by
+    basis_in, in basis_out coordinates: column c is apply of basis map c."""
+    units = [tuple(int(t == c) for t in range(len(basis_in))) for c in range(len(basis_in))]
+    cols = [map_to_vec(apply(vec_to_map(src, tgt, k, basis_in, e)), basis_out) for e in units]
+    return IntMatrix(len(basis_out), len(cols), tuple(col[r] for r in range(len(basis_out)) for col in cols))
+
+
+def _left(u, m, k, basis_in, basis_out):
+    return _composite_matrix(lambda f: compose(u, f), m, u.source, k, basis_in, basis_out)
+
+
+def _right(u, n, k, basis_in, basis_out):
+    return _composite_matrix(lambda f: compose(f, u), u.target, n, k, basis_in, basis_out)
+
+
+def _assembled(columns, equations):
+    """The stacked system of block equations (row count, {column block:
+    matrix}, rhs), as (matrix, right-hand side, column blocks)."""
+    widths = [len(basis) for *_, basis in columns]
+    flat, b = [], []
+    for row_dim, blocks, rhs in equations:
+        for r in range(row_dim):
+            for ci, w in enumerate(widths):
+                flat += blocks[ci].row(r) if ci in blocks else (0,) * w
+        b += rhs
+    return IntMatrix(len(b), sum(widths), tuple(flat)), tuple(b), columns
+
+
 def _old_even_system(he, m, rhs_f, rhs_g):
     """Reference: the hand-written block system of the even joint step at
     index 2m, correcting H_{2m-1} by phi and L_{2m-1} by psi."""
@@ -260,13 +288,13 @@ def _old_even_system(he, m, rhs_f, rhs_g):
     b_y = hom_basis(N, M, k - 1)
     eq1 = (len(b_x), {
         0: _column_select(hom_complex(M, N, k).differential_matrix, keep_x),
-        2: -left_compose_matrix(F0, M, k - 1, fb_phi, b_x),
-        3: right_compose_matrix(F0, N, k - 1, fb_psi, b_x),
+        2: -_left(F0, M, k - 1, fb_phi, b_x),
+        3: _right(F0, N, k - 1, fb_psi, b_x),
     }, map_to_vec(rhs_f, b_x))
     eq2 = (len(b_y), {
         1: _column_select(hom_complex(N, M, k).differential_matrix, keep_y),
-        2: right_compose_matrix(G0, M, k - 1, fb_phi, b_y),
-        3: -left_compose_matrix(G0, N, k - 1, fb_psi, b_y),
+        2: _right(G0, M, k - 1, fb_phi, b_y),
+        3: -_left(G0, N, k - 1, fb_psi, b_y),
     }, map_to_vec(rhs_g, b_y))
     eq3_rows = len(hom_basis(M, M, k - 2))
     eq4_rows = len(hom_basis(N, N, k - 2))
@@ -274,7 +302,7 @@ def _old_even_system(he, m, rhs_f, rhs_g):
            (0,) * eq3_rows)
     eq4 = (eq4_rows, {3: _column_select(hom_complex(N, N, k - 1).differential_matrix, keep_psi)},
            (0,) * eq4_rows)
-    return columns, [eq1, eq2, eq3, eq4]
+    return _assembled(columns, [eq1, eq2, eq3, eq4])
 
 
 def _old_odd_system(he, m, rhs_h, rhs_l):
@@ -292,13 +320,13 @@ def _old_odd_system(he, m, rhs_h, rhs_l):
     b_y = hom_basis(N, N, k - 1)
     eq1 = (len(b_x), {
         0: _column_select(hom_complex(M, M, k).differential_matrix, keep_x),
-        2: -left_compose_matrix(G0, M, k - 1, fb_phi, b_x),
-        3: -right_compose_matrix(F0, M, k - 1, fb_psi, b_x),
+        2: -_left(G0, M, k - 1, fb_phi, b_x),
+        3: -_right(F0, M, k - 1, fb_psi, b_x),
     }, map_to_vec(rhs_h, b_x))
     eq2 = (len(b_y), {
         1: _column_select(hom_complex(N, N, k).differential_matrix, keep_y),
-        2: -right_compose_matrix(G0, N, k - 1, fb_phi, b_y),
-        3: -left_compose_matrix(F0, N, k - 1, fb_psi, b_y),
+        2: -_right(G0, N, k - 1, fb_phi, b_y),
+        3: -_left(F0, N, k - 1, fb_psi, b_y),
     }, map_to_vec(rhs_l, b_y))
     eq3_rows = len(hom_basis(M, N, k - 2))
     eq4_rows = len(hom_basis(N, M, k - 2))
@@ -306,7 +334,7 @@ def _old_odd_system(he, m, rhs_h, rhs_l):
            (0,) * eq3_rows)
     eq4 = (eq4_rows, {3: _column_select(hom_complex(N, M, k - 1).differential_matrix, keep_psi)},
            (0,) * eq4_rows)
-    return columns, [eq1, eq2, eq3, eq4]
+    return _assembled(columns, [eq1, eq2, eq3, eq4])
 
 
 def _tower_below(he, n):
