@@ -12,11 +12,20 @@ before each timed call.  Each hom-complex case also prints the time of one
 `hom_complex` build of its matrix (the `chaincore` layer's own number;
 `hom_complex` keeps no cache, so every build is cold).
 
+A last line totals the cold `cokernel_invariants` times over the matrices
+a tower lift eliminates: the filtered differentials of degree k = 2, 3
+between the two sides (M and N, either way and each to itself) of
+`cone_retract_sdr(5, c, c // 2, 4)` for c = 10..17, the best of five
+passes.
+
     PYTHONPATH=src python3 scripts/run_snf_cases.py
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import platform
 import random
 import sys
 import time
@@ -25,6 +34,7 @@ from pertlab import exactlin
 from pertlab.chaincore import hom_complex
 from pertlab.exactlin import IntMatrix
 from pertlab.fixtures import cone_retract_sdr
+from pertlab.she_obstruction import _filtered_differential
 
 
 def cases() -> list[tuple[str, IntMatrix, float | None]]:
@@ -47,7 +57,17 @@ def cold(fn, *args) -> tuple[object, float]:
     return result, time.perf_counter() - t0
 
 
+def filtered_differentials() -> list[IntMatrix]:
+    out = []
+    for c in range(10, 18):
+        s = cone_retract_sdr(5, c, c // 2, 4)
+        for (src, tgt), k in itertools.product(itertools.product((s.M, s.N), repeat=2), (2, 3)):
+            out.append(_filtered_differential(src, tgt, k)[1])
+    return out
+
+
 def main() -> int:
+    print(f"python={platform.python_version()} nproc={os.cpu_count()}")
     print(f"{'case':20s} {'shape':>8s} {'rank':>5s} {'bits':>7s} {'hom_s':>7s} {'solve_s':>8s} {'cokernel_s':>10s}")
     ok = True
     rng = random.Random(1)
@@ -60,6 +80,13 @@ def main() -> int:
         bits = max(abs(e).bit_length() for e in dec.U.entries + dec.V.entries)
         hom = "-" if t_hom is None else f"{t_hom:.3f}"
         print(f"{name:20s} {a.rows:>3d}x{a.cols:<4d} {dec.rank:5d} {bits:7d} {hom:>7s} {t_solve:8.3f} {t_coker:10.3f}")
+    mats = filtered_differentials()
+    total = min(sum(cold(exactlin.cokernel_invariants, a)[1] for a in mats) for _ in range(5))
+    nonzeros = sum(map(bool, itertools.chain.from_iterable(a.entries for a in mats)))
+    cells = sum(len(a.entries) for a in mats)
+    print(f"filtered D_k, k=2,3, c=10..17: {len(mats)} matrices, up to {max(a.rows for a in mats)}"
+          f"x{max(a.cols for a in mats)}, {nonzeros} of {cells} entries nonzero, "
+          f"cold cokernel_s total {total:.3f}")
     print("solutions verified" if ok else "A x != b on some case")
     return 0 if ok else 1
 

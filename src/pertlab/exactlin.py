@@ -3,14 +3,14 @@
 Everything here is dense arithmetic over Python's unbounded integers.  No
 floating point is ever introduced; intermediate entries during a Smith
 reduction can exceed any fixed-width type even for small inputs, which is
-why the matrix type refuses anything that is not an ``int``.
+why the matrix type and ``solve_integer`` refuse anything not an ``int``.
 
 One cached elimination serves every entry point.  Its pivot policy is
 fixed (smallest nonzero absolute value, ties by smallest (row, col)), so
-it is deterministic and reproducible.  It keeps the transforms as logs of
-the row and column operations it made, not as matrices: solves replay the
-logs on vectors, cokernels read the diagonal alone, and only
-``smith_normal_form`` builds matrices from the logs.
+it is deterministic and reproducible.  Its scans skip zeros (``_eliminate``)
+and it keeps the transforms as logs of the row and column operations it
+made, not as matrices: solves replay the logs on vectors, cokernels read
+the diagonal alone, and only ``smith_normal_form`` builds matrices from them.
 
 ``smith_normal_form``
     U * A * V = S with U, V unimodular and S diagonal, entries nonnegative,
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, neg, sub
+from operator import add, itemgetter, neg, sub
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,20 +189,19 @@ class AbelianGroupInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def _pivot(s: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] | None:
+def _pivot(s: list[list[int]], t: int) -> tuple[int, int] | None:
     # smallest nonzero |entry| in the trailing submatrix; ties by (row, col)
     best: tuple[int, int, int] | None = None
-    for i in range(t, rows):
-        srow = s[i]
-        for j in range(t, cols):
-            v = srow[j]
-            if v:
-                a = -v if v < 0 else v
-                if best is None or a < best[0]:
-                    best = (a, i, j)
-                    if a == 1:
-                        return (i, j)
-    return None if best is None else (best[1], best[2])
+    for i in range(t, len(s)):
+        seg = s[i][t:]
+        if any(seg):
+            mags = list(map(abs, seg))
+            a = min(filter(None, mags))
+            if best is None or a < best[0]:
+                best = (a, i, t + mags.index(a))
+                if a == 1:
+                    break
+    return None if best is None else best[1:]
 
 
 @lru_cache(maxsize=4096)
@@ -214,6 +213,11 @@ def _eliminate(a: IntMatrix) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[
     dst, src, q)`` for line dst += q * line src, and, for rows only,
     ``("neg", i)``.  Each step touches only the trailing submatrix: the
     rows and columns before it are already cleared.
+
+    The scans skip zeros: the pivot search passes over zero rows and reads
+    the others at C speed, and a row operation touches only the pivot row's
+    nonzeros.  Row t is cleared after column t, when the pivot is column t's
+    only nonzero, so adding q times column t to column j changes s[t][j] only.
     """
     rows, cols = a.rows, a.cols
     s = a.to_rows()
@@ -230,24 +234,10 @@ def _eliminate(a: IntMatrix) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[
             sr[j], sr[k] = sr[k], sr[j]
         col_log.append(("swap", j, k))
 
-    def add_row(dst: int, src: int, q: int) -> None:
-        sd, ss = s[dst], s[src]
-        for j in range(t, cols):
-            if ss[j]:
-                sd[j] += q * ss[j]
-        row_log.append(("add", dst, src, q))
-
-    def add_col(dst: int, src: int, q: int) -> None:
-        for r in range(t, rows):
-            sr = s[r]
-            if sr[src]:
-                sr[dst] += q * sr[src]
-        col_log.append(("add", dst, src, q))
-
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        pos = _pivot(s, t, rows, cols)
+        pos = _pivot(s, t)
         if pos is None:
             break
         i, j = pos
@@ -256,30 +246,36 @@ def _eliminate(a: IntMatrix) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[
         if j != t:
             swap_cols(t, j)
         while True:
-            p = s[t][t]
+            row = s[t]
+            p = row[t]
+            # the pivot row's nonzeros, (t, p) first: columns before t are clear
+            support = list(filter(itemgetter(1), enumerate(row)))
             # clear column t below the pivot
             dirty = False
             for i in range(t + 1, rows):
-                if s[i][t]:
-                    q = s[i][t] // p
+                r = s[i]
+                if r[t]:
+                    q = r[t] // p
                     if q:
-                        add_row(i, t, -q)
-                    if s[i][t]:
+                        for j, v in support:
+                            r[j] -= q * v
+                        row_log.append(("add", i, t, -q))
+                    if r[t]:
                         swap_rows(t, i)
                         dirty = True
                         break
             if dirty:
                 continue
             # clear row t right of the pivot
-            for j in range(t + 1, cols):
-                if s[t][j]:
-                    q = s[t][j] // p
-                    if q:
-                        add_col(j, t, -q)
-                    if s[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
+            for j, v in support[1:]:
+                q = v // p
+                if q:
+                    row[j] = v - q * p
+                    col_log.append(("add", j, t, -q))
+                if row[j]:
+                    swap_cols(t, j)
+                    dirty = True
+                    break
             if dirty:
                 continue
             # make the pivot divide the whole trailing submatrix (a unit does)
@@ -288,7 +284,8 @@ def _eliminate(a: IntMatrix) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[
             stuck = next((i for i in range(t + 1, rows) if any(x % p for x in s[i][t + 1:])), None)
             if stuck is None:
                 break
-            add_row(t, stuck, 1)
+            s[t] = list(map(add, row, s[stuck]))
+            row_log.append(("add", t, stuck, 1))
         if s[t][t] < 0:
             s[t][t] = -s[t][t]
             row_log.append(("neg", t))
@@ -362,8 +359,11 @@ def solve_integer(a: IntMatrix, b: tuple[int, ...]) -> tuple[int, ...] | None:
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length does not match row count")
+    for x in b:
+        if type(x) is not int:
+            raise TypeError(f"right-hand side entry {x!r} is not an int")
     diagonal, row_log, col_log = _eliminate(a)
-    c = _apply_row_log(row_log, [int(x) for x in b])
+    c = _apply_row_log(row_log, list(b))
     y = [0] * a.cols
     for i, ci in enumerate(c):
         if i < len(diagonal):

@@ -15,6 +15,7 @@ from pertlab.exactlin import (
     solve_integer,
 )
 from pertlab.fixtures import cone_retract_sdr, he_fixture
+from pertlab.she_obstruction import _filtered_differential
 
 
 def matrices(max_dim=6, max_entry=9):
@@ -96,6 +97,13 @@ def test_solve_frozen_example():
 
 def test_solve_absent_is_a_value():
     assert solve_integer(IntMatrix.from_rows([[2]]), (1,)) is None
+
+
+@pytest.mark.parametrize("b", [(2.7, 1), ("4", 1), (True, 1), (2, 1.0), (Fraction(2), 1)])
+def test_solve_refuses_right_hand_sides_that_are_not_ints(b):
+    # an int() cast would answer another system: (2.7, 1) as (2, 1), "4" as 4
+    with pytest.raises(TypeError, match="is not an int"):
+        solve_integer(IntMatrix.from_rows([[2, 0], [0, 1]]), b)
 
 
 @settings(max_examples=200)
@@ -261,8 +269,20 @@ def test_smith_diagonal_matches_sympy(a):
 
 # The dense elimination that builds both transforms as it goes, kept as the
 # reference for the elimination log: the same operations, applied to U and V
-# directly, so every result must agree field by field.  It shares _pivot, so
-# it checks the logs and their replay, not the pivot policy.
+# directly, so every result must agree field by field.  It scans for pivots
+# on its own, every cell of the trailing submatrix, so it checks the pivot
+# policy as well as the logs and their replay.
+
+
+def reference_pivot(s, t, rows, cols):
+    """The smallest nonzero |entry| of the trailing submatrix, ties by
+    (row, col): the first such cell in row-major order."""
+    best = None
+    for i in range(t, rows):
+        for j in range(t, cols):
+            if s[i][j] and (best is None or abs(s[i][j]) < best[0]):
+                best = (abs(s[i][j]), i, j)
+    return None if best is None else best[1:]
 
 
 def reference_smith(a):
@@ -302,7 +322,7 @@ def reference_smith(a):
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        pos = exactlin._pivot(s, t, rows, cols)
+        pos = reference_pivot(s, t, rows, cols)
         if pos is None:
             break
         i, j = pos
@@ -423,6 +443,22 @@ def elimination_inputs(draw):
 @given(elimination_inputs())
 def test_elimination_log_matches_the_dense_reference(case):
     assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_elimination_matches_the_dense_reference_at_hom_complex_scale(seed):
+    """The shapes the tower lifts eliminate, which the strategy above never
+    draws: the filtered differentials of degree k = 2, 3 between the sides
+    of a core-rank-12 retract (three degrees at seed 0, four at seed 5),
+    up to 143x15, tall, a few percent nonzero, with many empty rows."""
+    s = cone_retract_sdr(seed, 12, 6, 4)
+    shapes = []
+    for (src, tgt), k in itertools.product(itertools.product((s.M, s.N), repeat=2), (2, 3)):
+        a = _filtered_differential(src, tgt, k)[1]
+        assert_matches_reference(a, tuple(j % 7 - 3 for j in range(a.cols)))
+        empty_rows = sum(1 for i in range(a.rows) if not any(a.row(i)))
+        shapes.append((a.rows, a.cols, empty_rows, sum(map(bool, a.entries))))
+    assert any(r >= 4 * c > 0 and e >= r // 3 and 25 * nz < r * c for r, c, e, nz in shapes)
 
 
 def test_elimination_log_fixed_cases_run_every_branch():
