@@ -4,7 +4,7 @@ Subpackages are organized bottom-up; each imports only from lower layers:
 
 - exactlin: integer matrices, Smith normal form, homology invariants
 - chaincore: filtered chain complexes, graded maps, hom complexes (the hom
-  differential is built from the composition matrices of the differentials)
+  differential is built from the nonzeros of the differentials)
 - operad_sym: the symbolic two-colored operad engine
 - sdr_bpl: strong deformation retracts and the basic perturbation lemma
 - she_obstruction: homotopy equivalences, obstruction classes, extension;

@@ -250,12 +250,6 @@ def filtration_shift(f: GradedMap) -> int:
     return best
 
 
-def is_perturbation(f: GradedMap, g: GradedMap) -> bool:
-    """True when f - g strictly raises the filtration."""
-    _same_hom(f, g)
-    return filtration_shift(f - g) >= 1
-
-
 def hom_differential(f: GradedMap) -> GradedMap:
     """D(f) = d o f - (-1)^deg(f) f o d; the package-wide convention.
 
@@ -279,10 +273,6 @@ def hom_differential(f: GradedMap) -> GradedMap:
             right = -right
         parts[n + 1] = parts[n + 1] + right if n + 1 in parts else right
     return GradedMap.from_blocks(src, tgt, k - 1, parts)
-
-
-def is_chain_map(f: GradedMap) -> bool:
-    return hom_differential(f).is_zero()
 
 
 def hom_basis(m: ChainComplex, n: ChainComplex, k: int) -> tuple[tuple[int, int, int], ...]:

@@ -18,7 +18,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from . import cli_io, fixtures
+from . import fixtures
 from .chaincore import ChainComplex, GradedMap, validate_complex
 from .cli_io import DocumentError, parse_document, serialize_bundle, serialize_document
 from .ipl_pipeline import action_from_she, evaluate, ipl_perturb, solve_pp
@@ -76,8 +76,8 @@ def _load(path: str, want: type, what: str):
     return obj
 
 
-def _write_out(path: str | None, obj, report: dict) -> None:
-    text = serialize_document(obj)
+def _write_out(path: str | None, text: str, report: dict) -> None:
+    """Write text to the file at path (noted in the report), or to stdout."""
     if path:
         Path(path).write_text(text, encoding="utf-8")
         report["output_file"] = path
@@ -96,11 +96,8 @@ _VALIDATORS = {
 
 def _cmd_validate(args, report: dict) -> int:
     obj = parse_document(Path(args.file).read_text(encoding="utf-8"))
-    problems: list[str] = []
-    for klass, check in _VALIDATORS.items():
-        if isinstance(obj, klass):
-            problems = check(obj)
-            break
+    # maps and operad elements have no validator: parsing checked them
+    problems = _VALIDATORS[type(obj)](obj) if type(obj) in _VALIDATORS else []
     report["kind"] = type(obj).__name__
     report["problems"] = problems
     for line in problems:
@@ -115,7 +112,7 @@ def _cmd_bpl(args, report: dict) -> int:
     s = _load(args.sdr, SdrData, "sdr")
     p = _load(args.delta, Perturbation, "perturbation")
     out = bpl_transfer(s, p)
-    _write_out(args.out, out, report)
+    _write_out(args.out, serialize_document(out), report)
     return EXIT_OK
 
 
@@ -145,7 +142,7 @@ def _cmd_obstruction(args, report: dict) -> int:
 def _cmd_modify(args, report: dict) -> int:
     he = _load(args.he, HeData, "he")
     modified, pair = modification_witnesses(he, args.which)
-    _write_out(args.out, modified, report)
+    _write_out(args.out, serialize_document(modified), report)
     report["cycle_m_zero"] = pair.cycle_m.is_zero()
     report["cycle_n_zero"] = pair.cycle_n.is_zero()
     return EXIT_OK
@@ -154,7 +151,7 @@ def _cmd_modify(args, report: dict) -> int:
 def _cmd_extend(args, report: dict) -> int:
     he = _load(args.he, HeData, "he")
     she = extend_to_she(he, args.cap)
-    _write_out(args.out, she, report)
+    _write_out(args.out, serialize_document(she), report)
     return EXIT_OK
 
 
@@ -162,7 +159,7 @@ def _cmd_ipl(args, report: dict) -> int:
     she = _load(args.she, SheData, "she")
     p = _load(args.delta, Perturbation, "perturbation")
     out = ipl_perturb(she, p)
-    _write_out(args.out, out.she, report)
+    _write_out(args.out, serialize_document(out.she), report)
     report["caps"] = dataclasses.asdict(out.provenance)
     return EXIT_OK
 
@@ -173,7 +170,7 @@ def _cmd_pp(args, report: dict) -> int:
     strategy = args.strategy.replace("-", "_")
     sol = solve_pp(he, p, strategy)
     quad = HeData(sol.m_perturbed, sol.n_perturbed, sol.f_tilde, sol.g_tilde, sol.h_tilde, sol.l_tilde)
-    _write_out(args.out, quad, report)
+    _write_out(args.out, serialize_document(quad), report)
     report["shifts"] = sol.shifts
     return EXIT_OK
 
@@ -212,12 +209,7 @@ def _cmd_fixture(args, report: dict) -> int:
     except (ValueError, argparse.ArgumentTypeError):
         raise _UsageError("--ranks takes two comma-separated integers") from None
     docs = fixtures.fixture_generate(args.seed, (a, b), args.filtration)
-    text = serialize_bundle(docs)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        report["output_file"] = args.out
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, serialize_bundle(docs), report)
     return EXIT_OK
 
 

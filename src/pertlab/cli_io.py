@@ -19,9 +19,9 @@ import re
 
 from .chaincore import ChainComplex, GradedMap
 from .exactlin import IntMatrix
-from .operad_sym import OperadElement, parse_element, render_element
+from .operad_sym import OperadElement, gen, parse_element, render_element
 from .sdr_bpl import Perturbation, SdrData
-from .she_obstruction import HeData, SheData
+from .she_obstruction import _LAYOUT, HeData, SheData, _hom_space, tower_generators
 
 FORMAT_VERSION = "1"
 KINDS = ("complex", "map", "sdr", "he", "she", "perturbation", "operad-element")
@@ -176,6 +176,7 @@ def _map_body(f: GradedMap) -> dict:
 
 
 def _map_from_body(body, src: ChainComplex, tgt: ChainComplex, where: str) -> GradedMap:
+    """A map in canonical form only: nonzero blocks in increasing degree."""
     if type(body) is not dict:
         raise DocumentError(f"{where}: expected an object")
     _require_keys(body, {"degree", "blocks"}, where)
@@ -189,18 +190,23 @@ def _map_from_body(body, src: ChainComplex, tgt: ChainComplex, where: str) -> Gr
             raise DocumentError(f"{where}.blocks[{t}]: expected an object")
         _require_keys(item, {"at", "rows"}, f"{where}.blocks[{t}]")
         n = _int(item["at"], f"{where}.blocks[{t}].at")
-        if n in blocks:
-            raise DocumentError(f"{where}.blocks[{t}]: duplicate block at degree {n}")
-        blocks[n] = _rows_to_matrix(
-            item["rows"], tgt.rank_at(n + degree), src.rank_at(n), f"{where}.blocks[{t}]"
-        )
-    try:
-        return GradedMap.from_blocks(src, tgt, degree, blocks)
-    except ValueError as e:
-        raise DocumentError(f"{where}: {e}") from None
+        if blocks and n <= max(blocks):
+            raise DocumentError(f"{where}.blocks[{t}]: degree {n} does not follow degree {max(blocks)}")
+        m = _rows_to_matrix(item["rows"], tgt.rank_at(n + degree), src.rank_at(n), f"{where}.blocks[{t}]")
+        if m.is_zero():
+            raise DocumentError(f"{where}.blocks[{t}]: zero block at degree {n}")
+        blocks[n] = m
+    return GradedMap.from_blocks(src, tgt, degree, blocks)
 
 
-# kind payloads
+# kind payloads.  The maps of sdr, he and she documents follow the tower
+# layout of she_obstruction: an sdr holds f, g, h and an he also l, the
+# components of f_0, g_0, f_1, g_1; a she list holds one (family, parity)
+# of the layout, entry t being the generator of index 2t + parity.
+
+_SHE_LISTS = {name.lower(): (name, layout) for layout, name in _LAYOUT.items()}
+# kind -> (type, payload keys besides "big" and "small")
+_TOWERS = {"sdr": (SdrData, "fgh"), "he": (HeData, "fghl"), "she": (SheData, ("index_cap", *_SHE_LISTS))}
 
 
 def _payload(obj) -> tuple[str, dict]:
@@ -212,33 +218,16 @@ def _payload(obj) -> tuple[str, dict]:
             "target": _complex_body(obj.target),
             **_map_body(obj),
         }
-    if isinstance(obj, SdrData):
-        return "sdr", {
-            "big": _complex_body(obj.M),
-            "small": _complex_body(obj.N),
-            "f": _map_body(obj.F),
-            "g": _map_body(obj.G),
-            "h": _map_body(obj.H),
-        }
-    if isinstance(obj, HeData):
-        return "he", {
-            "big": _complex_body(obj.M),
-            "small": _complex_body(obj.N),
-            "f": _map_body(obj.F),
-            "g": _map_body(obj.G),
-            "h": _map_body(obj.H),
-            "l": _map_body(obj.L),
-        }
-    if isinstance(obj, SheData):
-        return "she", {
-            "big": _complex_body(obj.M),
-            "small": _complex_body(obj.N),
-            "index_cap": obj.index_cap,
-            "f_even": [_map_body(f) for f in obj.F_even],
-            "g_even": [_map_body(f) for f in obj.G_even],
-            "h_odd": [_map_body(f) for f in obj.H_odd],
-            "l_odd": [_map_body(f) for f in obj.L_odd],
-        }
+    for kind, (cls, keys) in _TOWERS.items():
+        if isinstance(obj, cls):
+            body = {"big": _complex_body(obj.M), "small": _complex_body(obj.N)}
+            if cls is SheData:
+                body["index_cap"] = obj.index_cap
+                body.update((key, [_map_body(f) for f in getattr(obj, name)])
+                            for key, (name, _) in _SHE_LISTS.items())
+            else:
+                body.update((key, _map_body(getattr(obj, key.upper()))) for key in keys)
+            return kind, body
     if isinstance(obj, Perturbation):
         return "perturbation", {
             "base": _complex_body(obj.base),
@@ -252,27 +241,56 @@ def _payload(obj) -> tuple[str, dict]:
     raise TypeError(f"no document kind for {type(obj).__name__}")
 
 
-def serialize_document(obj) -> str:
+def _envelope(obj) -> dict:
     kind, payload = _payload(obj)
-    env = {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
-    return json.dumps(env, indent=2, sort_keys=True) + "\n"
+    return {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
 
 
-def _maps_list(body, key: str, src, tgt, degree_of, where: str) -> tuple[GradedMap, ...]:
-    raw = body[key]
+def serialize_document(obj) -> str:
+    return json.dumps(_envelope(obj), indent=2, sort_keys=True) + "\n"
+
+
+def serialize_bundle(documents: dict) -> str:
+    """A named set of envelopes in one file (the fixture generator's output)."""
+    body = {name: _envelope(obj) for name, obj in documents.items()}
+    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+def _maps_list(raw, family: str, parity: int, big, small, where: str) -> tuple[GradedMap, ...]:
     if type(raw) is not list:
-        raise DocumentError(f"{where}.{key}: expected a list")
+        raise DocumentError(f"{where}: expected a list")
     out = []
     for t, item in enumerate(raw):
-        f = _map_from_body(item, src, tgt, f"{where}.{key}[{t}]")
-        if f.degree != degree_of(t):
-            raise DocumentError(f"{where}.{key}[{t}]: degree {f.degree}, expected {degree_of(t)}")
+        z = gen(family, 2 * t + parity)
+        f = _map_from_body(item, *_hom_space(z, big, small), f"{where}[{t}]")
+        if f.degree != z.degree:
+            raise DocumentError(f"{where}[{t}]: degree {f.degree}, expected {z.degree}")
         out.append(f)
     return tuple(out)
 
 
+def _tower_from_body(body: dict, kind: str):
+    cls, keys = _TOWERS[kind]
+    _require_keys(body, {"big", "small", *keys}, "payload")
+    big = _complex_from_body(body["big"], "payload.big")
+    small = _complex_from_body(body["small"], "payload.small")
+    if cls is SheData:
+        cap = _int(body["index_cap"], "payload.index_cap")
+        return SheData(big, small, cap, **{
+            name: _maps_list(body[key], *layout, big, small, f"payload.{key}")
+            for key, (name, layout) in _SHE_LISTS.items()})
+    maps = (_map_from_body(body[key], *_hom_space(z, big, small), f"payload.{key}")
+            for key, z in zip(keys, tower_generators(0)))
+    return cls(big, small, *maps)
+
+
 def parse_document(text: str):
-    """Parse one envelope into its typed object (see KINDS)."""
+    """Parse one envelope into its typed object (see KINDS).
+
+    Only canonical content parses (canonical matrix entries, nonzero map
+    blocks in increasing degree, operad elements in normal form), so a
+    document in the layout ``serialize_document`` writes comes back byte
+    for byte."""
     _reject_float_literals(text)
     try:
         env = json.loads(text)
@@ -302,41 +320,8 @@ def parse_document(text: str):
         return _map_from_body(
             {"degree": body["degree"], "blocks": body["blocks"]}, src, tgt, "payload"
         )
-    if kind == "sdr":
-        _require_keys(body, {"big", "small", "f", "g", "h"}, "payload")
-        big = _complex_from_body(body["big"], "payload.big")
-        small = _complex_from_body(body["small"], "payload.small")
-        return SdrData(
-            big, small,
-            _map_from_body(body["f"], big, small, "payload.f"),
-            _map_from_body(body["g"], small, big, "payload.g"),
-            _map_from_body(body["h"], big, big, "payload.h"),
-        )
-    if kind == "he":
-        _require_keys(body, {"big", "small", "f", "g", "h", "l"}, "payload")
-        big = _complex_from_body(body["big"], "payload.big")
-        small = _complex_from_body(body["small"], "payload.small")
-        return HeData(
-            big, small,
-            _map_from_body(body["f"], big, small, "payload.f"),
-            _map_from_body(body["g"], small, big, "payload.g"),
-            _map_from_body(body["h"], big, big, "payload.h"),
-            _map_from_body(body["l"], small, small, "payload.l"),
-        )
-    if kind == "she":
-        _require_keys(
-            body, {"big", "small", "index_cap", "f_even", "g_even", "h_odd", "l_odd"}, "payload"
-        )
-        big = _complex_from_body(body["big"], "payload.big")
-        small = _complex_from_body(body["small"], "payload.small")
-        cap = _int(body["index_cap"], "payload.index_cap")
-        return SheData(
-            big, small, cap,
-            _maps_list(body, "f_even", big, small, lambda t: 2 * t, "payload"),
-            _maps_list(body, "g_even", small, big, lambda t: 2 * t, "payload"),
-            _maps_list(body, "h_odd", big, big, lambda t: 2 * t + 1, "payload"),
-            _maps_list(body, "l_odd", small, small, lambda t: 2 * t + 1, "payload"),
-        )
+    if kind in _TOWERS:
+        return _tower_from_body(body, kind)
     if kind == "perturbation":
         _require_keys(body, {"base", "delta"}, "payload")
         base = _complex_from_body(body["base"], "payload.base")
@@ -350,15 +335,9 @@ def parse_document(text: str):
     if type(element_text) is not str:
         raise DocumentError("payload.element: expected a string")
     try:
-        return parse_element(element_text, ambient)
+        elem = parse_element(element_text, ambient)
     except ValueError as e:
         raise DocumentError(f"payload.element: {e}") from None
-
-
-def serialize_bundle(documents: dict) -> str:
-    """A named set of envelopes in one file (the fixture generator's output)."""
-    body = {}
-    for name in sorted(documents):
-        kind, payload = _payload(documents[name])
-        body[name] = {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+    if render_element(elem) != element_text:
+        raise DocumentError(f"payload.element: not in normal form, which is {render_element(elem)!r}")
+    return elem

@@ -27,7 +27,7 @@ from .chaincore import (
 )
 from .exactlin import IntMatrix
 from .sdr_bpl import Perturbation, SdrData, validate_perturbation, validate_sdr
-from .she_obstruction import HeData, validate_he
+from .she_obstruction import HeData, _hom_space, he_from_sdr, tower_generators, validate_he
 
 
 def build_complex(degree_lo, ranks, weights, diffs, max_weight) -> ChainComplex:
@@ -60,6 +60,19 @@ def interval_complex() -> ChainComplex:
     return build_complex(0, (1, 1), ((0,), (0,)), {1: [[1]]}, 0)
 
 
+def _unipotent_inverse(nu: IntMatrix) -> IntMatrix:
+    """(1 + nu)^-1 = 1 - nu + nu^2 - ... for a nilpotent square nu: an r x r
+    nilpotent matrix has nu^r = 0, so a longer series means nu is not one."""
+    inv = IntMatrix.identity(nu.rows)
+    power = nu
+    for k in range(1, nu.rows + 2):
+        if power.is_zero():
+            return inv
+        inv = inv + power.scale((-1) ** k)
+        power = power @ nu
+    raise AssertionError("the geometric series of a nilpotent map failed to terminate")
+
+
 def _unitriangular_automorphism(rng: random.Random, c: ChainComplex) -> tuple[GradedMap, GradedMap]:
     """A random filtered automorphism u = 1 + (strictly triangular part)
     together with its inverse, both of filtration shift >= 0.
@@ -81,20 +94,30 @@ def _unitriangular_automorphism(rng: random.Random, c: ChainComplex) -> tuple[Gr
             for b in range(a + 1, r):
                 if rng.random() < 0.5:
                     rows[order[a]][order[b]] = rng.choice((-2, -1, 1, 2))
-        u = IntMatrix.from_rows(rows)
-        nu = u - IntMatrix.identity(r)
-        inv = IntMatrix.identity(r)
-        power = nu
-        sign = -1
-        while not power.is_zero():
-            inv = inv + power.scale(sign)
-            power = power @ nu
-            sign = -sign
-        blocks[n] = u
-        inverse_blocks[n] = inv
+        blocks[n] = IntMatrix.from_rows(rows)
+        inverse_blocks[n] = _unipotent_inverse(blocks[n] - IntMatrix.identity(r))
     u_map = GradedMap.from_blocks(c, c, 0, blocks)
     u_inv = GradedMap.from_blocks(c, c, 0, inverse_blocks)
     return u_map, u_inv
+
+
+def _random_filtered_map(rng: random.Random, src: ChainComplex, tgt: ChainComplex,
+                         degree: int, min_shift: int) -> GradedMap:
+    """A random map of the given degree raising the filtration by at least
+    min_shift: block by block and row by row, each entry that may be
+    nonzero is, with probability 1/2, one of -2, -1, 1, 2."""
+    blocks: dict[int, IntMatrix] = {}
+    for n in src.degrees():
+        rs, rt = src.rank_at(n), tgt.rank_at(n + degree)
+        if rs == 0 or rt == 0:
+            continue
+        rows = [[0] * rs for _ in range(rt)]
+        for i in range(rt):
+            for j in range(rs):
+                if tgt.weight_at(n + degree, i) - src.weight_at(n, j) >= min_shift and rng.random() < 0.5:
+                    rows[i][j] = rng.choice((-2, -1, 1, 2))
+        blocks[n] = IntMatrix.from_rows(rows)
+    return GradedMap.from_blocks(src, tgt, degree, blocks)
 
 
 def _random_matched_differential(rng: random.Random, degree_lo: int, ranks, weights):
@@ -169,13 +192,12 @@ def _coned_sdr(core: ChainComplex, rng: random.Random, pairs: int, max_weight: i
     f_blocks: dict[int, IntMatrix] = {}
     g_blocks: dict[int, IntMatrix] = {}
     h_blocks: dict[int, IntMatrix] = {}
+    def unit(rows: int, cols: int) -> IntMatrix:  # the core's basis comes first in the big one
+        return IntMatrix(rows, cols, tuple(int(i == j) for i in range(rows) for j in range(cols)))
+
     for n in core.degrees():
-        rc = core.rank_at(n)
-        rb = big.rank_at(n)
-        f_rows = [[1 if i == j else 0 for j in range(rb)] for i in range(rc)]
-        g_rows = [[1 if i == j else 0 for j in range(rc)] for i in range(rb)]
-        f_blocks[n] = IntMatrix.from_rows(f_rows) if rc and rb else IntMatrix.zeros(rc, rb)
-        g_blocks[n] = IntMatrix.from_rows(g_rows) if rc and rb else IntMatrix.zeros(rb, rc)
+        f_blocks[n] = unit(core.rank_at(n), big.rank_at(n))
+        g_blocks[n] = unit(big.rank_at(n), core.rank_at(n))
     for k, ia, ib, sign in cone_slots:
         h = h_blocks.get(k)
         rows = [list(r) for r in h.to_rows()] if h else [[0] * big.rank_at(k) for _ in range(big.rank_at(k + 1))]
@@ -188,6 +210,26 @@ def _coned_sdr(core: ChainComplex, rng: random.Random, pairs: int, max_weight: i
         GradedMap.from_blocks(core, big, 0, g_blocks),
         GradedMap.from_blocks(big, big, 1, h_blocks),
     )
+
+
+def _conjugated(rng: random.Random, M: ChainComplex, N: ChainComplex, maps) -> list:
+    """M, N and ``maps`` conjugated by random filtered automorphisms u of M
+    and v of N, drawn in that order: d becomes u d u^-1 on M and v d v^-1
+    on N, and each map t f s^-1 for its source end s and target end t.
+
+    ``maps`` are the components of f_0, g_0, f_1 (and g_1), so each map's
+    ends are the roles that generator's colours give it, never looked up
+    by complex: M and N may be equal complexes with different automorphisms.
+    """
+    ends = []
+    for c in (M, N):
+        u, u_inv = _unitriangular_automorphism(rng, c)
+        ends.append((u, u_inv, complex_with_differential(c, compose(u, compose(c.differential_map(), u_inv)))))
+    out = [end[2] for end in ends]
+    for z, f in zip(tower_generators(0), maps):
+        (_, s_inv, src), (t, _, tgt) = _hom_space(z, *ends)
+        out.append(rebase(compose(t, compose(f, s_inv)), src, tgt))
+    return out
 
 
 def cone_retract_sdr(seed: int, core_rank: int = 3, cone_pairs: int = 2, max_weight: int | None = None) -> SdrData:
@@ -203,21 +245,7 @@ def cone_retract_sdr(seed: int, core_rank: int = 3, cone_pairs: int = 2, max_wei
     width = rng.randint(2, 4)
     core = _random_core(rng, core_rank, width, max_weight)
     cone = _coned_sdr(core, rng, cone_pairs, max_weight)
-    big = cone.M
-
-    u, u_inv = _unitriangular_automorphism(rng, big)
-    v, v_inv = _unitriangular_automorphism(rng, core)
-    d_big = compose(u, compose(big.differential_map(), u_inv))
-    d_core = compose(v, compose(core.differential_map(), v_inv))
-    big2 = complex_with_differential(big, d_big)
-    core2 = complex_with_differential(core, d_core)
-    s = SdrData(
-        big2,
-        core2,
-        rebase(compose(v, compose(cone.F, u_inv)), big2, core2),
-        rebase(compose(u, compose(cone.G, v_inv)), core2, big2),
-        rebase(compose(u, compose(cone.H, u_inv)), big2, big2),
-    )
+    s = SdrData(*_conjugated(rng, cone.M, core, (cone.F, cone.G, cone.H)))
     problems = validate_sdr(s)
     assert not problems, problems
     return s
@@ -229,31 +257,8 @@ def weight_raising_perturbation(seed: int, c: ChainComplex) -> Perturbation:
     Strict raising makes nu nilpotent (weights are bounded), so the inverse
     is a finite series and (d + delta)^2 = 0 holds by conjugation.
     """
-    rng = random.Random(seed)
-    nu_blocks: dict[int, IntMatrix] = {}
-    for n in c.degrees():
-        r = c.rank_at(n)
-        if r == 0:
-            continue
-        rows = [[0] * r for _ in range(r)]
-        any_entry = False
-        for i in range(r):
-            for j in range(r):
-                if c.weight_at(n, i) > c.weight_at(n, j) and rng.random() < 0.5:
-                    rows[i][j] = rng.choice((-2, -1, 1, 2))
-                    any_entry = True
-        if any_entry:
-            nu_blocks[n] = IntMatrix.from_rows(rows)
-    nu = GradedMap.from_blocks(c, c, 0, nu_blocks)
-    inv = GradedMap.identity(c)
-    power = nu
-    guard = 0
-    while not power.is_zero():
-        inv = inv + (power if guard % 2 else -power)
-        power = compose(power, nu)
-        guard += 1
-        if guard > c.max_weight + 2:
-            raise AssertionError("weight-raising map failed to nilpotate")
+    nu = _random_filtered_map(random.Random(seed), c, c, 0, 1)
+    inv = GradedMap.from_blocks(c, c, 0, {n: _unipotent_inverse(nu.block_at(n)) for n in c.degrees()})
     w = GradedMap.identity(c) + nu
     d = c.differential_map()
     delta = compose(inv, compose(d, w)) - d
@@ -272,27 +277,6 @@ def sdr_fixture(seed: int) -> tuple[SdrData, Perturbation]:
     s = cone_retract_sdr(seed * 7919 + 1, core_rank, cone_pairs)
     p = weight_raising_perturbation(seed * 6271 + 2, s.M)
     return s, p
-
-
-def _hom_twist(rng: random.Random, src: ChainComplex, tgt: ChainComplex) -> GradedMap:
-    """A random degree-2 filtered map, used to push homotopies off the
-    block-diagonal shape by a boundary."""
-    blocks: dict[int, IntMatrix] = {}
-    for n in src.degrees():
-        rs = src.rank_at(n)
-        rt = tgt.rank_at(n + 2)
-        if rs == 0 or rt == 0:
-            continue
-        rows = [[0] * rs for _ in range(rt)]
-        hit = False
-        for i in range(rt):
-            for j in range(rs):
-                if tgt.weight_at(n + 2, i) >= src.weight_at(n, j) and rng.random() < 0.5:
-                    rows[i][j] = rng.choice((-2, -1, 1, 2))
-                    hit = True
-        if hit:
-            blocks[n] = IntMatrix.from_rows(rows)
-    return GradedMap.from_blocks(src, tgt, 2, blocks)
 
 
 def he_fixture(seed: int) -> HeData:
@@ -324,28 +308,15 @@ def he_fixture(seed: int) -> HeData:
     # retry until the boundary twist actually moves the obstruction cycles;
     # some shapes admit no effective degree-2 maps, so give up after a few
     for _ in range(8):
-        t_m = _hom_twist(rng, M, M)
-        t_n = _hom_twist(rng, N, N)
+        t_m = _random_filtered_map(rng, M, M, 2, 0)
+        t_n = _random_filtered_map(rng, N, N, 2, 0)
         moved = compose(F, hom_differential(t_m)) - compose(hom_differential(t_n), F)
         if not moved.is_zero():
             break
     H = H + hom_differential(t_m)
     L = L + hom_differential(t_n)
 
-    u, u_inv = _unitriangular_automorphism(rng, M)
-    v, v_inv = _unitriangular_automorphism(rng, N)
-    d_m = compose(u, compose(M.differential_map(), u_inv))
-    d_n = compose(v, compose(N.differential_map(), v_inv))
-    M2 = complex_with_differential(M, d_m)
-    N2 = complex_with_differential(N, d_n)
-    he = HeData(
-        M2,
-        N2,
-        rebase(compose(v, compose(F, u_inv)), M2, N2),
-        rebase(compose(u, compose(G, v_inv)), N2, M2),
-        rebase(compose(u, compose(H, u_inv)), M2, M2),
-        rebase(compose(v, compose(L, v_inv)), N2, N2),
-    )
+    he = HeData(*_conjugated(rng, M, N, (F, G, H, L)))
     problems = validate_he(he)
     assert not problems, problems
     return he
@@ -411,11 +382,9 @@ def fixture_generate(seed: int, ranks: tuple[int, int] = (2, 1), filtration: int
     if core_rank == 0 and cone_pairs == 0:
         c = zero_complex(filtration)
         zid = GradedMap.identity(c)
-        zero_h = GradedMap.zero(c, c, 1)
-        s = SdrData(c, c, zid, zid, zero_h)
+        s = SdrData(c, c, zid, zid, GradedMap.zero(c, c, 1))
         p = Perturbation(c, GradedMap.zero(c, c, -1))
-        he = HeData(c, c, zid, zid, zero_h, zero_h)
-        return {"sdr": s, "perturbation": p, "he": he, "he_perturbation": p}
+        return {"sdr": s, "perturbation": p, "he": he_from_sdr(s), "he_perturbation": p}
     s = cone_retract_sdr(seed * 104729 + 3, core_rank, cone_pairs, max_weight=filtration)
     he = he_fixture(seed * 104729 + 5)
 

@@ -54,6 +54,7 @@ from .she_obstruction import (
     _check_components,
     _checked,
     _extend,
+    _hom_space,
     _obstruction_cycles,
     _require_vanishing,
     _zero_padded,
@@ -192,12 +193,11 @@ def _perturb(she: SheData, p: Perturbation, caps: TruncationCaps | None) -> Pert
     n_tilde = complex_with_differential(she.N, d_n_tilde)
 
     cap_out = she.index_cap - 1
-    over = {"B": m_tilde, "W": n_tilde}
     components: dict[Generator, GradedMap] = {}
     for z in tower_generators(cap_out):
         corr = series(gen(z.family + "b", z.index), f"the {component_name(z)} correction")
         base = assign[z]
-        components[z] = rebase(base + corr if corr else base, over[z.src], over[z.dst])
+        components[z] = rebase(base + corr if corr else base, *_hom_space(z, m_tilde, n_tilde))
     out = _checked(she_from_assignment(m_tilde, n_tilde, cap_out, components), "perturbed tower")
     return PerturbedShe(rebase(d_n_tilde, n_tilde, n_tilde), out, caps)
 

@@ -64,21 +64,14 @@ from .exactlin import IntMatrix, solve_integer
 _FAMILIES = ("f", "g", "fb", "gb", "xb", "yb")
 _FAMILY_RANK = {"f": 0, "g": 1, "fb": 2, "gb": 3, "xb": 4, "yb": 5}
 
-_AMBIENT_FAMILIES: dict[str, frozenset[str]] = {
-    "riso": frozenset({"f", "g"}),
-    "rfake": frozenset({"f", "g"}),
-    "dif": frozenset({"xb"}),
-    "dif_riso": frozenset({"f", "g", "xb"}),
-    "dif_rfake": frozenset({"f", "g", "xb"}),
-    "riso_tilde": frozenset(_FAMILIES),
-}
-_AMBIENT_INDEX_CAP: dict[str, int | None] = {
-    "riso": None,
-    "rfake": 1,
-    "dif": None,
-    "dif_riso": None,
-    "dif_rfake": 1,
-    "riso_tilde": None,
+# ambient -> (generator families, index cap of f, g, fb, gb or None)
+_AMBIENTS: dict[str, tuple[frozenset[str], int | None]] = {
+    "riso": (frozenset({"f", "g"}), None),
+    "rfake": (frozenset({"f", "g"}), 1),
+    "dif": (frozenset({"xb"}), None),
+    "dif_riso": (frozenset({"f", "g", "xb"}), None),
+    "dif_rfake": (frozenset({"f", "g", "xb"}), 1),
+    "riso_tilde": (frozenset(_FAMILIES), None),
 }
 
 
@@ -300,8 +293,7 @@ def _same_ambient(a: OperadElement, b: OperadElement) -> None:
 
 
 def _check_word_ambient(ambient: str, w: Word) -> None:
-    fams = _AMBIENT_FAMILIES[ambient]
-    cap = _AMBIENT_INDEX_CAP[ambient]
+    fams, cap = _AMBIENTS[ambient]
     for z in w.factors:
         if z.family not in fams:
             raise ValueError(f"generator {z.token} not available in ambient {ambient}")
@@ -311,7 +303,7 @@ def _check_word_ambient(ambient: str, w: Word) -> None:
 
 def element(ambient: str, terms) -> OperadElement:
     """Canonical element from a {word: coefficient} mapping or pair iterable."""
-    if ambient not in _AMBIENT_FAMILIES:
+    if ambient not in _AMBIENTS:
         raise ValueError(f"unknown ambient {ambient!r}")
     acc: dict[Word, int] = {}
     items = terms.items() if isinstance(terms, dict) else terms
@@ -522,9 +514,10 @@ def diff(e: OperadElement, *, _table=None) -> OperadElement:
 def theta(e: OperadElement) -> OperadElement:
     """Contracting homotopy: rewrite the two leading factors, no sign.
 
-    Words of length < 2 map to 0.  The leading-pair table:
-    f0 f_odd -> f_next, g0 g_odd -> g_next, f0 g_even -> g_next,
-    g0 f_even -> f_next; any other leading pair kills the word.
+    Words of length < 2 map to 0.  A leading pair z1 z2 with z1 = f0 or
+    g0 becomes z2's family at the next index when z2 has z1's family and
+    an odd index or the other family and an even one (f0 f_odd -> f_next,
+    g0 f_even -> f_next, ...); any other leading pair kills the word.
     """
     if e.ambient != "riso":
         raise ValueError("the contracting homotopy is defined on the plain ambient only")
@@ -533,19 +526,10 @@ def theta(e: OperadElement) -> OperadElement:
         if w.is_identity or len(w.factors) < 2:
             continue
         z1, z2 = w.factors[0], w.factors[1]
-        if z1.index != 0 or z1.family not in ("f", "g"):
+        if (z1.index != 0 or z1.family not in ("f", "g") or z2.family not in ("f", "g")
+                or (z1.family == z2.family) != (z2.index % 2 == 1)):
             continue
-        rep: Generator | None = None
-        if z1.family == "f" and z2.family == "f" and z2.index % 2 == 1:
-            rep = gen("f", z2.index + 1)
-        elif z1.family == "g" and z2.family == "g" and z2.index % 2 == 1:
-            rep = gen("g", z2.index + 1)
-        elif z1.family == "f" and z2.family == "g" and z2.index % 2 == 0:
-            rep = gen("g", z2.index + 1)
-        elif z1.family == "g" and z2.family == "f" and z2.index % 2 == 0:
-            rep = gen("f", z2.index + 1)
-        if rep is None:
-            continue
+        rep = gen(z2.family, z2.index + 1)
         # rep runs between the colours of z1 z2 and is one degree higher
         key = w._key
         nw = _chain((rep,) + w.factors[2:], w.degree + 1, key[0], key[:2] + (rep.rank,) + key[4:])
@@ -749,8 +733,7 @@ def alpha_iso_eval(e: OperadElement) -> AlphaValue:
 
 
 def _ambient_generators(ambient: str, max_index: int) -> list[Generator]:
-    fams = _AMBIENT_FAMILIES[ambient]
-    cap = _AMBIENT_INDEX_CAP[ambient]
+    fams, cap = _AMBIENTS[ambient]
     top = max_index if cap is None else min(max_index, cap)
     out: list[Generator] = []
     for fam in ("f", "g", "fb", "gb"):

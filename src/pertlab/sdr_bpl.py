@@ -76,6 +76,11 @@ class Perturbation:
     delta: GradedMap
 
 
+def _complex_problems(M: ChainComplex, N: ChainComplex) -> list[str]:
+    """``validate_complex`` of both ends, each line prefixed by its name."""
+    return [f"{name}: {p}" for name, c in (("M", M), ("N", N)) for p in validate_complex(c)]
+
+
 def _expect_map(problems: list[str], f: GradedMap, name: str,
                 src: ChainComplex, tgt: ChainComplex, degree: int) -> bool:
     if f.source != src or f.target != tgt:
@@ -91,8 +96,7 @@ def _expect_map(problems: list[str], f: GradedMap, name: str,
 
 def validate_sdr(s: SdrData) -> list[str]:
     """Report of every violated retract identity (empty means valid)."""
-    problems = [f"M: {p}" for p in validate_complex(s.M)]
-    problems += [f"N: {p}" for p in validate_complex(s.N)]
+    problems = _complex_problems(s.M, s.N)
     ok = _expect_map(problems, s.F, "F", s.M, s.N, 0)
     ok &= _expect_map(problems, s.G, "G", s.N, s.M, 0)
     ok &= _expect_map(problems, s.H, "H", s.M, s.M, 1)

@@ -24,13 +24,14 @@ whose defining identities express each D(component) through compositions
 of lower ones.  Those identities are not restated here: they are the
 generator differential table of ``operad_sym``, evaluated with F_2i, H_2j+1
 as f_2i, f_2j+1 and G_2i, L_2j+1 as g_2i, g_2j+1 (this parity layout of
-``SheData`` is known to this module only; everything else goes through
-``tower_assignment`` and ``she_from_assignment``).  The obstruction cycles
-are the table's index-2 right-hand sides.  ``extend_to_she`` constructs
-the tower one index at a time, the same step for every index.  When the
-direct lift fails over Z, it assembles one integer system that solves for
-both lifts together with cycle corrections of the previous components;
-that system's coupling entries are read from the same table.
+``SheData`` is stated here only, in ``_LAYOUT``; other modules go through
+``tower_assignment``, ``she_from_assignment`` or ``_LAYOUT``).  The
+obstruction cycles are the table's index-2 right-hand sides.
+``extend_to_she`` constructs the tower one index at a time, the same step
+for every index.  When the direct lift fails over Z, it assembles one
+integer system that solves for both lifts together with cycle
+corrections of the previous components; that system's coupling entries
+are read from the same table.
 
 Every tower identity is evaluated by ``_check_components``, which
 ``validate_he``, ``validate_she`` and ``ipl_pipeline.OperadAction`` share.
@@ -54,12 +55,11 @@ from .chaincore import (
     hom_complex,
     hom_differential,
     map_to_vec,
-    validate_complex,
     vec_to_map,
 )
 from .exactlin import _closed, solve_integer
 from .operad_sym import Generator, Word, gen, generator_diff
-from .sdr_bpl import InternalConsistencyError, SdrData, _expect_map
+from .sdr_bpl import InternalConsistencyError, SdrData, _complex_problems, _expect_map
 
 
 class ObstructionError(ValueError):
@@ -101,15 +101,21 @@ class ObstructionPair:
     """Both obstruction cycles with their boundary decisions.
 
     A witness is a degree +2 map whose D equals the cycle; it is None
-    exactly when the class does not vanish.
+    exactly when the class does not vanish, so the verdicts are read from it.
     """
 
     cycle_m: GradedMap
     cycle_n: GradedMap
-    class_m_vanishes: bool
-    class_n_vanishes: bool
     witness_m: GradedMap | None
     witness_n: GradedMap | None
+
+    @property
+    def class_m_vanishes(self) -> bool:
+        return self.witness_m is not None
+
+    @property
+    def class_n_vanishes(self) -> bool:
+        return self.witness_n is not None
 
 
 def he_from_sdr(s: SdrData) -> HeData:
@@ -125,8 +131,8 @@ def he_from_she(s: SheData) -> HeData:
     return HeData(s.M, s.N, s.F_even[0], s.G_even[0], s.H_odd[0], s.L_odd[0])
 
 
-# The parity layout of SheData, known to this module only: generator family
-# and index parity -> field, so F_even[i] is f_2i, H_odd[j] is f_2j+1,
+# The parity layout of SheData, stated here only: generator family and
+# index parity -> field, so F_even[i] is f_2i, H_odd[j] is f_2j+1,
 # G_even[i] is g_2i and L_odd[j] is g_2j+1.
 _LAYOUT = {("f", 0): "F_even", ("g", 0): "G_even", ("f", 1): "H_odd", ("g", 1): "L_odd"}
 
@@ -242,16 +248,14 @@ _HE_FAILURES = dict(zip(tower_generators(0), (
 
 
 def validate_he(he: HeData) -> list[str]:
-    problems = [f"M: {p}" for p in validate_complex(he.M)]
-    problems += [f"N: {p}" for p in validate_complex(he.N)]
+    problems = _complex_problems(he.M, he.N)
     _check_components(problems, tower_assignment(she_from_he(he)), he.M, he.N,
                       _HE_NAMES.get, _HE_FAILURES.get)
     return problems
 
 
 def validate_she(s: SheData) -> list[str]:
-    problems = [f"M: {p}" for p in validate_complex(s.M)]
-    problems += [f"N: {p}" for p in validate_complex(s.N)]
+    problems = _complex_problems(s.M, s.N)
     if s.index_cap < 0:
         problems.append("index_cap must be nonnegative")
         return problems
@@ -310,7 +314,7 @@ def _decide_obstructions(he: HeData, o_m: GradedMap, o_n: GradedMap) -> Obstruct
         raise InternalConsistencyError("obstruction cycles are not cycles")
     w_m = _hom_solve(he.M, he.N, 2, o_m)
     w_n = _hom_solve(he.N, he.M, 2, o_n)
-    return ObstructionPair(o_m, o_n, w_m is not None, w_n is not None, w_m, w_n)
+    return ObstructionPair(o_m, o_n, w_m, w_n)
 
 
 def _require_vanishing(he: HeData, o_m: GradedMap, o_n: GradedMap, advice: str) -> ObstructionPair:
@@ -326,19 +330,6 @@ def obstruction_cycles(he: HeData) -> ObstructionPair:
     """Both obstruction cycles and the integral decision for each class."""
     _require_valid(he)
     return _decide_obstructions(he, *_obstruction_cycles(he))
-
-
-def obstruction_classes_linked(he: HeData) -> bool:
-    """The shared vanishing verdict of both classes.
-
-    The two classes are homologous images of each other, so they vanish
-    together; disagreement on actual data is a consistency failure, not a
-    mathematical possibility.
-    """
-    pair = obstruction_cycles(he)
-    if pair.class_m_vanishes != pair.class_n_vanishes:
-        raise InternalConsistencyError("obstruction classes disagree about vanishing")
-    return pair.class_m_vanishes
 
 
 def modify_homotopy_h(he: HeData) -> HeData:
@@ -367,7 +358,7 @@ def modification_witnesses(he: HeData, which: str = "h") -> tuple[HeData, Obstru
     """
     if which == "l":
         he2, p = modification_witnesses(_mirror(he), "h")
-        return _mirror(he2), ObstructionPair(p.cycle_n, p.cycle_m, True, True, p.witness_n, p.witness_m)
+        return _mirror(he2), ObstructionPair(p.cycle_n, p.cycle_m, p.witness_n, p.witness_m)
     if which != "h":
         raise ValueError(f"which must be 'h' or 'l', got {which!r}")
     he2 = modify_homotopy_h(he)
@@ -378,7 +369,7 @@ def modification_witnesses(he: HeData, which: str = "h") -> tuple[HeData, Obstru
     o_m2, o_n2 = _obstruction_cycle(he2, "f"), _obstruction_cycle(he2, "g")
     if hom_differential(w_m) != o_m2 or hom_differential(w_n) != o_n2:
         raise InternalConsistencyError("closed-form modification witnesses failed to verify")
-    return he2, ObstructionPair(o_m2, o_n2, True, True, w_m, w_n)
+    return he2, ObstructionPair(o_m2, o_n2, w_m, w_n)
 
 
 def trivial_extension(he: HeData, index_cap: int = 1) -> SheData | None:

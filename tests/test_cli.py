@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pertlab.chaincore import GradedMap
-from pertlab.exactlin import IntMatrix
 from pertlab.cli import main
 from pertlab.cli_io import (
     DocumentError,
@@ -22,7 +21,7 @@ from pertlab.fixtures import (
     sdr_fixture,
     weight_raising_perturbation,
 )
-from pertlab.operad_sym import parse_element
+from pertlab.operad_sym import parse_element, render_element
 from pertlab.sdr_bpl import Perturbation, perturbed_complex
 from pertlab.she_obstruction import extend_to_she
 
@@ -111,7 +110,13 @@ def test_parse_document_fuzz_tree_edits(data):
             node.insert(key, node[key])
         else:
             node["x"] = node[key]
-    _parses_to_a_fixed_point(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # in canonical layout, whatever parses is a canonical document
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        obj = parse_document(text)
+    except DocumentError:
+        return
+    assert serialize_document(obj) == text
 
 
 def test_parse_document_refuses_hostile_text():
@@ -195,15 +200,75 @@ def test_matrix_entries_must_be_canonical(spelling):
         parse_document(json.dumps(doc))
 
 
-def test_zero_and_unordered_blocks_are_normalized():
+def _refusal(doc) -> str:
+    with pytest.raises(DocumentError) as caught:
+        parse_document(json.dumps(doc))
+    return str(caught.value)
+
+
+def test_zero_and_unordered_blocks_are_refused():
     m = sdr_fixture(2)[0].M
-    doc = json.loads(serialize_document(GradedMap.identity(m)))
-    blocks = doc["payload"]["blocks"]
-    assert [b["at"] for b in blocks] == [0, 1]
-    blocks[0]["rows"] = [["0"]]
-    blocks.reverse()
-    kept = GradedMap.from_blocks(m, m, 0, {1: IntMatrix.identity(2)})
-    assert serialize_document(parse_document(json.dumps(doc))) == serialize_document(kept)
+    text = serialize_document(GradedMap.identity(m))
+    assert [b["at"] for b in json.loads(text)["payload"]["blocks"]] == [0, 1]
+    edits = [
+        (lambda b: b[0].update(rows=[["0"]]), "payload.blocks[0]: zero block at degree 0"),
+        (lambda b: b.insert(0, {"at": -1, "rows": []}), "payload.blocks[0]: zero block at degree -1"),
+        (list.reverse, "payload.blocks[1]: degree 0 does not follow degree 1"),
+        (lambda b: b.append(b[1]), "payload.blocks[2]: degree 1 does not follow degree 1"),
+    ]
+    for edit, message in edits:
+        doc = json.loads(text)
+        edit(doc["payload"]["blocks"])
+        assert _refusal(doc) == message
+
+
+@pytest.mark.parametrize("text, normal", [
+    ("1 f1", "f1"), ("f1 + f1", "2 f1"), ("g0 + f0", "f0 + g0"), ("f0 - f0", "0"),
+    ("", "0"), (" f1", "f1"), ("f1  - g1", "f1 - g1"), ("+ f1", "f1"), ("- 1 f1", "- f1"),
+])
+def test_operad_elements_must_be_in_normal_form(text, normal):
+    doc = {"format_version": "1", "kind": "operad-element",
+           "payload": {"ambient": "riso", "element": text}}
+    assert _refusal(doc) == f"payload.element: not in normal form, which is {normal!r}"
+    doc["payload"]["element"] = normal
+    assert render_element(parse_document(json.dumps(doc))) == normal
+
+
+def test_map_fields_are_refused_with_their_paths():
+    he = he_fixture(2)  # M has ranks (2, 2, 0) and N (2, 3, 1), so the two ends differ
+    docs = {
+        "sdr": json.loads(serialize_document(sdr_fixture(0)[0])),
+        "he": json.loads(serialize_document(he)),
+        "she": json.loads(serialize_document(extend_to_she(he, 1))),
+    }
+    for kind, path in (("sdr", ("f",)), ("sdr", ("g",)), ("sdr", ("h",)), ("he", ("f",)),
+                       ("he", ("l",)), ("she", ("f_even", 0)), ("she", ("g_even", 0)),
+                       ("she", ("h_odd", 0)), ("she", ("l_odd", 0))):
+        where = "payload." + path[0] + "".join(f"[{t}]" for t in path[1:])
+        for edit in ("drop a row", "widen a row"):
+            doc = json.loads(json.dumps(docs[kind]))
+            body = doc["payload"]
+            for key in path:
+                body = body[key]
+            # the last block, whose shape tells source and target apart here
+            k = len(body["blocks"]) - 1
+            rows = body["blocks"][k]["rows"]
+            if edit == "drop a row":
+                want = f"{where}.blocks[{k}]: expected {len(rows)} rows"
+                rows.pop()
+            else:
+                want = f"{where}.blocks[{k}]: row 0 must have {len(rows[0])} entries"
+                rows[0].append("0")
+            assert _refusal(doc) == want
+    she = docs["she"]["payload"]
+    for key, t, expected in (("h_odd", 1, 3), ("f_even", 1, 2), ("l_odd", 1, 3), ("g_even", 1, 2)):
+        doc = json.loads(json.dumps(docs["she"]))
+        doc["payload"][key][t] = she[key][0]
+        assert _refusal(doc) == f"payload.{key}[{t}]: degree {expected - 2}, expected {expected}"
+    for key in ("f_even", "g_even", "h_odd", "l_odd"):
+        doc = json.loads(json.dumps(docs["she"]))
+        doc["payload"][key] = {}
+        assert _refusal(doc) == f"payload.{key}: expected a list"
 
 
 def test_bundle_contains_named_documents():

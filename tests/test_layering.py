@@ -45,10 +45,11 @@ def test_imports_point_strictly_downward():
 
 
 # The parity layout of a tower (F_even[i] is f_2i, H_odd[j] is f_2j+1, ...)
-# is read in she_obstruction, which defines it, and in cli_io's document
-# format; every other module goes through tower_assignment.
+# is read only in she_obstruction, which defines it; every other module,
+# cli_io's document format included, goes through tower_assignment or
+# she_obstruction._LAYOUT.
 PARITY_FIELDS = {"F_even", "G_even", "H_odd", "L_odd"}
-LAYOUT_READERS = {"she_obstruction", "cli_io"}
+LAYOUT_READERS = {"she_obstruction"}
 
 
 def test_parity_layout_stays_behind_she_obstruction():

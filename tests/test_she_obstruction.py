@@ -32,7 +32,6 @@ from pertlab.she_obstruction import (
     modification_witnesses,
     modify_homotopy_h,
     modify_homotopy_l,
-    obstruction_classes_linked,
     obstruction_cycles,
     she_from_he,
     trivial_extension,
@@ -69,7 +68,6 @@ def test_obstructed_fixture_has_nonvanishing_linked_classes():
     assert not pair.cycle_m.is_zero() and not pair.cycle_n.is_zero()
     assert not pair.class_m_vanishes and not pair.class_n_vanishes
     assert pair.witness_m is None and pair.witness_n is None
-    assert obstruction_classes_linked(he) is False
 
 
 def test_modify_h_kills_both_cycles_on_the_nose():
@@ -77,7 +75,7 @@ def test_modify_h_kills_both_cycles_on_the_nose():
     assert validate_he(he) == []
     pair = obstruction_cycles(he)
     assert pair.cycle_m.is_zero() and pair.cycle_n.is_zero()
-    assert obstruction_classes_linked(he) is True
+    assert pair.class_m_vanishes and pair.class_n_vanishes
 
 
 def test_modify_l_kills_both_cycles_on_the_nose():
@@ -107,8 +105,7 @@ def ref_modification_witnesses_l(he):
     w_m = (compose(compose(he.L, he.L), he.F)
            + compose(he.F, compose(he.H, he.H))
            - compose(he.L, compose(he.F, he.H)))
-    return he2, ObstructionPair(_obstruction_cycle(he2, "f"), _obstruction_cycle(he2, "g"),
-                                True, True, w_m, w_n)
+    return he2, ObstructionPair(_obstruction_cycle(he2, "f"), _obstruction_cycle(he2, "g"), w_m, w_n)
 
 
 def test_l_repair_is_the_mirrored_h_repair():
@@ -380,7 +377,8 @@ def _spy_on_joint_steps(monkeypatch):
 def test_recalibration_fixture_needs_the_joint_solver(monkeypatch):
     he = recalibration_he_fixture()
     assert validate_he(he) == []
-    assert obstruction_classes_linked(he) is True
+    pair = obstruction_cycles(he)
+    assert pair.class_m_vanishes and pair.class_n_vanishes
     fired = _spy_on_joint_steps(monkeypatch)
     tower = extend_to_she(he, 2)
     assert validate_she(tower) == []
