@@ -20,8 +20,8 @@ import re
 from .chaincore import ChainComplex, GradedMap
 from .exactlin import IntMatrix
 from .operad_sym import OperadElement, gen, parse_element, render_element
-from .sdr_bpl import Perturbation, SdrData
-from .she_obstruction import _LAYOUT, HeData, SheData, _hom_space, tower_generators
+from .sdr_bpl import Perturbation, SdrData, _hom_space, tower_generators
+from .she_obstruction import _LAYOUT, HeData, SheData
 
 FORMAT_VERSION = "1"
 KINDS = ("complex", "map", "sdr", "he", "she", "perturbation", "operad-element")
@@ -284,18 +284,31 @@ def _tower_from_body(body: dict, kind: str):
     return cls(big, small, *maps)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are all distinct: json.loads would keep the
+    last of a repeated key, and the document would not come back as written."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_document(text: str):
     """Parse one envelope into its typed object (see KINDS).
 
-    Only canonical content parses (canonical matrix entries, nonzero map
-    blocks in increasing degree, operad elements in normal form), so a
-    document in the layout ``serialize_document`` writes comes back byte
-    for byte."""
+    Only canonical content parses (no repeated keys, canonical matrix
+    entries, nonzero map blocks in increasing degree, operad elements in
+    normal form), so a document in the layout ``serialize_document``
+    writes comes back byte for byte."""
     _reject_float_literals(text)
     try:
-        env = json.loads(text)
+        env = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise DocumentError(f"{e.msg} at line {e.lineno}, column {e.colno}") from None
+    except DocumentError:
+        raise
     except (ValueError, RecursionError) as e:
         # an integer literal past the interpreter's digit limit, or nesting
         # deeper than the decoder's recursion limit

@@ -1,13 +1,14 @@
 """Deterministic fixture builders for tests and the command-line generator.
 
-Every random object here is valid by construction and asserts its own
-validator before being returned, so a fixture that reaches a test is
-already a certified instance.  The generic recipe is: build a retract
-plus an acyclic cone in block form, where every identity is visible by
-inspection, then conjugate by random filtered unimodular automorphisms
-to hide the block structure.  Conjugation preserves all identities and
-the side conditions exactly, and filtered automorphisms with filtered
-inverses preserve every weight bound.
+Every random object here is valid by construction and passes its own
+validator before being returned (``InternalConsistencyError`` otherwise),
+so a fixture that reaches a test is already a certified instance.  The
+generic recipe is: build a retract plus an acyclic cone in block form,
+where every identity is visible by inspection, then conjugate by random
+filtered unimodular automorphisms to hide the block structure.
+Conjugation preserves all identities and the side conditions exactly,
+and filtered automorphisms with filtered inverses preserve every weight
+bound.
 
 Seeds map to fixtures through ``random.Random`` only; the same seed
 always yields the same fixture, bit for bit.
@@ -26,8 +27,9 @@ from .chaincore import (
     rebase,
 )
 from .exactlin import IntMatrix
-from .sdr_bpl import Perturbation, SdrData, validate_perturbation, validate_sdr
-from .she_obstruction import HeData, _hom_space, he_from_sdr, tower_generators, validate_he
+from .sdr_bpl import (InternalConsistencyError, Perturbation, SdrData, _hom_space, _refuse,
+                      tower_generators, validate_perturbation, validate_sdr)
+from .she_obstruction import HeData, he_from_sdr, validate_he
 
 
 def build_complex(degree_lo, ranks, weights, diffs, max_weight) -> ChainComplex:
@@ -49,6 +51,13 @@ def build_complex(degree_lo, ranks, weights, diffs, max_weight) -> ChainComplex:
         else:
             blocks.append(IntMatrix.zeros(ranks[t - 1], ranks[t]))
     return ChainComplex(degree_lo, degree_lo + width - 1, ranks, weight_rows, tuple(blocks), max_weight)
+
+
+def _certified(obj, validator):
+    """``obj`` once its validator passes; a fixture that fails its own
+    check is a fault here, reported as one even under ``python -O``."""
+    _refuse(validator(obj), f"fixture fails {validator.__name__}: ", InternalConsistencyError)
+    return obj
 
 
 def zero_complex(max_weight: int = 0) -> ChainComplex:
@@ -245,10 +254,7 @@ def cone_retract_sdr(seed: int, core_rank: int = 3, cone_pairs: int = 2, max_wei
     width = rng.randint(2, 4)
     core = _random_core(rng, core_rank, width, max_weight)
     cone = _coned_sdr(core, rng, cone_pairs, max_weight)
-    s = SdrData(*_conjugated(rng, cone.M, core, (cone.F, cone.G, cone.H)))
-    problems = validate_sdr(s)
-    assert not problems, problems
-    return s
+    return _certified(SdrData(*_conjugated(rng, cone.M, core, (cone.F, cone.G, cone.H))), validate_sdr)
 
 
 def weight_raising_perturbation(seed: int, c: ChainComplex) -> Perturbation:
@@ -262,10 +268,7 @@ def weight_raising_perturbation(seed: int, c: ChainComplex) -> Perturbation:
     w = GradedMap.identity(c) + nu
     d = c.differential_map()
     delta = compose(inv, compose(d, w)) - d
-    p = Perturbation(c, delta)
-    problems = validate_perturbation(p)
-    assert not problems, problems
-    return p
+    return _certified(Perturbation(c, delta), validate_perturbation)
 
 
 def sdr_fixture(seed: int) -> tuple[SdrData, Perturbation]:
@@ -316,10 +319,7 @@ def he_fixture(seed: int) -> HeData:
     H = H + hom_differential(t_m)
     L = L + hom_differential(t_n)
 
-    he = HeData(*_conjugated(rng, M, N, (F, G, H, L)))
-    problems = validate_he(he)
-    assert not problems, problems
-    return he
+    return _certified(HeData(*_conjugated(rng, M, N, (F, G, H, L))), validate_he)
 
 
 def obstructed_he_fixture() -> HeData:
@@ -328,9 +328,7 @@ def obstructed_he_fixture() -> HeData:
     c = build_complex(0, (1, 1), ((0,), (0,)), {}, 0)
     one = GradedMap.identity(c)
     ell = GradedMap.from_blocks(c, c, 1, {0: IntMatrix.from_rows([[1]])})
-    he = HeData(c, c, one, one, GradedMap.zero(c, c, 1), ell)
-    assert not validate_he(he)
-    return he
+    return _certified(HeData(c, c, one, one, GradedMap.zero(c, c, 1), ell), validate_he)
 
 
 def recalibration_he_fixture() -> HeData:
@@ -341,9 +339,7 @@ def recalibration_he_fixture() -> HeData:
     shift = GradedMap.from_blocks(
         c, c, 1, {0: IntMatrix.from_rows([[1]]), 1: IntMatrix.from_rows([[1]])}
     )
-    he = HeData(c, c, one, one, shift, shift)
-    assert not validate_he(he)
-    return he
+    return _certified(HeData(c, c, one, one, shift, shift), validate_he)
 
 
 def layered_she_fixture() -> tuple[HeData, Perturbation]:
@@ -356,12 +352,9 @@ def layered_she_fixture() -> tuple[HeData, Perturbation]:
         c, c, 1,
         {0: IntMatrix.from_rows([[1, 0], [0, 1]]), 1: IntMatrix.from_rows([[1, 0]])},
     )
-    he = HeData(c, c, one, one, h, h)
-    assert not validate_he(he)
+    he = _certified(HeData(c, c, one, one, h, h), validate_he)
     delta = GradedMap.from_blocks(c, c, -1, {1: IntMatrix.from_rows([[0, 0], [1, 0]])})
-    p = Perturbation(c, delta)
-    assert not validate_perturbation(p)
-    return he, p
+    return he, _certified(Perturbation(c, delta), validate_perturbation)
 
 
 def fixture_generate(seed: int, ranks: tuple[int, int] = (2, 1), filtration: int = 2):

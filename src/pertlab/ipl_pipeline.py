@@ -16,8 +16,9 @@ input homotopies first when their obstruction classes force it, extends
 by one index, perturbs, and projects back down.
 
 Identities are checked where ``she_obstruction`` says: ``OperadAction``
-checks its assignment, ``action_from_she`` and ``ipl_perturb`` check their
-tower and perturbation, and the perturbed tower is checked as it is built.
+checks its assignment (``_checked_by_caller`` builds one whose caller
+has), ``action_from_she`` and ``ipl_perturb`` check their tower and
+perturbation, and the perturbed tower is checked as it is built.
 ``solve_pp`` checks the equivalence and the perturbation before building
 anything and then runs the private cores (``_extend``, ``_perturb``), so
 the cap-1 tower and the cap-0 output are each checked once, by their
@@ -47,25 +48,22 @@ from .operad_sym import (
     truncate_fweight,
     word,
 )
-from .sdr_bpl import InternalConsistencyError, Perturbation, validate_perturbation
+from .sdr_bpl import (InternalConsistencyError, Perturbation, _check_components, _hom_space, _refuse,
+                      evaluate_words, tower_generators, validate_perturbation)
 from .she_obstruction import (
     HeData,
     SheData,
-    _check_components,
     _checked,
     _extend,
-    _hom_space,
     _obstruction_cycles,
     _require_vanishing,
     _zero_padded,
     component_name,
-    evaluate_words,
     he_from_she,
     modify_homotopy_h,
     modify_homotopy_l,
     she_from_assignment,
     tower_assignment,
-    tower_generators,
     validate_he,
     validate_she,
 )
@@ -80,8 +78,8 @@ class OperadAction:
     generator's degree, and the assignment must intertwine the symbolic
     differential with the hom differential: evaluate(d z) = D(assign[z])
     for every assigned z.  That one equation is the tower identity of z,
-    checked by ``she_obstruction``'s tower check; for the degree -1
-    generator it says that the perturbed differential squares to zero.
+    checked by ``sdr_bpl``'s tower check; for the degree -1 generator it
+    says that the perturbed differential squares to zero.
     """
 
     M: ChainComplex
@@ -93,8 +91,14 @@ class OperadAction:
         _check_components(problems, self.assign, self.M, self.N,
                           lambda z: f"assignment of {z.token}",
                           lambda z: f"assignment of {z.token} does not intertwine the differentials")
-        if problems:
-            raise ValueError("; ".join(problems))
+        _refuse(problems)
+
+    @classmethod
+    def _checked_by_caller(cls, M: ChainComplex, N: ChainComplex, assign: dict) -> "OperadAction":
+        """An action whose identities its caller has checked, not checked again."""
+        act = object.__new__(cls)
+        act.__dict__.update(M=M, N=N, assign=assign)
+        return act
 
 
 def evaluate(e: OperadElement, act: OperadAction) -> GradedMap:
@@ -115,8 +119,7 @@ def _require_perturbable(problems: list[str], M: ChainComplex, p: Perturbation) 
     problems = problems + validate_perturbation(p)
     if p.base != M:
         problems.append("perturbation lives on a different complex than the tower")
-    if problems:
-        raise ValueError("; ".join(problems))
+    _refuse(problems)
 
 
 def action_from_she(she: SheData, p: Perturbation) -> OperadAction:
@@ -124,9 +127,7 @@ def action_from_she(she: SheData, p: Perturbation) -> OperadAction:
     Their two checks cover every identity of the action (xb's is (d +
     delta)^2 = 0), so the action is built without checking them again."""
     _require_perturbable(validate_she(she), she.M, p)
-    act = object.__new__(OperadAction)
-    act.__dict__.update(M=she.M, N=she.N, assign={XBAR: p.delta, **tower_assignment(she)})
-    return act
+    return OperadAction._checked_by_caller(she.M, she.N, {XBAR: p.delta, **tower_assignment(she)})
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class PerturbedShe:
     provenance: TruncationCaps
 
 
-def ipl_perturb(she: SheData, p: Perturbation, caps: TruncationCaps | None = None) -> PerturbedShe:
+def ipl_perturb(she: SheData, p: Perturbation) -> PerturbedShe:
     """Perturb a tower of index cap m >= 1 into one of cap m - 1.
 
     The top input index is consumed: the output's highest odd component
@@ -154,23 +155,21 @@ def ipl_perturb(she: SheData, p: Perturbation, caps: TruncationCaps | None = Non
             "a tower of index cap 0 cannot absorb a perturbation; extend it to cap 1 first"
         )
     _require_perturbable(validate_she(she), she.M, p)
-    return _perturb(she, p, caps)
+    return _perturb(she, p)
 
 
-def _perturb(she: SheData, p: Perturbation, caps: TruncationCaps | None) -> PerturbedShe:
+def _perturb(she: SheData, p: Perturbation) -> PerturbedShe:
     """``ipl_perturb`` on a tower of cap >= 1 and a perturbation of its big
-    side that are already checked; checks only its output."""
+    side that are already checked; checks only its output.  The window
+    reaches one fweight band past the filtration length."""
     assign = {XBAR: p.delta, **tower_assignment(she)}
     band = she.M.max_weight
-    if caps is None:
-        caps = TruncationCaps(
-            max_index=2 * she.index_cap + 1,
-            max_length=2 * (band + 1) + 3,
-            max_fweight=band + 1,
-            max_degree=2 * she.index_cap + 2,
-        )
-    if caps.max_fweight <= band:
-        raise ValueError("caps insufficient: the fweight window must clear the filtration length")
+    caps = TruncationCaps(
+        max_index=2 * she.index_cap + 1,
+        max_length=2 * (band + 1) + 3,
+        max_fweight=band + 1,
+        max_degree=2 * she.index_cap + 2,
+    )
 
     def series(z: Generator, label: str) -> GradedMap | None:
         """The retraction of z evaluated band by band: the part within the
@@ -244,12 +243,13 @@ def solve_pp(he: HeData, p: Perturbation, strategy: str = "modify_h") -> PpSolut
     if she is None:
         # only as_is can be refused: after either repair both classes vanish
         she = _extend(he2, 1, _require_vanishing(he2, o_m, o_n, "use a homotopy-repair strategy"))
-    perturbed = _perturb(she, p, None)
+    perturbed = _perturb(she, p)
     # the cap-0 tower's identities are exactly those of the output quadruple
     out = perturbed.she
     quad = he_from_she(out)
-    shifts = {k: filtration_shift(_forget(getattr(quad, k)) - _forget(getattr(he2, k)))
-              for k in "FGHL"}
+    # each map rebased onto its reference's complexes, whose weights are the same
+    refs = {k: getattr(he2, k) for k in "FGHL"}
+    shifts = {k: filtration_shift(rebase(getattr(quad, k), r.source, r.target) - r) for k, r in refs.items()}
     return PpSolution(
         d_n_tilde=perturbed.d_n_tilde,
         f_tilde=quad.F,
@@ -261,10 +261,3 @@ def solve_pp(he: HeData, p: Perturbation, strategy: str = "modify_h") -> PpSolut
         reference=he2,
         shifts=shifts,
     )
-
-
-def _forget(f: GradedMap) -> GradedMap:
-    """The same blocks over the unperturbed-differential complexes, so maps
-    over perturbed and unperturbed complexes become comparable."""
-    return rebase(f, *(complex_with_differential(c, GradedMap.zero(c, c, -1))
-                       for c in (f.source, f.target)))

@@ -22,6 +22,13 @@ transferred data is
 
 an SDR between the perturbed complexes.  The side conditions are required
 on input; whether they survive transfer is reported, never assumed.
+
+A retract is the cap-0 tower of ``she_obstruction`` with L = 0 (g_1's
+identity D(0) = F G - 1 says F G = 1), so the tower check lives here:
+``_check_components`` takes every identity from ``operad_sym``'s generator
+table and every component's ends from its colours, for ``validate_sdr``,
+``validate_he``, ``validate_she`` and ``ipl_pipeline.OperadAction``.  Each
+report that becomes an exception goes through ``_refuse``.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .chaincore import (
     rebase,
     validate_complex,
 )
+from .operad_sym import Generator, Word, gen, generator_diff
 
 
 class SideConditionError(ValueError):
@@ -76,40 +84,103 @@ class Perturbation:
     delta: GradedMap
 
 
+def _refuse(problems: list[str], prefix: str = "", error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming every problem after ``prefix``, if there is one."""
+    if problems:
+        raise error(prefix + "; ".join(problems))
+
+
 def _complex_problems(M: ChainComplex, N: ChainComplex) -> list[str]:
     """``validate_complex`` of both ends, each line prefixed by its name."""
     return [f"{name}: {p}" for name, c in (("M", M), ("N", N)) for p in validate_complex(c)]
 
 
-def _expect_map(problems: list[str], f: GradedMap, name: str,
-                src: ChainComplex, tgt: ChainComplex, degree: int) -> bool:
-    if f.source != src or f.target != tgt:
-        problems.append(f"{name} does not run between the stated complexes")
-        return False
-    if f.degree != degree:
-        problems.append(f"{name} has degree {f.degree}, expected {degree}")
-        return False
-    if filtration_shift(f) < 0:
-        problems.append(f"{name} does not preserve the filtration (shift {filtration_shift(f)})")
-    return True
+def tower_generators(index_cap: int) -> tuple[Generator, ...]:
+    """The generators a tower of this cap assigns, index by index:
+    f_0, g_0, f_1, g_1, ..., f_2c+1, g_2c+1."""
+    return tuple(gen(fam, n) for n in range(2 * index_cap + 2) for fam in ("f", "g"))
+
+
+def _hom_space(z: Generator, M: ChainComplex, N: ChainComplex) -> tuple[ChainComplex, ChainComplex]:
+    """Source and target of z's component: colour B is M, colour W is N."""
+    return (M if z.src == "B" else N), (M if z.dst == "B" else N)
+
+
+def evaluate_words(
+    terms: tuple[tuple[Word, int], ...], assign: dict[Generator, GradedMap],
+    M: ChainComplex, N: ChainComplex,
+) -> GradedMap | None:
+    """Z-linear evaluation of (word, coefficient) pairs: a word becomes the
+    composite of its factor images (rightmost applied first), an identity
+    word the identity map of its color's complex (B on M, W on N).
+
+    None when there are no terms; unassigned generators are an error.
+    """
+    total: GradedMap | None = None
+    for w, c in terms:
+        if w.is_identity:
+            img = GradedMap.identity(M if w.id_color == "B" else N)
+        else:
+            img = None
+            for z in reversed(w.factors):
+                if z not in assign:
+                    raise ValueError(f"generator {z.token} is not assigned in this action")
+                img = assign[z] if img is None else compose(assign[z], img)
+        part = img.scale(c)
+        total = part if total is None else total + part
+    return total
+
+
+def _tower_rhs(z: Generator, assign: dict[Generator, GradedMap],
+               M: ChainComplex, N: ChainComplex) -> GradedMap:
+    """Required D-value of the component assigned to z: the generator's
+    differential table from operad_sym, evaluated under the assignment."""
+    value = evaluate_words(generator_diff(z), assign, M, N)
+    if value is None:
+        return GradedMap.zero(*_hom_space(z, M, N), z.degree - 1)
+    return value
+
+
+def _check_components(problems: list[str], assign: dict[Generator, GradedMap],
+                      M: ChainComplex, N: ChainComplex, name, failure) -> None:
+    """Report each component that runs between the wrong complexes, has the
+    wrong degree or lowers the filtration (under ``name(z)``); if none
+    does, report each that fails its tower identity (as ``failure(z)``)."""
+    ok = True
+    for z, f in assign.items():
+        src, tgt = _hom_space(z, M, N)
+        if f.source != src or f.target != tgt:
+            problems.append(f"{name(z)} does not run between the stated complexes")
+            ok = False
+        elif f.degree != z.degree:
+            problems.append(f"{name(z)} has degree {f.degree}, expected {z.degree}")
+            ok = False
+        elif filtration_shift(f) < 0:
+            problems.append(f"{name(z)} does not preserve the filtration (shift {filtration_shift(f)})")
+    if not ok or problems:
+        return
+    for z, f in assign.items():
+        if hom_differential(f) != _tower_rhs(z, assign, M, N):
+            problems.append(failure(z))
+
+
+# A retract and an equivalence are towers of cap 0: F, G, H, L are f_0,
+# g_0, f_1, g_1, and a retract is the one with L = 0, whose identity
+# D(0) = F G - 1 says F G = 1.
+_HE_NAMES = dict(zip(tower_generators(0), "FGHL"))
+_SDR_FAILURES = dict(zip(tower_generators(0), (
+    "F is not a chain map", "G is not a chain map",
+    "d H + H d != G F - 1 on M", "F G != 1 on N",
+)))
+_HE_FAILURES = {**_SDR_FAILURES, gen("g", 1): "d L + L d != F G - 1 on N"}
 
 
 def validate_sdr(s: SdrData) -> list[str]:
     """Report of every violated retract identity (empty means valid)."""
     problems = _complex_problems(s.M, s.N)
-    ok = _expect_map(problems, s.F, "F", s.M, s.N, 0)
-    ok &= _expect_map(problems, s.G, "G", s.N, s.M, 0)
-    ok &= _expect_map(problems, s.H, "H", s.M, s.M, 1)
-    if not ok or problems:
-        return problems
-    if not hom_differential(s.F).is_zero():
-        problems.append("F is not a chain map")
-    if not hom_differential(s.G).is_zero():
-        problems.append("G is not a chain map")
-    if compose(s.F, s.G) != GradedMap.identity(s.N):
-        problems.append("F G != 1 on N")
-    if hom_differential(s.H) != compose(s.G, s.F) - GradedMap.identity(s.M):
-        problems.append("d H + H d != G F - 1 on M")
+    f0, g0, f1, g1 = tower_generators(0)
+    assign = {f0: s.F, g0: s.G, g1: GradedMap.zero(s.N, s.N, 1), f1: s.H}
+    _check_components(problems, assign, s.M, s.N, _HE_NAMES.get, _SDR_FAILURES.get)
     return problems
 
 
@@ -167,14 +238,9 @@ def bpl_transfer(s: SdrData, p: Perturbation) -> SdrData:
     The output is a new SdrData between the perturbed complexes; its four
     defining identities are re-verified exactly before returning.
     """
-    report = validate_sdr(s)
-    if report:
-        raise ValueError("invalid retract: " + "; ".join(report))
-    if p.base != s.M:
-        raise ValueError("perturbation does not live on the retract's big complex")
-    report = validate_perturbation(p)
-    if report:
-        raise ValueError("invalid perturbation: " + "; ".join(report))
+    _refuse(validate_sdr(s), "invalid retract: ")
+    _refuse([] if p.base == s.M else ["perturbation does not live on the retract's big complex"])
+    _refuse(validate_perturbation(p), "invalid perturbation: ")
     side = check_side_conditions(s)
     if not side.all:
         raise SideConditionError(
@@ -193,8 +259,6 @@ def bpl_transfer(s: SdrData, p: Perturbation) -> SdrData:
         G=rebase(s.G + compose(compose(s.H, k), s.G), n_new, m_new),
         H=rebase(s.H + compose(compose(s.H, k), s.H), m_new, m_new),
     )
-    report = validate_sdr(out)
-    if report:
-        raise InternalConsistencyError("transferred retract fails its identities: " + "; ".join(report))
+    _refuse(validate_sdr(out), "transferred retract fails its identities: ", InternalConsistencyError)
     return out
 

@@ -33,8 +33,9 @@ integer system that solves for both lifts together with cycle
 corrections of the previous components; that system's coupling entries
 are read from the same table.
 
-Every tower identity is evaluated by ``_check_components``, which
-``validate_he``, ``validate_she`` and ``ipl_pipeline.OperadAction`` share.
+Every tower identity is evaluated by ``sdr_bpl._check_components``, which
+``validate_he`` and ``validate_she`` share with ``validate_sdr`` (a retract
+is the cap-0 tower with L = 0) and ``ipl_pipeline.OperadAction``.
 Constructors check their output (``_checked``), public entry points check
 their input, and the private cores (``_extend``, ``_decide_obstructions``,
 ``_zero_padded``) trust their caller, so a pipeline checks each object
@@ -58,8 +59,9 @@ from .chaincore import (
     vec_to_map,
 )
 from .exactlin import _closed, solve_integer
-from .operad_sym import Generator, Word, gen, generator_diff
-from .sdr_bpl import InternalConsistencyError, SdrData, _complex_problems, _expect_map
+from .operad_sym import Generator, gen, generator_diff
+from .sdr_bpl import (_HE_FAILURES, _HE_NAMES, InternalConsistencyError, SdrData, _check_components,
+                      _complex_problems, _hom_space, _refuse, _tower_rhs, tower_generators)
 
 
 class ObstructionError(ValueError):
@@ -137,12 +139,6 @@ def he_from_she(s: SheData) -> HeData:
 _LAYOUT = {("f", 0): "F_even", ("g", 0): "G_even", ("f", 1): "H_odd", ("g", 1): "L_odd"}
 
 
-def tower_generators(index_cap: int) -> tuple[Generator, ...]:
-    """The generators a tower of this cap assigns, index by index:
-    f_0, g_0, f_1, g_1, ..., f_2c+1, g_2c+1."""
-    return tuple(gen(fam, n) for n in range(2 * index_cap + 2) for fam in ("f", "g"))
-
-
 def component_name(z: Generator) -> str:
     """The SheData entry holding z's component, e.g. H_odd[1] for f_3."""
     return f"{_LAYOUT[z.family, z.index % 2]}[{z.index // 2}]"
@@ -167,51 +163,10 @@ def _checked(out: SheData, what: str, source: HeData | None = None) -> SheData:
     """A constructed tower, once its identities hold.  Failure is a
     consistency error, unless the ``source`` it was built from is invalid."""
     report = validate_she(out)
-    if report:
-        if source is not None:
-            _require_valid(source)
-        raise InternalConsistencyError(f"{what} fails its identities: " + "; ".join(report))
+    if report and source is not None:
+        _require_valid(source)
+    _refuse(report, f"{what} fails its identities: ", InternalConsistencyError)
     return out
-
-
-def _hom_space(z: Generator, M: ChainComplex, N: ChainComplex) -> tuple[ChainComplex, ChainComplex]:
-    """Source and target of z's component: colour B is M, colour W is N."""
-    return (M if z.src == "B" else N), (M if z.dst == "B" else N)
-
-
-def evaluate_words(
-    terms: tuple[tuple[Word, int], ...], assign: dict[Generator, GradedMap],
-    M: ChainComplex, N: ChainComplex,
-) -> GradedMap | None:
-    """Z-linear evaluation of (word, coefficient) pairs: a word becomes the
-    composite of its factor images (rightmost applied first), an identity
-    word the identity map of its color's complex (B on M, W on N).
-
-    None when there are no terms; unassigned generators are an error.
-    """
-    total: GradedMap | None = None
-    for w, c in terms:
-        if w.is_identity:
-            img = GradedMap.identity(M if w.id_color == "B" else N)
-        else:
-            img = None
-            for z in reversed(w.factors):
-                if z not in assign:
-                    raise ValueError(f"generator {z.token} is not assigned in this action")
-                img = assign[z] if img is None else compose(assign[z], img)
-        part = img.scale(c)
-        total = part if total is None else total + part
-    return total
-
-
-def _tower_rhs(z: Generator, assign: dict[Generator, GradedMap],
-               M: ChainComplex, N: ChainComplex) -> GradedMap:
-    """Required D-value of the component assigned to z: the generator's
-    differential table from operad_sym, evaluated under the assignment."""
-    value = evaluate_words(generator_diff(z), assign, M, N)
-    if value is None:
-        return GradedMap.zero(*_hom_space(z, M, N), z.degree - 1)
-    return value
 
 
 def _obstruction_cycle(he: HeData, family: str) -> GradedMap:
@@ -222,29 +177,6 @@ def _obstruction_cycle(he: HeData, family: str) -> GradedMap:
 
 def _obstruction_cycles(he: HeData) -> tuple[GradedMap, GradedMap]:
     return _obstruction_cycle(he, "f"), _obstruction_cycle(he, "g")
-
-
-def _check_components(problems: list[str], assign: dict[Generator, GradedMap],
-                      M: ChainComplex, N: ChainComplex, name, failure) -> None:
-    """Report each component that runs between the wrong complexes, has the
-    wrong degree or lowers the filtration (under ``name(z)``); if none
-    does, report each that fails its tower identity (as ``failure(z)``)."""
-    ok = True
-    for z, f in assign.items():
-        ok &= _expect_map(problems, f, name(z), *_hom_space(z, M, N), z.degree)
-    if not ok or problems:
-        return
-    for z, f in assign.items():
-        if hom_differential(f) != _tower_rhs(z, assign, M, N):
-            problems.append(failure(z))
-
-
-# An equivalence is a tower of cap 0: F, G, H, L are f_0, g_0, f_1, g_1.
-_HE_NAMES = dict(zip(tower_generators(0), "FGHL"))
-_HE_FAILURES = dict(zip(tower_generators(0), (
-    "F is not a chain map", "G is not a chain map",
-    "d H + H d != G F - 1 on M", "d L + L d != F G - 1 on N",
-)))
 
 
 def validate_he(he: HeData) -> list[str]:
@@ -302,9 +234,7 @@ def _hom_solve(src: ChainComplex, tgt: ChainComplex, k: int, rhs: GradedMap) -> 
 
 
 def _require_valid(he: HeData) -> None:
-    report = validate_he(he)
-    if report:
-        raise ValueError("invalid homotopy equivalence: " + "; ".join(report))
+    _refuse(validate_he(he), "invalid homotopy equivalence: ")
 
 
 def _decide_obstructions(he: HeData, o_m: GradedMap, o_n: GradedMap) -> ObstructionPair:

@@ -16,6 +16,7 @@ from pertlab.cli_io import (
 from pertlab.fixtures import (
     fixture_generate,
     he_fixture,
+    interval_complex,
     layered_she_fixture,
     obstructed_he_fixture,
     sdr_fixture,
@@ -117,6 +118,63 @@ def test_parse_document_fuzz_tree_edits(data):
     except DocumentError:
         return
     assert serialize_document(obj) == text
+
+
+def _edits(doc):
+    """Edits that keep a decoded document well shaped but not canonical:
+    swap two map blocks, zero one block's entries, or write a key twice."""
+    for node, key in _slots(doc):
+        value = node[key]
+        if isinstance(node, dict):
+            yield "repeat", node, key
+        if key == "blocks" and isinstance(value, list) and len(value) > 1:
+            yield "swap", value, None
+        if isinstance(value, dict) and set(value) == {"at", "rows"}:
+            yield "zero", value, None
+
+
+def _dumps_repeating(node, target: dict, key: str) -> str:
+    """JSON text of ``node`` with ``key`` of the object ``target`` written
+    twice, with the same value."""
+    if isinstance(node, dict):
+        keys = sorted(node)
+        if node is target:
+            keys.insert(keys.index(key), key)
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps_repeating(node[k], target, key)}" for k in keys) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(_dumps_repeating(v, target, key) for v in node) + "]"
+    return json.dumps(node)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_document_fuzz_refuses_non_canonical_edits(data):
+    doc = json.loads(data.draw(st.sampled_from(_mutation_documents())))
+    edits = list(_edits(doc))
+    kind = data.draw(st.sampled_from(sorted({edit for edit, _, _ in edits})))
+    edit, node, key = data.draw(st.sampled_from([e for e in edits if e[0] == kind]))
+    if edit == "swap":
+        i = data.draw(st.integers(0, len(node) - 2))
+        j = data.draw(st.integers(i + 1, len(node) - 1))
+        node[i], node[j] = node[j], node[i]
+    elif edit == "zero":
+        node["rows"] = [["0"] * len(row) for row in node["rows"]]
+    text = _dumps_repeating(doc, node, key) if edit == "repeat" else json.dumps(doc)
+    with pytest.raises(DocumentError):
+        parse_document(text)
+
+
+def test_repeated_keys_are_refused():
+    text = serialize_document(interval_complex())
+    edits = [
+        ('    "max_weight": 0,\n', '    "max_weight": 5,\n    "max_weight": 0,\n', "max_weight"),
+        ('  "kind": "complex",\n', '  "kind": "complex",\n  "kind": "complex",\n', "kind"),
+    ]
+    for old, new, key in edits:
+        assert text.count(old) == 1
+        with pytest.raises(DocumentError) as caught:
+            parse_document(text.replace(old, new))
+        assert str(caught.value) == f"repeated key {key!r}"
 
 
 def test_parse_document_refuses_hostile_text():

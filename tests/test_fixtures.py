@@ -1,6 +1,8 @@
 import pytest
 
+from pertlab import fixtures
 from pertlab.chaincore import GradedMap, compose, filtration_shift, validate_complex
+from pertlab.cli import main
 from pertlab.cli_io import serialize_bundle
 from pertlab.fixtures import (
     build_complex,
@@ -15,7 +17,7 @@ from pertlab.fixtures import (
     weight_raising_perturbation,
     zero_complex,
 )
-from pertlab.sdr_bpl import check_side_conditions, validate_perturbation, validate_sdr
+from pertlab.sdr_bpl import InternalConsistencyError, check_side_conditions, validate_perturbation, validate_sdr
 from pertlab.she_obstruction import obstruction_cycles, validate_he
 
 
@@ -33,6 +35,18 @@ def test_cone_retract_sdr_is_a_deformation_retract():
         assert check_side_conditions(s).all
         # F G = 1 on the small side holds on the nose, not just up to homotopy
         assert compose(s.F, s.G) == GradedMap.identity(s.N)
+
+
+def test_fixture_self_check_is_not_an_assert(monkeypatch, capsys):
+    # an assert would vanish under python -O, together with the check it makes
+    def validate_sdr(s):
+        return ["F G != 1 on N"]
+
+    monkeypatch.setattr(fixtures, "validate_sdr", validate_sdr)
+    with pytest.raises(InternalConsistencyError, match=r"^fixture fails validate_sdr: F G != 1 on N$"):
+        cone_retract_sdr(1)
+    assert main(["fixture", "--seed", "0"]) == 5
+    assert "InternalConsistencyError" in capsys.readouterr().err
 
 
 def test_sdr_fixture_perturbation_is_admissible():

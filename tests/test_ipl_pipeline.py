@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pertlab import ipl_pipeline, she_obstruction
-from pertlab.chaincore import ChainComplex, GradedMap, compose
+from pertlab import ipl_pipeline, sdr_bpl, she_obstruction
+from pertlab.chaincore import (
+    ChainComplex,
+    GradedMap,
+    complex_with_differential,
+    compose,
+    filtration_shift,
+    rebase,
+)
 from pertlab.exactlin import IntMatrix
 from pertlab.fixtures import (
     fixture_generate,
@@ -91,13 +98,13 @@ def test_action_from_she_checks_each_identity_once(monkeypatch):
     tower = extend_to_she(he, 1)
     p = weight_raising_perturbation(4, he.M)
     seen = []
-    real = she_obstruction._tower_rhs
+    real = sdr_bpl._tower_rhs
 
     def counted(z, *args):
         seen.append(z)
         return real(z, *args)
 
-    monkeypatch.setattr(she_obstruction, "_tower_rhs", counted)
+    monkeypatch.setattr(sdr_bpl, "_tower_rhs", counted)
     act = action_from_she(tower, p)
     # the tower check evaluates f0 ... g3 once each; xb's identity is the
     # perturbation check's (d + delta)^2 = 0
@@ -175,6 +182,23 @@ def test_solve_pp_property_over_fixtures(seed, strategy):
     assert set(sol.shifts) == {"F", "G", "H", "L"}
     assert all(v >= 1 for v in sol.shifts.values())
     assert sol.n_perturbed.max_weight == he.N.max_weight
+
+
+def _forget(f: GradedMap) -> GradedMap:
+    """The same blocks over zero-differential complexes, so maps over the
+    perturbed and the unperturbed complexes become comparable."""
+    return rebase(f, *(complex_with_differential(c, GradedMap.zero(c, c, -1))
+                       for c in (f.source, f.target)))
+
+
+@pytest.mark.parametrize("strategy", ["modify_h", "modify_l"])
+def test_solve_pp_shifts_are_those_of_the_differences(strategy):
+    for seed in range(8):
+        he = he_fixture(seed)
+        sol = solve_pp(he, weight_raising_perturbation(seed + 1, he.M), strategy)
+        tilde = {"F": sol.f_tilde, "G": sol.g_tilde, "H": sol.h_tilde, "L": sol.l_tilde}
+        assert sol.shifts == {k: filtration_shift(_forget(f) - _forget(getattr(sol.reference, k)))
+                              for k, f in tilde.items()}
 
 
 def test_solve_pp_as_is_requires_vanishing_classes():
@@ -266,6 +290,8 @@ def test_solve_pp_checks_each_identity_once(monkeypatch, seed, strategy, most):
     for module in (ipl_pipeline, she_obstruction):
         spy(module, "validate_he")
         spy(module, "validate_she")
+    # the tower check calls sdr_bpl's _tower_rhs, the extension she_obstruction's
+    spy(sdr_bpl, "_tower_rhs")
     spy(she_obstruction, "_tower_rhs")
     monkeypatch.setattr(OperadAction, "__post_init__", lambda act: seen["action"].append(act))
     solve_pp(he, p, strategy)

@@ -61,3 +61,31 @@ def test_parity_layout_stays_behind_she_obstruction():
             if isinstance(node, ast.Attribute) and node.attr in PARITY_FIELDS:
                 readers.append(f"{path.stem}:{node.lineno} reads .{node.attr}")
     assert readers == []
+
+
+# object.__new__ builds an object past its constructor's check; each place
+# that does so says why its caller has already checked what it builds.
+UNCHECKED_CONSTRUCTORS = {
+    ("exactlin", "_closed"),
+    ("operad_sym", "_chain"),
+    ("ipl_pipeline", "OperadAction._checked_by_caller"),
+}
+
+
+def object_new_scopes(node, scope=""):
+    """(enclosing function or class path, line) of each ``object.__new__``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from object_new_scopes(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr == "__new__"
+                and isinstance(child.value, ast.Name) and child.value.id == "object"):
+            yield scope, child.lineno
+        yield from object_new_scopes(child, scope)
+
+
+def test_object_new_only_in_the_unchecked_constructors():
+    found = {(path.stem, scope): line
+             for path in sorted(PACKAGE.glob("*.py"))
+             for scope, line in object_new_scopes(ast.parse(path.read_text()))}
+    assert set(found) == UNCHECKED_CONSTRUCTORS, found

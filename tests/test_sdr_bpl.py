@@ -1,8 +1,18 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pertlab.chaincore import GradedMap, compose, filtration_shift, hom_differential
+from pertlab.chaincore import (
+    GradedMap,
+    complex_with_differential,
+    compose,
+    filtration_shift,
+    hom_differential,
+    validate_complex,
+)
 from pertlab.exactlin import IntMatrix
 from pertlab.fixtures import (
     build_complex,
@@ -170,3 +180,95 @@ def test_crude_perturb_matches_transfer_on_a_retract():
     full = bpl_transfer(s, p)
     assert d_n == full.N.differential_map()
     assert f == full.F and g == full.G
+
+
+# --- validate_sdr against its hand-written form --------------------------------
+
+
+def _expect_map_by_hand(problems, f, name, src, tgt, degree):
+    if f.source != src or f.target != tgt:
+        problems.append(f"{name} does not run between the stated complexes")
+        return False
+    if f.degree != degree:
+        problems.append(f"{name} has degree {f.degree}, expected {degree}")
+        return False
+    if filtration_shift(f) < 0:
+        problems.append(f"{name} does not preserve the filtration (shift {filtration_shift(f)})")
+    return True
+
+
+def validate_sdr_by_hand(s: SdrData) -> list[str]:
+    """The retract identities and the ends of F, G and H written out, as
+    validate_sdr stated them before it became the cap-0 tower check."""
+    problems = [f"{name}: {p}" for name, c in (("M", s.M), ("N", s.N)) for p in validate_complex(c)]
+    ok = _expect_map_by_hand(problems, s.F, "F", s.M, s.N, 0)
+    ok &= _expect_map_by_hand(problems, s.G, "G", s.N, s.M, 0)
+    ok &= _expect_map_by_hand(problems, s.H, "H", s.M, s.M, 1)
+    if not ok or problems:
+        return problems
+    if not hom_differential(s.F).is_zero():
+        problems.append("F is not a chain map")
+    if not hom_differential(s.G).is_zero():
+        problems.append("G is not a chain map")
+    if compose(s.F, s.G) != GradedMap.identity(s.N):
+        problems.append("F G != 1 on N")
+    if hom_differential(s.H) != compose(s.G, s.F) - GradedMap.identity(s.M):
+        problems.append("d H + H d != G F - 1 on M")
+    return problems
+
+
+def _bump_entry(rng: random.Random, f: GradedMap) -> GradedMap:
+    """f with one entry of one nonempty block moved by a small nonzero amount."""
+    degrees = [n for n in f.source.degrees()
+               if f.source.rank_at(n) and f.target.rank_at(n + f.degree)]
+    if not degrees:
+        return f
+    n = rng.choice(degrees)
+    m = f.block_at(n)
+    entries = list(m.entries)
+    entries[rng.randrange(len(entries))] += rng.choice((-2, -1, 1, 2))
+    blocks = dict(f.blocks)
+    blocks[n] = IntMatrix(m.rows, m.cols, tuple(entries))
+    return GradedMap.from_blocks(f.source, f.target, f.degree, blocks)
+
+
+def _mutated_retract(rng: random.Random, s: SdrData) -> SdrData:
+    """One or two random edits of a retract: a moved entry, a scaled map, a
+    map of the wrong degree or between the wrong complexes, or a complex
+    whose differential has a moved entry."""
+    for _ in range(rng.randint(1, 2)):
+        name = rng.choice("FGH")
+        f = getattr(s, name)
+        kind = rng.choice(("entry", "entry", "entry", "scale", "degree", "ends", "complex"))
+        if kind == "entry":
+            f = _bump_entry(rng, f)
+        elif kind == "scale":
+            f = f.scale(rng.choice((0, -1, 2)))
+        elif kind == "degree":
+            f = GradedMap.zero(f.source, f.target, f.degree + rng.choice((-1, 1)))
+        elif kind == "ends":
+            f = GradedMap.zero(f.target, f.source, f.degree)
+        else:
+            side = rng.choice("MN")
+            c = getattr(s, side)
+            c = complex_with_differential(c, _bump_entry(rng, c.differential_map()))
+            s = dataclasses.replace(s, **{side: c})
+            continue
+        s = dataclasses.replace(s, **{name: f})
+    return s
+
+
+def test_validate_sdr_matches_the_hand_written_identities():
+    rng = random.Random(0)
+    bases = [sdr_fixture(seed)[0] for seed in range(8)] + [lazy_retract()]
+    reports = []
+    for _ in range(300):
+        s = _mutated_retract(rng, rng.choice(bases))
+        reports.append(validate_sdr_by_hand(s))
+        assert validate_sdr(s) == reports[-1]
+    assert sum(map(bool, reports)) >= 200
+    lines = {p for report in reports for p in report}
+    for text in ("M: ", "N: ", "F is not a chain map", "G is not a chain map", "F G != 1 on N",
+                 "d H + H d != G F - 1 on M", "has degree", "does not run between",
+                 "does not preserve the filtration"):
+        assert any(text in p for p in lines), text
