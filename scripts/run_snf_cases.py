@@ -12,10 +12,12 @@ before each timed call.  Each hom-complex case also prints the time of one
 `hom_complex` build of its matrix (the `chaincore` layer's own number;
 `hom_complex` keeps no cache, so every build is cold).
 
-A last line totals the cold `cokernel_invariants` times over the matrices
-a tower lift eliminates: the filtered differentials of degree k = 2, 3
-between the two sides (M and N, either way and each to itself) of
-`cone_retract_sdr(5, c, c // 2, 4)` for c = 10..17, the best of five
+A last line covers the matrices a tower lift eliminates: the filtered
+differentials of degree k = 2, 3 between the two sides (M and N, either
+way and each to itself) of `cone_retract_sdr(5, c, c // 2, 4)` for
+c = 10..17.  It prints the total time to build all of them with
+`_filtered_differential` (the `chaincore` number of the tower path) and
+the total of their cold `cokernel_invariants` times, each the best of five
 passes.
 
     PYTHONPATH=src python3 scripts/run_snf_cases.py
@@ -57,13 +59,22 @@ def cold(fn, *args) -> tuple[object, float]:
     return result, time.perf_counter() - t0
 
 
-def filtered_differentials() -> list[IntMatrix]:
+def filtered_cases() -> list[tuple]:
+    """The (source, target, k) of every filtered differential a tower lift eliminates."""
     out = []
     for c in range(10, 18):
         s = cone_retract_sdr(5, c, c // 2, 4)
         for (src, tgt), k in itertools.product(itertools.product((s.M, s.N), repeat=2), (2, 3)):
-            out.append(_filtered_differential(src, tgt, k)[1])
+            out.append((src, tgt, k))
     return out
+
+
+def build_s(args: list[tuple]) -> float:
+    """Seconds to build the filtered differential of every (source, target, k) in ``args``."""
+    t0 = time.perf_counter()
+    for a in args:
+        _filtered_differential(*a)
+    return time.perf_counter() - t0
 
 
 def main() -> int:
@@ -80,13 +91,15 @@ def main() -> int:
         bits = max(abs(e).bit_length() for e in dec.U.entries + dec.V.entries)
         hom = "-" if t_hom is None else f"{t_hom:.3f}"
         print(f"{name:20s} {a.rows:>3d}x{a.cols:<4d} {dec.rank:5d} {bits:7d} {hom:>7s} {t_solve:8.3f} {t_coker:10.3f}")
-    mats = filtered_differentials()
+    args = filtered_cases()
+    mats = [_filtered_differential(*a)[1] for a in args]
+    build = min(build_s(args) for _ in range(5))
     total = min(sum(cold(exactlin.cokernel_invariants, a)[1] for a in mats) for _ in range(5))
     nonzeros = sum(map(bool, itertools.chain.from_iterable(a.entries for a in mats)))
     cells = sum(len(a.entries) for a in mats)
     print(f"filtered D_k, k=2,3, c=10..17: {len(mats)} matrices, up to {max(a.rows for a in mats)}"
           f"x{max(a.cols for a in mats)}, {nonzeros} of {cells} entries nonzero, "
-          f"cold cokernel_s total {total:.3f}")
+          f"build_s total {build:.4f}, cold cokernel_s total {total:.3f}")
     print("solutions verified" if ok else "A x != b on some case")
     return 0 if ok else 1
 

@@ -25,6 +25,7 @@ this one speak only in terms of D.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .exactlin import IntMatrix, _closed
 
@@ -106,19 +107,16 @@ def validate_complex(c: ChainComplex) -> list[str]:
         for i, w in enumerate(row):
             if not (0 <= w <= c.max_weight):
                 problems.append(f"weight out of range at degree {n}, index {i}: {w}")
-    for n in range(c.degree_lo + 1, c.degree_hi + 1):
-        m = c.d_block(n)
-        for i in range(m.rows):
-            for j in range(m.cols):
-                if m.entry(i, j) and c.weight_at(n - 1, i) < c.weight_at(n, j):
-                    problems.append(
-                        f"filtration leak in d at degree {n}, entry ({i}, {j}): "
-                        f"weight {c.weight_at(n, j)} -> {c.weight_at(n - 1, i)}"
-                    )
-                    break
-            else:
-                continue
-            break
+    for t, m in enumerate(c.diffs):
+        # the nonzeros of d out of degree n in row-major order; the first leak is reported
+        n, w_to, w_from = c.degree_lo + t + 1, c.weights[t], c.weights[t + 1]
+        for p in compress(range(len(m.entries)), m.entries):
+            i, j = divmod(p, m.cols)
+            if w_to[i] < w_from[j]:
+                problems.append(
+                    f"filtration leak in d at degree {n}, entry ({i}, {j}): weight {w_from[j]} -> {w_to[i]}"
+                )
+                break
     for n in range(c.degree_lo + 2, c.degree_hi + 1):
         sq = c.d_block(n - 1) @ c.d_block(n)
         if not sq.is_zero():
@@ -256,23 +254,43 @@ def hom_differential(f: GradedMap) -> GradedMap:
     Composed block by block, with k = deg(f): the block f_n at source
     degree n contributes d_block(n + k) @ f_n of the target at source
     degree n, and -(-1)^k f_n @ d_block(n + 1) of the source at source
-    degree n + 1.  A zero d block contributes nothing and is skipped.
+    degree n + 1, both added into one entry list per degree.  A d block
+    outside its complex's window or equal to zero contributes nothing.
     """
     src, tgt, k = f.source, f.target, f.degree
-    parts: dict[int, IntMatrix] = {}
+    sums: dict[int, list[int]] = {}
     for n, fn in f.blocks:
-        left = tgt.d_block(n + k)
-        if not left.is_zero():
-            parts[n] = left @ fn
+        left = _nonzero_d(tgt, n + k)
+        if left is not None:
+            _add_block(sums, n, left @ fn, 1)
+    sign = 1 if k % 2 else -1
     for n, fn in f.blocks:
-        d = src.d_block(n + 1)
-        if d.is_zero():
-            continue
-        right = fn @ d
-        if not k % 2:
-            right = -right
-        parts[n + 1] = parts[n + 1] + right if n + 1 in parts else right
-    return GradedMap.from_blocks(src, tgt, k - 1, parts)
+        d = _nonzero_d(src, n + 1)
+        if d is not None:
+            _add_block(sums, n + 1, fn @ d, sign)
+    return _from_sums(src, tgt, k - 1, sums)
+
+
+def _nonzero_d(c: ChainComplex, n: int) -> IntMatrix | None:
+    """The matrix of d out of degree n, or None where it is zero."""
+    t = n - c.degree_lo
+    return c.diffs[t - 1] if 1 <= t <= len(c.diffs) and any(c.diffs[t - 1].entries) else None
+
+
+def _add_block(sums: dict[int, list[int]], n: int, m: IntMatrix, c: int) -> None:
+    """Add c times the entries of ``m`` into the entry list of degree n."""
+    acc = sums.get(n)
+    sums[n] = [c * v for v in m.entries] if acc is None else [a + c * v for a, v in zip(acc, m.entries)]
+
+
+def _from_sums(source: ChainComplex, target: ChainComplex, degree: int,
+               sums: dict[int, list[int]]) -> GradedMap:
+    """The graded map whose block at source degree n has the entries
+    ``sums[n]``; zero blocks are dropped as ``from_blocks`` drops them."""
+    return GradedMap.from_blocks(source, target, degree, {
+        n: _closed(target.rank_at(n + degree), source.rank_at(n), tuple(flat))
+        for n, flat in sums.items()
+    })
 
 
 def hom_basis(m: ChainComplex, n: ChainComplex, k: int) -> tuple[tuple[int, int, int], ...]:
@@ -327,7 +345,15 @@ class HomComplexSlice:
 
 
 def hom_complex(m: ChainComplex, n: ChainComplex, k: int) -> HomComplexSlice:
-    """D on Hom_k(m, n) as d_n o f - (-1)^k f o d_m, one column per basis map.
+    """D on Hom_k(m, n) as d_n o f - (-1)^k f o d_m, one column per basis map."""
+    basis = hom_basis(m, n, k)
+    return HomComplexSlice(m, n, k, basis, _hom_columns(m, n, k, basis))
+
+
+def _hom_columns(m: ChainComplex, n: ChainComplex, k: int,
+                 basis: tuple[tuple[int, int, int], ...]) -> IntMatrix:
+    """D's matrix on ``basis``, a sub-enumeration of ``hom_basis(m, n, k)``,
+    into the full degree-(k-1) enumeration, one column per basis map.
 
     The basis map (deg, i, j) sends source basis element i of degree deg
     to target basis element j of degree deg + k.  Its image under D has two
@@ -336,29 +362,28 @@ def hom_complex(m: ChainComplex, n: ChainComplex, k: int) -> HomComplexSlice:
     times -(-1)^k at the basis maps (deg + 1, ., j).  Row positions follow
     from the lexicographic ``hom_basis`` enumeration by arithmetic.
     """
-    basis = hom_basis(m, n, k)
     offset: dict[int, int] = {}
     rows = 0
     for deg in m.degrees():
         offset[deg] = rows
         rows += m.rank_at(deg) * n.rank_at(deg + k - 1)
+    sign = 1 if k % 2 else -1
     cols = len(basis)
     flat = [0] * (rows * cols)
-    odd = k % 2
-    c = 0
-    for deg in m.degrees():
-        r_tgt = n.rank_at(deg + k)
-        dn, dm = n.d_block(deg + k), m.d_block(deg + 1)
-        down = [[(j2, v) for j2, v in enumerate(dn.entries[j::dn.cols]) if v] for j in range(dn.cols)]
-        lo, w_lo = offset[deg], n.rank_at(deg + k - 1)
-        hi = offset.get(deg + 1, 0)
-        for i in range(m.rank_at(deg)):
-            back = [(i2, v if odd else -v) for i2, v in enumerate(dm.row(i)) if v]
-            for j in range(r_tgt):
-                for j2, v in down[j]:
-                    flat[(lo + i * w_lo + j2) * cols + c] = v
-                for i2, v in back:
-                    flat[(hi + i2 * r_tgt + j) * cols + c] = v
-                c += 1
-    return HomComplexSlice(m, n, k, basis, _closed(rows, cols, tuple(flat)))
-
+    at = None
+    for c, (deg, i, j) in enumerate(basis):
+        if deg != at:
+            # this degree's row offsets, and the nonzeros of d_n by column and of d_m by row
+            at, dn, dm = deg, n.d_block(deg + k), m.d_block(deg + 1)
+            lo, w_lo, hi, r_tgt = offset[deg], dn.rows, offset.get(deg + 1, 0), dn.cols
+            down: list[list[tuple[int, int]]] = [[] for _ in range(dn.cols)]
+            for p in compress(range(len(dn.entries)), dn.entries):
+                down[p % dn.cols].append((p // dn.cols, dn.entries[p]))
+            back: list[list[tuple[int, int]]] = [[] for _ in range(dm.rows)]
+            for p in compress(range(len(dm.entries)), dm.entries):
+                back[p // dm.cols].append((p % dm.cols, sign * dm.entries[p]))
+        for j2, v in down[j]:
+            flat[(lo + i * w_lo + j2) * cols + c] = v
+        for i2, v in back[i]:
+            flat[(hi + i2 * r_tgt + j) * cols + c] = v
+    return _closed(rows, cols, tuple(flat))

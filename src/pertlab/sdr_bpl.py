@@ -38,6 +38,8 @@ from dataclasses import dataclass
 from .chaincore import (
     ChainComplex,
     GradedMap,
+    _add_block,
+    _from_sums,
     complex_with_differential,
     compose,
     filtration_shift,
@@ -112,23 +114,35 @@ def evaluate_words(
 ) -> GradedMap | None:
     """Z-linear evaluation of (word, coefficient) pairs: a word becomes the
     composite of its factor images (rightmost applied first), an identity
-    word the identity map of its color's complex (B on M, W on N).
+    word the identity map of its color's complex (B on M, W on N).  Every
+    term is added into one entry list per degree.
 
     None when there are no terms; unassigned generators are an error.
     """
-    total: GradedMap | None = None
+    hom = None
+    sums: dict[int, list[int]] = {}
     for w, c in terms:
         if w.is_identity:
-            img = GradedMap.identity(M if w.id_color == "B" else N)
+            cx = M if w.id_color == "B" else N
+            here, blocks = (cx, cx, 0), None
         else:
             img = None
             for z in reversed(w.factors):
                 if z not in assign:
                     raise ValueError(f"generator {z.token} is not assigned in this action")
                 img = assign[z] if img is None else compose(assign[z], img)
-        part = img.scale(c)
-        total = part if total is None else total + part
-    return total
+            here, blocks = (img.source, img.target, img.degree), img.blocks
+        hom = hom or here
+        if here != hom:
+            raise ValueError("maps live in different hom groups")
+        if blocks is None:  # c on the diagonal of every degree
+            for n, r in zip(cx.degrees(), cx.ranks):
+                acc = sums.setdefault(n, [0] * (r * r))
+                acc[::r + 1] = [a + c for a in acc[::r + 1]]
+        else:
+            for n, m in blocks:
+                _add_block(sums, n, m, c)
+    return None if hom is None else _from_sums(*hom, sums)
 
 
 def _tower_rhs(z: Generator, assign: dict[Generator, GradedMap],

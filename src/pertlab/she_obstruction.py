@@ -46,14 +46,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
-from operator import itemgetter
 
 from .chaincore import (
     ChainComplex,
     GradedMap,
+    _hom_columns,
     compose,
     hom_basis,
-    hom_complex,
     hom_differential,
     map_to_vec,
     vec_to_map,
@@ -206,17 +205,10 @@ def validate_she(s: SheData) -> list[str]:
 def _filtered_differential(src: ChainComplex, tgt: ChainComplex, k: int):
     """D restricted to the degree-k maps that do not lower the filtration:
     their basis (a sub-enumeration of ``hom_basis``) and D's matrix from it
-    into the full degree-(k-1) enumeration."""
-    sl = hom_complex(src, tgt, k)
-    keep = [c for c, (deg, i, j) in enumerate(sl.basis)
-            if tgt.weight_at(deg + k, j) >= src.weight_at(deg, i)]
-    d = sl.differential_matrix
-    if len(keep) == len(sl.basis):
-        return sl.basis, d
-    # itemgetter of fewer than two indices does not return a tuple
-    pick = itemgetter(*keep) if len(keep) > 1 else lambda row: tuple(row[c] for c in keep)
-    flat = tuple(chain.from_iterable(map(pick, map(d.row, range(d.rows)))))
-    return pick(sl.basis), _closed(d.rows, len(keep), flat)
+    into the full degree-(k-1) enumeration, built on those columns alone."""
+    basis = tuple((deg, i, j) for deg, i, j in hom_basis(src, tgt, k)
+                  if tgt.weights[deg + k - tgt.degree_lo][j] >= src.weights[deg - src.degree_lo][i])
+    return basis, _hom_columns(src, tgt, k, basis)
 
 
 def _hom_solve(src: ChainComplex, tgt: ChainComplex, k: int, rhs: GradedMap) -> GradedMap | None:

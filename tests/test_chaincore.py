@@ -54,6 +54,14 @@ def test_validate_flags_filtration_leak():
     ]
 
 
+def test_validate_reports_the_first_leak_of_a_degree_in_row_major_order():
+    # two leaks in degree 1, at (0, 1) and (1, 0): the row-major first is reported, once
+    c = ChainComplex(0, 1, (2, 2), ((0, 0), (1, 2)), (IntMatrix.from_rows([[0, 1], [1, 0]]),), 2)
+    assert validate_complex(c) == [
+        "filtration leak in d at degree 1, entry (0, 1): weight 2 -> 0"
+    ]
+
+
 def test_validate_flags_weight_range_and_square():
     c = ChainComplex(0, 0, (2,), ((0, 5),), (), 1)
     assert validate_complex(c) == ["weight out of range at degree 0, index 1: 5"]

@@ -1,8 +1,9 @@
 import dataclasses
+import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pertlab.chaincore import (
@@ -17,6 +18,7 @@ from pertlab.exactlin import IntMatrix
 from pertlab.fixtures import (
     build_complex,
     cone_retract_sdr,
+    he_fixture,
     sdr_fixture,
     weight_raising_perturbation,
 )
@@ -26,13 +28,15 @@ from pertlab.sdr_bpl import (
     SideConditionError,
     bpl_transfer,
     check_side_conditions,
+    evaluate_words,
     geometric_kernel,
     perturbed_complex,
     validate_perturbation,
     validate_sdr,
 )
 from pertlab.ipl_pipeline import solve_pp
-from pertlab.she_obstruction import he_from_sdr, validate_he
+from pertlab.operad_sym import gen, id_word, word
+from pertlab.she_obstruction import extend_to_she, he_from_sdr, tower_assignment, validate_he
 
 
 def lazy_retract():
@@ -272,3 +276,108 @@ def test_validate_sdr_matches_the_hand_written_identities():
                  "d H + H d != G F - 1 on M", "has degree", "does not run between",
                  "does not preserve the filtration"):
         assert any(text in p for p in lines), text
+
+
+# --- evaluate_words against the term-by-term evaluation ----------------------
+
+
+def evaluate_words_term_by_term(terms, assign, M, N):
+    """Each term composed, scaled and added to the running sum on its own."""
+    total = None
+    for w, c in terms:
+        if w.is_identity:
+            img = GradedMap.identity(M if w.id_color == "B" else N)
+        else:
+            img = None
+            for z in reversed(w.factors):
+                if z not in assign:
+                    raise ValueError(f"generator {z.token} is not assigned in this action")
+                img = assign[z] if img is None else compose(assign[z], img)
+        part = img.scale(c)
+        total = part if total is None else total + part
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _cap_one_tower(seed):
+    return tower_assignment(extend_to_she(he_fixture(seed), 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _words_by_hom(gens):
+    """Every composable word of one to three factors from ``gens``, and both
+    identity words, grouped by (source colour, target colour, degree)."""
+    words = frontier = [word(z) for z in gens]
+    for _ in range(2):
+        frontier = [word(*w.factors, z) for w in frontier for z in gens if w.src == z.dst]
+        words = words + frontier
+    groups = {}
+    for w in words + [id_word("B"), id_word("W")]:
+        groups.setdefault((w.src, w.dst, w.degree), []).append(w)
+    return groups
+
+
+@st.composite
+def term_lists(draw, assigned):
+    """(assignment, term list): the cap-1 tower of an ``he_fixture``, with
+    only its generators of index < ``assigned`` kept, and terms of one hom
+    group over all eight cap-1 generators.  Half the draws take a group of
+    degree 0 or 1: the complexes span 3 or 4 degrees, so words of higher
+    degree mostly evaluate to zero."""
+    full = _cap_one_tower(draw(st.integers(0, 9)))
+    assign = {z: f for z, f in full.items() if z.index < assigned}
+    groups = _words_by_hom(tuple(full))
+    low = sorted(key for key in groups if key[2] <= 1)
+    pool = groups[draw(st.one_of(st.sampled_from(low), st.sampled_from(sorted(groups))))]
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from((1, 2, 3, -1, -2, -3))),
+                          max_size=5))
+    cancel = draw(st.sampled_from(("none", "first", "all")))
+    if terms and cancel != "none":
+        terms += [(w, -c) for w, c in (terms if cancel == "all" else terms[:1])]
+    return assign, tuple(draw(st.permutations(terms)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_lists(assigned=4))
+def test_evaluate_words_matches_the_term_by_term_sum(case):
+    assign, terms = case
+    M, N = assign[gen("f", 0)].source, assign[gen("f", 0)].target
+    got = evaluate_words(terms, assign, M, N)
+    assert got == evaluate_words_term_by_term(terms, assign, M, N)
+    assert (got is None) == (not terms)
+
+
+def test_evaluate_words_draws_reach_every_case():
+    # identity words, a zero sum of nonzero terms, a nonzero sum and the empty list
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(term_lists(assigned=4))
+    def record(case):
+        assign, terms = case
+        M, N = assign[gen("f", 0)].source, assign[gen("f", 0)].target
+        got = evaluate_words(terms, assign, M, N)
+        if not terms:
+            seen.add("empty")
+        elif got.is_zero() and any(not evaluate_words(((w, 1),), assign, M, N).is_zero() for w, _ in terms):
+            seen.add("cancelled")
+        elif not got.is_zero():
+            seen.add("nonzero")
+        if any(w.is_identity for w, _ in terms):
+            seen.add("identity")
+
+    record()
+    assert seen == {"empty", "cancelled", "nonzero", "identity"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_lists(assigned=2))
+def test_evaluate_words_refuses_an_unassigned_generator_as_the_term_by_term_sum(case):
+    assign, terms = case
+    assume(any(z not in assign for w, _ in terms for z in w.factors))
+    M, N = assign[gen("f", 0)].source, assign[gen("f", 0)].target
+    with pytest.raises(ValueError, match="is not assigned in this action") as want:
+        evaluate_words_term_by_term(terms, assign, M, N)
+    with pytest.raises(ValueError, match="is not assigned in this action") as got:
+        evaluate_words(terms, assign, M, N)
+    assert str(got.value) == str(want.value)

@@ -491,21 +491,30 @@ def test_extension_validates_once_and_solves_index_two_once(monkeypatch):
     assert len(solves) == 4
 
 
+def filtered_differential_by_slicing(m, n, k):
+    """The whole hom-complex matrix, then the columns whose basis map does
+    not lower the filtration, read cell by cell."""
+    sl = hom_complex(m, n, k)
+    keep = [c for c, (deg, i, j) in enumerate(sl.basis)
+            if n.weight_at(deg + k, j) >= m.weight_at(deg, i)]
+    d = sl.differential_matrix
+    flat = tuple(d.entry(r, c) for r in range(d.rows) for c in keep)
+    return tuple(sl.basis[c] for c in keep), IntMatrix(d.rows, len(keep), flat)
+
+
 def test_filtered_differential_keeps_the_filtered_columns():
-    # per-cell reference; the fixtures reach every case of the selection:
-    # all columns kept, none, exactly one, and a proper subset
+    # the fixtures reach every case of the selection: an empty hom space,
+    # and of a nonempty one all columns kept, none, exactly one, and some
     seen = set()
     for seed in range(41):
         for x in (sdr_fixture(seed)[0], he_fixture(seed)):
             for m, n in ((x.M, x.N), (x.N, x.M), (x.M, x.M)):
-                for k in range(-1, 4):
-                    sl = hom_complex(m, n, k)
-                    keep = [c for c, (deg, i, j) in enumerate(sl.basis)
-                            if n.weight_at(deg + k, j) >= m.weight_at(deg, i)]
-                    d = sl.differential_matrix
-                    want = IntMatrix(d.rows, len(keep), tuple(d.entry(r, c) for r in range(d.rows) for c in keep))
+                for k in range(-1, 5):
+                    want_basis, want = filtered_differential_by_slicing(m, n, k)
                     basis, got = _filtered_differential(m, n, k)
-                    assert basis == tuple(sl.basis[c] for c in keep)
+                    assert basis == want_basis
                     assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
-                    seen.add("all" if len(keep) == len(sl.basis) else min(len(keep), 2))
-    assert seen == {"all", 0, 1, 2}
+                    full, kept = len(hom_basis(m, n, k)), len(basis)
+                    seen.add("empty space" if not full else "all" if kept == full
+                             else ("none", "one")[kept] if kept < 2 else "some")
+    assert seen == {"empty space", "all", "none", "one", "some"}
