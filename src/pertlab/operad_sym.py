@@ -42,12 +42,14 @@ its parts.  Products check only the junction; ``diff`` splices a table
 row into a word when the row has the replaced generator's colours (other
 rows, and the output of a caller's table, go through the checks);
 ``theta`` rewrites a leading pair into a generator between the same
-colours; ``enumerate_words`` joins only composable generators; ``iota``
-reuses its input's canonical terms.  The retraction of each generator
-depends on nothing but the generator and the caps, so each caps has one
-table of images by generator rank, and ``retraction_r`` folds them on the
-words' rank tuples, builds each output word once and canonicalizes once
-per call.
+colours; ``_walk``, the one word search, joins only composable
+generators; ``iota`` reuses its input's canonical terms.  The retraction
+of each generator depends on nothing but the generator and the caps, so
+each caps has one table of images by generator rank.  ``retraction_r``
+folds a word's images right to left, one ``_fold_left`` per factor,
+builds each output word once and canonicalizes once per call.  As
+``_walk`` grows words on the left, the identity suite carries r(w) down
+the word tree: r(z w) is one fold step, and no word that passes is built.
 """
 
 from __future__ import annotations
@@ -622,10 +624,45 @@ def _retraction_of_generator(z: Generator, caps: TruncationCaps) -> OperadElemen
 
 @lru_cache(maxsize=None)
 def _retraction_table(caps: TruncationCaps) -> dict[int, tuple[tuple, ...]]:
-    """The retraction images at these caps, by generator rank, each a tuple
-    of (rank tuple, factors, fweight, degree, coefficient) per term; empty
-    at first, ``retraction_r`` fills it as it meets generators."""
+    """The retraction images at these caps by generator rank, filled by ``_retraction_row``."""
     return {}
+
+
+def _retraction_row(table: dict[int, tuple[tuple, ...]], z: Generator,
+                    caps: TruncationCaps) -> tuple[tuple, ...]:
+    """The image of z in ``table``, one (rank tuple, factors, fweight,
+    degree, coefficient) per term, filled on first use.  Its colours are
+    checked once here, so products of images need no junction check."""
+    row = table.get(z.rank)
+    if row is None:
+        image = _retraction_of_generator(z, caps).terms
+        for wb, _ in image:
+            if (wb.src, wb.dst) != (z.src, z.dst):
+                raise RuntimeError(f"retraction image of {z.token} has a term {wb.render()} "
+                                   f"from {wb.src} to {wb.dst}, not {z.src} to {z.dst}")
+        row = table[z.rank] = tuple(
+            (wb._key[2:], wb.factors, wb.fweight, wb.degree, cb) for wb, cb in image)
+    return row
+
+
+def _fold_left(row: tuple[tuple, ...], img: dict[tuple[int, ...], list] | None,
+               band: int) -> dict[tuple[int, ...], list]:
+    """r(z w) from the row of z and the image of w (rank tuple -> [coefficient,
+    factors, fweight, degree]); products past the fweight band drop out.
+    With ``img`` None, w is empty and r(z) is the row as it stands."""
+    if img is None:
+        return {ra: [ca, fa, fwa, dga] for ra, fa, fwa, dga, ca in row}
+    out: dict[tuple[int, ...], list] = {}
+    for ra, fa, fwa, dga, ca in row:
+        for rb, (cb, fb, fwb, dgb) in img.items():
+            if fwa + fwb <= band:
+                rm = ra + rb
+                entry = out.get(rm)
+                if entry is None:
+                    out[rm] = [ca * cb, fa + fb, fwa + fwb, dga + dgb]
+                else:
+                    entry[0] += ca * cb
+    return out
 
 
 def retraction_r(e: OperadElement, caps: TruncationCaps) -> OperadElement:
@@ -633,99 +670,36 @@ def retraction_r(e: OperadElement, caps: TruncationCaps) -> OperadElement:
 
     Multiplicative on words; fixes f's, g's and xb; sends each barred
     generator to its kernel-series value (see ``retraction_terms``).
-    Each word folds its factors' images left to right, taken from the
-    per-caps table, in one dict keyed by the rank tuple of the product
-    word; each image runs between its generator's colours, so every
-    product is composable, products past the band drop out, and each
-    nonzero output word is built once at the end.
+    Each word folds its factors' images right to left, one ``_fold_left``
+    per factor, from the per-caps table, in one dict keyed by the rank
+    tuple of the product word; each image runs between its generator's
+    colours, so every product is composable, products past the band drop
+    out, and each nonzero output word is built once at the end.
     """
     if e.ambient != "riso_tilde":
         raise ValueError("the retraction is defined on the riso_tilde ambient")
     band = caps.max_fweight
     table = _retraction_table(caps)
     out: dict[Word, int] = {}
-    acc: dict[tuple[int, ...], list] = {}  # ranks -> [coefficient, factors, fweight, degree]
+    acc: dict[tuple[int, ...], list] = {}
     for w, c in e.terms:
         if not w.factors:
             out[w] = c
             continue
         img = None
-        for z in w.factors:
-            right = table.get(z.rank)
-            if right is None:
-                # checked once here, so products of images need no junction check
-                image = _retraction_of_generator(z, caps).terms
-                for wb, _ in image:
-                    if (wb.src, wb.dst) != (z.src, z.dst):
-                        raise RuntimeError(f"retraction image of {z.token} has a term {wb.render()} "
-                                           f"from {wb.src} to {wb.dst}, not {z.src} to {z.dst}")
-                right = table[z.rank] = tuple(
-                    (wb._key[2:], wb.factors, wb.fweight, wb.degree, cb) for wb, cb in image)
-            if img is None:
-                img = {rb: [c * cb, fb, fwb, dgb] for rb, fb, fwb, dgb, cb in right}
-                continue
-            nxt: dict[tuple[int, ...], list] = {}
-            for ra, (ca, fa, fwa, dga) in img.items():
-                for rb, fb, fwb, dgb, cb in right:
-                    if fwa + fwb <= band:
-                        rm = ra + rb
-                        entry = nxt.get(rm)
-                        if entry is None:
-                            nxt[rm] = [ca * cb, fa + fb, fwa + fwb, dga + dgb]
-                        else:
-                            entry[0] += ca * cb
-            img = nxt
+        for z in reversed(w.factors):
+            img = _fold_left(_retraction_row(table, z, caps), img, band)
         for rm, term in img.items():
             entry = acc.get(rm)
             if entry is None:
+                term[0] *= c
                 acc[rm] = term
             else:
-                entry[0] += term[0]
+                entry[0] += c * term[0]
     for rm, (ci, fs, fw, dg) in acc.items():
         if ci:
             out[_chain(fs, dg, fw, (fw, 0) + rm)] = ci
     return _canonical("dif_riso", out)
-
-
-# ---------------------------------------------------------------------------
-# Evaluation into the isomorphism quotient
-
-
-@dataclass(frozen=True, slots=True)
-class AlphaValue:
-    """Normal form in the quotient where fg and gf are identities.
-
-    Each hom-set there is free of rank one; ``basis`` names its basis
-    element (1B, 1W, f, or g) and ``coefficient`` the integer multiple.
-    """
-
-    coefficient: int
-    basis: str | None
-
-    def __str__(self) -> str:
-        if self.coefficient == 0:
-            return "0"
-        if self.coefficient == 1:
-            return self.basis or "0"
-        return f"{self.coefficient} {self.basis}"
-
-
-_ALPHA_BASIS = {("B", "B"): "1B", ("W", "W"): "1W", ("B", "W"): "f", ("W", "B"): "g"}
-
-
-def alpha_iso_eval(e: OperadElement) -> AlphaValue:
-    """Image in the isomorphism quotient: index >= 1 factors die, index-0
-    words collapse to the basis element of their hom-set."""
-    if e.ambient not in ("riso", "rfake"):
-        raise ValueError("alpha evaluation is defined on the plain ambients")
-    if e.is_zero():
-        return AlphaValue(0, None)
-    src, dst = hom_colors(e)
-    total = 0
-    for w, c in e.terms:
-        if all(z.index == 0 for z in w.factors):
-            total += c
-    return AlphaValue(total, _ALPHA_BASIS[(src, dst)])
 
 
 # ---------------------------------------------------------------------------
@@ -746,31 +720,42 @@ def _ambient_generators(ambient: str, max_index: int) -> list[Generator]:
     return out
 
 
+def _walk(ambient: str, src: str, caps: TruncationCaps, step=None):
+    """Every nonempty composable word of the ambient from ``src`` within
+    the index, length and fweight caps, depth first, as (factors, fweight,
+    degree, value) nodes.  A word grows on the left: z w is a child of w,
+    and its value is ``step(z, value of w)``, with None for the empty word
+    (all values are None without a step).  Only composable generators are
+    joined, so a caller may build the words unchecked."""
+    band, max_length = caps.max_fweight, caps.max_length
+    gens = [z for z in _ambient_generators(ambient, caps.max_index) if z.fweight <= band]
+    # what extends a word on the left, by its target colour: every generator
+    # below the band, the plain ones at it; each with its one-factor tuple
+    below = {col: [((z,), z.fweight, z.degree, z) for z in gens if z.src == col] for col in ("B", "W")}
+    at_band = {col: [g for g in grown if not g[1]] for col, grown in below.items()}
+    stack = [(zs, fw, dg, step and step(z, None)) for zs, fw, dg, z in below[src]]
+    while stack:
+        node = stack.pop()
+        yield node
+        factors, fweight, deg, val = node
+        if len(factors) < max_length:
+            for zs, fw, dg, z in (below if fweight < band else at_band)[factors[0].dst]:
+                stack.append((zs + factors, fweight + fw, deg + dg, step and step(z, val)))
+
+
 def enumerate_words(
     ambient: str, src: str, dst: str, caps: TruncationCaps,
     degree: int | None = None, include_identity: bool = True,
 ) -> list[Word]:
-    """All composable words of the ambient within caps, rightmost-first
-    construction; optionally filtered to one degree."""
-    gens = _ambient_generators(ambient, caps.max_index)
-    max_fweight = caps.max_fweight
-    by_src = {col: [z for z in gens if z.src == col and z.fweight <= max_fweight] for col in ("B", "W")}
+    """All composable words of the ambient within caps, sorted by key;
+    optionally filtered to one degree."""
     found: list[Word] = []
     if include_identity and src == dst and (degree is None or degree == 0):
         found.append(id_word(src))
-    # depth-first over (factors rightmost first, fweight, degree); the stack
-    # only ever joins composable generators, so words are built unchecked
-    stack = [((z,), z.fweight, z.degree) for z in by_src[src]]
-    while stack:
-        rev, fweight, deg = stack.pop()
-        head_dst = rev[-1].dst
-        if head_dst == dst and (degree is None or deg == degree) and abs(deg) <= caps.max_degree:
-            factors = rev[::-1]
+    degrees = {n for n in range(-caps.max_degree, caps.max_degree + 1) if degree in (None, n)}
+    for factors, fweight, deg, _ in _walk(ambient, src, caps):
+        if deg in degrees and factors[0].dst == dst:
             found.append(_chain(factors, deg, fweight, (fweight, 0, *[z.rank for z in factors])))
-        if len(rev) < caps.max_length:
-            for z in by_src[head_dst]:
-                if fweight + z.fweight <= max_fweight:
-                    stack.append((rev + (z,), fweight + z.fweight, deg + z.degree))
     found.sort(key=_word_key)
     return found
 
@@ -984,15 +969,29 @@ def verify_identity_suite(caps: TruncationCaps, *, _table=None) -> list[Identity
             fails.append(f"r d != d r on {z.token}")
     add("retraction_chain_map", fails)
 
-    # (c') retraction splits the inclusion
+    # (c') retraction splits the inclusion, on the words ``enumerate_words``
+    # gives: one walk per source colour carries r(w) down the word tree, and
+    # w passes when r(w) has one nonzero term, w with coefficient 1; the
+    # identities go through r and iota.  Each (src, dst) pair names its first
+    # failing word in key order.
     fails = []
+    images = _retraction_table(caps)
+    step = lambda z, img: _fold_left(_retraction_row(images, z, caps), img, w_band)  # noqa: E731
     for src in ("B", "W"):
+        failing: dict[str, list[Word]] = {"B": [], "W": []}
+        e = OperadElement("dif_riso", ((id_word(src), 1),))
+        if retraction_r(iota(e), caps) != e:
+            failing[src].append(id_word(src))
+        for factors, fweight, deg, img in _walk("dif_riso", src, caps, step):
+            if abs(deg) <= caps.max_degree:
+                live = [term for term in img.values() if term[0]]
+                if len(live) != 1 or live[0][0] != 1 or live[0][1] != factors:
+                    key = (fweight, 0, *[z.rank for z in factors])
+                    failing[factors[0].dst].append(_chain(factors, deg, fweight, key))
         for dst in ("B", "W"):
-            for w in enumerate_words("dif_riso", src, dst, caps):
-                e = OperadElement("dif_riso", ((w, 1),))
-                if retraction_r(iota(e), caps) != e:
-                    fails.append(f"r(iota({w.render()})) != {w.render()}")
-                    break
+            if failing[dst]:
+                w = min(failing[dst], key=_word_key)
+                fails.append(f"r(iota({w.render()})) != {w.render()}")
     add("retraction_splits_inclusion", fails)
 
     # (d) compact differential of the odd squares, and its colour mirror

@@ -1,10 +1,15 @@
 import functools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pertlab
 from pertlab.chaincore import GradedMap
 from pertlab.cli import main
 from pertlab.cli_io import (
@@ -550,6 +555,36 @@ def test_cli_fixture_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
     assert main(["fixture", "--seed", "10", "-o", str(b)]) == 0
     assert a.read_text() != b.read_text()
+
+
+def test_cli_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # set and dict order follow the hash seed; the documents and the suite
+    # report must not, so each command runs under two seeds in a fresh
+    # interpreter and the bytes are compared
+    he, p = layered_she_fixture()
+    hepath = write_doc(tmp_path, "he.json", he)
+    dpath = write_doc(tmp_path, "delta.json", p)
+    src = str(pathlib.Path(pertlab.__file__).resolve().parent.parent)
+    commands = {
+        "extend": ["extend", "--he", hepath, "--cap", "2"],
+        "pp": ["pp", "--he", hepath, "--delta", dpath, "--strategy", "modify-h"],
+        "verify": ["operad", "verify", "--caps", "3,4,2,6"],
+    }
+    outputs = {}
+    for hash_seed in ("1", "2024"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        for name, args in commands.items():
+            out = tmp_path / f"{name}-{hash_seed}.json"
+            if name != "verify":
+                args = [*args, "-o", str(out)]
+            proc = subprocess.run([sys.executable, "-m", "pertlab", *args], env=env,
+                                  capture_output=True, check=True)
+            document = out.read_bytes() if name != "verify" else b""
+            outputs.setdefault(name, []).append((document, proc.stdout, proc.stderr))
+    for name, (first, second) in outputs.items():
+        assert first == second, name
+    assert outputs["extend"][0][0] and outputs["pp"][0][0]
+    assert outputs["verify"][0][1].count(b"PASS") == 10
 
 
 @pytest.mark.parametrize("args, message", [

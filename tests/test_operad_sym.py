@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import inspect
 import pathlib
 
 import pytest
@@ -10,7 +11,6 @@ from pertlab import operad_sym
 from pertlab.operad_sym import (
     TruncationCaps,
     Word,
-    alpha_iso_eval,
     all_passed,
     bounded_boundary_search,
     default_caps,
@@ -346,15 +346,6 @@ def test_theta_homotopy_identity_spot():
     assert theta(diff(e)) + diff(theta(e)) == e
 
 
-def test_alpha_frozen_values():
-    a = alpha_iso_eval(parse_element("3 f0 g0 f0 - f0", "riso"))
-    assert (a.coefficient, a.basis) == (2, "f")
-    assert str(a) == "2 f"
-    k = alpha_iso_eval(parse_element("f0 f1", "riso"))
-    assert k.coefficient == 0
-    assert str(alpha_iso_eval(parse_element("g0 f0", "riso"))) == "1B"
-
-
 # --- kernel elements and the retraction --------------------------------------
 
 
@@ -636,10 +627,16 @@ def test_retraction_keeps_the_images_of_each_caps_apart():
     (gen("f", 1), [("retraction_chain_map", False, "r d != d r on f1"),
                    # the first B -> B word with an f1 factor, in key order
                    ("retraction_splits_inclusion", False, "r(iota(g0 f0 f1)) != g0 f0 f1")]),
+    (gen("xb"), [("retraction_chain_map", False, "r d != d r on fb0"),
+                 ("retraction_splits_inclusion", False, "r(iota(g0 f0 xb)) != g0 f0 xb")]),
+    (gen("g", 0), [("retraction_chain_map", False, "r d != d r on f1"),
+                   ("retraction_splits_inclusion", False, "r(iota(g0 f0)) != g0 f0")]),
 ])
 def test_identity_suite_reads_the_retraction_images_it_memoizes(monkeypatch, planted, expected):
     # a wrong image for one generator, planted where the memo is filled
-    # from: the negated image of fb2, or 2 f1 for f1
+    # from: the negated image of fb2, or twice the generator otherwise.
+    # (c') names the first failing word in key order of the first failing
+    # (src, dst) pair, in the order BB, BW, WB, WW.
     real = operad_sym._retraction_of_generator
 
     def planted_image(z, caps):
@@ -681,7 +678,7 @@ def test_retraction_table_refuses_an_image_with_the_wrong_colours(monkeypatch):
 @pytest.mark.slow
 def test_identity_suite_passes_at_high_caps():
     # the strongest check of the retraction_terms rule at high indices;
-    # about 20 s, so it runs only under -m slow
+    # about 12 s, so it runs only under -m slow
     report = verify_identity_suite(TruncationCaps(6, 7, 4, 12))
     assert [c for c in report if not c.passed] == []
 
@@ -739,7 +736,7 @@ def test_identity_suite_builds_no_checked_words_on_its_hot_paths(monkeypatch):
     # the per-generator memos (retraction images, kernel terms, tables) are
     # built once with checked words; warm them so only the hot paths count
     verify_identity_suite(caps)
-    watched = ("diff", "retraction_r", "enumerate_words", "theta")
+    watched = ("diff", "retraction_r", "enumerate_words", "theta", "_walk", "_fold_left")
     active = []
     calls = dict.fromkeys(watched, 0)
     built = dict.fromkeys(watched, 0)
@@ -768,10 +765,23 @@ def test_identity_suite_builds_no_checked_words_on_its_hot_paths(monkeypatch):
                                      for w, _ in args[0].terms for z in w.factors)
             active.append(name)
             try:
-                return real(*args, **kwargs)
+                result = real(*args, **kwargs)
             finally:
                 active.pop()
+            return stepped(name, result) if inspect.isgenerator(result) else result
         monkeypatch.setattr(operad_sym, name, wrapped)
+
+    def stepped(name, nodes):
+        # a generator's own work runs at each next(), not at the call
+        while True:
+            active.append(name)
+            try:
+                node = next(nodes, None)
+            finally:
+                active.pop()
+            if node is None:
+                return
+            yield node
 
     for name in watched + tuple(inside_retraction):
         watch(name)
@@ -779,10 +789,10 @@ def test_identity_suite_builds_no_checked_words_on_its_hot_paths(monkeypatch):
     assert all_passed(verify_identity_suite(caps))
     assert all(calls.values()) and identity_rows > 0
     # the suite's cases: two retractions per generator in (c) and one per
-    # enumerated word in (c'), two theta per word in (b), four enumerations
-    # each in (b) and (c')
-    assert {name: calls[name] for name in ("retraction_r", "theta", "enumerate_words")} == {
-        "retraction_r": 1042, "theta": 320, "enumerate_words": 8}
-    assert built == {"diff": identity_rows, "retraction_r": 0, "enumerate_words": 0, "theta": 0}
+    # identity in (c'), two theta per word in (b), four enumerations in (b),
+    # and one walk of the words per enumeration and per source colour in (c')
+    assert {name: calls[name] for name in ("retraction_r", "theta", "enumerate_words", "_walk")} == {
+        "retraction_r": 38, "theta": 320, "enumerate_words": 4, "_walk": 6}
+    assert built == dict.fromkeys(watched, 0) | {"diff": identity_rows}
     # one canonicalization per retraction and no products along the way
     assert inside_retraction == {"multiply": 0, "_canonical": calls["retraction_r"]}
