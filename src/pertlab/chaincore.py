@@ -334,7 +334,7 @@ class HomComplexSlice:
     """One degree of the hom complex between two fixed complexes.
 
     ``differential_matrix`` sends coordinates in ``basis`` (degree k) to
-    coordinates in the degree k-1 basis of the same enumeration scheme.
+    coordinates in the full degree k-1 ``hom_basis`` enumeration.
     """
 
     source: ChainComplex
@@ -344,16 +344,13 @@ class HomComplexSlice:
     differential_matrix: IntMatrix
 
 
-def hom_complex(m: ChainComplex, n: ChainComplex, k: int) -> HomComplexSlice:
-    """D on Hom_k(m, n) as d_n o f - (-1)^k f o d_m, one column per basis map."""
-    basis = hom_basis(m, n, k)
-    return HomComplexSlice(m, n, k, basis, _hom_columns(m, n, k, basis))
+def hom_complex(m: ChainComplex, n: ChainComplex, k: int,
+                basis: tuple[tuple[int, int, int], ...] | None = None) -> HomComplexSlice:
+    """D on Hom_k(m, n) as d_n o f - (-1)^k f o d_m, one column per basis map.
 
-
-def _hom_columns(m: ChainComplex, n: ChainComplex, k: int,
-                 basis: tuple[tuple[int, int, int], ...]) -> IntMatrix:
-    """D's matrix on ``basis``, a sub-enumeration of ``hom_basis(m, n, k)``,
-    into the full degree-(k-1) enumeration, one column per basis map.
+    ``basis`` is a sub-enumeration of ``hom_basis(m, n, k)``, such as the
+    maps that keep a filtration; None means all of it.  The rows are always
+    the full degree-(k-1) enumeration, and only the given columns are built.
 
     The basis map (deg, i, j) sends source basis element i of degree deg
     to target basis element j of degree deg + k.  Its image under D has two
@@ -362,6 +359,8 @@ def _hom_columns(m: ChainComplex, n: ChainComplex, k: int,
     times -(-1)^k at the basis maps (deg + 1, ., j).  Row positions follow
     from the lexicographic ``hom_basis`` enumeration by arithmetic.
     """
+    if basis is None:
+        basis = hom_basis(m, n, k)
     offset: dict[int, int] = {}
     rows = 0
     for deg in m.degrees():
@@ -386,4 +385,4 @@ def _hom_columns(m: ChainComplex, n: ChainComplex, k: int,
             flat[(lo + i * w_lo + j2) * cols + c] = v
         for i2, v in back[i]:
             flat[(hi + i2 * r_tgt + j) * cols + c] = v
-    return _closed(rows, cols, tuple(flat))
+    return HomComplexSlice(m, n, k, basis, _closed(rows, cols, tuple(flat)))

@@ -23,7 +23,7 @@ from .chaincore import ChainComplex, GradedMap, validate_complex
 from .cli_io import DocumentError, parse_document, serialize_bundle, serialize_document
 from .ipl_pipeline import action_from_she, evaluate, ipl_perturb, solve_pp
 from .operad_sym import (
-    default_caps,
+    TruncationCaps,
     parse_caps,
     parse_element,
     render_element,
@@ -176,7 +176,7 @@ def _cmd_pp(args, report: dict) -> int:
 
 
 def _cmd_operad_verify(args, report: dict) -> int:
-    caps = parse_caps(args.caps) if args.caps else default_caps()
+    caps = parse_caps(args.caps) if args.caps else TruncationCaps()
     checks = verify_identity_suite(caps)
     ok = True
     for c in checks:

@@ -169,56 +169,39 @@ def _coned_sdr(core: ChainComplex, rng: random.Random, pairs: int, max_weight: i
     maps; HH = HG = FH = 0 hold on the nose.  Draws index, weight, then
     sign for each pair."""
     width = len(core.ranks)
-    ranks = list(core.ranks)
     weights = [list(w) for w in core.weights]
-    diffs = {n: [list(row) for row in core.d_block(n).to_rows()] for n in range(1, width)}
-    cone_slots: list[tuple[int, int, int, int]] = []  # (deg of a, idx a, idx b, sign)
+    # the nonzeros (row, column, value) of d out of degree n and of H out of degree k
+    d_nz = {n: [(i, j, v) for i, row in enumerate(core.d_block(n).to_rows()) for j, v in enumerate(row) if v]
+            for n in range(1, width)}
+    h_nz: dict[int, list[tuple[int, int, int]]] = {}
     for _ in range(pairs):
         k = rng.randrange(width - 1)
         # d and the contracting homotopy run in opposite directions, so a
         # cone pair is filtered only with equal weights
-        w_a = w_b = rng.randint(0, max_weight)
-        ia = ranks[k]
-        ib = ranks[k + 1]
-        ranks[k] += 1
-        ranks[k + 1] += 1
-        weights[k].append(w_a)
-        weights[k + 1].append(w_b)
+        w = rng.randint(0, max_weight)
+        ia, ib = len(weights[k]), len(weights[k + 1])
+        weights[k].append(w)
+        weights[k + 1].append(w)
         sign = rng.choice((-1, 1))
-        cone_slots.append((k, ia, ib, sign))
-    # re-shape the differential blocks for the enlarged ranks
-    for n in range(1, width):
-        rows = diffs.get(n, [])
-        full = [[0] * ranks[n] for _ in range(ranks[n - 1])]
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                full[i][j] = v
-        diffs[n] = full
-    for k, ia, ib, sign in cone_slots:
-        diffs[k + 1][ia][ib] = sign
-    big = build_complex(0, ranks, weights, diffs, max_weight)
+        d_nz[k + 1].append((ia, ib, sign))
+        h_nz.setdefault(k, []).append((ib, ia, -sign))
 
-    f_blocks: dict[int, IntMatrix] = {}
-    g_blocks: dict[int, IntMatrix] = {}
-    h_blocks: dict[int, IntMatrix] = {}
-    def unit(rows: int, cols: int) -> IntMatrix:  # the core's basis comes first in the big one
-        return IntMatrix(rows, cols, tuple(int(i == j) for i in range(rows) for j in range(cols)))
+    def block(rows: int, cols: int, nz) -> IntMatrix:
+        flat = [0] * (rows * cols)
+        for i, j, v in nz:
+            flat[i * cols + j] = v
+        return IntMatrix(rows, cols, tuple(flat))
 
-    for n in core.degrees():
-        f_blocks[n] = unit(core.rank_at(n), big.rank_at(n))
-        g_blocks[n] = unit(big.rank_at(n), core.rank_at(n))
-    for k, ia, ib, sign in cone_slots:
-        h = h_blocks.get(k)
-        rows = [list(r) for r in h.to_rows()] if h else [[0] * big.rank_at(k) for _ in range(big.rank_at(k + 1))]
-        rows[ib][ia] = -sign
-        h_blocks[k] = IntMatrix.from_rows(rows)
-    return SdrData(
-        big,
-        core,
-        GradedMap.from_blocks(big, core, 0, f_blocks),
-        GradedMap.from_blocks(core, big, 0, g_blocks),
-        GradedMap.from_blocks(big, big, 1, h_blocks),
-    )
+    ranks = tuple(len(w) for w in weights)
+    big = ChainComplex(0, width - 1, ranks, tuple(map(tuple, weights)),
+                       tuple(block(ranks[n - 1], ranks[n], d_nz[n]) for n in range(1, width)), max_weight)
+    core_rank, big_rank = core.rank_at, big.rank_at
+    # the core's basis comes first in the big one
+    units = {n: [(i, i, 1) for i in range(core_rank(n))] for n in core.degrees()}
+    f = GradedMap.from_blocks(big, core, 0, {n: block(core_rank(n), big_rank(n), u) for n, u in units.items()})
+    g = GradedMap.from_blocks(core, big, 0, {n: block(big_rank(n), core_rank(n), u) for n, u in units.items()})
+    h = GradedMap.from_blocks(big, big, 1, {k: block(big_rank(k + 1), big_rank(k), nz) for k, nz in h_nz.items()})
+    return SdrData(big, core, f, g, h)
 
 
 def _conjugated(rng: random.Random, M: ChainComplex, N: ChainComplex, maps) -> list:

@@ -54,7 +54,6 @@ the word tree: r(z w) is one fold step, and no word that passes is built.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -408,14 +407,6 @@ def parse_caps(text: str) -> TruncationCaps:
             raise ValueError(f"caps: {name} must be a nonnegative integer, got {p!r}")
         values.append(int(p))
     return TruncationCaps(*values)
-
-
-def default_caps() -> TruncationCaps:
-    """Shipped defaults, overridable via the PERTLAB_CAPS environment variable."""
-    text = os.environ.get("PERTLAB_CAPS")
-    if text:
-        return parse_caps(text)
-    return TruncationCaps()
 
 
 # ---------------------------------------------------------------------------

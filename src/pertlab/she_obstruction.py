@@ -50,9 +50,9 @@ from itertools import accumulate, chain, islice
 from .chaincore import (
     ChainComplex,
     GradedMap,
-    _hom_columns,
     compose,
     hom_basis,
+    hom_complex,
     hom_differential,
     map_to_vec,
     vec_to_map,
@@ -208,7 +208,8 @@ def _filtered_differential(src: ChainComplex, tgt: ChainComplex, k: int):
     into the full degree-(k-1) enumeration, built on those columns alone."""
     basis = tuple((deg, i, j) for deg, i, j in hom_basis(src, tgt, k)
                   if tgt.weights[deg + k - tgt.degree_lo][j] >= src.weights[deg - src.degree_lo][i])
-    return basis, _hom_columns(src, tgt, k, basis)
+    sl = hom_complex(src, tgt, k, basis)
+    return sl.basis, sl.differential_matrix
 
 
 def _hom_solve(src: ChainComplex, tgt: ChainComplex, k: int, rhs: GradedMap) -> GradedMap | None:
@@ -298,6 +299,8 @@ def trivial_extension(he: HeData, index_cap: int = 1) -> SheData | None:
     """Zero-padded tower, available only when every defect vanishes on the
     nose: both obstruction cycles are the zero map and H H = L L = 0.
     Returns None when the data does not qualify."""
+    if index_cap < 0:
+        raise ValueError("index_cap must be nonnegative")
     if not (_obstruction_cycle(he, "f").is_zero() and _obstruction_cycle(he, "g").is_zero()):
         return None
     return _zero_padded(he, index_cap)

@@ -33,7 +33,6 @@ from pertlab.ipl_pipeline import ipl_perturb, solve_pp
 from pertlab.operad_sym import (
     TruncationCaps,
     bounded_boundary_search,
-    default_caps,
     diff,
     gen,
     kernel_Z,
@@ -244,7 +243,7 @@ def test_acceptance_8_bounded_negative_certificates():
         crossing = parse_element(
             "f0 xb f1 g0 - f0 xb g0 g1 + f0 f1 xb g0 - g1 f0 xb g0", "dif_rfake"
         )
-        assert bounded_boundary_search(crossing, default_caps(), modulo_fweight=1) is None
+        assert bounded_boundary_search(crossing, TruncationCaps(), modulo_fweight=1) is None
         return " (length <= 4, then default caps modulo higher fweight)"
 
     _criterion(8, "neither candidate cycle bounds within its search window", check)

@@ -13,7 +13,6 @@ from pertlab.operad_sym import (
     Word,
     all_passed,
     bounded_boundary_search,
-    default_caps,
     diff,
     element,
     enumerate_words,
@@ -370,7 +369,7 @@ def test_kernel_and_retraction_goldens():
 
 
 def test_retraction_splits_the_inclusion():
-    caps = default_caps()
+    caps = TruncationCaps()
     for text in ("xb", "xb f1 xb", "f0 xb g0", "xb xb"):
         e = parse_element(text, "dif_riso")
         assert retraction_r(iota(e), caps) == e
@@ -467,13 +466,6 @@ def test_caps_parsing():
         assert str(info.value) == message
     with pytest.raises(ValueError, match="must be nonnegative"):
         TruncationCaps(-1, 5, 3, 8)
-
-
-def test_default_caps_env_override(monkeypatch):
-    monkeypatch.delenv("PERTLAB_CAPS", raising=False)
-    assert default_caps() == TruncationCaps(4, 5, 3, 8)
-    monkeypatch.setenv("PERTLAB_CAPS", "2,3,1,6")
-    assert default_caps() == TruncationCaps(2, 3, 1, 6)
 
 
 def test_identity_suite_passes_at_small_caps():

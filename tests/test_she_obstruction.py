@@ -132,6 +132,15 @@ def test_retract_embeds_as_equivalence_with_trivial_extension():
     assert he_from_she(tower) == he
 
 
+@pytest.mark.parametrize("he", [he_from_sdr(cone_retract_sdr(3)), obstructed_he_fixture()])
+def test_negative_index_cap_is_the_callers_mistake(he):
+    # refused before any other work: the obstructed equivalence would
+    # otherwise give None (trivial) or ObstructionError (extend)
+    for build in (trivial_extension, extend_to_she):
+        with pytest.raises(ValueError, match="^index_cap must be nonnegative$"):
+            build(he, -1)
+
+
 def test_trivial_extension_requires_vanishing_on_the_nose():
     assert trivial_extension(obstructed_he_fixture()) is None
     # this seed's twist leaves a nonzero obstruction cycle behind
