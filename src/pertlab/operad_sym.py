@@ -43,13 +43,15 @@ row into a word when the row has the replaced generator's colours (other
 rows, and the output of a caller's table, go through the checks);
 ``theta`` rewrites a leading pair into a generator between the same
 colours; ``_walk``, the one word search, joins only composable
-generators; ``iota`` reuses its input's canonical terms.  The retraction
-of each generator depends on nothing but the generator and the caps, so
-each caps has one table of images by generator rank.  ``retraction_r``
-folds a word's images right to left, one ``_fold_left`` per factor,
-builds each output word once and canonicalizes once per call.  As
-``_walk`` grows words on the left, the identity suite carries r(w) down
-the word tree: r(z w) is one fold step, and no word that passes is built.
+generators and grows no word that cannot reach its degree window;
+``iota`` reuses its input's canonical terms.  The retraction of each
+generator depends on nothing but the generator and the caps, so each
+caps has one table of images by generator rank.  ``retraction_r`` folds
+a word's images right to left, one ``_fold_left`` per factor, builds
+each output word once and canonicalizes once per call.  As ``_walk``
+grows words on the left, the identity suite carries r(w) down the word
+tree: r(z w) is one fold step.  Its homotopy check sums both sides of
+one word by rank tuple, so in neither check is a word that passes built.
 """
 
 from __future__ import annotations
@@ -504,25 +506,32 @@ def diff(e: OperadElement, *, _table=None) -> OperadElement:
     return element(e.ambient, acc)
 
 
+def _theta_rep(z1: Generator, z2: Generator) -> Generator | None:
+    """The generator ``theta`` puts in place of a leading pair z1 z2, or
+    None when it kills the word: with z1 = f0 or g0, z2's family at the
+    next index when z2 has z1's family and an odd index or the other
+    family and an even one (f0 f_odd -> f_next, g0 f_even -> f_next, ...)."""
+    if (z1.index != 0 or z1.family not in ("f", "g") or z2.family not in ("f", "g")
+            or (z1.family == z2.family) != (z2.index % 2 == 1)):
+        return None
+    return gen(z2.family, z2.index + 1)
+
+
 def theta(e: OperadElement) -> OperadElement:
     """Contracting homotopy: rewrite the two leading factors, no sign.
 
-    Words of length < 2 map to 0.  A leading pair z1 z2 with z1 = f0 or
-    g0 becomes z2's family at the next index when z2 has z1's family and
-    an odd index or the other family and an even one (f0 f_odd -> f_next,
-    g0 f_even -> f_next, ...); any other leading pair kills the word.
+    Words of length < 2 map to 0; a longer word has its leading pair
+    replaced by ``_theta_rep`` of it, or maps to 0 when that is None.
     """
     if e.ambient != "riso":
         raise ValueError("the contracting homotopy is defined on the plain ambient only")
     acc: dict[Word, int] = {}
     for w, c in e.terms:
-        if w.is_identity or len(w.factors) < 2:
+        if len(w.factors) < 2:
             continue
-        z1, z2 = w.factors[0], w.factors[1]
-        if (z1.index != 0 or z1.family not in ("f", "g") or z2.family not in ("f", "g")
-                or (z1.family == z2.family) != (z2.index % 2 == 1)):
+        rep = _theta_rep(w.factors[0], w.factors[1])
+        if rep is None:
             continue
-        rep = gen(z2.family, z2.index + 1)
         # rep runs between the colours of z1 z2 and is one degree higher
         key = w._key
         nw = _chain((rep,) + w.factors[2:], w.degree + 1, key[0], key[:2] + (rep.rank,) + key[4:])
@@ -711,25 +720,36 @@ def _ambient_generators(ambient: str, max_index: int) -> list[Generator]:
     return out
 
 
-def _walk(ambient: str, src: str, caps: TruncationCaps, step=None):
+def _walk(ambient: str, src: str, caps: TruncationCaps, step=None, degrees: tuple[int, int] | None = None):
     """Every nonempty composable word of the ambient from ``src`` within
-    the index, length and fweight caps, depth first, as (factors, fweight,
-    degree, value) nodes.  A word grows on the left: z w is a child of w,
-    and its value is ``step(z, value of w)``, with None for the empty word
-    (all values are None without a step).  Only composable generators are
-    joined, so a caller may build the words unchecked."""
+    the index, length and fweight caps whose degree lies in the window
+    ``degrees`` (lo, hi), depth first, as (factors, fweight, degree, value)
+    nodes, among words of other degrees.  A word grows on the left: z w is
+    a child of w, and its value is ``step(z, value of w)``, with None for
+    the empty word (all values are None without a step).  A word none of
+    whose longer words can reach the window, by the smallest and largest
+    generator degree, is yielded but not grown.  The window defaults to
+    (-max_degree, max_degree).  Only composable generators are joined, so
+    a caller may build the words unchecked."""
     band, max_length = caps.max_fweight, caps.max_length
+    lo, hi = degrees or (-caps.max_degree, caps.max_degree)
     gens = [z for z in _ambient_generators(ambient, caps.max_index) if z.fweight <= band]
     # what extends a word on the left, by its target colour: every generator
     # below the band, the plain ones at it; each with its one-factor tuple
     below = {col: [((z,), z.fweight, z.degree, z) for z in gens if z.src == col] for col in ("B", "W")}
     at_band = {col: [g for g in grown if not g[1]] for col, grown in below.items()}
+    # the degrees a word of each length grows from: 1 to r more factors
+    # move its degree by at least min(dmin, r dmin) and at most max(dmax, r dmax)
+    dmin, dmax = min([z.degree for z in gens], default=0), max([z.degree for z in gens], default=0)
+    grows = [(lo - max(dmax, r * dmax), hi - min(dmin, r * dmin))
+             for r in range(max_length, -1, -1)]
     stack = [(zs, fw, dg, step and step(z, None)) for zs, fw, dg, z in below[src]]
     while stack:
         node = stack.pop()
         yield node
         factors, fweight, deg, val = node
-        if len(factors) < max_length:
+        length = len(factors)
+        if length < max_length and grows[length][0] <= deg <= grows[length][1]:
             for zs, fw, dg, z in (below if fweight < band else at_band)[factors[0].dst]:
                 stack.append((zs + factors, fweight + fw, deg + dg, step and step(z, val)))
 
@@ -744,7 +764,8 @@ def enumerate_words(
     if include_identity and src == dst and (degree is None or degree == 0):
         found.append(id_word(src))
     degrees = {n for n in range(-caps.max_degree, caps.max_degree + 1) if degree in (None, n)}
-    for factors, fweight, deg, _ in _walk(ambient, src, caps):
+    window = None if degree is None else (degree, degree)
+    for factors, fweight, deg, _ in _walk(ambient, src, caps, degrees=window):
         if deg in degrees and factors[0].dst == dst:
             found.append(_chain(factors, deg, fweight, (fweight, 0, *[z.rank for z in factors])))
     found.sort(key=_word_key)
@@ -906,6 +927,54 @@ def _pair_sum(first: str, second: str, start: int, degree: int, ambient: str) ->
                              for a in range(start, degree - start + 1, 2)])
 
 
+def _prepend_rank(z: Generator, ranks: tuple[int, ...] | None) -> tuple[int, ...]:
+    """The rank tuple of z w from that of w, as a ``_walk`` step."""
+    return (z.rank,) + ranks if ranks else (z.rank,)
+
+
+def _homotopy_defect(factors: tuple[Generator, ...], ranks: tuple[int, ...], row) -> bool:
+    """Whether theta(d+ w) + d+(theta w) != w for the chain w with these
+    factors and rank tuple, where ``row(z)`` gives the terms of d+ z as
+    (rank tuple, factors, coefficient).  Both sides are summed in one dict
+    keyed by rank tuple; d+ carries the Koszul sign of each factor's prefix
+    degree, and theta rewrites a leading pair by ``_theta_rep``."""
+    acc = {ranks: -1}
+    rep = _theta_rep(factors[0], factors[1]) if len(factors) > 1 else None
+    if rep is not None:
+        # d+(theta w)
+        lead = (rep.rank,) + ranks[2:]
+        sign = 1
+        for j, z in enumerate((rep,) + factors[2:]):
+            for rr, _, c in row(z):
+                k = lead[:j] + rr + lead[j + 1:]
+                acc[k] = acc.get(k, 0) + sign * c
+            if z.degree % 2:
+                sign = -sign
+    # theta(d+ w): replacing a factor past the leading pair keeps the pair,
+    # so its rewrite is rep's
+    sign = 1
+    for i, z in enumerate(factors):
+        if i > 1 and rep is None:
+            break
+        for rr, rf, c in row(z):
+            p = rep
+            if i < 2:
+                nf = factors[:i] + rf + factors[i + 1:]
+                p = _theta_rep(nf[0], nf[1]) if len(nf) > 1 else None
+                if p is None:
+                    continue
+            k = (p.rank,) + (ranks[:i] + rr + ranks[i + 1:])[2:]
+            acc[k] = acc.get(k, 0) + sign * c
+        if z.degree % 2:
+            sign = -sign
+    return any(acc.values())
+
+
+def _first_by_key(failing: dict[str, list[Word]]) -> list[Word]:
+    """The first word in key order of each nonempty list, target B before W."""
+    return [min(failing[dst], key=_word_key) for dst in ("B", "W") if failing[dst]]
+
+
 def verify_identity_suite(caps: TruncationCaps, *, _table=None) -> list[IdentityCheck]:
     """Symbolic verification of every closed identity the package relies on.
 
@@ -931,23 +1000,30 @@ def verify_identity_suite(caps: TruncationCaps, *, _table=None) -> list[Identity
         add(name, [f"d d {z.token} != 0" for z in gens if not d(d(single(ambient, word(z)))).is_zero()])
 
     # (b) contracting homotopy on positive-degree plain words, against the
-    # lengthening part of d (the table without its identity rows); enumerated
-    # one shorter than the length cap because the homotopy passes through
-    # words one longer.  Enumerated words lie in their ambient, so each is
-    # wrapped as a one-term element without the checks of ``single``.
+    # lengthening part d+ of d (the table without its identity rows), on
+    # the words ``enumerate_words`` gives one shorter than the length cap,
+    # because the homotopy passes through words one longer.  One walk per
+    # source colour carries each word's rank tuple; w passes when
+    # theta(d+ w) + d+(theta w) - w, summed by rank tuple, is zero.  Each
+    # (src, dst) pair names its first failing word in key order.
     fails: list[str] = []
     theta_caps = TruncationCaps(
         caps.max_index, max(1, caps.max_length - 1), caps.max_fweight, caps.max_degree
     )
+    rows: dict[int, tuple] = {}
+
+    def row(z: Generator) -> tuple:
+        got = rows.get(z.rank)
+        if got is None:
+            got = rows[z.rank] = tuple((wz._key[2:], wz.factors, cz) for wz, cz in _identity_free_diff(z))
+        return got
+
     for src in ("B", "W"):
-        for dst in ("B", "W"):
-            for w in enumerate_words("riso", src, dst, theta_caps, include_identity=False):
-                if w.degree <= 0:
-                    continue
-                e = OperadElement("riso", ((w, 1),))
-                if (theta(diff(e, _table=_identity_free_diff))
-                        + diff(theta(e), _table=_identity_free_diff) != e):
-                    fails.append(f"homotopy identity fails on {w.render()}")
+        failing: dict[str, list[Word]] = {"B": [], "W": []}
+        for factors, fweight, deg, ranks in _walk("riso", src, theta_caps, _prepend_rank):
+            if 0 < deg <= caps.max_degree and _homotopy_defect(factors, ranks, row):
+                failing[factors[0].dst].append(_chain(factors, deg, fweight, (fweight, 0, *ranks)))
+        fails += [f"homotopy identity fails on {w.render()}" for w in _first_by_key(failing)]
     add("contracting_homotopy", fails)
 
     # (c) retraction is a chain map, per fweight band
@@ -969,7 +1045,7 @@ def verify_identity_suite(caps: TruncationCaps, *, _table=None) -> list[Identity
     images = _retraction_table(caps)
     step = lambda z, img: _fold_left(_retraction_row(images, z, caps), img, w_band)  # noqa: E731
     for src in ("B", "W"):
-        failing: dict[str, list[Word]] = {"B": [], "W": []}
+        failing = {"B": [], "W": []}
         e = OperadElement("dif_riso", ((id_word(src), 1),))
         if retraction_r(iota(e), caps) != e:
             failing[src].append(id_word(src))
@@ -979,10 +1055,7 @@ def verify_identity_suite(caps: TruncationCaps, *, _table=None) -> list[Identity
                 if len(live) != 1 or live[0][0] != 1 or live[0][1] != factors:
                     key = (fweight, 0, *[z.rank for z in factors])
                     failing[factors[0].dst].append(_chain(factors, deg, fweight, key))
-        for dst in ("B", "W"):
-            if failing[dst]:
-                w = min(failing[dst], key=_word_key)
-                fails.append(f"r(iota({w.render()})) != {w.render()}")
+        fails += [f"r(iota({w.render()})) != {w.render()}" for w in _first_by_key(failing)]
     add("retraction_splits_inclusion", fails)
 
     # (d) compact differential of the odd squares, and its colour mirror

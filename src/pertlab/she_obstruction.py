@@ -403,6 +403,11 @@ def extend_to_she(he: HeData, index_cap: int) -> SheData:
     ever needed there.  From index 3 on, when a direct lift of f_n or g_n
     fails, the index-(n-1) components are corrected by cycles found
     jointly with the lifts (``_recalibrate``).
+
+    So a lower cap gives a prefix up to a cycle: the cap-c tower equals the
+    cap-c' tower (c' > c) of the same equivalence below index 2c + 1, and
+    at the top pair f_2c+1, g_2c+1 the two differ by a cycle (D of the
+    difference is 0), which the joint step at index 2c + 2 may add.
     """
     if index_cap < 0:
         raise ValueError("index_cap must be nonnegative")

@@ -1,16 +1,24 @@
-"""Transitivity laws of the two perturbation lemmas.
+"""Laws of the transfer that hold whatever the canonical choices.
 
-Perturbing by delta1 and then by delta2 gives what one perturbation by
-delta1 + delta2 gives.  Neither side depends on a canonical choice the
-other makes, so the laws hold for any correct transfer and stay valid
-when canonical outputs or the order of evaluation change.
+Transitivity: perturbing by delta1 and then by delta2 gives what one
+perturbation by delta1 + delta2 gives, for both perturbation lemmas.
+Naturality: conjugating a tower and its perturbation by filtered
+automorphisms of the two complexes commutes with the ideal perturbation
+lemma.  Prefixes: a lower-cap extension agrees with a higher-cap one
+below its top pair, and differs there by a cycle.  Neither side of a law
+depends on a canonical choice the other makes, so the laws hold for any
+correct transfer and stay valid when canonical outputs or the order of
+evaluation change.
 """
 
-from pertlab.chaincore import rebase
-from pertlab.fixtures import he_fixture, sdr_fixture, weight_raising_perturbation
+import random
+
+from pertlab.chaincore import complex_with_differential, compose, hom_differential, rebase
+from pertlab.fixtures import _unitriangular_automorphism, he_fixture, sdr_fixture, weight_raising_perturbation
 from pertlab.ipl_pipeline import ipl_perturb
-from pertlab.sdr_bpl import Perturbation, bpl_transfer
-from pertlab.she_obstruction import extend_to_she, he_from_she, modify_homotopy_h
+from pertlab.sdr_bpl import Perturbation, _hom_space, bpl_transfer
+from pertlab.she_obstruction import (extend_to_she, he_from_she, modify_homotopy_h, she_from_assignment,
+                                     tower_assignment)
 
 SEEDS = range(30)
 
@@ -48,3 +56,60 @@ def test_ipl_perturbations_compose():
         assert twice.d_n_tilde == direct.d_n_tilde, seed
         nontrivial += not (p1.delta.is_zero() or p2.delta.is_zero())
     assert nontrivial > 0
+
+
+def _conjugated(she, autos):
+    """The tower t f s^-1 for the automorphisms s, t of each component's
+    ends, over M and N with their differentials conjugated; ``autos`` are
+    (u, u^-1) for M and for N, moved onto the tower's complexes."""
+    ends = []
+    for c, (u, u_inv) in zip((she.M, she.N), autos):
+        u, u_inv = rebase(u, c, c), rebase(u_inv, c, c)
+        ends.append((u, u_inv, complex_with_differential(c, compose(u, compose(c.differential_map(), u_inv)))))
+    assign = {}
+    for z, f in tower_assignment(she).items():
+        (_, s_inv, src), (t, _, tgt) = _hom_space(z, *ends)
+        assign[z] = rebase(compose(t, compose(f, s_inv)), src, tgt)
+    return she_from_assignment(ends[0][2], ends[1][2], she.index_cap, assign)
+
+
+def test_ipl_perturbation_commutes_with_conjugation():
+    nontrivial = 0
+    for seed in range(20):
+        she = extend_to_she(modify_homotopy_h(he_fixture(seed)), 1)
+        p = weight_raising_perturbation(seed, she.M)
+        rng = random.Random(seed + 1000)
+        autos = [_unitriangular_automorphism(rng, c) for c in (she.M, she.N)]
+        moved = _conjugated(she, autos)
+        u, u_inv = (rebase(a, moved.M, moved.M) for a in autos[0])
+        out = ipl_perturb(she, p)
+        delta = compose(u, compose(rebase(p.delta, moved.M, moved.M), u_inv))
+        got = ipl_perturb(moved, Perturbation(moved.M, delta))
+        want = _conjugated(out.she, autos)
+        assert got.she == want, seed
+        assert got.d_n_tilde == want.N.differential_map(), seed
+        # delta moves a component of the tower and the conjugation moves the tower
+        before, after = he_from_she(she), he_from_she(out.she)
+        nontrivial += (not p.delta.is_zero() and moved != she and any(
+            rebase(getattr(after, k), getattr(before, k).source, getattr(before, k).target) != getattr(before, k)
+            for k in "FGHL"))
+    assert nontrivial > 0
+
+
+def test_lower_cap_extensions_are_prefixes_up_to_a_cycle_at_the_top():
+    # a cap-c tower has components up to index 2c + 1; the joint step at
+    # index 2c + 2 of a higher-cap extension may correct its top pair, and
+    # only by a cycle.  Of seeds 0-199 only 103 and 164 have such a
+    # correction (of f3, at index 4), so they are added to seeds 0-11
+    differ = 0
+    for seed in [*range(12), 103, 164]:
+        he = modify_homotopy_h(he_fixture(seed))
+        towers = {c: tower_assignment(extend_to_she(he, c)) for c in (1, 2, 3)}
+        for c, higher in ((1, 2), (1, 3), (2, 3)):
+            for z, f in towers[c].items():
+                if z.index < 2 * c + 1:
+                    assert f == towers[higher][z], (seed, c, higher, z.token)
+                else:
+                    assert hom_differential(f - towers[higher][z]).is_zero(), (seed, c, higher, z.token)
+                    differ += f != towers[higher][z]
+    assert differ > 0

@@ -650,6 +650,72 @@ def test_identity_suite_reads_the_retraction_images_it_memoizes(monkeypatch, pla
         failing.get(c.name, (c.name, True, "ok")) for c in report]
 
 
+def ref_contracting_homotopy(caps):
+    # the per-word loop of check (b): enumerate, theta and d+ on one-term
+    # elements, compare; every failing word is listed and the first reported
+    theta_caps = TruncationCaps(caps.max_index, max(1, caps.max_length - 1), caps.max_fweight, caps.max_degree)
+    table = operad_sym._identity_free_diff
+    fails = []
+    for src in ("B", "W"):
+        for dst in ("B", "W"):
+            for w in ref_enumerate_words("riso", src, dst, theta_caps, include_identity=False):
+                if w.degree <= 0:
+                    continue
+                e = single("riso", w)
+                if theta(diff(e, _table=table)) + diff(theta(e), _table=table) != e:
+                    fails.append(f"homotopy identity fails on {w.render()}")
+    return ("contracting_homotopy", not fails, fails[0] if fails else "ok")
+
+
+def _planted_row(z, how):
+    # one wrong row of d+ z: its first term dropped, negated or doubled
+    row = _identity_free_diff(z)
+    (w, c), rest = row[0], row[1:]
+    return {"drop": rest, "flip": ((w, -c),) + rest, "double": ((w, 2 * c),) + rest}[how]
+
+
+def _theta_rule(rule):
+    real = operad_sym._theta_rep
+
+    def planted(z1, z2):
+        pair = (z1.token, z2.token)
+        if rule == "f0 f1 -> g2" and pair == ("f0", "f1"):
+            return gen("g", 2)
+        if rule == "g0 f0 -> 0" and pair == ("g0", "f0"):
+            return None
+        if rule == "f0 f3 -> f5" and pair == ("f0", "f3"):
+            return gen("f", 5)
+        return real(z1, z2)
+    return planted
+
+
+_HOMOTOPY_FAULTS = [None] + [("row", z, how) for z in (gen("f", 2), gen("g", 3), gen("f", 1))
+                             for how in ("drop", "flip", "double")] + [
+    ("theta", rule) for rule in ("f0 f1 -> g2", "g0 f0 -> 0", "f0 f3 -> f5")]
+
+
+def test_contracting_homotopy_matches_the_per_word_loop(monkeypatch):
+    # check (b) walks each source colour once and sums by rank tuple; its
+    # report must be the per-word loop's, byte for byte, on the true tables
+    # and on planted faults in d+ and in theta's rule; the true tables pass,
+    # and every fault fails at the larger caps (f3 is past the smaller ones)
+    for fault in _HOMOTOPY_FAULTS:
+        with monkeypatch.context() as m:
+            if fault and fault[0] == "row":
+                _, planted, how = fault
+                real = operad_sym._identity_free_diff
+                m.setattr(operad_sym, "_identity_free_diff",
+                          lambda z, planted=planted, how=how, real=real:
+                          _planted_row(z, how) if z == planted else real(z))
+            elif fault:
+                m.setattr(operad_sym, "_theta_rep", _theta_rule(fault[1]))
+            for caps in (TruncationCaps(2, 3, 1, 5), TruncationCaps(3, 4, 2, 8)):
+                got = [(c.name, c.passed, c.detail) for c in verify_identity_suite(caps)
+                       if c.name == "contracting_homotopy"]
+                assert got == [ref_contracting_homotopy(caps)], (fault, caps)
+            assert got[0][1] == (fault is None), fault
+
+
 def test_retraction_table_refuses_an_image_with_the_wrong_colours(monkeypatch):
     # fb2 runs from B to W; a planted image f1 runs from B to B, so the
     # product g0 f1 in the image of g0 fb2 would not compose
@@ -670,7 +736,7 @@ def test_retraction_table_refuses_an_image_with_the_wrong_colours(monkeypatch):
 @pytest.mark.slow
 def test_identity_suite_passes_at_high_caps():
     # the strongest check of the retraction_terms rule at high indices;
-    # about 12 s, so it runs only under -m slow
+    # about 4 s, so it runs only under -m slow
     report = verify_identity_suite(TruncationCaps(6, 7, 4, 12))
     assert [c for c in report if not c.passed] == []
 
@@ -696,13 +762,27 @@ def test_iota_reuses_the_canonical_terms():
 
 
 def test_enumerate_words_equals_the_checked_construction():
-    for ambient in ("riso", "rfake", "dif", "dif_riso", "riso_tilde"):
-        for src in ("B", "W"):
-            for dst in ("B", "W"):
-                for degree in (None, 0, 1, -2):
-                    got = enumerate_words(ambient, src, dst, _FIELD_CAPS, degree=degree)
-                    want = ref_enumerate_words(ambient, src, dst, _FIELD_CAPS, degree=degree)
-                    assert [_all_fields(w) for w in got] == [_all_fields(w) for w in want]
+    # the reference grows every word within the caps; the walk does not grow
+    # a word whose longer words cannot reach the degree window, which at
+    # the second caps cuts words of high index as well as long ones
+    for caps in (_FIELD_CAPS, TruncationCaps(4, 5, 2, 3)):
+        for ambient in operad_sym._AMBIENTS:
+            for src in ("B", "W"):
+                for dst in ("B", "W"):
+                    every = ref_enumerate_words(ambient, src, dst, caps)
+                    for degree in (None, 0, 1, 3, -2):
+                        got = enumerate_words(ambient, src, dst, caps, degree=degree)
+                        want = [w for w in every if degree in (None, w.degree)]
+                        assert [_all_fields(w) for w in got] == [_all_fields(w) for w in want]
+
+
+def test_walk_does_not_grow_words_that_cannot_reach_the_degree_window():
+    caps = TruncationCaps(4, 5, 2, 8)
+    nodes = {window: sum(1 for _ in operad_sym._walk("dif_riso", "B", caps, degrees=window))
+             for window in (None, (3, 3), (-8, 8), (100, 100))}
+    assert nodes[None] == nodes[(-8, 8)] > nodes[(3, 3)]
+    # no word reaches degree 100: only the one-factor words are visited
+    assert nodes[(100, 100)] == len([z for z in _ambient_generators("dif_riso", 4) if z.src == "B"])
 
 
 def test_diff_refuses_a_table_row_with_the_wrong_colours():
@@ -728,7 +808,7 @@ def test_identity_suite_builds_no_checked_words_on_its_hot_paths(monkeypatch):
     # the per-generator memos (retraction images, kernel terms, tables) are
     # built once with checked words; warm them so only the hot paths count
     verify_identity_suite(caps)
-    watched = ("diff", "retraction_r", "enumerate_words", "theta", "_walk", "_fold_left")
+    watched = ("diff", "retraction_r", "enumerate_words", "theta", "_walk", "_fold_left", "_homotopy_defect")
     active = []
     calls = dict.fromkeys(watched, 0)
     built = dict.fromkeys(watched, 0)
@@ -779,12 +859,14 @@ def test_identity_suite_builds_no_checked_words_on_its_hot_paths(monkeypatch):
         watch(name)
     monkeypatch.setattr(Word, "__post_init__", counted)
     assert all_passed(verify_identity_suite(caps))
-    assert all(calls.values()) and identity_rows > 0
+    assert identity_rows > 0
     # the suite's cases: two retractions per generator in (c) and one per
-    # identity in (c'), two theta per word in (b), four enumerations in (b),
-    # and one walk of the words per enumeration and per source colour in (c')
-    assert {name: calls[name] for name in ("retraction_r", "theta", "enumerate_words", "_walk")} == {
-        "retraction_r": 38, "theta": 320, "enumerate_words": 4, "_walk": 6}
+    # identity in (c'), one walk per source colour in each of (b) and (c'),
+    # and one homotopy sum per positive-degree word in (b); no element of
+    # theta and no enumeration
+    assert {name: calls[name] for name in watched if name not in ("diff", "_fold_left")} == {
+        "retraction_r": 38, "theta": 0, "enumerate_words": 0, "_walk": 4, "_homotopy_defect": 160}
+    assert calls["diff"] and calls["_fold_left"]
     assert built == dict.fromkeys(watched, 0) | {"diff": identity_rows}
     # one canonicalization per retraction and no products along the way
     assert inside_retraction == {"multiply": 0, "_canonical": calls["retraction_r"]}
