@@ -6,10 +6,10 @@ defines an action of the operad with the extra degree -1 generator, and
 pushing the barred generators through the retraction and then through the
 action produces the perturbed tower.  Truncation is exact here: a word of
 fweight k evaluates to a composite of filtration shift >= k, and every
-map of shift above the filtration length is zero, so the finite band
-max_fweight = filtration length computes the full series.  The module
-still evaluates one band past the length and insists it vanishes, since
-a cheap certificate beats an argument.
+map of shift above the spread of the weights the complexes carry is
+zero, so the finite band max_fweight = that spread computes the full
+series.  The module still evaluates one band past it and insists it
+vanishes, since a cheap certificate beats an argument.
 
 The transfer specialization at tower index 0 (``solve_pp``) repairs the
 input homotopies first when their obstruction classes force it, extends
@@ -161,9 +161,11 @@ def ipl_perturb(she: SheData, p: Perturbation) -> PerturbedShe:
 def _perturb(she: SheData, p: Perturbation) -> PerturbedShe:
     """``ipl_perturb`` on a tower of cap >= 1 and a perturbation of its big
     side that are already checked; checks only its output.  The window
-    reaches one fweight band past the filtration length."""
+    reaches one fweight band past the spread of the weights M and N carry,
+    not past their declared ``max_weight`` (see the module docstring)."""
     assign = {XBAR: p.delta, **tower_assignment(she)}
-    band = she.M.max_weight
+    weights = [w for c in (she.M, she.N) for row in c.weights for w in row]
+    band = max(weights, default=0) - min(weights, default=0)
     caps = TruncationCaps(
         max_index=2 * she.index_cap + 1,
         max_length=2 * (band + 1) + 3,

@@ -38,20 +38,22 @@ read), so no invariant is recomputed on access.  The checked constructors
 (``Word``, ``element``, ``single``, ``parse_element``) stand at the edges,
 for outside input; inside, a value is built unchecked wherever its
 validity follows from how it was made, with its invariants added up from
-its parts.  Products check only the junction; ``diff`` splices a table
-row into a word when the row has the replaced generator's colours (other
-rows, and the output of a caller's table, go through the checks);
-``theta`` rewrites a leading pair into a generator between the same
-colours; ``_walk``, the one word search, joins only composable
-generators and grows no word that cannot reach its degree window;
+its parts.  Products check only the junction.  The derivation is written
+once, as ``_splice`` on rank tuples, from the one table ``generator_diff``,
+whose every row runs between the colours of the generator it replaces:
+``diff`` sums by rank tuple and builds each output word once.  ``theta``
+rewrites a leading pair into a generator between the same colours;
+``_walk``, the one word search, joins only composable generators and
+visits only words in its degree window or able to grow into it;
 ``iota`` reuses its input's canonical terms.  The retraction of each
 generator depends on nothing but the generator and the caps, so each
 caps has one table of images by generator rank.  ``retraction_r`` folds
 a word's images right to left, one ``_fold_left`` per factor, builds
 each output word once and canonicalizes once per call.  As ``_walk``
 grows words on the left, the identity suite carries r(w) down the word
-tree: r(z w) is one fold step.  Its homotopy check sums both sides of
-one word by rank tuple, so in neither check is a word that passes built.
+tree: r(z w) is one fold step.  Its homotopy check splices the part d+
+of d without identity terms into both sides of one word, summed by rank
+tuple, so in neither check is a word that passes built.
 """
 
 from __future__ import annotations
@@ -356,7 +358,8 @@ def multiply(a: OperadElement, b: OperadElement, max_fweight: int | None = None)
 
 
 def truncate_fweight(e: OperadElement, max_fweight: int) -> OperadElement:
-    return element(e.ambient, {w: c for w, c in e.terms if w.fweight <= max_fweight})
+    # a canonical term tuple filtered stays canonical
+    return OperadElement(e.ambient, tuple(t for t in e.terms if t[0].fweight <= max_fweight))
 
 
 def hom_colors(e: OperadElement) -> tuple[str, str]:
@@ -460,50 +463,63 @@ def generator_diff(z: Generator) -> tuple[tuple[Word, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _identity_free_diff(z: Generator) -> tuple[tuple[Word, int], ...]:
-    return tuple((w, c) for w, c in generator_diff(z) if not w.is_identity)
+def _rows(lengthening: bool = False):
+    """The rows of ``generator_diff``, read through the module global, as
+    (rank tuple, factors, coefficient) per term, memoized by rank in the
+    reader; with ``lengthening`` the identity terms, giving d+ of d, drop."""
+    rows: dict[int, tuple] = {}
+
+    def row(z: Generator) -> tuple:
+        got = rows.get(z.rank)
+        if got is None:
+            got = rows[z.rank] = tuple((wz._key[2:] if wz.factors else (), wz.factors, cz)
+                                       for wz, cz in generator_diff(z) if wz.factors or not lengthening)
+        return got
+    return row
 
 
-_BUILT_IN_TABLES = (generator_diff, _identity_free_diff)
+def _splice(factors: tuple[Generator, ...], ranks: tuple[int, ...], row):
+    """The derivation on one chain: each replacement of a factor z by one
+    term of ``row(z)``, as (rank tuple, factors, coefficient), the
+    coefficient carrying the Koszul sign (-1) to the total degree of the
+    factors left of z.  A row term runs between z's colours, so the
+    replacement is composable."""
+    sign = 1
+    for i, z in enumerate(factors):
+        for rr, rf, c in row(z):
+            yield ranks[:i] + rr + ranks[i + 1:], factors[:i] + rf + factors[i + 1:], sign * c
+        if z.degree % 2:
+            sign = -sign
 
 
-def diff(e: OperadElement, *, _table=None) -> OperadElement:
-    """Derivation extension of the generator differential tables.
+def diff(e: OperadElement) -> OperadElement:
+    """Derivation extension of the generator differential table.
 
-    The Koszul sign for replacing the i-th factor is (-1) to the total
-    degree of the factors to its left.  A row word with the colours of the
-    generator it replaces is spliced in from its parts; any other row (an
-    identity, or a wrong row of a caller's ``_table``) goes through the
-    checked ``Word``.
+    The terms are summed by rank tuple and each output word is built once
+    (an identity row of a one-factor word leaves the identity of its
+    colour).
+
+    >>> render_element(diff(parse_element("f1 f1", "riso")))
+    'g0 f0 f1 - f1 g0 f0'
+    >>> render_element(diff(parse_element("f1 - xb", "dif_riso")))
+    'g0 f0 - 1B + xb xb'
     """
-    table = _table or generator_diff
-    acc: dict[Word, int] = {}
+    row = _rows()
+    acc: dict = {}
     for w, c in e.terms:
-        factors = w.factors
-        if not factors:
-            continue
-        key, degree, fweight = w._key, w.degree, w.fweight
-        prefix_degree = 0
-        for i, z in enumerate(factors):
-            signed = -c if prefix_degree % 2 else c
-            for wz, cz in table(z):
-                new_factors = factors[:i] + wz.factors + factors[i + 1:]
-                if wz.factors and wz.factors[-1].src == z.src and wz.factors[0].dst == z.dst:
-                    fw = fweight - z.fweight + wz.fweight
-                    nw = _chain(new_factors, degree - z.degree + wz.degree, fw,
-                                (fw, 0, *key[2:i + 2], *wz._key[2:], *key[i + 3:]))
-                elif new_factors:
-                    nw = Word(new_factors)
-                else:
-                    nw = id_word(wz.id_color)  # type: ignore[arg-type]
-                acc[nw] = acc.get(nw, 0) + signed * cz
-            prefix_degree += z.degree
-    if table in _BUILT_IN_TABLES:
-        # a built-in row lies in every ambient that holds the generator it
-        # replaces, so the words need no ambient check
-        return _canonical(e.ambient, acc)
-    return element(e.ambient, acc)
+        for ranks, factors, cz in _splice(w.factors, w._key[2:], row):
+            k = ranks or w.src  # the empty word is the identity of w's one colour
+            entry = acc.get(k)
+            if entry is None:
+                acc[k] = [c * cz, factors, w.degree - 1]
+            else:
+                entry[0] += c * cz
+    out: dict[Word, int] = {}
+    for k, (c, factors, degree) in acc.items():
+        if c:
+            fweight = sum([z.fweight for z in factors])
+            out[_chain(factors, degree, fweight, (fweight, 0) + k) if factors else id_word(k)] = c
+    return _canonical(e.ambient, out)
 
 
 def _theta_rep(z1: Generator, z2: Generator) -> Generator | None:
@@ -522,6 +538,9 @@ def theta(e: OperadElement) -> OperadElement:
 
     Words of length < 2 map to 0; a longer word has its leading pair
     replaced by ``_theta_rep`` of it, or maps to 0 when that is None.
+
+    >>> render_element(theta(parse_element("f0 f1 + g0 f2 f1 + f1 f1", "riso")))
+    'f2 + f3 f1'
     """
     if e.ambient != "riso":
         raise ValueError("the contracting homotopy is defined on the plain ambient only")
@@ -723,35 +742,43 @@ def _ambient_generators(ambient: str, max_index: int) -> list[Generator]:
 def _walk(ambient: str, src: str, caps: TruncationCaps, step=None, degrees: tuple[int, int] | None = None):
     """Every nonempty composable word of the ambient from ``src`` within
     the index, length and fweight caps whose degree lies in the window
-    ``degrees`` (lo, hi), depth first, as (factors, fweight, degree, value)
-    nodes, among words of other degrees.  A word grows on the left: z w is
-    a child of w, and its value is ``step(z, value of w)``, with None for
-    the empty word (all values are None without a step).  A word none of
-    whose longer words can reach the window, by the smallest and largest
-    generator degree, is yielded but not grown.  The window defaults to
-    (-max_degree, max_degree).  Only composable generators are joined, so
-    a caller may build the words unchecked."""
+    ``degrees`` (lo, hi), clipped to (-max_degree, max_degree), which is
+    also its default; depth first, as (factors, fweight, degree, value)
+    nodes.  A word grows on the left: z w is a child of w, and its value
+    is ``step(z, value of w)``, with None for the empty word (all values
+    are None without a step).  A word is visited only when it lies in the
+    window or some longer word can reach it, by the smallest and largest
+    generator degree.  Only composable generators are joined, so a caller
+    may build the words unchecked."""
     band, max_length = caps.max_fweight, caps.max_length
     lo, hi = degrees or (-caps.max_degree, caps.max_degree)
+    lo, hi = max(lo, -caps.max_degree), min(hi, caps.max_degree)
+    if lo > hi:
+        return
     gens = [z for z in _ambient_generators(ambient, caps.max_index) if z.fweight <= band]
     # what extends a word on the left, by its target colour: every generator
     # below the band, the plain ones at it; each with its one-factor tuple
     below = {col: [((z,), z.fweight, z.degree, z) for z in gens if z.src == col] for col in ("B", "W")}
     at_band = {col: [g for g in grown if not g[1]] for col, grown in below.items()}
-    # the degrees a word of each length grows from: 1 to r more factors
-    # move its degree by at least min(dmin, r dmin) and at most max(dmax, r dmax)
+    # the degrees a word of each length is visited at: 0 to r more factors
+    # move its degree by at least min(0, r dmin) and at most max(0, r dmax);
+    # a one-factor word is visited even at length cap 0
     dmin, dmax = min([z.degree for z in gens], default=0), max([z.degree for z in gens], default=0)
-    grows = [(lo - max(dmax, r * dmax), hi - min(dmin, r * dmin))
-             for r in range(max_length, -1, -1)]
-    stack = [(zs, fw, dg, step and step(z, None)) for zs, fw, dg, z in below[src]]
+    reach = [(lo - max(0, r * dmax), hi - min(0, r * dmin))
+             for r in range(max_length, -1, -1)] + [(lo, hi)]
+    a, b = reach[1]
+    stack = [(zs, fw, dg, step and step(z, None)) for zs, fw, dg, z in below[src] if a <= dg <= b]
     while stack:
         node = stack.pop()
-        yield node
         factors, fweight, deg, val = node
+        if lo <= deg <= hi:
+            yield node
         length = len(factors)
-        if length < max_length and grows[length][0] <= deg <= grows[length][1]:
+        if length < max_length:
+            a, b = reach[length + 1]
             for zs, fw, dg, z in (below if fweight < band else at_band)[factors[0].dst]:
-                stack.append((zs + factors, fweight + fw, deg + dg, step and step(z, val)))
+                if a <= deg + dg <= b:
+                    stack.append((zs + factors, fweight + fw, deg + dg, step and step(z, val)))
 
 
 def enumerate_words(
@@ -763,10 +790,9 @@ def enumerate_words(
     found: list[Word] = []
     if include_identity and src == dst and (degree is None or degree == 0):
         found.append(id_word(src))
-    degrees = {n for n in range(-caps.max_degree, caps.max_degree + 1) if degree in (None, n)}
     window = None if degree is None else (degree, degree)
     for factors, fweight, deg, _ in _walk(ambient, src, caps, degrees=window):
-        if deg in degrees and factors[0].dst == dst:
+        if factors[0].dst == dst:
             found.append(_chain(factors, deg, fweight, (fweight, 0, *[z.rank for z in factors])))
     found.sort(key=_word_key)
     return found
@@ -934,39 +960,19 @@ def _prepend_rank(z: Generator, ranks: tuple[int, ...] | None) -> tuple[int, ...
 
 def _homotopy_defect(factors: tuple[Generator, ...], ranks: tuple[int, ...], row) -> bool:
     """Whether theta(d+ w) + d+(theta w) != w for the chain w with these
-    factors and rank tuple, where ``row(z)`` gives the terms of d+ z as
-    (rank tuple, factors, coefficient).  Both sides are summed in one dict
-    keyed by rank tuple; d+ carries the Koszul sign of each factor's prefix
-    degree, and theta rewrites a leading pair by ``_theta_rep``."""
+    factors and rank tuple, where ``row`` reads the terms of d+ for
+    ``_splice``.  Both sides are summed in one dict keyed by rank tuple;
+    theta rewrites a leading pair by ``_theta_rep``."""
     acc = {ranks: -1}
     rep = _theta_rep(factors[0], factors[1]) if len(factors) > 1 else None
     if rep is not None:
-        # d+(theta w)
-        lead = (rep.rank,) + ranks[2:]
-        sign = 1
-        for j, z in enumerate((rep,) + factors[2:]):
-            for rr, _, c in row(z):
-                k = lead[:j] + rr + lead[j + 1:]
-                acc[k] = acc.get(k, 0) + sign * c
-            if z.degree % 2:
-                sign = -sign
-    # theta(d+ w): replacing a factor past the leading pair keeps the pair,
-    # so its rewrite is rep's
-    sign = 1
-    for i, z in enumerate(factors):
-        if i > 1 and rep is None:
-            break
-        for rr, rf, c in row(z):
-            p = rep
-            if i < 2:
-                nf = factors[:i] + rf + factors[i + 1:]
-                p = _theta_rep(nf[0], nf[1]) if len(nf) > 1 else None
-                if p is None:
-                    continue
-            k = (p.rank,) + (ranks[:i] + rr + ranks[i + 1:])[2:]
-            acc[k] = acc.get(k, 0) + sign * c
-        if z.degree % 2:
-            sign = -sign
+        for k, _, c in _splice((rep,) + factors[2:], (rep.rank,) + ranks[2:], row):
+            acc[k] = acc.get(k, 0) + c
+    for k, nf, c in _splice(factors, ranks, row):
+        p = _theta_rep(nf[0], nf[1]) if len(nf) > 1 else None
+        if p is not None:
+            k = (p.rank,) + k[2:]
+            acc[k] = acc.get(k, 0) + c
     return any(acc.values())
 
 
@@ -975,15 +981,13 @@ def _first_by_key(failing: dict[str, list[Word]]) -> list[Word]:
     return [min(failing[dst], key=_word_key) for dst in ("B", "W") if failing[dst]]
 
 
-def verify_identity_suite(caps: TruncationCaps, *, _table=None) -> list[IdentityCheck]:
+def verify_identity_suite(caps: TruncationCaps) -> list[IdentityCheck]:
     """Symbolic verification of every closed identity the package relies on.
 
     Each check is exact on its stated window; see the individual blocks.
     The report lists one entry per identity family with the first failing
     case in ``detail``.
     """
-    table = _table or generator_diff
-    d = lambda e: diff(e, _table=table)  # noqa: E731
     w_band = caps.max_fweight
     checks: list[IdentityCheck] = []
 
@@ -997,10 +1001,10 @@ def verify_identity_suite(caps: TruncationCaps, *, _table=None) -> list[Identity
     tilde_gens = plain_gens + [gen(fam, n) for fam in ("fb", "gb") for n in indices] + [XBAR, YBAR]
     for name, ambient, gens in (("square_zero_plain", "riso", plain_gens),
                                 ("square_zero_extended", "riso_tilde", tilde_gens)):
-        add(name, [f"d d {z.token} != 0" for z in gens if not d(d(single(ambient, word(z)))).is_zero()])
+        add(name, [f"d d {z.token} != 0" for z in gens if not diff(diff(single(ambient, word(z)))).is_zero()])
 
     # (b) contracting homotopy on positive-degree plain words, against the
-    # lengthening part d+ of d (the table without its identity rows), on
+    # lengthening part d+ of d (the table without its identity terms), on
     # the words ``enumerate_words`` gives one shorter than the length cap,
     # because the homotopy passes through words one longer.  One walk per
     # source colour carries each word's rank tuple; w passes when
@@ -1010,18 +1014,11 @@ def verify_identity_suite(caps: TruncationCaps, *, _table=None) -> list[Identity
     theta_caps = TruncationCaps(
         caps.max_index, max(1, caps.max_length - 1), caps.max_fweight, caps.max_degree
     )
-    rows: dict[int, tuple] = {}
-
-    def row(z: Generator) -> tuple:
-        got = rows.get(z.rank)
-        if got is None:
-            got = rows[z.rank] = tuple((wz._key[2:], wz.factors, cz) for wz, cz in _identity_free_diff(z))
-        return got
-
+    row = _rows(lengthening=True)
     for src in ("B", "W"):
         failing: dict[str, list[Word]] = {"B": [], "W": []}
-        for factors, fweight, deg, ranks in _walk("riso", src, theta_caps, _prepend_rank):
-            if 0 < deg <= caps.max_degree and _homotopy_defect(factors, ranks, row):
+        for factors, fweight, deg, ranks in _walk("riso", src, theta_caps, _prepend_rank, (1, caps.max_degree)):
+            if _homotopy_defect(factors, ranks, row):
                 failing[factors[0].dst].append(_chain(factors, deg, fweight, (fweight, 0, *ranks)))
         fails += [f"homotopy identity fails on {w.render()}" for w in _first_by_key(failing)]
     add("contracting_homotopy", fails)
@@ -1031,7 +1028,7 @@ def verify_identity_suite(caps: TruncationCaps, *, _table=None) -> list[Identity
     for z in tilde_gens:
         e = single("riso_tilde", word(z))
         lhs = truncate_fweight(diff(retraction_r(e, caps)), w_band)
-        rhs = truncate_fweight(retraction_r(d(e), caps), w_band)
+        rhs = truncate_fweight(retraction_r(diff(e), caps), w_band)
         if lhs != rhs:
             fails.append(f"r d != d r on {z.token}")
     add("retraction_chain_map", fails)
@@ -1050,11 +1047,10 @@ def verify_identity_suite(caps: TruncationCaps, *, _table=None) -> list[Identity
         if retraction_r(iota(e), caps) != e:
             failing[src].append(id_word(src))
         for factors, fweight, deg, img in _walk("dif_riso", src, caps, step):
-            if abs(deg) <= caps.max_degree:
-                live = [term for term in img.values() if term[0]]
-                if len(live) != 1 or live[0][0] != 1 or live[0][1] != factors:
-                    key = (fweight, 0, *[z.rank for z in factors])
-                    failing[factors[0].dst].append(_chain(factors, deg, fweight, key))
+            live = [term for term in img.values() if term[0]]
+            if len(live) != 1 or live[0][0] != 1 or live[0][1] != factors:
+                key = (fweight, 0, *[z.rank for z in factors])
+                failing[factors[0].dst].append(_chain(factors, deg, fweight, key))
         fails += [f"r(iota({w.render()})) != {w.render()}" for w in _first_by_key(failing)]
     add("retraction_splits_inclusion", fails)
 
@@ -1063,14 +1059,14 @@ def verify_identity_suite(caps: TruncationCaps, *, _table=None) -> list[Identity
     for k in range(0, (caps.max_index + 1) // 2 + 1):
         deg = 2 * k
         for own, other, square, cross in (("f", "g", "hh", "gf"), ("g", "f", "ll", "fg")):
-            if d(_pair_sum(own, own, 1, deg, "riso")) != d(_pair_sum(other, own, 0, deg, "riso")):
+            if diff(_pair_sum(own, own, 1, deg, "riso")) != diff(_pair_sum(other, own, 0, deg, "riso")):
                 fails.append(f"d({square}) != d({cross}) in degree {deg}")
     add("compact_square", fails)
 
     # (e) kernel differential, per degree and band
     fails = []
     for r in (-1, 1, 3):
-        lhs = truncate_fweight(d(kernel_Z(r, caps)), w_band)
+        lhs = truncate_fweight(diff(kernel_Z(r, caps)), w_band)
         terms: list[tuple[Word, int]] = []
         for r1 in range(-1, r + 1, 2):
             for r2 in range(-1, r - 1 - r1 + 1, 2):
@@ -1103,27 +1099,27 @@ def verify_identity_suite(caps: TruncationCaps, *, _table=None) -> list[Identity
     f0 = single("riso", word(gen("f", 0)))
     g0 = single("riso", word(gen("g", 0)))
     for m in range(1, caps.max_index // 2 + 1):
-        lhs = multiply(g0, d(single("riso", word(gen("f", 2 * m))))) + multiply(
-            d(single("riso", word(gen("g", 2 * m)))), f0
+        lhs = multiply(g0, diff(single("riso", word(gen("f", 2 * m))))) + multiply(
+            diff(single("riso", word(gen("g", 2 * m)))), f0
         )
         witness = element("riso", [(word(gen("f", 2 * j + 1), gen("f", 2 * (m - j) - 1)), 1)
                                    for j in range(m)]
                           + [(word(gen("g", 2 * j), gen("f", 2 * (m - j))), -1)
                              for j in range(1, m)])
-        if lhs != d(witness):
+        if lhs != diff(witness):
             fails.append(f"even transfer witness fails at index {2 * m}")
     add("chain_level_transfer_even", fails)
 
     fails = []
     for m in range(1, (caps.max_index - 1) // 2 + 1):
-        lhs = multiply(f0, d(single("riso", word(gen("f", 2 * m + 1))))) - multiply(
-            d(single("riso", word(gen("g", 2 * m + 1)))), f0
+        lhs = multiply(f0, diff(single("riso", word(gen("f", 2 * m + 1))))) - multiply(
+            diff(single("riso", word(gen("g", 2 * m + 1)))), f0
         )
         witness = element("riso", [(word(gen("g", 2 * (m - i) + 1), gen("f", 2 * i)), 1)
                                    for i in range(1, m + 1)]
                           + [(word(gen("f", 2 * i), gen("f", 2 * (m - i) + 1)), -1)
                              for i in range(1, m + 1)])
-        if lhs != d(witness):
+        if lhs != diff(witness):
             fails.append(f"odd transfer witness fails at index {2 * m + 1}")
     add("chain_level_transfer_odd", fails)
 

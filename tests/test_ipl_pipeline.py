@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,10 @@ from pertlab.chaincore import (
     filtration_shift,
     rebase,
 )
+from pertlab.cli_io import serialize_document
 from pertlab.exactlin import IntMatrix
 from pertlab.fixtures import (
+    build_complex,
     fixture_generate,
     he_fixture,
     layered_she_fixture,
@@ -147,7 +151,39 @@ def test_ipl_layered_produces_nonzero_corrections():
     # the homotopy must genuinely change, not just get rebased
     assert out.she.H_odd[0].blocks != tower.H_odd[0].blocks
     assert out.d_n_tilde.blocks != tower.N.differential_map().blocks
-    assert out.provenance.max_fweight == tower.M.max_weight + 1
+    # the band is the spread of the weights the complexes carry
+    weights = [w for c in (tower.M, tower.N) for row in c.weights for w in row]
+    assert out.provenance.max_fweight == max(weights) - min(weights) + 1
+
+
+def _without_max_weight(doc):
+    if isinstance(doc, dict):
+        return {k: _without_max_weight(v) for k, v in doc.items() if k != "max_weight"}
+    return [_without_max_weight(v) for v in doc] if isinstance(doc, list) else doc
+
+
+def test_ipl_band_ignores_a_declared_filtration_length_the_weights_do_not_use():
+    # the interval complex, all weights 0, with F = G = 1 and H = L = 0,
+    # extended to cap 1 and perturbed by zero; a band read from the
+    # declared max_weight made this take seconds at 128 and overflow the
+    # recursion limit at 10^6
+    def perturbed(max_weight, weight=0):
+        c = build_complex(0, (1, 1), ((weight,), (weight,)), {1: [[1]]}, max_weight)
+        one, zero = GradedMap.identity(c), GradedMap.zero(c, c, 1)
+        tower = extend_to_she(HeData(c, c, one, one, zero, zero), 1)
+        return ipl_perturb(tower, Perturbation(c, GradedMap.zero(c, c, -1)))
+
+    start = time.perf_counter()
+    big = perturbed(10**6)
+    assert time.perf_counter() - start < 2
+    small = perturbed(1)
+    assert big.provenance == small.provenance and big.provenance.max_fweight == 1
+    assert big.d_n_tilde.blocks == small.d_n_tilde.blocks
+    docs = [json.loads(serialize_document(out.she)) for out in (big, small)]
+    assert docs[0] != docs[1]
+    assert _without_max_weight(docs[0]) == _without_max_weight(docs[1])
+    # the spread, not the largest weight: all weights 3 still give band 0
+    assert perturbed(10**6, 3).provenance == small.provenance
 
 
 def test_ipl_agrees_with_direct_transfer_on_retracts():

@@ -37,7 +37,6 @@ from pertlab.operad_sym import (
 )
 from pertlab.operad_sym import (
     _ambient_generators,
-    _identity_free_diff,
     _retraction_of_generator,
 )
 
@@ -322,9 +321,15 @@ def test_powers_of_the_dot_generator():
             assert d.is_zero()
 
 
+def identity_free_diff(z):
+    # the lengthening part d+ of the table, read through the module global
+    # so that a planted table reaches it
+    return tuple((w, c) for w, c in operad_sym.generator_diff(z) if not w.is_identity)
+
+
 def test_identity_free_diff_frozen():
     e = single("riso", word(gen("f", 1), gen("f", 1)))
-    plus = diff(e, _table=_identity_free_diff)
+    plus = ref_diff(e, identity_free_diff)
     assert render_element(plus) == "g0 f0 f1 - f1 g0 f0"
     # the identity parts of the two d(f1) factors cancel against each other
     assert plus == diff(e)
@@ -485,20 +490,23 @@ def test_identity_suite_passes_at_small_caps():
     ]
 
 
-def test_identity_suite_catches_a_planted_sign_error():
+def test_identity_suite_catches_a_planted_sign_error(monkeypatch):
     def corrupt(z):
         base = generator_diff(z)
         if z.family == "f" and z.index == 2:
             return tuple((w, -c) for w, c in base)
         return base
 
-    report = verify_identity_suite(TruncationCaps(3, 3, 0, 6), _table=corrupt)
-    # every family reports, in order, with its first failing case
+    monkeypatch.setattr(operad_sym, "generator_diff", corrupt)
+    report = verify_identity_suite(TruncationCaps(3, 3, 0, 6))
+    # every family reports, in order, with its first failing case; every
+    # check reads the one table, so both sides of (c) see the same fault
+    # and agree, and (b) sees it in d+
     assert [(c.name, c.passed, c.detail) for c in report] == [
         ("square_zero_plain", False, "d d f3 != 0"),
         ("square_zero_extended", False, "d d f3 != 0"),
-        ("contracting_homotopy", True, "ok"),
-        ("retraction_chain_map", False, "r d != d r on f2"),
+        ("contracting_homotopy", False, "homotopy identity fails on g0 f2"),
+        ("retraction_chain_map", True, "ok"),
         ("retraction_splits_inclusion", True, "ok"),
         ("compact_square", False, "d(hh) != d(gf) in degree 2"),
         ("kernel_differential", True, "ok"),
@@ -654,7 +662,6 @@ def ref_contracting_homotopy(caps):
     # the per-word loop of check (b): enumerate, theta and d+ on one-term
     # elements, compare; every failing word is listed and the first reported
     theta_caps = TruncationCaps(caps.max_index, max(1, caps.max_length - 1), caps.max_fweight, caps.max_degree)
-    table = operad_sym._identity_free_diff
     fails = []
     for src in ("B", "W"):
         for dst in ("B", "W"):
@@ -662,51 +669,54 @@ def ref_contracting_homotopy(caps):
                 if w.degree <= 0:
                     continue
                 e = single("riso", w)
-                if theta(diff(e, _table=table)) + diff(theta(e), _table=table) != e:
+                if theta(ref_diff(e, identity_free_diff)) + ref_diff(theta(e), identity_free_diff) != e:
                     fails.append(f"homotopy identity fails on {w.render()}")
     return ("contracting_homotopy", not fails, fails[0] if fails else "ok")
 
 
 def _planted_row(z, how):
-    # one wrong row of d+ z: its first term dropped, negated or doubled
-    row = _identity_free_diff(z)
+    # one wrong row of the table: its first term, which is not an identity,
+    # dropped, negated or doubled
+    row = generator_diff(z)
     (w, c), rest = row[0], row[1:]
     return {"drop": rest, "flip": ((w, -c),) + rest, "double": ((w, 2 * c),) + rest}[how]
 
 
 def _theta_rule(rule):
+    # a planted rewrite keeps the pair's colours (both pairs run from B to
+    # W), so the reference's checked words take it
     real = operad_sym._theta_rep
 
     def planted(z1, z2):
         pair = (z1.token, z2.token)
-        if rule == "f0 f1 -> g2" and pair == ("f0", "f1"):
-            return gen("g", 2)
+        if rule == "f0 f1 -> f4" and pair == ("f0", "f1"):
+            return gen("f", 4)
         if rule == "g0 f0 -> 0" and pair == ("g0", "f0"):
             return None
-        if rule == "f0 f3 -> f5" and pair == ("f0", "f3"):
-            return gen("f", 5)
+        if rule == "f0 f3 -> f2" and pair == ("f0", "f3"):
+            return gen("f", 2)
         return real(z1, z2)
     return planted
 
 
 _HOMOTOPY_FAULTS = [None] + [("row", z, how) for z in (gen("f", 2), gen("g", 3), gen("f", 1))
                              for how in ("drop", "flip", "double")] + [
-    ("theta", rule) for rule in ("f0 f1 -> g2", "g0 f0 -> 0", "f0 f3 -> f5")]
+    ("theta", rule) for rule in ("f0 f1 -> f4", "g0 f0 -> 0", "f0 f3 -> f2")]
 
 
 def test_contracting_homotopy_matches_the_per_word_loop(monkeypatch):
     # check (b) walks each source colour once and sums by rank tuple; its
     # report must be the per-word loop's, byte for byte, on the true tables
-    # and on planted faults in d+ and in theta's rule; the true tables pass,
-    # and every fault fails at the larger caps (f3 is past the smaller ones)
+    # and on planted faults in the table and in theta's rule; the true
+    # tables pass, and every fault fails at the larger caps (f3 is past the
+    # smaller ones)
     for fault in _HOMOTOPY_FAULTS:
         with monkeypatch.context() as m:
             if fault and fault[0] == "row":
                 _, planted, how = fault
-                real = operad_sym._identity_free_diff
-                m.setattr(operad_sym, "_identity_free_diff",
-                          lambda z, planted=planted, how=how, real=real:
-                          _planted_row(z, how) if z == planted else real(z))
+                m.setattr(operad_sym, "generator_diff",
+                          lambda z, planted=planted, how=how:
+                          _planted_row(z, how) if z == planted else generator_diff(z))
             elif fault:
                 m.setattr(operad_sym, "_theta_rep", _theta_rule(fault[1]))
             for caps in (TruncationCaps(2, 3, 1, 5), TruncationCaps(3, 4, 2, 8)):
@@ -736,7 +746,7 @@ def test_retraction_table_refuses_an_image_with_the_wrong_colours(monkeypatch):
 @pytest.mark.slow
 def test_identity_suite_passes_at_high_caps():
     # the strongest check of the retraction_terms rule at high indices;
-    # about 4 s, so it runs only under -m slow
+    # about 2 s, so it runs only under -m slow
     report = verify_identity_suite(TruncationCaps(6, 7, 4, 12))
     assert [c for c in report if not c.passed] == []
 
@@ -744,11 +754,9 @@ def test_identity_suite_passes_at_high_caps():
 @settings(max_examples=200, deadline=None)
 @given(tilde_elements() | tilde_elements("riso"))
 def test_diff_and_theta_equal_the_checked_construction(e):
-    tables = [generator_diff, _identity_free_diff]
-    for got, want in [(diff(e), ref_diff(e, generator_diff))] + [
-            (diff(e, _table=t), ref_diff(e, t)) for t in tables]:
-        assert got.ambient == want.ambient
-        assert _all_term_fields(got) == _all_term_fields(want)
+    got, want = diff(e), ref_diff(e, generator_diff)
+    assert got.ambient == want.ambient
+    assert _all_term_fields(got) == _all_term_fields(want)
     if e.ambient == "riso":
         assert _all_term_fields(theta(e)) == _all_term_fields(ref_theta(e))
 
@@ -764,43 +772,43 @@ def test_iota_reuses_the_canonical_terms():
 def test_enumerate_words_equals_the_checked_construction():
     # the reference grows every word within the caps; the walk does not grow
     # a word whose longer words cannot reach the degree window, which at
-    # the second caps cuts words of high index as well as long ones
+    # the second caps cuts words of high index as well as long ones, and
+    # degrees 5 and -5 lie outside its max_degree, so they get no words
     for caps in (_FIELD_CAPS, TruncationCaps(4, 5, 2, 3)):
         for ambient in operad_sym._AMBIENTS:
             for src in ("B", "W"):
                 for dst in ("B", "W"):
                     every = ref_enumerate_words(ambient, src, dst, caps)
-                    for degree in (None, 0, 1, 3, -2):
+                    for degree in (None, 0, 1, 3, -2, 5, -5):
                         got = enumerate_words(ambient, src, dst, caps, degree=degree)
                         want = [w for w in every if degree in (None, w.degree)]
                         assert [_all_fields(w) for w in got] == [_all_fields(w) for w in want]
 
 
 def test_walk_does_not_grow_words_that_cannot_reach_the_degree_window():
+    # each window's nodes are the full window's nodes of its degrees, once
+    # clipped to max_degree; a node's step runs only when it is pushed, so
+    # the steps count the words visited
     caps = TruncationCaps(4, 5, 2, 8)
-    nodes = {window: sum(1 for _ in operad_sym._walk("dif_riso", "B", caps, degrees=window))
-             for window in (None, (3, 3), (-8, 8), (100, 100))}
-    assert nodes[None] == nodes[(-8, 8)] > nodes[(3, 3)]
-    # no word reaches degree 100: only the one-factor words are visited
-    assert nodes[(100, 100)] == len([z for z in _ambient_generators("dif_riso", 4) if z.src == "B"])
+    degrees, steps = {}, {}
+    for window in (None, (-8, 8), (3, 3), (-3, -1), (7, 12), (100, 100)):
+        steps[window] = 0
 
-
-def test_diff_refuses_a_table_row_with_the_wrong_colours():
-    def wrong(z):
-        # f1 runs B -> B, but f2 runs B -> W
-        return ((word(gen("f", 1)), 1),) if z == gen("f", 2) else generator_diff(z)
-
-    with pytest.raises(ValueError, match="not composable"):
-        diff(parse_element("g0 f2", "riso"), _table=wrong)
-    with pytest.raises(ValueError, match="not composable"):
-        verify_identity_suite(TruncationCaps(2, 3, 0, 6), _table=wrong)
-
-    def barred(z):
-        # right colours, but fb2 is not in the plain ambient
-        return ((word(gen("fb", 2)), 1),) if z == gen("f", 2) else generator_diff(z)
-
-    with pytest.raises(ValueError, match="not available in ambient riso"):
-        diff(parse_element("g0 f2", "riso"), _table=barred)
+        def step(z, value, window=window):
+            steps[window] += 1
+            return (z.rank,) + (value or ())
+        nodes = list(operad_sym._walk("dif_riso", "B", caps, step, window))
+        assert all(value == tuple(z.rank for z in factors) for factors, _, _, value in nodes)
+        degrees[window] = sorted((deg, value) for _, _, deg, value in nodes)
+    lo_hi = {None: (-8, 8), (7, 12): (7, 8)}
+    for window, got in degrees.items():
+        lo, hi = lo_hi.get(window, window)
+        assert got == [node for node in degrees[None] if lo <= node[0] <= hi]
+    assert degrees[None] == degrees[(-8, 8)] and degrees[(3, 3)]
+    # no word reaches degree 100, past max_degree: none is visited
+    assert degrees[(100, 100)] == [] and steps[(100, 100)] == 0
+    # the narrow window visits fewer words than the full one
+    assert steps[(3, 3)] < len(degrees[None]) <= steps[None]
 
 
 def test_identity_suite_builds_no_checked_words_on_its_hot_paths(monkeypatch):
@@ -813,7 +821,6 @@ def test_identity_suite_builds_no_checked_words_on_its_hot_paths(monkeypatch):
     calls = dict.fromkeys(watched, 0)
     built = dict.fromkeys(watched, 0)
     inside_retraction = {"multiply": 0, "_canonical": 0}
-    identity_rows = 0
     real_post_init = Word.__post_init__
 
     def counted(self):
@@ -825,16 +832,10 @@ def test_identity_suite_builds_no_checked_words_on_its_hot_paths(monkeypatch):
         real = getattr(operad_sym, name)
 
         def wrapped(*args, **kwargs):
-            nonlocal identity_rows
             if name in calls:
                 calls[name] += 1
             elif active and active[-1] == "retraction_r":
                 inside_retraction[name] += 1
-            if name == "diff" and kwargs.get("_table") is not _identity_free_diff:
-                # d(f1) and d(g1) carry the only identity rows; splicing one
-                # into a longer word is the only checked construction left
-                identity_rows += sum(len(w.factors) > 1 and z in (gen("f", 1), gen("g", 1))
-                                     for w, _ in args[0].terms for z in w.factors)
             active.append(name)
             try:
                 result = real(*args, **kwargs)
@@ -859,7 +860,6 @@ def test_identity_suite_builds_no_checked_words_on_its_hot_paths(monkeypatch):
         watch(name)
     monkeypatch.setattr(Word, "__post_init__", counted)
     assert all_passed(verify_identity_suite(caps))
-    assert identity_rows > 0
     # the suite's cases: two retractions per generator in (c) and one per
     # identity in (c'), one walk per source colour in each of (b) and (c'),
     # and one homotopy sum per positive-degree word in (b); no element of
@@ -867,6 +867,6 @@ def test_identity_suite_builds_no_checked_words_on_its_hot_paths(monkeypatch):
     assert {name: calls[name] for name in watched if name not in ("diff", "_fold_left")} == {
         "retraction_r": 38, "theta": 0, "enumerate_words": 0, "_walk": 4, "_homotopy_defect": 160}
     assert calls["diff"] and calls["_fold_left"]
-    assert built == dict.fromkeys(watched, 0) | {"diff": identity_rows}
+    assert built == dict.fromkeys(watched, 0)
     # one canonicalization per retraction and no products along the way
     assert inside_retraction == {"multiply": 0, "_canonical": calls["retraction_r"]}
