@@ -225,7 +225,7 @@ def rebase(f: GradedMap, src: ChainComplex, tgt: ChainComplex) -> GradedMap:
 def filtration_shift(f: GradedMap) -> int:
     """Largest q with f(stage p) inside stage p+q for all p.
 
-    One pass over the entries of each block: a nonzero at (i, j) of the
+    One pass over the nonzeros of each block: a nonzero at (i, j) of the
     block at source degree n bounds q by the weight of target basis
     element i in degree n + deg(f) minus that of source basis element j
     in degree n.  The zero map reports one more than the filtration
@@ -237,12 +237,11 @@ def filtration_shift(f: GradedMap) -> int:
         tw = tgt.weights[n + f.degree - tgt.degree_lo]
         sw = src.weights[n - src.degree_lo]
         cols = mat.cols
-        for p, v in enumerate(mat.entries):
-            if v:
-                i, j = divmod(p, cols)
-                s = tw[i] - sw[j]
-                if best is None or s < best:
-                    best = s
+        for p in compress(range(len(mat.entries)), mat.entries):
+            i, j = divmod(p, cols)
+            s = tw[i] - sw[j]
+            if best is None or s < best:
+                best = s
     if best is None:
         return max(src.max_weight, tgt.max_weight) + 1
     return best

@@ -7,10 +7,12 @@ why the matrix type and ``solve_integer`` refuse anything not an ``int``.
 
 One cached elimination serves every entry point.  Its pivot policy is
 fixed (smallest nonzero absolute value, ties by smallest (row, col)), so
-it is deterministic and reproducible.  Its scans skip zeros (``_eliminate``)
-and it keeps the transforms as logs of the row and column operations it
-made, not as matrices: solves replay the logs on vectors, cokernels read
-the diagonal alone, and only ``smith_normal_form`` builds matrices from them.
+it is deterministic and reproducible.  Its scans skip zeros, and since a
+zero row stays zero for the rest of the elimination, on a matrix that
+starts with one they skip zero rows too (``_eliminate``).  It keeps the
+transforms as logs of the row and column operations it made, not as
+matrices: solves replay the logs on vectors, cokernels read the diagonal
+alone, and only ``smith_normal_form`` builds matrices from them.
 
 ``smith_normal_form``
     U * A * V = S with U, V unimodular and S diagonal, entries nonnegative,
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from operator import add, itemgetter, neg, sub
 
 
@@ -189,10 +192,11 @@ class AbelianGroupInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def _pivot(s: list[list[int]], t: int) -> tuple[int, int] | None:
-    # smallest nonzero |entry| in the trailing submatrix; ties by (row, col)
+def _pivot(s: list[list[int]], live: list[bool] | None, t: int) -> tuple[int, int] | None:
+    # smallest nonzero |entry| in the trailing submatrix; ties by (row, col);
+    # a live row found zero is marked dead
     best: tuple[int, int, int] | None = None
-    for i in range(t, len(s)):
+    for i in range(t, len(s)) if live is None else compress(range(t, len(s)), live[t:]):
         seg = s[i][t:]
         if any(seg):
             mags = list(map(abs, seg))
@@ -201,6 +205,8 @@ def _pivot(s: list[list[int]], t: int) -> tuple[int, int] | None:
                 best = (a, i, t + mags.index(a))
                 if a == 1:
                     break
+        elif live is not None:
+            live[i] = False
     return None if best is None else best[1:]
 
 
@@ -214,22 +220,36 @@ def _eliminate(a: IntMatrix) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[
     ``("neg", i)``.  Each step touches only the trailing submatrix: the
     rows and columns before it are already cleared.
 
-    The scans skip zeros: the pivot search passes over zero rows and reads
-    the others at C speed, and a row operation touches only the pivot row's
-    nonzeros.  Row t is cleared after column t, when the pivot is column t's
-    only nonzero, so adding q times column t to column j changes s[t][j] only.
+    The scans skip zeros.  A zero row stays zero: a row operation adds to
+    row i only when s[i][t] is nonzero, and a column operation changes only
+    the rows that are nonzero in the columns it reads.  So when the matrix
+    starts with a zero row, a flag ``live[i]``, false only when the row at
+    position i is zero, moves with its row; the pivot search clears it on
+    each row it finds zero, and the pivot search, the clearing of column t,
+    the divisibility scan and the column swaps walk the live rows alone.
+    A matrix that starts without one seldom gains one, and there the
+    flags cost more than they skip, so ``live`` is None and every walk
+    reads every trailing row.  The pivot search reads each row at C speed,
+    and a row operation touches only the pivot row's nonzeros.  Row t is
+    cleared after column t, when the pivot is column t's only nonzero, so
+    adding q times column t to column j changes s[t][j] only.
     """
     rows, cols = a.rows, a.cols
     s = a.to_rows()
+    live: list[bool] | None = list(map(any, s))
+    if all(live):
+        live = None
     row_log: list[tuple] = []
     col_log: list[tuple] = []
 
     def swap_rows(i: int, k: int) -> None:
         s[i], s[k] = s[k], s[i]
+        if live is not None:
+            live[i], live[k] = live[k], live[i]
         row_log.append(("swap", i, k))
 
     def swap_cols(j: int, k: int) -> None:
-        for r in range(t, rows):
+        for r in range(t, rows) if live is None else compress(range(t, rows), live[t:]):
             sr = s[r]
             sr[j], sr[k] = sr[k], sr[j]
         col_log.append(("swap", j, k))
@@ -237,7 +257,7 @@ def _eliminate(a: IntMatrix) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        pos = _pivot(s, t)
+        pos = _pivot(s, live, t)
         if pos is None:
             break
         i, j = pos
@@ -252,7 +272,8 @@ def _eliminate(a: IntMatrix) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[
             support = list(filter(itemgetter(1), enumerate(row)))
             # clear column t below the pivot
             dirty = False
-            for i in range(t + 1, rows):
+            below = range(t + 1, rows) if live is None else compress(range(t + 1, rows), live[t + 1:])
+            for i in below:
                 r = s[i]
                 if r[t]:
                     q = r[t] // p
@@ -281,7 +302,8 @@ def _eliminate(a: IntMatrix) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[
             # make the pivot divide the whole trailing submatrix (a unit does)
             if p == 1 or p == -1:
                 break
-            stuck = next((i for i in range(t + 1, rows) if any(x % p for x in s[i][t + 1:])), None)
+            below = range(t + 1, rows) if live is None else compress(range(t + 1, rows), live[t + 1:])
+            stuck = next((i for i in below if any(x % p for x in s[i][t + 1:])), None)
             if stuck is None:
                 break
             s[t] = list(map(add, row, s[stuck]))

@@ -20,9 +20,10 @@ checks its assignment (``_checked_by_caller`` builds one whose caller
 has), ``action_from_she`` and ``ipl_perturb`` check their tower and
 perturbation, and the perturbed tower is checked as it is built.
 ``solve_pp`` checks the equivalence and the perturbation before building
-anything and then runs the private cores (``_extend``, ``_perturb``), so
-the cap-1 tower and the cap-0 output are each checked once, by their
-constructor.
+anything, checks the repaired equivalence where the repair replaced a
+component before ``_extend`` (which checks only the components it builds),
+and runs the private cores (``_extend``, ``_perturb``), so each identity of
+the cap-1 tower and of the cap-0 output is checked once.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .she_obstruction import (
     _checked,
     _extend,
     _obstruction_cycles,
+    _require_valid_repair,
     _require_vanishing,
     _zero_padded,
     component_name,
@@ -243,6 +245,8 @@ def solve_pp(he: HeData, p: Perturbation, strategy: str = "modify_h") -> PpSolut
     o_m, o_n = _obstruction_cycles(he2)
     she = _zero_padded(he2, 1) if o_m.is_zero() and o_n.is_zero() else None
     if she is None:
+        # the padding checks its whole output, the extension only what it builds
+        _require_valid_repair(he, he2)
         # only as_is can be refused: after either repair both classes vanish
         she = _extend(he2, 1, _require_vanishing(he2, o_m, o_n, "use a homotopy-repair strategy"))
     perturbed = _perturb(she, p)

@@ -36,10 +36,15 @@ are read from the same table.
 Every tower identity is evaluated by ``sdr_bpl._check_components``, which
 ``validate_he`` and ``validate_she`` share with ``validate_sdr`` (a retract
 is the cap-0 tower with L = 0) and ``ipl_pipeline.OperadAction``.
-Constructors check their output (``_checked``), public entry points check
-their input, and the private cores (``_extend``, ``_decide_obstructions``,
+Constructors check their output, public entry points check their input,
+and the private cores (``_extend``, ``_decide_obstructions``,
 ``_zero_padded``) trust their caller, so a pipeline checks each object
-once and evaluates each obstruction cycle once.
+once and evaluates each obstruction cycle once.  Callers hand ``_extend``
+an equivalence they have checked (``extend_to_she`` its input,
+``ipl_pipeline.solve_pp`` its repair, through ``_require_valid_repair``),
+and ``_extend`` checks only the components it builds, index 2 and up; the
+zero padding checks its whole output (``_checked``), since
+``trivial_extension`` does not check its input first.
 """
 
 from __future__ import annotations
@@ -197,9 +202,12 @@ def validate_she(s: SheData) -> list[str]:
             problems.append(f"{name} has {have} components, expected {want}")
     if problems:
         return problems
-    _check_components(problems, tower_assignment(s), s.M, s.N, component_name,
-                      lambda z: f"tower identity fails for {component_name(z)}")
+    _check_components(problems, tower_assignment(s), s.M, s.N, component_name, _identity_failure)
     return problems
+
+
+def _identity_failure(z: Generator) -> str:
+    return f"tower identity fails for {component_name(z)}"
 
 
 def _filtered_differential(src: ChainComplex, tgt: ChainComplex, k: int):
@@ -228,6 +236,20 @@ def _hom_solve(src: ChainComplex, tgt: ChainComplex, k: int, rhs: GradedMap) -> 
 
 def _require_valid(he: HeData) -> None:
     _refuse(validate_he(he), "invalid homotopy equivalence: ")
+
+
+def _require_valid_repair(he: HeData, repaired: HeData) -> None:
+    """Check ``repaired``, built from the checked ``he`` on the same
+    complexes, where it can differ from it: the identities whose component,
+    or a component their right-hand side reads, the repair replaced.  The
+    others hold on the same objects already, so nothing is checked when the
+    repair replaced nothing.  A failure is a consistency error."""
+    old, new = tower_assignment(she_from_he(he)), tower_assignment(she_from_he(repaired))
+    replaced = {z for z in new if new[z] is not old[z]}
+    stale = [z for z in new if replaced & {z}.union(*(w.factors for w, _ in generator_diff(z)))]
+    problems: list[str] = []
+    _check_components(problems, new, he.M, he.N, _HE_NAMES.get, _HE_FAILURES.get, stale)
+    _refuse(problems, "repaired homotopy equivalence fails its identities: ", InternalConsistencyError)
 
 
 def _decide_obstructions(he: HeData, o_m: GradedMap, o_n: GradedMap) -> ObstructionPair:
@@ -419,8 +441,14 @@ def extend_to_she(he: HeData, index_cap: int) -> SheData:
 
 
 def _extend(he: HeData, index_cap: int, pair: ObstructionPair) -> SheData:
-    """``extend_to_she`` at cap >= 1 on a valid equivalence whose
-    obstruction classes ``pair`` decided to vanish; checks only its output."""
+    """``extend_to_she`` at cap >= 1 on an equivalence its caller has
+    checked, whose obstruction classes ``pair`` decided to vanish.
+
+    It checks only the components it builds, those of index >= 2 (the
+    f_n-1, g_n-1 a joint step corrects among them): the base components
+    are the checked input, unchanged.  Each right-hand side reads the
+    final assignment, so a correction is seen by every identity above it.
+    """
     assign = tower_assignment(she_from_he(he))
     assign[gen("f", 2)], assign[gen("g", 2)] = pair.witness_m, pair.witness_n
     for n in range(3, 2 * index_cap + 2):
@@ -430,4 +458,8 @@ def _extend(he: HeData, index_cap: int, pair: ObstructionPair) -> SheData:
         if None in lifts:
             lifts = _recalibrate(assign, n, rhs)
         assign.update(zip(tops, lifts))
-    return _checked(she_from_assignment(he.M, he.N, index_cap, assign), "extension")
+    problems: list[str] = []
+    _check_components(problems, assign, he.M, he.N, component_name, _identity_failure,
+                      tower_generators(index_cap)[4:])
+    _refuse(problems, "extension fails its identities: ", InternalConsistencyError)
+    return she_from_assignment(he.M, he.N, index_cap, assign)

@@ -422,7 +422,9 @@ def assert_matches_reference(a, x):
 @st.composite
 def elimination_inputs(draw):
     """(a, x): small, tall (up to 40x6) or wide matrices, dense or sparse,
-    with some rows and columns zeroed, and a vector x to multiply."""
+    with some rows and columns zeroed (at least half the rows, as in the
+    hom-complex matrices, in about half the draws), and a vector x to
+    multiply."""
     shape = draw(st.sampled_from(("small", "tall", "wide")))
     if shape == "small":
         rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
@@ -431,7 +433,12 @@ def elimination_inputs(draw):
     else:
         rows, cols = draw(st.integers(0, 6)), draw(st.integers(9, 40))
     entry = st.integers(-9, 9) if draw(st.booleans()) else st.sampled_from((0, 0, 0, 1, -1, 2))
-    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=2)) if rows else set()
+    if not rows:
+        zero_rows = set()
+    elif draw(st.booleans()):
+        zero_rows = draw(st.sets(st.integers(0, rows - 1), min_size=(rows + 1) // 2))
+    else:
+        zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=2))
     zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=2)) if cols else set()
     flat = tuple(0 if i in zero_rows or j in zero_cols else draw(entry)
                  for i in range(rows) for j in range(cols))
@@ -479,6 +486,16 @@ def test_elimination_log_fixed_cases_run_every_branch():
     assert logs([[-2]])[:2] == ((2,), (("neg", 0),))
     # a unit pivot skips the divisibility scan and still yields the same result
     assert logs([[-1, 4, 7], [6, 8, 9], [5, 3, 2]])[0] == (1, 1, 11)
+    # zero rows stay zero, and on a matrix that starts with one the walks skip them:
+    # row 1 dies under the first row operation and moves, dead, to position 2
+    assert logs([[1, 2, 0], [2, 4, 0], [0, 0, 3], [0, 5, 0], [0, 0, 0]])[1][:2] == (("add", 1, 0, -2), ("swap", 1, 2))
+    # a zero row in the pivot position is swapped out, twice
+    assert logs([[0, 0], [0, 1], [3, 0]]) == ((1, 3), (("swap", 0, 1), ("swap", 1, 2)), (("swap", 0, 1),))
+    # the divisibility scan passes the zero rows 1 and 2 and adds row 3 to the pivot row
+    diag, row_log, _ = logs([[2, 0], [0, 0], [0, 0], [0, 3]])
+    assert diag == (1, 6) and row_log[0] == ("add", 0, 3, 1)
+    # an all-zero matrix: no pivot, empty logs
+    assert logs([[0, 0, 0, 0]] * 3) == ((), (), ())
     # no columns: nothing to eliminate, and every nonzero b is inconsistent
     a = IntMatrix.zeros(3, 0)
     assert_matches_reference(a, ())

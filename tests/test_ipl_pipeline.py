@@ -34,7 +34,7 @@ from pertlab.ipl_pipeline import (
     solve_pp,
 )
 from pertlab.operad_sym import XBAR, gen, parse_element, single, word
-from pertlab.sdr_bpl import Perturbation, bpl_transfer
+from pertlab.sdr_bpl import InternalConsistencyError, Perturbation, bpl_transfer
 from pertlab.she_obstruction import (
     HeData,
     ObstructionError,
@@ -276,39 +276,80 @@ def test_solve_pp_between_equal_complexes():
 def test_solve_pp_validates_the_input_once(monkeypatch):
     # the perturbation core's validate_she checks the perturbed cap-0 tower, whose
     # identities are those of the output quadruple, so it is not revalidated
-    calls = []
+    calls, repairs = [], []
     real = validate_he
+    real_repair = she_obstruction._require_valid_repair
 
     def counted(he):
         calls.append(he)
         return real(he)
 
+    def repair_checked(he, repaired):
+        repairs.append((he, repaired))
+        return real_repair(he, repaired)
+
     monkeypatch.setattr(ipl_pipeline, "validate_he", counted)
     monkeypatch.setattr(she_obstruction, "validate_he", counted)
+    monkeypatch.setattr(ipl_pipeline, "_require_valid_repair", repair_checked)
     s, p = sdr_fixture(2)
     he = he_from_sdr(s)
     assert trivial_extension(modify_homotopy_h(he), 1) is not None
     solve_pp(he, p, "modify_h")
-    assert calls == [he]
-    # the extension trusts the repaired input: its output check covers it
+    # the padding checks its whole output, the repair with it
+    assert calls == [he] and repairs == []
+    # the extension checks only what it builds, so the repair is checked
+    # before it, where it differs from the checked input
     calls.clear()
     he = he_fixture(7)
     assert trivial_extension(modify_homotopy_h(he), 1) is None
     solve_pp(he, weight_raising_perturbation(8, he.M), "modify_h")
     assert calls == [he]
+    assert [(a, b is not a) for a, b in repairs] == [(he, True)]
     # as_is decides the obstruction classes without validating again
     calls.clear()
+    repairs.clear()
     he = he_from_sdr(sdr_fixture(2)[0])
     solve_pp(he, p, "as_is")
-    assert calls == [he]
+    assert calls == [he] and repairs == []
+    # and when it extends, its repair is the input itself
+    calls.clear()
+    he = modify_homotopy_h(he_fixture(7))
+    solve_pp(he, weight_raising_perturbation(8, he.M), "as_is")
+    assert calls == [he] and repairs == [(he, he)]
 
 
-@pytest.mark.parametrize("seed, strategy, most", [
-    (3, "modify_h", 19), (7, "modify_h", 21), (7, "as_is", 20),
-])
-def test_solve_pp_checks_each_identity_once(monkeypatch, seed, strategy, most):
+@pytest.mark.parametrize("field, report", [
+    ("H", "d H + H d != G F - 1 on M"),
+    # doubling F keeps it a chain map, but breaks both identities that read it
+    ("F", "d H + H d != G F - 1 on M; d L + L d != F G - 1 on N"),
+], ids=["H", "F"])
+def test_solve_pp_refuses_a_repair_that_breaks_an_identity(monkeypatch, field, report):
+    # a broken repair is caught before the extension, as the library's
+    # failure, not the caller's
+    he = he_fixture(7)
+
+    def broken(he):
+        return dataclasses.replace(he, **{field: getattr(he, field).scale(2)})
+
+    def refuse(*args):
+        raise AssertionError("the extension ran on an unchecked repair")
+
+    monkeypatch.setitem(ipl_pipeline._REPAIRS, "modify_h", broken)
+    monkeypatch.setattr(ipl_pipeline, "_extend", refuse)
+    with pytest.raises(InternalConsistencyError) as refused:
+        solve_pp(he, weight_raising_perturbation(8, he.M), "modify_h")
+    assert str(refused.value) == "repaired homotopy equivalence fails its identities: " + report
+
+
+@pytest.mark.parametrize("seed, strategy, most, towers", [
+    (3, "modify_h", 19, [1, 0]), (7, "modify_h", 18, [0]), (7, "as_is", 16, [0]),
+], ids=["3-modify_h-19", "7-modify_h-18", "7-as_is-16"])
+def test_solve_pp_checks_each_identity_once(monkeypatch, seed, strategy, most, towers):
     # the input is checked once, then each constructed tower once: the
-    # cap-1 tower by its constructor, the cap-0 output by the perturbation
+    # cap-1 tower by its constructor (the padding through validate_she, the
+    # extension only in the components it builds, after the repair is
+    # checked where it differs from the input), the cap-0 output by the
+    # perturbation
     he = he_fixture(seed)
     if strategy == "as_is":
         he = modify_homotopy_h(he)
@@ -332,7 +373,7 @@ def test_solve_pp_checks_each_identity_once(monkeypatch, seed, strategy, most):
     monkeypatch.setattr(OperadAction, "__post_init__", lambda act: seen["action"].append(act))
     solve_pp(he, p, strategy)
     assert seen["validate_he"] == [he]
-    assert [s.index_cap for s in seen["validate_she"]] == [1, 0]
+    assert [s.index_cap for s in seen["validate_she"]] == towers
     assert seen["action"] == []
     assert len(seen["_tower_rhs"]) <= most
 

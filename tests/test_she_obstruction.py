@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pertlab import she_obstruction
+from pertlab import ipl_pipeline, sdr_bpl, she_obstruction
 from pertlab.chaincore import (
     GradedMap,
     compose,
@@ -20,6 +22,7 @@ from pertlab.fixtures import (
     obstructed_he_fixture,
     recalibration_he_fixture,
     sdr_fixture,
+    weight_raising_perturbation,
 )
 from pertlab.she_obstruction import (
     HeData,
@@ -47,7 +50,9 @@ from pertlab.she_obstruction import (
     _tower_rhs,
 )
 from pertlab.exactlin import IntMatrix
+from pertlab.ipl_pipeline import solve_pp
 from pertlab.operad_sym import gen
+from pertlab.sdr_bpl import InternalConsistencyError
 
 
 def test_he_fixtures_validate():
@@ -498,6 +503,131 @@ def test_extension_validates_once_and_solves_index_two_once(monkeypatch):
     assert len(validations) == 1
     # two for the obstruction witnesses (which are f_2, g_2), two at index 3
     assert len(solves) == 4
+
+
+# --- the extension checks what it builds ----------------------------------
+
+
+def _non_cycle(src, tgt, k):
+    """A filtered degree-k basis map whose D is not zero."""
+    basis, d = _filtered_differential(src, tgt, k)
+    c = next(c for c in range(d.cols) if any(d.entries[c::d.cols]))
+    return vec_to_map(src, tgt, k, basis, tuple(int(i == c) for i in range(d.cols)))
+
+
+@pytest.mark.parametrize("family, name", [("f", "H_odd[1]"), ("g", "L_odd[1]")])
+def test_extension_refuses_a_built_component_off_by_a_non_cycle(monkeypatch, family, name):
+    # seed 12: M != N, both span four degrees, and both lifts at index 3 are direct
+    he = he_fixture(12)
+    src, tgt = _hom_space(gen(family, 3), he.M, he.N)
+    off = _non_cycle(src, tgt, 3)
+    real = she_obstruction._hom_solve
+
+    def solve(s, t, k, rhs):
+        x = real(s, t, k, rhs)
+        return x + off if (s, t, k) == (src, tgt, 3) else x
+
+    monkeypatch.setattr(she_obstruction, "_hom_solve", solve)
+    with pytest.raises(InternalConsistencyError,
+                       match=f"^extension fails its identities: tower identity fails for {re.escape(name)}$"):
+        extend_to_she(he, 1)
+
+
+def _corrupt_corrections(monkeypatch, off):
+    """Let each joint step add ``off`` to the f_n-1 it corrects."""
+    real = she_obstruction._recalibrate
+
+    def recalibrate(assign, n, rhs):
+        lifts = real(assign, n, rhs)
+        assign[gen("f", n - 1)] += off
+        return lifts
+
+    monkeypatch.setattr(she_obstruction, "_recalibrate", recalibrate)
+
+
+def test_extension_refuses_a_corrected_component_off_by_a_non_cycle(monkeypatch):
+    # seed 58: the joint step at index 3 corrects f_2 and g_2
+    he = he_fixture(58)
+    fired = _spy_on_joint_steps(monkeypatch)
+    _corrupt_corrections(monkeypatch, _non_cycle(he.M, he.N, 2))
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^extension fails its identities: tower identity fails for F_even\[1\]"):
+        extend_to_she(he, 1)
+    assert fired == [3]
+
+
+def test_extension_reads_the_corrected_component_on_the_recalibration_fixture(monkeypatch):
+    # its differential is zero, so every map is a cycle and f_2's own identity
+    # survives any change; the identities of f_3 and g_3 read f_2 and do not
+    he = recalibration_he_fixture()
+    fired = _spy_on_joint_steps(monkeypatch)
+    _corrupt_corrections(monkeypatch, GradedMap.from_blocks(he.M, he.N, 2, {0: IntMatrix.from_rows([[1]])}))
+    with pytest.raises(InternalConsistencyError) as refused:
+        extend_to_she(he, 1)
+    assert fired == [3]
+    assert str(refused.value) == ("extension fails its identities: tower identity fails for H_odd[1]; "
+                                  "tower identity fails for L_odd[1]")
+
+
+def test_extension_refuses_an_invalid_equivalence_before_solving(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a lift was solved before the input was checked")
+
+    monkeypatch.setattr(she_obstruction, "_hom_solve", refuse)
+    he = he_fixture(0)
+    bad = HeData(he.M, he.N, he.F, he.G, he.H + he.H, he.L)
+    with pytest.raises(ValueError, match="^invalid homotopy equivalence: d H"):
+        extend_to_she(bad, 1)
+
+
+def _spy_on_identity_checks(monkeypatch):
+    """The (generator, component) pairs the tower checks are handed, in
+    order; the components are kept, so they are compared by identity."""
+    checked = []
+    real = sdr_bpl._check_components
+
+    def spy(problems, assign, M, N, name, failure, check=None):
+        checked.extend((z, assign[z]) for z in (assign if check is None else check))
+        return real(problems, assign, M, N, name, failure, check)
+
+    for module in (sdr_bpl, she_obstruction, ipl_pipeline):
+        monkeypatch.setattr(module, "_check_components", spy)
+    return checked
+
+
+def _times_checked(checked, tower):
+    """How often each identity of ``tower`` was checked on its own component."""
+    return [sum(1 for y, f in checked if y == z and f is g) for z, g in tower_assignment(tower).items()]
+
+
+def test_extension_checks_each_identity_once(monkeypatch):
+    he = he_fixture(7)
+    checked = _spy_on_identity_checks(monkeypatch)
+    tower = extend_to_she(he, 1)
+    # the input check covers the four base identities, the output check the rest
+    assert _times_checked(checked, tower) == [1] * 8
+    assert len(checked) == 8
+
+
+@pytest.mark.parametrize("strategy", ["modify_h", "as_is"])
+def test_solve_pp_checks_each_tower_identity_once(monkeypatch, strategy):
+    he = he_fixture(7)
+    if strategy == "as_is":
+        he = modify_homotopy_h(he)
+    p = weight_raising_perturbation(8, he.M)
+    towers = []
+    real = ipl_pipeline._extend
+
+    def extend(*args):
+        towers.append(real(*args))
+        return towers[-1]
+
+    monkeypatch.setattr(ipl_pipeline, "_extend", extend)
+    checked = _spy_on_identity_checks(monkeypatch)
+    solve_pp(he, p, strategy)
+    # under modify_h the repair replaced H alone, so only D(H) = G F - 1 is
+    # checked again; under as_is the input is the repair
+    assert _times_checked(checked, towers[0]) == [1] * 8
 
 
 def filtered_differential_by_slicing(m, n, k):
