@@ -1,15 +1,14 @@
-"""Perturbation of homotopy-equivalence towers through the symbolic retraction.
+"""Perturbation of homotopy-equivalence towers through the retraction.
 
 The bridge between the two halves of the package: a tower of transfer data
 (``SheData``) plus a filtration-raising perturbation of the big complex
 defines an action of the operad with the extra degree -1 generator, and
-pushing the barred generators through the retraction and then through the
-action produces the perturbed tower.  Truncation is exact here: a word of
-fweight k evaluates to a composite of filtration shift >= k, and every
-map of shift above the spread of the weights the complexes carry is
-zero, so the finite band max_fweight = that spread computes the full
-series.  The module still evaluates one band past it and insists it
-vanishes, since a cheap certificate beats an argument.
+the retraction of yb and of each barred generator, evaluated in that
+action, gives the perturbed tower.  ``sdr_bpl._transfer`` evaluates it on
+concrete maps, summing each kernel series until a summand vanishes; past
+the spread of the weights no summand survives, and one that does is a
+truncation leak.  The symbolic window that computes the same series, one
+fweight band past that spread, is reported as ``provenance``.
 
 The transfer specialization at tower index 0 (``solve_pp``) repairs the
 input homotopies first when their obstruction classes force it, extends
@@ -33,7 +32,6 @@ from dataclasses import dataclass, field
 from .chaincore import (
     ChainComplex,
     GradedMap,
-    complex_with_differential,
     filtration_shift,
     rebase,
 )
@@ -42,15 +40,9 @@ from .operad_sym import (
     TruncationCaps,
     Generator,
     XBAR,
-    YBAR,
-    gen,
-    retraction_r,
-    single,
-    truncate_fweight,
-    word,
 )
-from .sdr_bpl import (InternalConsistencyError, Perturbation, _check_components, _hom_space, _refuse,
-                      evaluate_words, tower_generators, validate_perturbation)
+from .sdr_bpl import (Perturbation, _check_components, _refuse, _transfer, evaluate_words,
+                      tower_generators, validate_perturbation)
 from .she_obstruction import (
     HeData,
     SheData,
@@ -60,7 +52,6 @@ from .she_obstruction import (
     _require_valid_repair,
     _require_vanishing,
     _zero_padded,
-    component_name,
     he_from_she,
     modify_homotopy_h,
     modify_homotopy_l,
@@ -138,7 +129,8 @@ class PerturbedShe:
 
     ``she`` lives over the perturbed complexes and has index cap one less
     than the input's; ``d_n_tilde`` is the perturbed differential of the
-    small side; ``provenance`` records the truncation window used."""
+    small side; ``provenance`` records the truncation window of the same
+    series in the symbolic engine (see the module docstring)."""
 
     d_n_tilde: GradedMap
     she: SheData
@@ -162,10 +154,9 @@ def ipl_perturb(she: SheData, p: Perturbation) -> PerturbedShe:
 
 def _perturb(she: SheData, p: Perturbation) -> PerturbedShe:
     """``ipl_perturb`` on a tower of cap >= 1 and a perturbation of its big
-    side that are already checked; checks only its output.  The window
-    reaches one fweight band past the spread of the weights M and N carry,
-    not past their declared ``max_weight`` (see the module docstring)."""
-    assign = {XBAR: p.delta, **tower_assignment(she)}
+    side that are already checked; checks only its output.  The transfer is
+    ``sdr_bpl._transfer``; the window reaches one fweight band past the
+    spread of the weights M and N carry, not their declared ``max_weight``."""
     weights = [w for c in (she.M, she.N) for row in c.weights for w in row]
     band = max(weights, default=0) - min(weights, default=0)
     caps = TruncationCaps(
@@ -174,35 +165,10 @@ def _perturb(she: SheData, p: Perturbation) -> PerturbedShe:
         max_fweight=band + 1,
         max_degree=2 * she.index_cap + 2,
     )
-
-    def series(z: Generator, label: str) -> GradedMap | None:
-        """The retraction of z evaluated band by band: the part within the
-        filtration length is the value, the first band beyond it must
-        evaluate to zero."""
-        e = retraction_r(single("riso_tilde", word(z)), caps)
-        lo = truncate_fweight(e, band)
-        value = evaluate_words(lo.terms, assign, she.M, she.N)
-        leak = evaluate_words((e - lo).terms, assign, she.M, she.N)
-        if leak is not None and not leak.is_zero():
-            raise InternalConsistencyError(
-                f"truncation leak: the band past the filtration length contributes to {label}"
-            )
-        return value
-
-    d_n_corr = series(YBAR, "the perturbed differential")
-    d_n = she.N.differential_map()
-    d_n_tilde = d_n + d_n_corr if d_n_corr is not None else d_n
-    m_tilde = complex_with_differential(she.M, she.M.differential_map() + p.delta)
-    n_tilde = complex_with_differential(she.N, d_n_tilde)
-
     cap_out = she.index_cap - 1
-    components: dict[Generator, GradedMap] = {}
-    for z in tower_generators(cap_out):
-        corr = series(gen(z.family + "b", z.index), f"the {component_name(z)} correction")
-        base = assign[z]
-        components[z] = rebase(base + corr if corr else base, *_hom_space(z, m_tilde, n_tilde))
-    out = _checked(she_from_assignment(m_tilde, n_tilde, cap_out, components), "perturbed tower")
-    return PerturbedShe(rebase(d_n_tilde, n_tilde, n_tilde), out, caps)
+    m, n, parts = _transfer({XBAR: p.delta, **tower_assignment(she)}, tower_generators(cap_out), she.N)
+    out = _checked(she_from_assignment(m, n, cap_out, parts), "perturbed tower")
+    return PerturbedShe(n.differential_map(), out, caps)
 
 
 @dataclass(frozen=True)

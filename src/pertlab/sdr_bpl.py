@@ -10,18 +10,16 @@ plus, when we say the side conditions hold,
     H H = 0,   H G = 0,   F H = 0.
 
 Given a perturbation delta of d_M (degree -1, strictly filtration-raising,
-with (d_M + delta)^2 = 0), the basic perturbation lemma transfers delta
-across the retract: with K the geometric series
-
-    K = delta + delta H delta + delta H delta H delta + ...
-
-(a finite sum because each summand raises filtration one more step), the
-transferred data is
-
-    d'_N = d_N + F K G,   F' = F + F K H,   G' = G + H K G,   H' = H + H K H,
-
-an SDR between the perturbed complexes.  The side conditions are required
-on input; whether they survive transfer is reported, never assumed.
+with (d_M + delta)^2 = 0), the perturbation lemma transfers delta across
+the retract, and across any tower of ``she_obstruction``, by one rule on
+concrete maps (``_transfer``): each component moves by the images that
+``operad_sym.retraction_terms`` lists for its barred copy, left Z_r right,
+and d_N by those of yb.  The kernels Z_r are sums of chains delta f_odd
+delta ... delta; Z_-1 = delta + delta H delta + ... is the geometric series
+K of the basic perturbation lemma, which is this rule at cap 0.  Each
+series is finite because each summand raises filtration one more step.
+The side conditions are required on input; whether they survive transfer
+is reported, never assumed.
 
 A retract is the cap-0 tower of ``she_obstruction`` with L = 0 (g_1's
 identity D(0) = F G - 1 says F G = 1), so the tower check lives here:
@@ -47,7 +45,7 @@ from .chaincore import (
     rebase,
     validate_complex,
 )
-from .operad_sym import Generator, Word, gen, generator_diff
+from .operad_sym import XBAR, YBAR, Generator, Word, gen, generator_diff, retraction_terms
 
 
 class SideConditionError(ValueError):
@@ -230,32 +228,67 @@ def perturbed_complex(p: Perturbation) -> ChainComplex:
     return complex_with_differential(p.base, p.base.differential_map() + p.delta)
 
 
-def geometric_kernel(p: Perturbation, h: GradedMap) -> GradedMap:
-    """The finite sum delta + delta(H delta) + delta(H delta)^2 + ...
+def _kernels(assign: dict[Generator, GradedMap], top: int) -> list[GradedMap]:
+    """The kernel series Z_2s-1, s = 0 .. (top + 1) // 2, on the maps of
+    ``assign``: the sum over t of (delta f_1)^t Q_s, where Q_0 = delta and
+    Q_s sums delta f_2m+1 Z_2(s-m)-1 over m = 1 .. s.  The t-th summand
+    raises the filtration by at least t + 1, so the sum stops at its first
+    zero summand; one still nonzero at t = the spread of the weights of
+    delta's complex is a truncation leak."""
+    delta = assign[XBAR]
+    weights = [w for row in delta.source.weights for w in row]
+    step = compose(delta, assign[gen("f", 1)])
+    out: list[GradedMap] = []
+    for s in range((top + 1) // 2 + 1):
+        parts = [compose(delta, compose(assign[gen("f", 2 * m + 1)], out[s - m])) for m in range(1, s + 1)]
+        total = term = sum(parts[1:], parts[0]) if parts else delta
+        for _ in range(max(weights, default=0) - min(weights, default=0) + 1):
+            if term.is_zero():
+                break
+            term = compose(step, term)
+            total = total + term
+        else:
+            raise InternalConsistencyError(f"truncation leak: the kernel series of degree {2 * s - 1} "
+                                           "does not vanish past the filtration length")
+        out.append(total)
+    return out
 
-    Each extra factor raises the filtration, so the partial products reach
-    zero after at most filtration-length many steps; the loop exits at the
-    first zero partial product.
-    """
+
+def geometric_kernel(p: Perturbation, h: GradedMap) -> GradedMap:
+    """The finite sum delta + delta(H delta) + delta(H delta)^2 + ...: the
+    kernel series Z_-1 of ``_kernels`` with f_1 = h, so a summand still
+    nonzero at the spread of the base's weights raises its leak error."""
     if filtration_shift(p.delta) < 1:
         raise ValueError("delta must raise the filtration: the geometric series would not terminate")
-    hd = compose(h, p.delta)
-    total = p.delta
-    current = p.delta
-    for _ in range(p.base.max_weight + 2):
-        current = compose(current, hd)
-        if current.is_zero():
-            return total
-        total = total + current
-    raise InternalConsistencyError("geometric series failed to terminate within the filtration length")
+    return _kernels({XBAR: p.delta, gen("f", 1): h}, -1)[0]
+
+
+def _transfer(assign: dict[Generator, GradedMap], gens: tuple[Generator, ...],
+              N: ChainComplex) -> tuple[ChainComplex, ChainComplex, dict[Generator, GradedMap]]:
+    """The transfer of delta = assign[xb], one rule for both lemmas: each
+    component of ``gens`` plus left Z_r right for each triple (left, r,
+    right) that ``retraction_terms`` lists for its barred copy, and d_N plus
+    the same sum for yb, with only the kernels those triples need.  Returns
+    the perturbed M and N and the components rebased onto them, unchecked."""
+    terms = {z: retraction_terms(gen(z.family + "b", z.index)) for z in gens}
+    terms[YBAR] = retraction_terms(YBAR)
+    kernels = _kernels(assign, max(r for triples in terms.values() for _, r, _ in triples))
+
+    def moved(z: Generator, base: GradedMap) -> GradedMap:
+        for left, r, right in terms[z]:
+            base = base + compose(assign[left], compose(kernels[(r + 1) // 2], assign[right]))
+        return base
+
+    m_new = perturbed_complex(Perturbation(assign[XBAR].source, assign[XBAR]))
+    n_new = complex_with_differential(N, moved(YBAR, N.differential_map()))
+    return m_new, n_new, {z: rebase(moved(z, assign[z]), *_hom_space(z, m_new, n_new)) for z in gens}
 
 
 def bpl_transfer(s: SdrData, p: Perturbation) -> SdrData:
-    """Transfer a perturbation across a side-condition retract.
-
-    The output is a new SdrData between the perturbed complexes; its four
-    defining identities are re-verified exactly before returning.
-    """
+    """Transfer a perturbation across a side-condition retract, the cap-0
+    data (f_0, g_0, f_1) = (F, G, H) of ``_transfer``.  The output is a new
+    SdrData between the perturbed complexes; its four defining identities
+    are re-verified exactly before returning."""
     _refuse(validate_sdr(s), "invalid retract: ")
     _refuse([] if p.base == s.M else ["perturbation does not live on the retract's big complex"])
     _refuse(validate_perturbation(p), "invalid perturbation: ")
@@ -265,18 +298,8 @@ def bpl_transfer(s: SdrData, p: Perturbation) -> SdrData:
             f"side conditions required: HH=0 {side.hh_zero}, HG=0 {side.hg_zero}, FH=0 {side.fh_zero}"
         )
 
-    k = geometric_kernel(p, s.H)
-    m_new = perturbed_complex(p)
-    d_n_new = s.N.differential_map() + compose(compose(s.F, k), s.G)
-    n_new = complex_with_differential(s.N, d_n_new)
-
-    out = SdrData(
-        M=m_new,
-        N=n_new,
-        F=rebase(s.F + compose(compose(s.F, k), s.H), m_new, n_new),
-        G=rebase(s.G + compose(compose(s.H, k), s.G), n_new, m_new),
-        H=rebase(s.H + compose(compose(s.H, k), s.H), m_new, m_new),
-    )
+    f0, g0, f1, _ = tower_generators(0)
+    m_new, n_new, out = _transfer({XBAR: p.delta, f0: s.F, g0: s.G, f1: s.H}, (f0, g0, f1), s.N)
+    out = SdrData(M=m_new, N=n_new, F=out[f0], G=out[g0], H=out[f1])
     _refuse(validate_sdr(out), "transferred retract fails its identities: ", InternalConsistencyError)
     return out
-

@@ -18,7 +18,9 @@ from pertlab.cli_io import (
     serialize_bundle,
     serialize_document,
 )
+from pertlab.exactlin import IntMatrix
 from pertlab.fixtures import (
+    build_complex,
     fixture_generate,
     he_fixture,
     interval_complex,
@@ -29,7 +31,7 @@ from pertlab.fixtures import (
 )
 from pertlab.operad_sym import parse_element, render_element
 from pertlab.sdr_bpl import Perturbation, perturbed_complex
-from pertlab.she_obstruction import extend_to_she
+from pertlab.she_obstruction import HeData, extend_to_she
 
 
 # --- document round trips -----------------------------------------------------
@@ -461,6 +463,21 @@ def test_cli_pp_as_is_obstructed(tmp_path, capsys):
     code = main(["pp", "--he", hepath, "--delta", dpath, "--strategy", "as-is",
                  "-o", str(tmp_path / "o.json")])
     assert code == 3
+
+
+def test_cli_pp_at_a_weight_spread_of_2000(tmp_path):
+    # the interval complex with weights 2000 and 0, F = G = 1, H = L = 0,
+    # perturbed across the whole spread; the symbolic series overflowed the
+    # recursion limit here and the command exited 5
+    c = build_complex(0, (1, 1), ((2000,), (0,)), {1: [[1]]}, 2000)
+    one, zero = GradedMap.identity(c), GradedMap.zero(c, c, 1)
+    hepath = write_doc(tmp_path, "he.json", HeData(c, c, one, one, zero, zero))
+    delta = GradedMap.from_blocks(c, c, -1, {1: IntMatrix.from_rows([[1]])})
+    dpath = write_doc(tmp_path, "delta.json", Perturbation(c, delta))
+    out, report = tmp_path / "pp.json", tmp_path / "report.json"
+    assert main(["pp", "--he", hepath, "--delta", dpath, "-o", str(out), "--report", str(report)]) == 0
+    assert main(["validate", str(out)]) == 0
+    assert json.loads(report.read_text())["exit_code"] == 0
 
 
 def test_cli_internal_failure_exit_and_report(tmp_path, monkeypatch, capsys):

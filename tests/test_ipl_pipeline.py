@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import time
 
 import pytest
@@ -19,6 +20,7 @@ from pertlab.cli_io import serialize_document
 from pertlab.exactlin import IntMatrix
 from pertlab.fixtures import (
     build_complex,
+    cone_retract_sdr,
     fixture_generate,
     he_fixture,
     layered_she_fixture,
@@ -33,8 +35,10 @@ from pertlab.ipl_pipeline import (
     ipl_perturb,
     solve_pp,
 )
-from pertlab.operad_sym import XBAR, gen, parse_element, single, word
-from pertlab.sdr_bpl import InternalConsistencyError, Perturbation, bpl_transfer
+from pertlab.operad_sym import (XBAR, YBAR, TruncationCaps, gen, parse_element, retraction_r, single,
+                                truncate_fweight, word)
+from pertlab.sdr_bpl import (InternalConsistencyError, Perturbation, _hom_space, _kernels, _transfer, bpl_transfer,
+                             evaluate_words)
 from pertlab.she_obstruction import (
     HeData,
     ObstructionError,
@@ -199,6 +203,132 @@ def test_ipl_agrees_with_direct_transfer_on_retracts():
         assert out.she.H_odd[0] == direct.H
         # a retract's small-side defect homotopy stays zero
         assert out.she.L_odd[0].is_zero()
+
+
+# --- the concrete transfer against the symbolic retraction ------------------
+
+
+def symbolic_transfer(assign, gens, M, N, band):
+    """The perturbed d_N and components of ``gens`` by the symbolic path:
+    the retraction of yb and of each barred generator at one fweight band
+    past ``band``, evaluated word by word; that last band must evaluate to
+    zero."""
+    caps = TruncationCaps(max_fweight=band + 1)
+
+    def series(z, base):
+        e = retraction_r(single("riso_tilde", word(z)), caps)
+        lo = truncate_fweight(e, band)
+        leak = evaluate_words((e - lo).terms, assign, M, N)
+        assert leak is None or leak.is_zero()
+        value = evaluate_words(lo.terms, assign, M, N)
+        return base if value is None else base + value
+
+    parts = {z: series(gen(z.family + "b", z.index), assign[z]) for z in gens}
+    return series(YBAR, N.differential_map()), parts
+
+
+def _symbolic_cases():
+    for cap in (1, 2, 3):
+        for seed in range(30):
+            she = extend_to_she(modify_homotopy_h(he_fixture(seed)), cap)
+            yield she, weight_raising_perturbation(seed, she.M)
+    he, p = layered_she_fixture()
+    for cap in (1, 2, 3, 4):
+        yield extend_to_she(he, cap), p
+
+
+def test_ipl_transfer_matches_the_symbolic_retraction():
+    moved = 0
+    for she, p in _symbolic_cases():
+        out = ipl_perturb(she, p)
+        assign = {XBAR: p.delta, **tower_assignment(she)}
+        weights = [w for c in (she.M, she.N) for row in c.weights for w in row]
+        d_n, parts = symbolic_transfer(assign, tower_generators(she.index_cap - 1), she.M, she.N,
+                                       max(weights) - min(weights))
+        assert out.d_n_tilde.blocks == d_n.blocks
+        got = tower_assignment(out.she)
+        assert {z: f.blocks for z, f in got.items()} == {z: f.blocks for z, f in parts.items()}
+        moved += d_n != she.N.differential_map() or any(f != assign[z] for z, f in parts.items())
+    # about half the cases move a component or d_N, so not only zeros are compared
+    assert moved >= 40
+
+
+def _random_filtered_map(rng, src, tgt, degree, raise_by):
+    """Random nonzero small entries wherever the target weight is at least
+    the source weight plus ``raise_by``, and zeros elsewhere."""
+    blocks = {}
+    for n in src.degrees():
+        sw, rows = src.weights[n - src.degree_lo], tgt.rank_at(n + degree)
+        if rows and sw:
+            tw = tgt.weights[n + degree - tgt.degree_lo]
+            blocks[n] = IntMatrix.from_rows([[rng.choice((-1, 1, 2)) if tw[i] - sw[j] >= raise_by else 0
+                                              for j in range(len(sw))] for i in range(rows)])
+    return GradedMap.from_blocks(src, tgt, degree, blocks)
+
+
+def _random_graded_module(rng):
+    """Degrees 0 to 9 of rank 1 or 2, weights 0 to 3, zero differential."""
+    ranks = [rng.randint(1, 2) for _ in range(10)]
+    return build_complex(0, ranks, [[rng.randint(0, 3) for _ in range(r)] for r in ranks], {}, 3)
+
+
+def test_transfer_matches_the_symbolic_retraction_on_random_maps():
+    # the rule is an identity of the operads, so it holds for any maps of
+    # the right degrees and filtrations; unlike the fixture towers, on which
+    # every kernel above Z_-1 vanishes, these reach nonzero Z_1, Z_3 and Z_5
+    reached = {}
+    for seed in range(30):
+        rng = random.Random(seed)
+        cap = 1 + seed % 3
+        M, N = _random_graded_module(rng), _random_graded_module(rng)
+        assign = {XBAR: _random_filtered_map(rng, M, M, -1, 1)}
+        for z in tower_generators(cap):
+            assign[z] = _random_filtered_map(rng, *_hom_space(z, M, N), z.degree, 0)
+        gens = tower_generators(cap - 1)
+        m_new, n_new, parts = _transfer(assign, gens, N)
+        d_n, want = symbolic_transfer(assign, gens, M, N, 3)
+        assert n_new.differential_map().blocks == d_n.blocks, seed
+        assert m_new.differential_map().blocks == assign[XBAR].blocks, seed
+        for z in gens:
+            assert parts[z].blocks == want[z].blocks, (seed, z.token)
+        for s, kernel in enumerate(_kernels(assign, 2 * cap - 1)):
+            reached[s] = reached.get(s, 0) + (not kernel.is_zero())
+    # every kernel Z_1, Z_3, Z_5 the caps reach is nonzero on some seed
+    assert all(reached[s] for s in (1, 2, 3)), reached
+
+
+def _interval_tower(top_weight):
+    """The interval complex with weight ``top_weight`` in degree 0 and 0 in
+    degree 1, with F = G = 1 and H = L = 0, extended to cap 1, and the
+    perturbation delta = [[1]] out of degree 1, which raises the filtration
+    by the whole spread."""
+    c = build_complex(0, (1, 1), ((top_weight,), (0,)), {1: [[1]]}, top_weight)
+    one, zero = GradedMap.identity(c), GradedMap.zero(c, c, 1)
+    tower = extend_to_she(HeData(c, c, one, one, zero, zero), 1)
+    return tower, Perturbation(c, GradedMap.from_blocks(c, c, -1, {1: IntMatrix.from_rows([[1]])}))
+
+
+def test_ipl_perturb_returns_at_a_weight_spread_of_2000():
+    # the symbolic series recursed once per fweight band and overflowed here
+    tower, p = _interval_tower(2000)
+    start = time.perf_counter()
+    out = ipl_perturb(tower, p)
+    assert time.perf_counter() - start < 1
+    assert out.d_n_tilde.block_at(1) == IntMatrix.from_rows([[2]])
+    assert out.provenance.max_fweight == 2001
+
+
+def test_ipl_perturb_at_cap_3_and_spread_31_takes_under_a_second():
+    # the symbolic series grows polynomially in the spread: 20 s here
+    s = cone_retract_sdr(2, 4, 3, max_weight=32)
+    tower = extend_to_she(he_from_sdr(s), 3)
+    p = weight_raising_perturbation(2, s.M)
+    assert not p.delta.is_zero()
+    start = time.perf_counter()
+    out = ipl_perturb(tower, p)
+    assert time.perf_counter() - start < 1
+    assert out.provenance.max_fweight == 32
+    assert validate_she(out.she) == []
 
 
 def test_solve_pp_repairs_then_transfers():

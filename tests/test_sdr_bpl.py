@@ -1,9 +1,10 @@
 import dataclasses
 import functools
 import random
+import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pertlab.chaincore import (
@@ -23,6 +24,7 @@ from pertlab.fixtures import (
     weight_raising_perturbation,
 )
 from pertlab.sdr_bpl import (
+    InternalConsistencyError,
     Perturbation,
     SdrData,
     SideConditionError,
@@ -110,6 +112,45 @@ def test_geometric_kernel_rejects_flat_delta():
     flat = GradedMap.from_blocks(s.M, s.M, -1, {1: IntMatrix.from_rows([[0], [1]])})
     with pytest.raises(ValueError, match="geometric series would not terminate"):
         geometric_kernel(Perturbation(s.M, flat), s.H)
+
+
+def test_geometric_kernel_refuses_a_non_nilpotent_series_within_a_second():
+    # h lowers the filtration, so h delta is the identity of degree 1 and
+    # every summand is delta; a bound read from the declared max_weight
+    # looped 10^6 + 2 times
+    c = build_complex(0, (1, 1), ((1,), (0,)), {}, 10**6)
+    delta = GradedMap.from_blocks(c, c, -1, {1: IntMatrix.from_rows([[1]])})
+    h = GradedMap.from_blocks(c, c, 1, {0: IntMatrix.from_rows([[1]])})
+    start = time.perf_counter()
+    with pytest.raises(InternalConsistencyError, match="^truncation leak: the kernel series of degree -1 "):
+        geometric_kernel(Perturbation(c, delta), h)
+    assert time.perf_counter() - start < 1
+
+
+def bpl_by_hand(s: SdrData, p: Perturbation):
+    """The basic perturbation lemma's four formulas, d_N + F K G, F + F K H,
+    G + H K G and H + H K H, with K = delta + delta H delta + ... summed
+    until a summand vanishes."""
+    hd = compose(s.H, p.delta)
+    k = term = p.delta
+    while not term.is_zero():
+        term = compose(term, hd)
+        k = k + term
+    fk, hk = compose(s.F, k), compose(s.H, k)
+    return (s.N.differential_map() + compose(fk, s.G), s.F + compose(fk, s.H),
+            s.G + compose(hk, s.G), s.H + compose(hk, s.H))
+
+
+def test_bpl_transfer_matches_the_four_hand_formulas():
+    moved = 0
+    for seed in range(30):
+        s, p = sdr_fixture(seed)
+        out = bpl_transfer(s, p)
+        d_n, f, g, h = bpl_by_hand(s, p)
+        assert out.N.differential_map().blocks == d_n.blocks, seed
+        assert (out.F.blocks, out.G.blocks, out.H.blocks) == (f.blocks, g.blocks, h.blocks), seed
+        moved += (d_n, f, g, h) != (s.N.differential_map(), s.F, s.G, s.H)
+    assert moved >= 5
 
 
 def shift_of_difference(a: GradedMap, b: GradedMap) -> int:
@@ -317,20 +358,30 @@ def _words_by_hom(gens):
     return groups
 
 
+def _unassigned(w, assigned):
+    return any(z.index >= assigned for z in w.factors)
+
+
 @st.composite
-def term_lists(draw, assigned):
+def term_lists(draw, assigned, unassigned=False):
     """(assignment, term list): the cap-1 tower of an ``he_fixture``, with
     only its generators of index < ``assigned`` kept, and terms of one hom
     group over all eight cap-1 generators.  Half the draws take a group of
     degree 0 or 1: the complexes span 3 or 4 degrees, so words of higher
-    degree mostly evaluate to zero."""
+    degree mostly evaluate to zero.  With ``unassigned``, the group is one
+    with a word that has an unassigned factor, and one such word is always
+    among the terms."""
     full = _cap_one_tower(draw(st.integers(0, 9)))
     assign = {z: f for z, f in full.items() if z.index < assigned}
     groups = _words_by_hom(tuple(full))
-    low = sorted(key for key in groups if key[2] <= 1)
-    pool = groups[draw(st.one_of(st.sampled_from(low), st.sampled_from(sorted(groups))))]
-    terms = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from((1, 2, 3, -1, -2, -3))),
-                          max_size=5))
+    keys = sorted(key for key, ws in groups.items()
+                  if not unassigned or any(_unassigned(w, assigned) for w in ws))
+    low = [key for key in keys if key[2] <= 1] or keys
+    pool = groups[draw(st.one_of(st.sampled_from(low), st.sampled_from(keys)))]
+    coefficients = st.sampled_from((1, 2, 3, -1, -2, -3))
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), coefficients), max_size=5))
+    if unassigned:
+        terms.append((draw(st.sampled_from([w for w in pool if _unassigned(w, assigned)])), draw(coefficients)))
     cancel = draw(st.sampled_from(("none", "first", "all")))
     if terms and cancel != "none":
         terms += [(w, -c) for w, c in (terms if cancel == "all" else terms[:1])]
@@ -370,11 +421,17 @@ def test_evaluate_words_draws_reach_every_case():
     assert seen == {"empty", "cancelled", "nonzero", "identity"}
 
 
+@settings(max_examples=100, deadline=None)
+@given(term_lists(assigned=2, unassigned=True))
+def test_unassigned_term_lists_always_hold_an_unassigned_factor(case):
+    assign, terms = case
+    assert any(z not in assign for w, _ in terms for z in w.factors)
+
+
 @settings(max_examples=60, deadline=None)
-@given(term_lists(assigned=2))
+@given(term_lists(assigned=2, unassigned=True))
 def test_evaluate_words_refuses_an_unassigned_generator_as_the_term_by_term_sum(case):
     assign, terms = case
-    assume(any(z not in assign for w, _ in terms for z in w.factors))
     M, N = assign[gen("f", 0)].source, assign[gen("f", 0)].target
     with pytest.raises(ValueError, match="is not assigned in this action") as want:
         evaluate_words_term_by_term(terms, assign, M, N)
