@@ -41,7 +41,9 @@ def _reject_float_literals(text: str) -> None:
     """Find unquoted numeric literals that are not plain integers.
 
     json.loads would accept them and lose exactness silently, and its
-    parse_float hook sees no position, so this pre-scan owns the error."""
+    parse_float hook sees no position, so this scan owns the error.  It
+    runs only on a text that json.loads refused, and before any other
+    error is reported, so a float literal is reported first."""
     i = 0
     n = len(text)
     while i < n:
@@ -71,6 +73,11 @@ def _reject_float_literals(text: str) -> None:
                 )
             continue
         i += 1
+
+
+def _refuse_float(literal: str):
+    """json.loads's parse_float hook: a float literal never parses."""
+    raise DocumentError(f"non-integer numeric literal {literal!r}")
 
 
 def _require_keys(obj: dict, keys: set[str], where: str) -> None:
@@ -302,14 +309,14 @@ def parse_document(text: str):
     entries, nonzero map blocks in increasing degree, operad elements in
     normal form), so a document in the layout ``serialize_document``
     writes comes back byte for byte."""
-    _reject_float_literals(text)
     try:
-        env = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as e:
-        raise DocumentError(f"{e.msg} at line {e.lineno}, column {e.colno}") from None
-    except DocumentError:
-        raise
+        env = json.loads(text, object_pairs_hook=_unique_keys, parse_float=_refuse_float)
     except (ValueError, RecursionError) as e:
+        _reject_float_literals(text)
+        if isinstance(e, json.JSONDecodeError):
+            raise DocumentError(f"{e.msg} at line {e.lineno}, column {e.colno}") from None
+        if isinstance(e, DocumentError):
+            raise
         # an integer literal past the interpreter's digit limit, or nesting
         # deeper than the decoder's recursion limit
         raise DocumentError(f"unreadable JSON: {e}") from None

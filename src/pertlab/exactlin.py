@@ -4,6 +4,9 @@ Everything here is dense arithmetic over Python's unbounded integers.  No
 floating point is ever introduced; intermediate entries during a Smith
 reduction can exceed any fixed-width type even for small inputs, which is
 why the matrix type and ``solve_integer`` refuse anything not an ``int``.
+Storage is dense, but products are driven by nonzeros: ``a @ b`` walks
+the nonzeros of ``a`` once and reads the nonzeros of each row of ``b``
+once, when first needed, so zeros cost a scan and never an arithmetic step.
 
 One cached elimination serves every entry point.  Its pivot policy is
 fixed (smallest nonzero absolute value, ties by smallest (row, col)), so
@@ -115,20 +118,20 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        n, m, p = self.rows, self.cols, other.cols
+        m, p = self.cols, other.cols
         a, b = self.entries, other.entries
-        flat = [0] * (n * p)
-        for i in range(n):
-            arow = a[i * m : (i + 1) * m]
-            base = i * p
-            for k in range(m):
-                aik = arow[k]
-                if aik:
-                    brow = b[k * p : (k + 1) * p]
-                    for j in range(p):
-                        if brow[j]:
-                            flat[base + j] += aik * brow[j]
-        return _closed(n, p, tuple(flat))
+        flat = [0] * (self.rows * p)
+        # the nonzeros (column, value) of each row of other, read on first use
+        b_rows: list[list[tuple[int, int]] | None] = [None] * m
+        for ik in compress(range(len(a)), a):
+            i, k = divmod(ik, m)
+            b_row = b_rows[k]
+            if b_row is None:
+                b_row = b_rows[k] = [(j, v) for j, v in enumerate(b[k * p : (k + 1) * p]) if v]
+            aik, base = a[ik], i * p
+            for j, v in b_row:
+                flat[base + j] += aik * v
+        return _closed(self.rows, p, tuple(flat))
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Matrix times column vector."""

@@ -8,7 +8,9 @@ where every identity is visible by inspection, then conjugate by random
 filtered unimodular automorphisms to hide the block structure.
 Conjugation preserves all identities and the side conditions exactly,
 and filtered automorphisms with filtered inverses preserve every weight
-bound.
+bound.  Each automorphism is 1 plus a map that is strictly triangular with
+the basis ordered by descending weight, so its inverse comes by
+back-substitution, without matrix products.
 
 Seeds map to fixtures through ``random.Random`` only; the same seed
 always yields the same fixture, bit for bit.
@@ -69,17 +71,40 @@ def interval_complex() -> ChainComplex:
     return build_complex(0, (1, 1), ((0,), (0,)), {1: [[1]]}, 0)
 
 
-def _unipotent_inverse(nu: IntMatrix) -> IntMatrix:
-    """(1 + nu)^-1 = 1 - nu + nu^2 - ... for a nilpotent square nu: an r x r
-    nilpotent matrix has nu^r = 0, so a longer series means nu is not one."""
-    inv = IntMatrix.identity(nu.rows)
-    power = nu
-    for k in range(1, nu.rows + 2):
-        if power.is_zero():
-            return inv
-        inv = inv + power.scale((-1) ** k)
-        power = power @ nu
-    raise AssertionError("the geometric series of a nilpotent map failed to terminate")
+def _weight_order(weights) -> list[int]:
+    """The basis indices by descending weight, ties by index: in this order
+    every filtered map raising the weight is strictly upper triangular."""
+    return sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+
+
+def _unipotent_inverse(nu: IntMatrix, weights) -> IntMatrix:
+    """(1 + nu)^-1 for a square nu that is strictly upper triangular with its
+    basis, of these weights, in ``_weight_order``.
+
+    (1 + nu) x = 1 gives row i of x as e_i minus nu[i][j] times row j, over
+    the j after i in that order, so back-substitution from the last row needs
+    no matrix product.  A nu with a nonzero on or below the diagonal in that
+    order is refused."""
+    r = nu.rows
+    order = _weight_order(weights)
+    position = [0] * r
+    for a, i in enumerate(order):
+        position[i] = a
+    rows: list[list[int]] = [[]] * r
+    # the nonzeros (column, value) of each solved row
+    solved: list[list[tuple[int, int]]] = [[]] * r
+    for a in reversed(range(r)):
+        i = order[a]
+        row = rows[i] = [0] * r
+        row[i] = 1
+        for j, v in enumerate(nu.row(i)):
+            if v:
+                if position[j] <= a:
+                    raise AssertionError("the geometric series of a nilpotent map failed to terminate")
+                for k, x in solved[j]:
+                    row[k] -= v * x
+        solved[i] = [(k, x) for k, x in enumerate(row) if x]
+    return IntMatrix(r, r, tuple(x for row in rows for x in row))
 
 
 def _unitriangular_automorphism(rng: random.Random, c: ChainComplex) -> tuple[GradedMap, GradedMap]:
@@ -88,8 +113,8 @@ def _unitriangular_automorphism(rng: random.Random, c: ChainComplex) -> tuple[Gr
 
     Within each degree the basis is ordered by descending weight, so every
     strictly upper entry in that order automatically respects the
-    filtration; triangularity makes u - 1 nilpotent, which gives an exact
-    integer inverse by the finite geometric series.
+    filtration; triangularity gives an exact integer inverse by
+    back-substitution.
     """
     blocks: dict[int, IntMatrix] = {}
     inverse_blocks: dict[int, IntMatrix] = {}
@@ -97,14 +122,15 @@ def _unitriangular_automorphism(rng: random.Random, c: ChainComplex) -> tuple[Gr
         r = c.rank_at(n)
         if r == 0:
             continue
-        order = sorted(range(r), key=lambda i: (-c.weight_at(n, i), i))
+        weights = c.weights[n - c.degree_lo]
+        order = _weight_order(weights)
         rows = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
         for a in range(r):
             for b in range(a + 1, r):
                 if rng.random() < 0.5:
                     rows[order[a]][order[b]] = rng.choice((-2, -1, 1, 2))
         blocks[n] = IntMatrix.from_rows(rows)
-        inverse_blocks[n] = _unipotent_inverse(blocks[n] - IntMatrix.identity(r))
+        inverse_blocks[n] = _unipotent_inverse(blocks[n] - IntMatrix.identity(r), weights)
     u_map = GradedMap.from_blocks(c, c, 0, blocks)
     u_inv = GradedMap.from_blocks(c, c, 0, inverse_blocks)
     return u_map, u_inv
@@ -243,11 +269,13 @@ def cone_retract_sdr(seed: int, core_rank: int = 3, cone_pairs: int = 2, max_wei
 def weight_raising_perturbation(seed: int, c: ChainComplex) -> Perturbation:
     """delta = w^-1 d w - d for a random strictly weight-raising w = 1 + nu.
 
-    Strict raising makes nu nilpotent (weights are bounded), so the inverse
-    is a finite series and (d + delta)^2 = 0 holds by conjugation.
+    Strict raising makes nu strictly triangular with the basis ordered by
+    descending weight, so the inverse comes by back-substitution and
+    (d + delta)^2 = 0 holds by conjugation.
     """
     nu = _random_filtered_map(random.Random(seed), c, c, 0, 1)
-    inv = GradedMap.from_blocks(c, c, 0, {n: _unipotent_inverse(nu.block_at(n)) for n in c.degrees()})
+    inv = GradedMap.from_blocks(c, c, 0, {n: _unipotent_inverse(nu.block_at(n), c.weights[n - c.degree_lo])
+                                          for n in c.degrees()})
     w = GradedMap.identity(c) + nu
     d = c.differential_map()
     delta = compose(inv, compose(d, w)) - d

@@ -962,17 +962,31 @@ def _homotopy_defect(factors: tuple[Generator, ...], ranks: tuple[int, ...], row
     """Whether theta(d+ w) + d+(theta w) != w for the chain w with these
     factors and rank tuple, where ``row`` reads the terms of d+ for
     ``_splice``.  Both sides are summed in one dict keyed by rank tuple;
-    theta rewrites a leading pair by ``_theta_rep``."""
+    theta rewrites a leading pair by ``_theta_rep``.
+
+    Theta reads only the leading pair of a term of d+ w, so only that pair
+    is built.  A term that replaces a factor past position 1 keeps w's own
+    pair: theta rewrites it to w's ``rep``, and when theta kills w it kills
+    every such term, so those terms are not made."""
     acc = {ranks: -1}
     rep = _theta_rep(factors[0], factors[1]) if len(factors) > 1 else None
     if rep is not None:
         for k, _, c in _splice((rep,) + factors[2:], (rep.rank,) + ranks[2:], row):
             acc[k] = acc.get(k, 0) + c
-    for k, nf, c in _splice(factors, ranks, row):
-        p = _theta_rep(nf[0], nf[1]) if len(nf) > 1 else None
-        if p is not None:
-            k = (p.rank,) + k[2:]
-            acc[k] = acc.get(k, 0) + c
+    sign = 1
+    for i, z in enumerate(factors if rep is not None else factors[:2]):
+        for rr, rf, c in row(z):
+            if i < 2:
+                pair = (factors[:i] + rf + factors[i + 1:i + 3])[:2]
+                p = _theta_rep(*pair) if len(pair) > 1 else None
+                if p is None:
+                    continue
+                k = (p.rank,) + (ranks[:i] + rr + ranks[i + 1:])[2:]
+            else:
+                k = (rep.rank,) + ranks[2:i] + rr + ranks[i + 1:]
+            acc[k] = acc.get(k, 0) + sign * c
+        if z.degree % 2:
+            sign = -sign
     return any(acc.values())
 
 

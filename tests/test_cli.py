@@ -2,6 +2,7 @@ import functools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pertlab
+from pertlab import cli_io
 from pertlab.chaincore import GradedMap
 from pertlab.cli import main
 from pertlab.cli_io import (
@@ -228,6 +230,80 @@ def test_float_literals_are_rejected_with_position():
         parse_document('{\n "format_version": "1",\n "kind": 1.5\n}')
     with pytest.raises(DocumentError, match="non-integer numeric literal '1e3'"):
         parse_document('{"format_version": "1", "kind": "complex", "payload": 1e3}')
+
+
+def scan_first_error(text):
+    """The error of the earlier JSON stage, which scanned every character
+    for float literals before json.loads; None when the stage passes."""
+    try:
+        cli_io._reject_float_literals(text)
+        try:
+            json.loads(text, object_pairs_hook=cli_io._unique_keys)
+        except json.JSONDecodeError as e:
+            raise DocumentError(f"{e.msg} at line {e.lineno}, column {e.colno}") from None
+        except DocumentError:
+            raise
+        except (ValueError, RecursionError) as e:
+            raise DocumentError(f"unreadable JSON: {e}") from None
+    except DocumentError as e:
+        return str(e)
+    return None
+
+
+def _unquoted_positions(text):
+    """The offsets where an insertion lands outside every string literal."""
+    positions, inside, escaped = [], False, False
+    for i, ch in enumerate(text):
+        if not inside:
+            positions.append(i)
+            inside = ch == '"'
+        elif escaped:
+            escaped = False
+        elif ch == "\\":
+            escaped = True
+        elif ch == '"':
+            inside = False
+    return positions if inside else positions + [len(text)]
+
+
+_FLOAT_LITERALS = ("1.0", "1e5", "-2E-3")
+_FLOAT_BASES = [serialize_document(obj) for obj in (interval_complex(), *sdr_fixture(0), obstructed_he_fixture())]
+_INT_LITERAL = re.compile(r"-?\d+")
+_SCALAR_KEY_LINE = re.compile(r'^ +"\w+": [^\[{\n]+$', re.M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_float_literals_are_reported_as_by_the_scan_first_parser(data):
+    # float literals at unquoted positions of valid documents, of documents
+    # with a repeated key and of cut-off ones, inserted or in place of an
+    # integer; json.loads meets them as floats, as broken JSON or after a
+    # repeated key, and the error must be the one the scan gave first
+    text = data.draw(st.sampled_from(_FLOAT_BASES))
+    # json.loads meets a repeated key only when its object closes, so the
+    # floats go after the repeated line, where some are met later
+    after = 0
+    if data.draw(st.booleans()):
+        m = data.draw(st.sampled_from(list(_SCALAR_KEY_LINE.finditer(text))))
+        text = text[:m.start()] + m.group().rstrip(",") + ",\n" + text[m.start():]
+        after = m.end() + 1
+    if data.draw(st.booleans()):
+        text = text[:data.draw(st.integers(after, len(text)))]
+    for _ in range(data.draw(st.integers(1, 3))):
+        literal = data.draw(st.sampled_from(_FLOAT_LITERALS))
+        positions = [i for i in _unquoted_positions(text) if i >= after]
+        integers = [m for m in _INT_LITERAL.finditer(text) if m.start() in positions]
+        if integers and data.draw(st.booleans()):
+            m = data.draw(st.sampled_from(integers))
+            text = text[:m.start()] + literal + text[m.end():]
+        else:
+            i = data.draw(st.sampled_from(positions))
+            text = text[:i] + literal + text[i:]
+    want = scan_first_error(text)
+    assert want is not None and want.startswith("non-integer numeric literal")
+    with pytest.raises(DocumentError) as caught:
+        parse_document(text)
+    assert str(caught.value) == want
 
 
 def test_unknown_envelope_keys_are_rejected():

@@ -197,6 +197,33 @@ def test_closed_operations_equal_the_checked_construction(case):
     assert a.is_zero() == all(x == 0 for x in a.entries)
 
 
+def triple_loop_product(a, b):
+    """The textbook product, every (i, k, j) visited, zeros included."""
+    flat = [0] * (a.rows * b.cols)
+    for i in range(a.rows):
+        for k in range(a.cols):
+            for j in range(b.cols):
+                flat[i * b.cols + j] += a.entry(i, k) * b.entry(k, j)
+    return IntMatrix(a.rows, b.cols, tuple(flat))
+
+
+def sparse_huge_matrices_of(rows, cols):
+    """Entries zero or up to 2**70 in size, each with even odds."""
+    return st.tuples(*([st.just(0) | st.integers(-2**70, 2**70)] * (rows * cols))).map(
+        lambda t: IntMatrix(rows, cols, t))
+
+
+@settings(max_examples=300)
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda n: st.tuples(sparse_huge_matrices_of(n[0], n[1]), sparse_huge_matrices_of(n[1], n[2]))))
+def test_product_equals_the_triple_loop_on_rectangular_shapes(pair):
+    # shapes include 0 rows, 0 columns and an empty inner dimension
+    a, b = pair
+    product = a @ b
+    assert all(type(e) is int for e in product.entries)
+    assert product == triple_loop_product(a, b)
+
+
 def test_huge_entries_survive():
     n = 10**40
     a = IntMatrix.from_rows([[n, 1], [1, n]])

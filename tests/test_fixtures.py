@@ -1,9 +1,14 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pertlab import fixtures
 from pertlab.chaincore import GradedMap, compose, filtration_shift, validate_complex
 from pertlab.cli import main
-from pertlab.cli_io import serialize_bundle
+from pertlab.cli_io import serialize_bundle, serialize_document
+from pertlab.exactlin import IntMatrix
 from pertlab.fixtures import (
     build_complex,
     cone_retract_sdr,
@@ -135,3 +140,63 @@ def test_build_complex_infers_top_degree():
     assert validate_complex(c) == []
     with pytest.raises(ValueError):
         build_complex(0, (1,), ((0,), (0,)), {}, 0)
+
+
+def test_fixtures_are_pinned_by_digest():
+    # a sha256 over serialized fixtures of seeds 0-39: cone_retract_sdr at
+    # the tower_extend benchmark's shapes, a weight-raising perturbation of
+    # the largest, he_fixture and fixture_generate; any change to a draw,
+    # an inverse or a conjugation moves it
+    digest = hashlib.sha256()
+    for seed in range(40):
+        for c in range(10, 18):
+            s = cone_retract_sdr(seed, c, c // 2, 4)
+            digest.update(serialize_document(s).encode())
+        digest.update(serialize_document(weight_raising_perturbation(seed, s.M)).encode())
+        digest.update(serialize_document(he_fixture(seed)).encode())
+        digest.update(serialize_bundle(fixture_generate(seed)).encode())
+    assert digest.hexdigest() == "100afa3abb5e209ecdb77a816f260d1b281dab6a21648d178e59476008bacf41"
+
+
+def power_series_inverse(nu):
+    """(1 + nu)^-1 = 1 - nu + nu^2 - ... for a nilpotent square nu, which
+    has nu^r = 0 at size r."""
+    inv, power = IntMatrix.identity(nu.rows), nu
+    for k in range(1, nu.rows + 1):
+        inv, power = inv + power.scale((-1) ** k), power @ nu
+    assert power.is_zero()
+    return inv
+
+
+@st.composite
+def weighted_triangular(draw):
+    """Weights of one basis and a nu strictly upper triangular in
+    ``_weight_order``: ties in weight included, as in the automorphisms."""
+    r = draw(st.integers(0, 7))
+    weights = draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
+    order = fixtures._weight_order(weights)
+    rows = [[0] * r for _ in range(r)]
+    for a in range(r):
+        for b in range(a + 1, r):
+            rows[order[a]][order[b]] = draw(st.sampled_from((0, 0, -2, -1, 1, 2, 2**40)))
+    return weights, IntMatrix(r, r, tuple(x for row in rows for x in row))
+
+
+@settings(max_examples=200)
+@given(weighted_triangular())
+def test_unipotent_inverse_equals_the_power_series(case):
+    weights, nu = case
+    inv = fixtures._unipotent_inverse(nu, weights)
+    assert inv == power_series_inverse(nu)
+    u, one = IntMatrix.identity(nu.rows) + nu, IntMatrix.identity(nu.rows)
+    assert u @ inv == one and inv @ u == one
+
+
+@pytest.mark.parametrize("weights, rows", [
+    ((0, 1), [[0, 1], [0, 0]]),  # lowers the weight: the heavier basis vector comes first
+    ((0, 0), [[0, 0], [1, 0]]),  # nilpotent, but below the diagonal in the tie order
+    ((2,), [[1]]),  # on the diagonal
+])
+def test_unipotent_inverse_refuses_an_entry_below_the_weight_order(weights, rows):
+    with pytest.raises(AssertionError, match="^the geometric series of a nilpotent map failed to terminate$"):
+        fixtures._unipotent_inverse(IntMatrix.from_rows(rows), weights)

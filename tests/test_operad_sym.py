@@ -726,6 +726,47 @@ def test_contracting_homotopy_matches_the_per_word_loop(monkeypatch):
             assert got[0][1] == (fault is None), fault
 
 
+def ref_homotopy_defect(factors, ranks, row):
+    # the earlier check: every term of d+ w built in full through _splice,
+    # then rewritten by theta
+    acc = {ranks: -1}
+    rep = operad_sym._theta_rep(factors[0], factors[1]) if len(factors) > 1 else None
+    if rep is not None:
+        for k, _, c in operad_sym._splice((rep,) + factors[2:], (rep.rank,) + ranks[2:], row):
+            acc[k] = acc.get(k, 0) + c
+    for k, nf, c in operad_sym._splice(factors, ranks, row):
+        p = operad_sym._theta_rep(nf[0], nf[1]) if len(nf) > 1 else None
+        if p is not None:
+            k = (p.rank,) + k[2:]
+            acc[k] = acc.get(k, 0) + c
+    return any(acc.values())
+
+
+def test_homotopy_defect_flags_the_words_the_full_splice_flags(monkeypatch):
+    # on the true table no word is flagged; with one sign flipped in the
+    # lengthening table, the leading-pair check flags exactly the words the
+    # full splice flags, at the benchmark's caps
+    caps = TruncationCaps(5, 5, 3, 10)
+    theta_caps = TruncationCaps(caps.max_index, caps.max_length - 1, caps.max_fweight, caps.max_degree)
+    for planted in (None, gen("f", 2), gen("g", 3), gen("f", 1)):
+        with monkeypatch.context() as m:
+            if planted:
+                m.setattr(operad_sym, "generator_diff",
+                          lambda z, planted=planted: _planted_row(z, "flip") if z == planted else generator_diff(z))
+            row = operad_sym._rows(lengthening=True)
+            flagged, words = [], 0
+            for src in ("B", "W"):
+                for factors, _, _, ranks in operad_sym._walk("riso", src, theta_caps, operad_sym._prepend_rank,
+                                                             (1, caps.max_degree)):
+                    words += 1
+                    got = operad_sym._homotopy_defect(factors, ranks, row)
+                    assert got == ref_homotopy_defect(factors, ranks, row), (planted, factors)
+                    if got:
+                        flagged.append(factors)
+        assert words > 1000
+        assert bool(flagged) == (planted is not None), planted
+
+
 def test_retraction_table_refuses_an_image_with_the_wrong_colours(monkeypatch):
     # fb2 runs from B to W; a planted image f1 runs from B to B, so the
     # product g0 f1 in the image of g0 fb2 would not compose

@@ -142,15 +142,17 @@ def bpl_by_hand(s: SdrData, p: Perturbation):
 
 
 def test_bpl_transfer_matches_the_four_hand_formulas():
-    moved = 0
-    for seed in range(30):
+    # among sdr_fixture seeds 0-199, only 50, 63, 68 and 110 move d_N
+    moved = moved_d_n = 0
+    for seed in (*range(30), 50, 63, 68, 110):
         s, p = sdr_fixture(seed)
         out = bpl_transfer(s, p)
         d_n, f, g, h = bpl_by_hand(s, p)
         assert out.N.differential_map().blocks == d_n.blocks, seed
         assert (out.F.blocks, out.G.blocks, out.H.blocks) == (f.blocks, g.blocks, h.blocks), seed
         moved += (d_n, f, g, h) != (s.N.differential_map(), s.F, s.G, s.H)
-    assert moved >= 5
+        moved_d_n += d_n != s.N.differential_map()
+    assert moved >= 5 and moved_d_n >= 1
 
 
 def shift_of_difference(a: GradedMap, b: GradedMap) -> int:
