@@ -100,7 +100,8 @@ def _unipotent_inverse(nu: IntMatrix, weights) -> IntMatrix:
         for j, v in enumerate(nu.row(i)):
             if v:
                 if position[j] <= a:
-                    raise AssertionError("the geometric series of a nilpotent map failed to terminate")
+                    raise AssertionError(f"nu[{i}][{j}] is on or below the diagonal in the weight order, "
+                                         "so 1 + nu is not unitriangular")
                 for k, x in solved[j]:
                     row[k] -= v * x
         solved[i] = [(k, x) for k, x in enumerate(row) if x]

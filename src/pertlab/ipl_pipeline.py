@@ -51,7 +51,6 @@ from .she_obstruction import (
     _obstruction_cycles,
     _require_valid_repair,
     _require_vanishing,
-    _zero_padded,
     he_from_she,
     modify_homotopy_h,
     modify_homotopy_l,
@@ -207,14 +206,11 @@ def solve_pp(he: HeData, p: Perturbation, strategy: str = "modify_h") -> PpSolut
         raise ValueError(f"unknown strategy {strategy!r}; choose one of {_STRATEGIES}")
     _require_perturbable(validate_he(he), he.M, p)
     he2 = _REPAIRS[strategy](he)
-    # trivial_extension, keeping the cycles for the extension if it fails
+    # the extension checks only what it builds, so the repair is checked first
+    _require_valid_repair(he, he2)
+    # only as_is can be refused: after either repair both classes vanish
     o_m, o_n = _obstruction_cycles(he2)
-    she = _zero_padded(he2, 1) if o_m.is_zero() and o_n.is_zero() else None
-    if she is None:
-        # the padding checks its whole output, the extension only what it builds
-        _require_valid_repair(he, he2)
-        # only as_is can be refused: after either repair both classes vanish
-        she = _extend(he2, 1, _require_vanishing(he2, o_m, o_n, "use a homotopy-repair strategy"))
+    she = _extend(he2, 1, _require_vanishing(he2, o_m, o_n, "use a homotopy-repair strategy"))
     perturbed = _perturb(she, p)
     # the cap-0 tower's identities are exactly those of the output quadruple
     out = perturbed.she

@@ -30,7 +30,9 @@ Truncation: the kernel elements and the retraction are infinite series in
 the completed operad; here they are computed per filtration band.  Only
 ``max_fweight`` truncates them (band-by-band results are exact because no
 operation lowers fweight); the other caps bound word enumeration in the
-boundary search and the identity suite.
+boundary search and the identity suite.  Both series are written once for
+any algebra that adds and composes (``_kernel_series``, ``_retraction_value``):
+here on band-cut products of words, in ``sdr_bpl`` on concrete maps.
 
 Cost: generators and words carry precomputed invariants (degree, fweight,
 colours, and a flat integer sort key that equality and hashing also
@@ -562,28 +564,35 @@ def theta(e: OperadElement) -> OperadElement:
 # Kernels, inclusion, retraction
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _kernel_series(x, f, compose, top: int, steps: int, out: list | None = None) -> list:
+    """Z_-1, Z_1, ..., Z_top over any algebra whose values add, compose by
+    ``compose`` and answer ``is_zero()``, with x the value of xb and f(i)
+    that of f_i, extending ``out``, which holds the Z's already known.
+
+    Z_2s-1 sums the chains x f_2m+1 x ... x whose m's add up to s, so it is
+    the sum over t of (x f_1)^t Q_s, where Q_0 = x and Q_s sums x f_2m+1
+    Z_2(s-m)-1 over m = 1 .. s (Gugenheim 1972; Crainic, arXiv:math/0403266).
+    Each sum stops at its first zero summand; the list stops short at the
+    first series with a summand still nonzero after ``steps`` steps.
+    """
+    out = [] if out is None else out
+    step = compose(x, f(1))
+    for s in range(len(out), (top + 1) // 2 + 1):
+        parts = [compose(x, compose(f(2 * m + 1), out[s - m])) for m in range(1, s + 1)]
+        total = term = sum(parts[1:], parts[0]) if parts else x
+        for _ in range(steps):
+            if term.is_zero():
+                break
+            term = compose(step, term)
+            total = total + term
+        else:
+            break
+        out.append(total)
+    return out
 
 
-@lru_cache(maxsize=None)
-def _kernel_terms(r: int, max_fweight: int) -> tuple[Word, ...]:
-    s = (r + 1) // 2
-    words: list[Word] = []
-    for t in range(0, max_fweight):
-        for comp in _compositions(s, t):
-            factors = [XBAR]
-            for m in comp:
-                factors.append(gen("f", 2 * m + 1))
-                factors.append(XBAR)
-            words.append(Word(tuple(factors)))
-    return tuple(words)
+# Z_-1, Z_1, ... by fweight band, filled by ``kernel_Z``
+_BAND_KERNELS: dict[int, list[OperadElement]] = {}
 
 
 def kernel_Z(r: int, caps: TruncationCaps) -> OperadElement:
@@ -592,11 +601,19 @@ def kernel_Z(r: int, caps: TruncationCaps) -> OperadElement:
     Terms are alternating chains xb f_odd xb ... xb whose f-indices sum to
     the right degree; a term with t interior factors has fweight t + 1.
     The generator indices are dictated by r (up to r + 2), never capped:
-    capping them would break the kernel's defining identity.
+    capping them would break the kernel's defining identity.  Summed by
+    ``_kernel_series`` under band-cut ``multiply``, once per band.
     """
     if r < -1 or r % 2 == 0:
         raise ValueError("kernel degree must be an odd integer >= -1")
-    return element("dif_riso", {w: 1 for w in _kernel_terms(r, caps.max_fweight)})
+    band = caps.max_fweight
+    known = _BAND_KERNELS.setdefault(band, [])
+    if len(known) <= (r + 1) // 2:
+        # a summand of t + 1 factors xb lies past the band once t >= band
+        x = truncate_fweight(single("dif_riso", word(XBAR)), band)
+        _kernel_series(x, lambda i: single("dif_riso", word(gen("f", i))),
+                       lambda a, b: multiply(a, b, band), r, band + 1, known)
+    return known[(r + 1) // 2]
 
 
 def iota(e: OperadElement) -> OperadElement:
@@ -624,21 +641,26 @@ def retraction_terms(z: Generator) -> tuple[tuple[Generator, int, Generator], ..
     n, rp = z.degree, int(z.family == "fb")
     lp = (n + 1 - rp) % 2
     right = "f" if rp else "g"
-    triples = [(gen("f", 2 * a + lp), 2 * b - 1, gen(right, 2 * c + rp))
-               for a, b, c in _compositions((n - lp - rp + 1) // 2, 3)]
+    total = (n - lp - rp + 1) // 2
+    triples = [(gen("f", 2 * a + lp), 2 * b - 1, gen(right, 2 * (total - a - b) + rp))
+               for a in range(total + 1) for b in range(total - a + 1)]
     triples.sort(key=lambda t: (t[1], t[0].index, t[2].index))
     return tuple(triples)
+
+
+def _retraction_value(z: Generator, kernel, value, compose):
+    """The retraction image of the barred generator z over any algebra:
+    the sum of left Z_r right over ``retraction_terms(z)``, with
+    ``kernel(r)`` the value of Z_r and ``value`` that of a generator."""
+    parts = [compose(value(left), compose(kernel(r), value(right))) for left, r, right in retraction_terms(z)]
+    return sum(parts[1:], parts[0])
 
 
 def _retraction_of_generator(z: Generator, caps: TruncationCaps) -> OperadElement:
     if z.family in ("f", "g", "xb"):
         return single("dif_riso", word(z))
-    acc = zero("dif_riso")
-    for left, r, right in retraction_terms(z):
-        part = multiply(single("dif_riso", word(left)), kernel_Z(r, caps), caps.max_fweight)
-        part = multiply(part, single("dif_riso", word(right)), caps.max_fweight)
-        acc = acc + part
-    return acc
+    return _retraction_value(z, lambda r: kernel_Z(r, caps), lambda g: single("dif_riso", word(g)),
+                             lambda a, b: multiply(a, b, caps.max_fweight))
 
 
 @lru_cache(maxsize=None)

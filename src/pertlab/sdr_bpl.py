@@ -12,12 +12,13 @@ plus, when we say the side conditions hold,
 Given a perturbation delta of d_M (degree -1, strictly filtration-raising,
 with (d_M + delta)^2 = 0), the perturbation lemma transfers delta across
 the retract, and across any tower of ``she_obstruction``, by one rule on
-concrete maps (``_transfer``): each component moves by the images that
-``operad_sym.retraction_terms`` lists for its barred copy, left Z_r right,
-and d_N by those of yb.  The kernels Z_r are sums of chains delta f_odd
-delta ... delta; Z_-1 = delta + delta H delta + ... is the geometric series
-K of the basic perturbation lemma, which is this rule at cap 0.  Each
-series is finite because each summand raises filtration one more step.
+concrete maps (``_transfer``): each component moves by the retraction
+image of its barred copy, and d_N by that of yb, both summed by
+``operad_sym._retraction_value`` on the kernels of ``_kernel_series``.
+The kernels Z_r are sums of chains delta f_odd delta ... delta; Z_-1 =
+delta + delta H delta + ... is the geometric series K of the basic
+perturbation lemma, which is this rule at cap 0.  Each series is finite
+because each summand raises filtration one more step.
 The side conditions are required on input; whether they survive transfer
 is reported, never assumed.
 
@@ -45,7 +46,8 @@ from .chaincore import (
     rebase,
     validate_complex,
 )
-from .operad_sym import XBAR, YBAR, Generator, Word, gen, generator_diff, retraction_terms
+from .operad_sym import (XBAR, YBAR, Generator, Word, _kernel_series, _retraction_value, gen, generator_diff,
+                         retraction_terms)
 
 
 class SideConditionError(ValueError):
@@ -229,28 +231,16 @@ def perturbed_complex(p: Perturbation) -> ChainComplex:
 
 
 def _kernels(assign: dict[Generator, GradedMap], top: int) -> list[GradedMap]:
-    """The kernel series Z_2s-1, s = 0 .. (top + 1) // 2, on the maps of
-    ``assign``: the sum over t of (delta f_1)^t Q_s, where Q_0 = delta and
-    Q_s sums delta f_2m+1 Z_2(s-m)-1 over m = 1 .. s.  The t-th summand
-    raises the filtration by at least t + 1, so the sum stops at its first
-    zero summand; one still nonzero at t = the spread of the weights of
-    delta's complex is a truncation leak."""
+    """``_kernel_series`` Z_-1 ... Z_top on the maps of ``assign``; its t-th
+    summand raises the filtration by t + 1 or more, so one still nonzero at
+    t = the spread of the weights of delta's complex is a truncation leak."""
     delta = assign[XBAR]
     weights = [w for row in delta.source.weights for w in row]
-    step = compose(delta, assign[gen("f", 1)])
-    out: list[GradedMap] = []
-    for s in range((top + 1) // 2 + 1):
-        parts = [compose(delta, compose(assign[gen("f", 2 * m + 1)], out[s - m])) for m in range(1, s + 1)]
-        total = term = sum(parts[1:], parts[0]) if parts else delta
-        for _ in range(max(weights, default=0) - min(weights, default=0) + 1):
-            if term.is_zero():
-                break
-            term = compose(step, term)
-            total = total + term
-        else:
-            raise InternalConsistencyError(f"truncation leak: the kernel series of degree {2 * s - 1} "
-                                           "does not vanish past the filtration length")
-        out.append(total)
+    steps = max(weights, default=0) - min(weights, default=0) + 1
+    out = _kernel_series(delta, lambda i: assign[gen("f", i)], compose, top, steps)
+    if len(out) <= (top + 1) // 2:
+        raise InternalConsistencyError(f"truncation leak: the kernel series of degree {2 * len(out) - 1} "
+                                       "does not vanish past the filtration length")
     return out
 
 
@@ -270,18 +260,15 @@ def _transfer(assign: dict[Generator, GradedMap], gens: tuple[Generator, ...],
     right) that ``retraction_terms`` lists for its barred copy, and d_N plus
     the same sum for yb, with only the kernels those triples need.  Returns
     the perturbed M and N and the components rebased onto them, unchecked."""
-    terms = {z: retraction_terms(gen(z.family + "b", z.index)) for z in gens}
-    terms[YBAR] = retraction_terms(YBAR)
-    kernels = _kernels(assign, max(r for triples in terms.values() for _, r, _ in triples))
+    bars = {z: gen(z.family + "b", z.index) for z in gens}
+    kernels = _kernels(assign, max(r for z in (*bars.values(), YBAR) for _, r, _ in retraction_terms(z)))
 
-    def moved(z: Generator, base: GradedMap) -> GradedMap:
-        for left, r, right in terms[z]:
-            base = base + compose(assign[left], compose(kernels[(r + 1) // 2], assign[right]))
-        return base
+    def moved(bar: Generator, base: GradedMap) -> GradedMap:
+        return base + _retraction_value(bar, lambda r: kernels[(r + 1) // 2], assign.__getitem__, compose)
 
     m_new = perturbed_complex(Perturbation(assign[XBAR].source, assign[XBAR]))
     n_new = complex_with_differential(N, moved(YBAR, N.differential_map()))
-    return m_new, n_new, {z: rebase(moved(z, assign[z]), *_hom_space(z, m_new, n_new)) for z in gens}
+    return m_new, n_new, {z: rebase(moved(bars[z], assign[z]), *_hom_space(z, m_new, n_new)) for z in gens}
 
 
 def bpl_transfer(s: SdrData, p: Perturbation) -> SdrData:

@@ -37,14 +37,13 @@ Every tower identity is evaluated by ``sdr_bpl._check_components``, which
 ``validate_he`` and ``validate_she`` share with ``validate_sdr`` (a retract
 is the cap-0 tower with L = 0) and ``ipl_pipeline.OperadAction``.
 Constructors check their output, public entry points check their input,
-and the private cores (``_extend``, ``_decide_obstructions``,
-``_zero_padded``) trust their caller, so a pipeline checks each object
-once and evaluates each obstruction cycle once.  Callers hand ``_extend``
-an equivalence they have checked (``extend_to_she`` its input,
-``ipl_pipeline.solve_pp`` its repair, through ``_require_valid_repair``),
-and ``_extend`` checks only the components it builds, index 2 and up; the
-zero padding checks its whole output (``_checked``), since
-``trivial_extension`` does not check its input first.
+and the private cores (``_extend``, ``_decide_obstructions``) trust their
+caller, so a pipeline checks each object once and evaluates each
+obstruction cycle once.  Callers hand ``_extend`` an equivalence they have
+checked (``extend_to_she`` its input, ``ipl_pipeline.solve_pp`` its
+repair, through ``_require_valid_repair``), and ``_extend`` checks only
+the components it builds, index 2 and up; ``trivial_extension`` checks
+its whole output (``_checked``), since it does not check its input first.
 """
 
 from __future__ import annotations
@@ -323,15 +322,8 @@ def trivial_extension(he: HeData, index_cap: int = 1) -> SheData | None:
     Returns None when the data does not qualify."""
     if index_cap < 0:
         raise ValueError("index_cap must be nonnegative")
-    if not (_obstruction_cycle(he, "f").is_zero() and _obstruction_cycle(he, "g").is_zero()):
-        return None
-    return _zero_padded(he, index_cap)
-
-
-def _zero_padded(he: HeData, index_cap: int) -> SheData | None:
-    """``trivial_extension`` once both obstruction cycles are known to be
-    the zero map."""
-    if not (compose(he.H, he.H).is_zero() and compose(he.L, he.L).is_zero()):
+    if not (_obstruction_cycle(he, "f").is_zero() and _obstruction_cycle(he, "g").is_zero()
+            and compose(he.H, he.H).is_zero() and compose(he.L, he.L).is_zero()):
         return None
     assign = tower_assignment(she_from_he(he))
     for z in tower_generators(index_cap)[4:]:

@@ -198,5 +198,9 @@ def test_unipotent_inverse_equals_the_power_series(case):
     ((2,), [[1]]),  # on the diagonal
 ])
 def test_unipotent_inverse_refuses_an_entry_below_the_weight_order(weights, rows):
-    with pytest.raises(AssertionError, match="^the geometric series of a nilpotent map failed to terminate$"):
+    # each case has one nonzero, the entry the refusal names
+    (i, j), = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+    with pytest.raises(AssertionError) as refused:
         fixtures._unipotent_inverse(IntMatrix.from_rows(rows), weights)
+    assert str(refused.value) == (f"nu[{i}][{j}] is on or below the diagonal in the weight order, "
+                                  "so 1 + nu is not unitriangular")

@@ -421,31 +421,27 @@ def test_solve_pp_validates_the_input_once(monkeypatch):
     monkeypatch.setattr(ipl_pipeline, "validate_he", counted)
     monkeypatch.setattr(she_obstruction, "validate_he", counted)
     monkeypatch.setattr(ipl_pipeline, "_require_valid_repair", repair_checked)
+    # the cap-1 tower is built by the extension alone, whether or not the
+    # zero padding would qualify (it does on the retract, not on he_fixture(7));
+    # it checks only what it builds, so the repair is checked before it,
+    # where it differs from the checked input
     s, p = sdr_fixture(2)
-    he = he_from_sdr(s)
-    assert trivial_extension(modify_homotopy_h(he), 1) is not None
-    solve_pp(he, p, "modify_h")
-    # the padding checks its whole output, the repair with it
-    assert calls == [he] and repairs == []
-    # the extension checks only what it builds, so the repair is checked
-    # before it, where it differs from the checked input
-    calls.clear()
-    he = he_fixture(7)
-    assert trivial_extension(modify_homotopy_h(he), 1) is None
-    solve_pp(he, weight_raising_perturbation(8, he.M), "modify_h")
-    assert calls == [he]
-    assert [(a, b is not a) for a, b in repairs] == [(he, True)]
-    # as_is decides the obstruction classes without validating again
-    calls.clear()
-    repairs.clear()
-    he = he_from_sdr(sdr_fixture(2)[0])
-    solve_pp(he, p, "as_is")
-    assert calls == [he] and repairs == []
-    # and when it extends, its repair is the input itself
-    calls.clear()
-    he = modify_homotopy_h(he_fixture(7))
-    solve_pp(he, weight_raising_perturbation(8, he.M), "as_is")
-    assert calls == [he] and repairs == [(he, he)]
+    he7 = he_fixture(7)
+    assert trivial_extension(modify_homotopy_h(he_from_sdr(s)), 1) is not None
+    assert trivial_extension(modify_homotopy_h(he7), 1) is None
+    for he, p in ((he_from_sdr(s), p), (he7, weight_raising_perturbation(8, he7.M))):
+        calls.clear()
+        repairs.clear()
+        solve_pp(he, p, "modify_h")
+        assert calls == [he]
+        assert [(a, b is not a) for a, b in repairs] == [(he, True)]
+        # as_is decides the obstruction classes without validating again,
+        # and its repair is the input itself
+        calls.clear()
+        repairs.clear()
+        he = modify_homotopy_h(he)
+        solve_pp(he, p, "as_is")
+        assert calls == [he] and repairs == [(he, he)]
 
 
 @pytest.mark.parametrize("field, report", [
@@ -472,14 +468,13 @@ def test_solve_pp_refuses_a_repair_that_breaks_an_identity(monkeypatch, field, r
 
 
 @pytest.mark.parametrize("seed, strategy, most, towers", [
-    (3, "modify_h", 19, [1, 0]), (7, "modify_h", 18, [0]), (7, "as_is", 16, [0]),
+    (3, "modify_h", 19, [0]), (7, "modify_h", 18, [0]), (7, "as_is", 16, [0]),
 ], ids=["3-modify_h-19", "7-modify_h-18", "7-as_is-16"])
 def test_solve_pp_checks_each_identity_once(monkeypatch, seed, strategy, most, towers):
     # the input is checked once, then each constructed tower once: the
-    # cap-1 tower by its constructor (the padding through validate_she, the
-    # extension only in the components it builds, after the repair is
-    # checked where it differs from the input), the cap-0 output by the
-    # perturbation
+    # cap-1 tower by the extension, only in the components it builds, after
+    # the repair is checked where it differs from the input; the cap-0
+    # output by the perturbation, through validate_she
     he = he_fixture(seed)
     if strategy == "as_is":
         he = modify_homotopy_h(he)
@@ -513,9 +508,8 @@ def test_solve_pp_checks_the_perturbation_before_extending(monkeypatch, strategy
     def refuse(*args):
         raise AssertionError("the tower was built before the perturbation was checked")
 
-    for module, name in ((ipl_pipeline, "_zero_padded"), (ipl_pipeline, "_extend"),
-                         (she_obstruction, "trivial_extension"), (she_obstruction, "extend_to_she"),
-                         (she_obstruction, "_extend")):
+    for module, name in ((ipl_pipeline, "_extend"), (she_obstruction, "trivial_extension"),
+                         (she_obstruction, "extend_to_she"), (she_obstruction, "_extend")):
         monkeypatch.setattr(module, name, refuse)
     he = he_fixture(7)
     elsewhere = weight_raising_perturbation(1, he_fixture(4).M)

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import inspect
+import itertools
 import pathlib
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pertlab import operad_sym
 from pertlab.operad_sym import (
+    XBAR,
     TruncationCaps,
     Word,
     all_passed,
@@ -362,6 +364,29 @@ def test_kernel_leading_terms():
     assert render_element(kernel_Z(3, caps2)) == "xb f5 xb"
     with pytest.raises(ValueError, match="odd integer >= -1"):
         kernel_Z(2, caps2)
+
+
+def ref_kernel_Z(r, max_fweight):
+    # the chain enumeration: every xb f_2m1+1 xb ... xb with t < max_fweight
+    # interior factors (fweight t + 1) whose m's add up to (r + 1) // 2
+    s = (r + 1) // 2
+    words = []
+    for t in range(max_fweight):
+        for ms in itertools.product(range(s + 1), repeat=t):
+            if sum(ms) == s:
+                words.append(Word((XBAR,) + tuple(z for m in ms for z in (gen("f", 2 * m + 1), XBAR))))
+    return element("dif_riso", {w: 1 for w in words})
+
+
+def test_kernel_series_equals_the_chain_enumeration():
+    # the memo per band fills in whatever order the degrees are asked for
+    operad_sym._BAND_KERNELS.clear()
+    for max_fweight in range(6):
+        caps = TruncationCaps(4, 5, max_fweight, 8)
+        for r in (3, -1, 9, 1, 7, 5, 9, -1):
+            want = ref_kernel_Z(r, max_fweight)
+            assert _all_term_fields(kernel_Z(r, caps)) == _all_term_fields(want), (r, max_fweight)
+            assert want.is_zero() == (max_fweight == 0 or (r > -1 and max_fweight == 1))
 
 
 def test_kernel_and_retraction_goldens():
@@ -854,7 +879,7 @@ def test_walk_does_not_grow_words_that_cannot_reach_the_degree_window():
 
 def test_identity_suite_builds_no_checked_words_on_its_hot_paths(monkeypatch):
     caps = TruncationCaps(3, 4, 2, 8)
-    # the per-generator memos (retraction images, kernel terms, tables) are
+    # the per-generator memos (retraction images, kernel series, tables) are
     # built once with checked words; warm them so only the hot paths count
     verify_identity_suite(caps)
     watched = ("diff", "retraction_r", "enumerate_words", "theta", "_walk", "_fold_left", "_homotopy_defect")
