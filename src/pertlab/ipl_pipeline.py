@@ -11,8 +11,8 @@ truncation leak.  The symbolic window that computes the same series, one
 fweight band past that spread, is reported as ``provenance``.
 
 The transfer specialization at tower index 0 (``solve_pp``) repairs the
-input homotopies first when their obstruction classes force it, extends
-by one index, perturbs, and projects back down.
+input homotopies unless asked not to, extends by one index (the first
+step decides the obstruction classes), perturbs, and projects back down.
 
 Identities are checked where ``she_obstruction`` says: ``OperadAction``
 checks its assignment (``_checked_by_caller`` builds one whose caller
@@ -41,16 +41,13 @@ from .operad_sym import (
     Generator,
     XBAR,
 )
-from .sdr_bpl import (Perturbation, _check_components, _refuse, _transfer, evaluate_words,
-                      tower_generators, validate_perturbation)
+from .sdr_bpl import (InternalConsistencyError, Perturbation, _check_components, _refuse, _transfer,
+                      evaluate_words, tower_generators, validate_perturbation)
 from .she_obstruction import (
     HeData,
     SheData,
-    _checked,
     _extend,
-    _obstruction_cycles,
     _require_valid_repair,
-    _require_vanishing,
     he_from_she,
     modify_homotopy_h,
     modify_homotopy_l,
@@ -166,7 +163,8 @@ def _perturb(she: SheData, p: Perturbation) -> PerturbedShe:
     )
     cap_out = she.index_cap - 1
     m, n, parts = _transfer({XBAR: p.delta, **tower_assignment(she)}, tower_generators(cap_out), she.N)
-    out = _checked(she_from_assignment(m, n, cap_out, parts), "perturbed tower")
+    out = she_from_assignment(m, n, cap_out, parts)
+    _refuse(validate_she(out), "perturbed tower fails its identities: ", InternalConsistencyError)
     return PerturbedShe(n.differential_map(), out, caps)
 
 
@@ -209,8 +207,7 @@ def solve_pp(he: HeData, p: Perturbation, strategy: str = "modify_h") -> PpSolut
     # the extension checks only what it builds, so the repair is checked first
     _require_valid_repair(he, he2)
     # only as_is can be refused: after either repair both classes vanish
-    o_m, o_n = _obstruction_cycles(he2)
-    she = _extend(he2, 1, _require_vanishing(he2, o_m, o_n, "use a homotopy-repair strategy"))
+    she = _extend(he2, 1, "use a homotopy-repair strategy")
     perturbed = _perturb(she, p)
     # the cap-0 tower's identities are exactly those of the output quadruple
     out = perturbed.she

@@ -27,23 +27,24 @@ as f_2i, f_2j+1 and G_2i, L_2j+1 as g_2i, g_2j+1 (this parity layout of
 ``SheData`` is stated here only, in ``_LAYOUT``; other modules go through
 ``tower_assignment``, ``she_from_assignment`` or ``_LAYOUT``).  The
 obstruction cycles are the table's index-2 right-hand sides.
-``extend_to_she`` constructs the tower one index at a time, the same step
-for every index.  When the direct lift fails over Z, it assembles one
-integer system that solves for both lifts together with cycle
-corrections of the previous components; that system's coupling entries
-are read from the same table.
+``extend_to_she`` constructs the tower one index at a time, by the same
+step from index 2 on (``_lift_step``: the right-hand sides of f_n and g_n
+and their direct lifts).  At index 2 it is the obstruction decision, which
+``obstruction_cycles`` runs alone.  From index 3 on, when a direct lift
+fails over Z, one integer system solves for both lifts together with
+cycle corrections of the previous components; that system's coupling
+entries are read from the same table.
 
 Every tower identity is evaluated by ``sdr_bpl._check_components``, which
 ``validate_he`` and ``validate_she`` share with ``validate_sdr`` (a retract
 is the cap-0 tower with L = 0) and ``ipl_pipeline.OperadAction``.
 Constructors check their output, public entry points check their input,
-and the private cores (``_extend``, ``_decide_obstructions``) trust their
-caller, so a pipeline checks each object once and evaluates each
-obstruction cycle once.  Callers hand ``_extend`` an equivalence they have
-checked (``extend_to_she`` its input, ``ipl_pipeline.solve_pp`` its
+and the private core ``_extend`` trusts its caller, so a pipeline checks
+each object once and evaluates each obstruction cycle once.  Callers hand
+``_extend`` an equivalence they have checked (``extend_to_she``, which
+``trivial_extension`` runs, its input; ``ipl_pipeline.solve_pp`` its
 repair, through ``_require_valid_repair``), and ``_extend`` checks only
-the components it builds, index 2 and up; ``trivial_extension`` checks
-its whole output (``_checked``), since it does not check its input first.
+the components it builds, index 2 and up.
 """
 
 from __future__ import annotations
@@ -162,24 +163,10 @@ def she_from_assignment(M: ChainComplex, N: ChainComplex, index_cap: int,
     return SheData(M, N, index_cap, **fields)
 
 
-def _checked(out: SheData, what: str, source: HeData | None = None) -> SheData:
-    """A constructed tower, once its identities hold.  Failure is a
-    consistency error, unless the ``source`` it was built from is invalid."""
-    report = validate_she(out)
-    if report and source is not None:
-        _require_valid(source)
-    _refuse(report, f"{what} fails its identities: ", InternalConsistencyError)
-    return out
-
-
 def _obstruction_cycle(he: HeData, family: str) -> GradedMap:
     """o_M = F H - L F (family "f") or o_N = G L - H G (family "g"): the
     table's right-hand side for that family's index-2 generator."""
     return _tower_rhs(gen(family, 2), tower_assignment(she_from_he(he)), he.M, he.N)
-
-
-def _obstruction_cycles(he: HeData) -> tuple[GradedMap, GradedMap]:
-    return _obstruction_cycle(he, "f"), _obstruction_cycle(he, "g")
 
 
 def validate_he(he: HeData) -> list[str]:
@@ -233,6 +220,19 @@ def _hom_solve(src: ChainComplex, tgt: ChainComplex, k: int, rhs: GradedMap) -> 
     return vec_to_map(src, tgt, k, basis, x)
 
 
+def _lift_step(assign: dict[Generator, GradedMap], n: int, M: ChainComplex, N: ChainComplex):
+    """The right-hand sides of f_n and g_n, read from ``assign``, and their
+    direct lifts, None where one fails over the integers.  At n = 2 these
+    are the obstruction cycles and their witnesses; a lift proves its
+    right-hand side a cycle, so the cycles are checked only when one fails."""
+    tops = (gen("f", n), gen("g", n))
+    rhs = {z: _tower_rhs(z, assign, M, N) for z in tops}
+    lifts = [_hom_solve(*_hom_space(z, M, N), n, rhs[z]) for z in tops]
+    if n == 2 and None in lifts and not all(hom_differential(o).is_zero() for o in rhs.values()):
+        raise InternalConsistencyError("obstruction cycles are not cycles")
+    return rhs, lifts
+
+
 def _require_valid(he: HeData) -> None:
     _refuse(validate_he(he), "invalid homotopy equivalence: ")
 
@@ -251,29 +251,11 @@ def _require_valid_repair(he: HeData, repaired: HeData) -> None:
     _refuse(problems, "repaired homotopy equivalence fails its identities: ", InternalConsistencyError)
 
 
-def _decide_obstructions(he: HeData, o_m: GradedMap, o_n: GradedMap) -> ObstructionPair:
-    """``obstruction_cycles`` on an equivalence already validated, given
-    its two cycles."""
-    if not hom_differential(o_m).is_zero() or not hom_differential(o_n).is_zero():
-        raise InternalConsistencyError("obstruction cycles are not cycles")
-    w_m = _hom_solve(he.M, he.N, 2, o_m)
-    w_n = _hom_solve(he.N, he.M, 2, o_n)
-    return ObstructionPair(o_m, o_n, w_m, w_n)
-
-
-def _require_vanishing(he: HeData, o_m: GradedMap, o_n: GradedMap, advice: str) -> ObstructionPair:
-    """``_decide_obstructions``, refusing (with ``advice``) unless both
-    classes vanish."""
-    pair = _decide_obstructions(he, o_m, o_n)
-    if not (pair.class_m_vanishes and pair.class_n_vanishes):
-        raise ObstructionError(f"extension obstructed: the obstruction classes do not vanish; {advice}")
-    return pair
-
-
 def obstruction_cycles(he: HeData) -> ObstructionPair:
     """Both obstruction cycles and the integral decision for each class."""
     _require_valid(he)
-    return _decide_obstructions(he, *_obstruction_cycles(he))
+    rhs, lifts = _lift_step(tower_assignment(she_from_he(he)), 2, he.M, he.N)
+    return ObstructionPair(*rhs.values(), *lifts)
 
 
 def modify_homotopy_h(he: HeData) -> HeData:
@@ -319,17 +301,14 @@ def modification_witnesses(he: HeData, which: str = "h") -> tuple[HeData, Obstru
 def trivial_extension(he: HeData, index_cap: int = 1) -> SheData | None:
     """Zero-padded tower, available only when every defect vanishes on the
     nose: both obstruction cycles are the zero map and H H = L L = 0.
-    Returns None when the data does not qualify."""
+    Then every right-hand side is zero, and ``extend_to_she`` lifts each
+    by the zero map.  Returns None when the data does not qualify."""
     if index_cap < 0:
         raise ValueError("index_cap must be nonnegative")
     if not (_obstruction_cycle(he, "f").is_zero() and _obstruction_cycle(he, "g").is_zero()
             and compose(he.H, he.H).is_zero() and compose(he.L, he.L).is_zero()):
         return None
-    assign = tower_assignment(she_from_he(he))
-    for z in tower_generators(index_cap)[4:]:
-        assign[z] = GradedMap.zero(*_hom_space(z, he.M, he.N), z.degree)
-    # the padding is sound on valid input, so a failure blames the input first
-    return _checked(she_from_assignment(he.M, he.N, index_cap, assign), "zero-padded tower", he)
+    return extend_to_she(he, index_cap)
 
 
 def _joint_system(assign: dict[Generator, GradedMap], n: int,
@@ -407,15 +386,15 @@ def _recalibrate(assign: dict[Generator, GradedMap], n: int,
 def extend_to_she(he: HeData, index_cap: int) -> SheData:
     """Extend an equivalence to a tower with the stated cap.
 
-    Requires the obstruction classes to vanish when index_cap >= 1
-    (ObstructionError otherwise); with that settled, the base components
-    F, G, H, L are kept as given and every higher component is produced by
-    a canonical integer lift.  At index 2 the lifts are the obstruction
-    witnesses themselves: the right-hand sides of f_2 and g_2 are the
-    obstruction cycles, so their lifts exist exactly when the classes
-    vanish, and no joint step (which would correct the base H and L) is
-    ever needed there.  From index 3 on, when a direct lift of f_n or g_n
-    fails, the index-(n-1) components are corrected by cycles found
+    The base components F, G, H, L are kept as given and every higher
+    component is produced by a canonical integer lift, index by index
+    (``_extend``).  The first step, at index 2, decides the obstruction
+    classes: the right-hand sides of f_2 and g_2 are the obstruction
+    cycles, so their lifts exist exactly when the classes vanish, and
+    ObstructionError is raised when they do not (never at cap 0, which
+    builds no index 2).  No joint step, which would correct the base H and
+    L, is ever taken there.  From index 3 on, when a direct lift of f_n or
+    g_n fails, the index-(n-1) components are corrected by cycles found
     jointly with the lifts (``_recalibrate``).
 
     So a lower cap gives a prefix up to a cycle: the cap-c tower equals the
@@ -426,30 +405,28 @@ def extend_to_she(he: HeData, index_cap: int) -> SheData:
     if index_cap < 0:
         raise ValueError("index_cap must be nonnegative")
     _require_valid(he)
-    if index_cap == 0:
-        return she_from_he(he)
-    advice = "repair the homotopies first (modify_homotopy_h or modify_homotopy_l)"
-    return _extend(he, index_cap, _require_vanishing(he, *_obstruction_cycles(he), advice))
+    return _extend(he, index_cap, "repair the homotopies first (modify_homotopy_h or modify_homotopy_l)")
 
 
-def _extend(he: HeData, index_cap: int, pair: ObstructionPair) -> SheData:
-    """``extend_to_she`` at cap >= 1 on an equivalence its caller has
-    checked, whose obstruction classes ``pair`` decided to vanish.
+def _extend(he: HeData, index_cap: int, advice: str) -> SheData:
+    """``extend_to_she`` on an equivalence its caller has checked: one
+    ``_lift_step`` for each index n from 2 to 2 cap + 1.
 
-    It checks only the components it builds, those of index >= 2 (the
-    f_n-1, g_n-1 a joint step corrects among them): the base components
-    are the checked input, unchanged.  Each right-hand side reads the
-    final assignment, so a correction is seen by every identity above it.
+    A failed lift at n = 2 is the obstruction, refused with the caller's
+    ``advice``; from n = 3 on it goes to ``_recalibrate``.  Only the
+    components it builds are checked, those of index >= 2 (the f_n-1,
+    g_n-1 a joint step corrects among them): the base components are the
+    checked input, unchanged.  Each right-hand side reads the final
+    assignment, so a correction is seen by every identity above it.
     """
     assign = tower_assignment(she_from_he(he))
-    assign[gen("f", 2)], assign[gen("g", 2)] = pair.witness_m, pair.witness_n
-    for n in range(3, 2 * index_cap + 2):
-        tops = (gen("f", n), gen("g", n))
-        rhs = {z: _tower_rhs(z, assign, he.M, he.N) for z in tops}
-        lifts = [_hom_solve(*_hom_space(z, he.M, he.N), n, rhs[z]) for z in tops]
+    for n in range(2, 2 * index_cap + 2):
+        rhs, lifts = _lift_step(assign, n, he.M, he.N)
         if None in lifts:
+            if n == 2:
+                raise ObstructionError(f"extension obstructed: the obstruction classes do not vanish; {advice}")
             lifts = _recalibrate(assign, n, rhs)
-        assign.update(zip(tops, lifts))
+        assign.update(zip(rhs, lifts))
     problems: list[str] = []
     _check_components(problems, assign, he.M, he.N, component_name, _identity_failure,
                       tower_generators(index_cap)[4:])

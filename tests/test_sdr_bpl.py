@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pertlab.chaincore import (
@@ -202,6 +202,10 @@ def test_bpl_transfer_rejects_foreign_perturbation():
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
+# seeds whose perturbation reaches past the first kernel term, so that a
+# kernel series summed wrong fails the check on every run
+@example(5)
+@example(63)
 def test_bpl_transfer_property_over_seeds(seed):
     s, p = sdr_fixture(seed)
     out = bpl_transfer(s, p)

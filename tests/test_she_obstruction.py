@@ -36,6 +36,7 @@ from pertlab.she_obstruction import (
     modify_homotopy_h,
     modify_homotopy_l,
     obstruction_cycles,
+    she_from_assignment,
     she_from_he,
     trivial_extension,
     tower_assignment,
@@ -52,7 +53,7 @@ from pertlab.she_obstruction import (
 from pertlab.exactlin import IntMatrix
 from pertlab.ipl_pipeline import solve_pp
 from pertlab.operad_sym import gen
-from pertlab.sdr_bpl import InternalConsistencyError
+from pertlab.sdr_bpl import InternalConsistencyError, tower_generators
 
 
 def test_he_fixtures_validate():
@@ -155,12 +156,69 @@ def test_trivial_extension_requires_vanishing_on_the_nose():
 
 
 def test_trivial_extension_reports_invalid_input():
-    # zero homotopies leave every defect zero, so the padding goes ahead and
-    # only the output check sees that d H != G F - 1
+    # zero homotopies leave every defect zero, so the data qualifies, and
+    # only the extension's input check sees that d H != G F - 1
     s, _ = sdr_fixture(0)
     he = HeData(s.M, s.N, s.F, s.G, GradedMap.zero(s.M, s.M, 1), GradedMap.zero(s.N, s.N, 1))
     with pytest.raises(ValueError, match="^invalid homotopy equivalence: d H"):
         trivial_extension(he)
+
+
+def ref_trivial_extension(he, index_cap):
+    """The zero padding written out: the base components, then the zero map
+    for every higher generator, once every defect vanishes on the nose."""
+    if not (_obstruction_cycle(he, "f").is_zero() and _obstruction_cycle(he, "g").is_zero()
+            and compose(he.H, he.H).is_zero() and compose(he.L, he.L).is_zero()):
+        return None
+    assign = tower_assignment(she_from_he(he))
+    for z in tower_generators(index_cap)[4:]:
+        assign[z] = GradedMap.zero(*_hom_space(z, he.M, he.N), z.degree)
+    tower = she_from_assignment(he.M, he.N, index_cap, assign)
+    assert validate_she(tower) == []
+    return tower
+
+
+@pytest.mark.parametrize("kind", ["retract", "repaired", "obstructed"])
+def test_trivial_extension_is_the_zero_padding(kind):
+    # the extension lifts every zero right-hand side by the zero map, so on
+    # data that qualifies it builds the padding, and on the rest it is None
+    inputs = {
+        "retract": [he_from_sdr(cone_retract_sdr(seed)) for seed in range(4)],
+        "repaired": [modify_homotopy_h(he_fixture(seed)) for seed in range(12)],
+        "obstructed": [obstructed_he_fixture()],
+    }[kind]
+    answers = []
+    for he in inputs:
+        for cap in range(4):
+            want = ref_trivial_extension(he, cap)
+            assert trivial_extension(he, cap) == want
+            answers.append(want is not None)
+    assert sorted(set(answers)) == {"retract": [True], "repaired": [False, True],
+                                    "obstructed": [False]}[kind]
+
+
+def test_cap_zero_never_decides_the_obstruction_classes():
+    he = obstructed_he_fixture()
+    assert extend_to_she(he, 0) == she_from_he(he)
+
+
+def test_obstruction_cycles_that_are_not_cycles_are_a_consistency_error(monkeypatch):
+    he = he_fixture(0)
+    real = she_obstruction._tower_rhs
+    basis = hom_basis(he.M, he.N, 1)
+    units = (vec_to_map(he.M, he.N, 1, basis, tuple(int(i == c) for i in range(len(basis))))
+             for c in range(len(basis)))
+    not_a_cycle = next(m for m in units if not hom_differential(m).is_zero())
+
+    def rhs(z, assign, M, N):
+        value = real(z, assign, M, N)
+        return value + not_a_cycle if z == gen("f", 2) else value
+
+    monkeypatch.setattr(she_obstruction, "_tower_rhs", rhs)
+    with pytest.raises(InternalConsistencyError, match="^obstruction cycles are not cycles$"):
+        obstruction_cycles(he)
+    with pytest.raises(InternalConsistencyError, match="^obstruction cycles are not cycles$"):
+        extend_to_she(he, 1)
 
 
 def test_she_round_trip_cap_zero():
