@@ -156,13 +156,15 @@ def _tower_rhs(z: Generator, assign: dict[Generator, GradedMap],
 
 
 def _check_components(problems: list[str], assign: dict[Generator, GradedMap],
-                      M: ChainComplex, N: ChainComplex, name, failure, check=None) -> None:
+                      M: ChainComplex, N: ChainComplex, name, failure, check=None, rhs=None) -> None:
     """Report each component of the generators ``check`` (by default every
     assigned one) that runs between the wrong complexes, has the wrong
     degree or lowers the filtration (under ``name(z)``); if none does,
     report each that fails its tower identity (as ``failure(z)``).  The
-    right-hand sides read the whole assignment."""
+    right-hand sides read the whole assignment; ``rhs`` may supply some of
+    them already evaluated on it, and those are not evaluated again."""
     check = tuple(assign) if check is None else check
+    rhs = {} if rhs is None else rhs
     ok = True
     for z in check:
         f = assign[z]
@@ -178,7 +180,7 @@ def _check_components(problems: list[str], assign: dict[Generator, GradedMap],
     if not ok or problems:
         return
     for z in check:
-        if hom_differential(assign[z]) != _tower_rhs(z, assign, M, N):
+        if hom_differential(assign[z]) != (rhs[z] if z in rhs else _tower_rhs(z, assign, M, N)):
             problems.append(failure(z))
 
 

@@ -45,6 +45,12 @@ each object once and evaluates each obstruction cycle once.  Callers hand
 ``trivial_extension`` runs, its input; ``ipl_pipeline.solve_pp`` its
 repair, through ``_require_valid_repair``), and ``_extend`` checks only
 the components it builds, index 2 and up.
+
+A zero right-hand side costs no linear algebra: it lifts to the zero map
+with no system built or solved (``_hom_solve``), which is the canonical
+solution of A x = 0.  And ``_extend`` evaluates each right-hand side
+once: its closing check reuses the right-hand side of every step that
+took no joint correction.
 """
 
 from __future__ import annotations
@@ -212,7 +218,13 @@ def _hom_solve(src: ChainComplex, tgt: ChainComplex, k: int, rhs: GradedMap) -> 
     Unknowns range over the filtered sub-lattice only: an unfiltered
     solution would poison the filtration bound of every component built
     from it, so solvability is decided where the answer has to live.
+
+    A zero ``rhs`` returns the zero map with no matrix built: the
+    canonical solution of A x = 0 is x = 0 (U 0 = 0, y = 0, V 0 = 0),
+    and the zero map keeps the filtration.
     """
+    if rhs.is_zero():
+        return GradedMap.zero(src, tgt, k)
     basis, d = _filtered_differential(src, tgt, k)
     x = solve_integer(d, map_to_vec(rhs, hom_basis(src, tgt, k - 1)))
     if x is None:
@@ -302,7 +314,8 @@ def trivial_extension(he: HeData, index_cap: int = 1) -> SheData | None:
     """Zero-padded tower, available only when every defect vanishes on the
     nose: both obstruction cycles are the zero map and H H = L L = 0.
     Then every right-hand side is zero, and ``extend_to_she`` lifts each
-    by the zero map.  Returns None when the data does not qualify."""
+    by the zero map, with no system built or solved (``_hom_solve``).
+    Returns None when the data does not qualify."""
     if index_cap < 0:
         raise ValueError("index_cap must be nonnegative")
     if not (_obstruction_cycle(he, "f").is_zero() and _obstruction_cycle(he, "g").is_zero()
@@ -418,17 +431,28 @@ def _extend(he: HeData, index_cap: int, advice: str) -> SheData:
     g_n-1 a joint step corrects among them): the base components are the
     checked input, unchanged.  Each right-hand side reads the final
     assignment, so a correction is seen by every identity above it.
+
+    Each right-hand side is evaluated once.  The check reuses the
+    right-hand sides of every step that took no joint correction: the one
+    at index n reads only components of index below n, and a joint step at
+    n corrects only f_n-1 and g_n-1, so each kept value is the value on
+    the final assignment.  The right-hand sides of a step that ran a joint
+    correction were read before it, so they are not kept, and the check
+    evaluates them again on the corrected assignment.
     """
     assign = tower_assignment(she_from_he(he))
+    kept: dict[Generator, GradedMap] = {}
     for n in range(2, 2 * index_cap + 2):
         rhs, lifts = _lift_step(assign, n, he.M, he.N)
         if None in lifts:
             if n == 2:
                 raise ObstructionError(f"extension obstructed: the obstruction classes do not vanish; {advice}")
             lifts = _recalibrate(assign, n, rhs)
+        else:
+            kept.update(rhs)
         assign.update(zip(rhs, lifts))
     problems: list[str] = []
     _check_components(problems, assign, he.M, he.N, component_name, _identity_failure,
-                      tower_generators(index_cap)[4:])
+                      tower_generators(index_cap)[4:], rhs=kept)
     _refuse(problems, "extension fails its identities: ", InternalConsistencyError)
     return she_from_assignment(he.M, he.N, index_cap, assign)

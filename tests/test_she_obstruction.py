@@ -50,7 +50,7 @@ from pertlab.she_obstruction import (
     _recalibrate,
     _tower_rhs,
 )
-from pertlab.exactlin import IntMatrix
+from pertlab.exactlin import IntMatrix, solve_integer
 from pertlab.ipl_pipeline import solve_pp
 from pertlab.operad_sym import gen
 from pertlab.sdr_bpl import InternalConsistencyError, tower_generators
@@ -644,9 +644,9 @@ def _spy_on_identity_checks(monkeypatch):
     checked = []
     real = sdr_bpl._check_components
 
-    def spy(problems, assign, M, N, name, failure, check=None):
+    def spy(problems, assign, M, N, name, failure, check=None, *args, **kwargs):
         checked.extend((z, assign[z]) for z in (assign if check is None else check))
-        return real(problems, assign, M, N, name, failure, check)
+        return real(problems, assign, M, N, name, failure, check, *args, **kwargs)
 
     for module in (sdr_bpl, she_obstruction, ipl_pipeline):
         monkeypatch.setattr(module, "_check_components", spy)
@@ -715,3 +715,55 @@ def test_filtered_differential_keeps_the_filtered_columns():
                     seen.add("empty space" if not full else "all" if kept == full
                              else ("none", "one")[kept] if kept < 2 else "some")
     assert seen == {"empty space", "all", "none", "one", "some"}
+
+
+# --- a zero right-hand side lifts to zero -----------------------------------
+
+
+def ref_hom_solve(src, tgt, k, rhs):
+    """The lift with no shortcut: the filtered differential is built and
+    solved whatever the right-hand side."""
+    basis, d = _filtered_differential(src, tgt, k)
+    x = solve_integer(d, map_to_vec(rhs, hom_basis(src, tgt, k - 1)))
+    return None if x is None else vec_to_map(src, tgt, k, basis, x)
+
+
+def test_a_zero_right_hand_side_lifts_to_the_canonical_lift():
+    for seed in range(41):
+        for x in (sdr_fixture(seed)[0], he_fixture(seed)):
+            for src, tgt in ((x.M, x.N), (x.N, x.M), (x.M, x.M), (x.N, x.N)):
+                for k in range(1, 6):
+                    zero = GradedMap.zero(src, tgt, k - 1)
+                    assert _hom_solve(src, tgt, k, zero) == ref_hom_solve(src, tgt, k, zero)
+
+
+def test_tower_right_hand_sides_lift_as_without_the_shortcut():
+    # the right-hand sides of every component of index 2 and up of the
+    # repaired towers, read on the final tower
+    kinds = set()
+    for seed in range(40):
+        he = modify_homotopy_h(he_fixture(seed))
+        assign = tower_assignment(extend_to_she(he, 3))
+        for z in tower_generators(3)[4:]:
+            src, tgt = _hom_space(z, he.M, he.N)
+            rhs = _tower_rhs(z, assign, he.M, he.N)
+            lift = _hom_solve(src, tgt, z.degree, rhs)
+            assert lift == ref_hom_solve(src, tgt, z.degree, rhs)
+            assert lift is not None and hom_differential(lift) == rhs
+            kinds.add(rhs.is_zero())
+    # the draws hold both kinds
+    assert kinds == {False, True}
+
+
+def test_a_zero_right_hand_side_builds_and_solves_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a zero right-hand side reached the solver")
+
+    monkeypatch.setattr(she_obstruction, "_filtered_differential", refuse)
+    monkeypatch.setattr(she_obstruction, "solve_integer", refuse)
+    he = he_fixture(3)
+    for src, tgt in ((he.M, he.N), (he.N, he.M), (he.M, he.M), (he.N, he.N)):
+        for k in range(1, 6):
+            assert _hom_solve(src, tgt, k, GradedMap.zero(src, tgt, k - 1)) == GradedMap.zero(src, tgt, k)
+    # every right-hand side of a trivial extension is zero
+    assert trivial_extension(he_from_sdr(cone_retract_sdr(3)), 3) is not None
