@@ -23,7 +23,7 @@ passes.
 A tower-lift line covers the right-hand sides of the towers of
 `he_fixture` seeds 0..39, repaired by `modify_homotopy_h` and extended to
 cap 3: those of every component of index 2 and up, read on the final
-tower.  A zero one lifts to the zero map with no system built, and the
+tower (`fixtures._tower_lifts`, which the tests enumerate too).  A zero one lifts to the zero map with no system built, and the
 `tower_extend` workload of `perfbench` meets only zero ones, so this line
 is where the Smith work of a nonzero lift stays timed.  It prints how many
 are zero and nonzero and the total cold `_hom_solve` time of all of them,
@@ -44,10 +44,8 @@ import time
 from pertlab import exactlin
 from pertlab.chaincore import hom_complex, hom_differential
 from pertlab.exactlin import IntMatrix
-from pertlab.fixtures import cone_retract_sdr, he_fixture
-from pertlab.sdr_bpl import _hom_space, _tower_rhs, tower_generators
-from pertlab.she_obstruction import (_filtered_differential, _hom_solve, extend_to_she, modify_homotopy_h,
-                                     tower_assignment)
+from pertlab.fixtures import _tower_lifts, cone_retract_sdr
+from pertlab.she_obstruction import _filtered_differential, _hom_solve
 
 
 def cases() -> list[tuple[str, IntMatrix, float | None]]:
@@ -88,18 +86,6 @@ def build_s(args: list[tuple]) -> float:
     return time.perf_counter() - t0
 
 
-def tower_lifts() -> list[tuple]:
-    """(source, target, degree, right-hand side) of every component of index
-    2 and up of the repaired `he_fixture` towers at cap 3."""
-    out = []
-    for seed in range(40):
-        he = modify_homotopy_h(he_fixture(seed))
-        assign = tower_assignment(extend_to_she(he, 3))
-        for z in tower_generators(3)[4:]:
-            out.append((*_hom_space(z, he.M, he.N), z.degree, _tower_rhs(z, assign, he.M, he.N)))
-    return out
-
-
 def main() -> int:
     print(f"python={platform.python_version()} nproc={os.cpu_count()}")
     print(f"{'case':20s} {'shape':>8s} {'rank':>5s} {'bits':>7s} {'hom_s':>7s} {'solve_s':>8s} {'cokernel_s':>10s}")
@@ -123,7 +109,7 @@ def main() -> int:
     print(f"filtered D_k, k=2,3, c=10..17: {len(mats)} matrices, up to {max(a.rows for a in mats)}"
           f"x{max(a.cols for a in mats)}, {nonzeros} of {cells} entries nonzero, "
           f"build_s total {build:.4f}, cold cokernel_s total {total:.3f}")
-    lifts = tower_lifts()
+    lifts = _tower_lifts()
     t_lift = 0.0
     for src, tgt, k, rhs in lifts:
         x, t = cold(_hom_solve, src, tgt, k, rhs)

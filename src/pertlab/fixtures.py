@@ -29,9 +29,9 @@ from .chaincore import (
     rebase,
 )
 from .exactlin import IntMatrix
-from .sdr_bpl import (InternalConsistencyError, Perturbation, SdrData, _hom_space, _refuse,
+from .sdr_bpl import (InternalConsistencyError, Perturbation, SdrData, _hom_space, _refuse, _tower_rhs,
                       tower_generators, validate_perturbation, validate_sdr)
-from .she_obstruction import HeData, he_from_sdr, validate_he
+from .she_obstruction import HeData, extend_to_she, he_from_sdr, modify_homotopy_h, tower_assignment, validate_he
 
 
 def build_complex(degree_lo, ranks, weights, diffs, max_weight) -> ChainComplex:
@@ -332,6 +332,21 @@ def he_fixture(seed: int) -> HeData:
     L = L + hom_differential(t_n)
 
     return _certified(HeData(*_conjugated(rng, M, N, (F, G, H, L))), validate_he)
+
+
+def _tower_lifts(seeds=range(40), index_cap: int = 3) -> list[tuple]:
+    """(source, target, degree, right-hand side) of every tower component
+    of index 2 and up of ``he_fixture(seed)`` for each seed, repaired by
+    ``modify_homotopy_h`` and extended to ``index_cap``.  Each right-hand
+    side is read on the final tower, so each has a lift; some are zero and
+    some are not."""
+    out = []
+    for seed in seeds:
+        he = modify_homotopy_h(he_fixture(seed))
+        assign = tower_assignment(extend_to_she(he, index_cap))
+        out.extend((*_hom_space(z, he.M, he.N), z.degree, _tower_rhs(z, assign, he.M, he.N))
+                   for z in tower_generators(index_cap)[4:])
+    return out
 
 
 def obstructed_he_fixture() -> HeData:

@@ -16,6 +16,7 @@ from pertlab.chaincore import (
     vec_to_map,
 )
 from pertlab.fixtures import (
+    _tower_lifts,
     cone_retract_sdr,
     he_fixture,
     layered_she_fixture,
@@ -741,16 +742,11 @@ def test_tower_right_hand_sides_lift_as_without_the_shortcut():
     # the right-hand sides of every component of index 2 and up of the
     # repaired towers, read on the final tower
     kinds = set()
-    for seed in range(40):
-        he = modify_homotopy_h(he_fixture(seed))
-        assign = tower_assignment(extend_to_she(he, 3))
-        for z in tower_generators(3)[4:]:
-            src, tgt = _hom_space(z, he.M, he.N)
-            rhs = _tower_rhs(z, assign, he.M, he.N)
-            lift = _hom_solve(src, tgt, z.degree, rhs)
-            assert lift == ref_hom_solve(src, tgt, z.degree, rhs)
-            assert lift is not None and hom_differential(lift) == rhs
-            kinds.add(rhs.is_zero())
+    for src, tgt, k, rhs in _tower_lifts():
+        lift = _hom_solve(src, tgt, k, rhs)
+        assert lift == ref_hom_solve(src, tgt, k, rhs)
+        assert lift is not None and hom_differential(lift) == rhs
+        kinds.add(rhs.is_zero())
     # the draws hold both kinds
     assert kinds == {False, True}
 
