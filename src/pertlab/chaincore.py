@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .exactlin import IntMatrix, _closed
+from .exactlin import IntMatrix, _addmul, _closed, _nonzero_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,17 +204,28 @@ def _same_hom(f: GradedMap, g: GradedMap) -> None:
 
 
 def compose(f: GradedMap, g: GradedMap) -> GradedMap:
-    """f o g, defined when g lands where f starts."""
+    """f o g, defined when g lands where f starts: the blocks' products are
+    accumulated by ``_compose_into``, one entry list per source degree."""
+    _check_composable(f, g)
+    sums: dict[int, list[int]] = {}
+    _compose_into(sums, f, g, 1)
+    return _from_sums(g.source, f.target, f.degree + g.degree, sums)
+
+
+def _check_composable(f: GradedMap, g: GradedMap) -> None:
     if f.source != g.target:
         raise ValueError("composition mismatch: source of the left map differs from target of the right")
-    # degrees where f has no block give zero; from_blocks drops those anyway
+
+
+def _compose_into(sums: dict[int, list[int]], f: GradedMap, g: GradedMap, c: int) -> None:
+    """Add c times f o g into ``sums``, one row-major entry list per source
+    degree, block by block through ``_addmul``; g must land where f starts.
+    A degree where f or g has no block adds nothing."""
     fblocks = dict(f.blocks)
-    blocks: dict[int, IntMatrix] = {}
     for n, gmat in g.blocks:
         fmat = fblocks.get(n + g.degree)
         if fmat is not None:
-            blocks[n] = fmat @ gmat
-    return GradedMap.from_blocks(g.source, f.target, f.degree + g.degree, blocks)
+            _addmul(_entry_list(sums, n, fmat.rows * gmat.cols), fmat, gmat, c)
 
 
 def rebase(f: GradedMap, src: ChainComplex, tgt: ChainComplex) -> GradedMap:
@@ -225,23 +236,23 @@ def rebase(f: GradedMap, src: ChainComplex, tgt: ChainComplex) -> GradedMap:
 def filtration_shift(f: GradedMap) -> int:
     """Largest q with f(stage p) inside stage p+q for all p.
 
-    One pass over the nonzeros of each block: a nonzero at (i, j) of the
-    block at source degree n bounds q by the weight of target basis
-    element i in degree n + deg(f) minus that of source basis element j
-    in degree n.  The zero map reports one more than the filtration
-    length, the neutral element for min.
+    One pass over the nonzeros of each block, read from its cached rows
+    (``_nonzero_rows``): a nonzero at (i, j) of the block at source
+    degree n bounds q by the weight of target basis element i in degree
+    n + deg(f) minus that of source basis element j in degree n.  The
+    zero map reports one more than the filtration length, the neutral
+    element for min.
     """
     best: int | None = None
     src, tgt = f.source, f.target
     for n, mat in f.blocks:
         tw = tgt.weights[n + f.degree - tgt.degree_lo]
         sw = src.weights[n - src.degree_lo]
-        cols = mat.cols
-        for p in compress(range(len(mat.entries)), mat.entries):
-            i, j = divmod(p, cols)
-            s = tw[i] - sw[j]
-            if best is None or s < best:
-                best = s
+        for ti, row in zip(tw, _nonzero_rows(mat)):
+            for j, _ in row:
+                s = ti - sw[j]
+                if best is None or s < best:
+                    best = s
     if best is None:
         return max(src.max_weight, tgt.max_weight) + 1
     return best
@@ -251,35 +262,39 @@ def hom_differential(f: GradedMap) -> GradedMap:
     """D(f) = d o f - (-1)^deg(f) f o d; the package-wide convention.
 
     Composed block by block, with k = deg(f): the block f_n at source
-    degree n contributes d_block(n + k) @ f_n of the target at source
-    degree n, and -(-1)^k f_n @ d_block(n + 1) of the source at source
-    degree n + 1, both added into one entry list per degree.  A d block
-    outside its complex's window or equal to zero contributes nothing.
+    degree n adds d_block(n + k) @ f_n of the target at source degree n,
+    and -(-1)^k f_n @ d_block(n + 1) of the source at source degree n + 1.
+    Both products are accumulated by ``_addmul`` straight into one entry
+    list per degree, with no product matrix built.  A d block outside its
+    complex's window or equal to zero contributes nothing.
     """
     src, tgt, k = f.source, f.target, f.degree
+    sign = 1 if k % 2 else -1
     sums: dict[int, list[int]] = {}
     for n, fn in f.blocks:
-        left = _nonzero_d(tgt, n + k)
-        if left is not None:
-            _add_block(sums, n, left @ fn, 1)
-    sign = 1 if k % 2 else -1
-    for n, fn in f.blocks:
+        d = _nonzero_d(tgt, n + k)
+        if d is not None:
+            _addmul(_entry_list(sums, n, d.rows * fn.cols), d, fn, 1)
         d = _nonzero_d(src, n + 1)
         if d is not None:
-            _add_block(sums, n + 1, fn @ d, sign)
+            _addmul(_entry_list(sums, n + 1, fn.rows * d.cols), fn, d, sign)
     return _from_sums(src, tgt, k - 1, sums)
 
 
 def _nonzero_d(c: ChainComplex, n: int) -> IntMatrix | None:
-    """The matrix of d out of degree n, or None where it is zero."""
+    """The matrix of d out of degree n, or None where it is zero; read
+    from its cached rows, one per matrix row, not from its entries."""
     t = n - c.degree_lo
-    return c.diffs[t - 1] if 1 <= t <= len(c.diffs) and any(c.diffs[t - 1].entries) else None
+    return c.diffs[t - 1] if 1 <= t <= len(c.diffs) and any(_nonzero_rows(c.diffs[t - 1])) else None
 
 
-def _add_block(sums: dict[int, list[int]], n: int, m: IntMatrix, c: int) -> None:
-    """Add c times the entries of ``m`` into the entry list of degree n."""
+def _entry_list(sums: dict[int, list[int]], n: int, size: int) -> list[int]:
+    """The entry list of degree n in ``sums``, a new zero one of this size
+    if there is none yet."""
     acc = sums.get(n)
-    sums[n] = [c * v for v in m.entries] if acc is None else [a + c * v for a, v in zip(acc, m.entries)]
+    if acc is None:
+        acc = sums[n] = [0] * size
+    return acc
 
 
 def _from_sums(source: ChainComplex, target: ChainComplex, degree: int,

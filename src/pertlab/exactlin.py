@@ -4,9 +4,15 @@ Everything here is dense arithmetic over Python's unbounded integers.  No
 floating point is ever introduced; intermediate entries during a Smith
 reduction can exceed any fixed-width type even for small inputs, which is
 why the matrix type and ``solve_integer`` refuse anything not an ``int``.
-Storage is dense, but products are driven by nonzeros: ``a @ b`` walks
-the nonzeros of ``a`` once and reads the nonzeros of each row of ``b``
-once, when first needed, so zeros cost a scan and never an arithmetic step.
+Storage is dense, but products are driven by nonzeros.  Every product of
+matrices goes through one multiply-accumulate kernel, ``_addmul(acc, a, b,
+c)``, which adds c * (a @ b) into a row-major entry list (Gustavson's
+row-wise sparse product): each nonzero a[i][k] adds its multiple of row k of
+b into row i of the result, over that row's nonzeros only.  Its one
+arithmetic step is a multiply-add of two nonzeros.  It reads the nonzeros of
+each row of a matrix from ``_nonzero_rows``, which builds them once, on
+first use, and keeps them on the matrix, so a matrix multiplied many times,
+on either side, is scanned once.
 
 One cached elimination serves every entry point.  Its pivot policy is
 fixed (smallest nonzero absolute value, ties by smallest (row, col)), so
@@ -41,7 +47,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
 from operator import add, itemgetter, neg, sub
@@ -49,11 +55,18 @@ from operator import add, itemgetter, neg, sub
 
 @dataclass(frozen=True, slots=True)
 class IntMatrix:
-    """Immutable dense integer matrix, row-major entries."""
+    """Immutable dense integer matrix, row-major entries.
+
+    ``_nz`` holds the nonzeros of each row once ``_nonzero_rows`` has built
+    them, and None before.  It is derived from ``entries`` and is not part
+    of the value: it is not compared, hashed or shown in the repr.
+    """
 
     rows: int
     cols: int
     entries: tuple[int, ...]
+    _nz: tuple[tuple[tuple[int, int], ...], ...] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_shape(self.rows, self.cols)
@@ -118,20 +131,9 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        m, p = self.cols, other.cols
-        a, b = self.entries, other.entries
-        flat = [0] * (self.rows * p)
-        # the nonzeros (column, value) of each row of other, read on first use
-        b_rows: list[list[tuple[int, int]] | None] = [None] * m
-        for ik in compress(range(len(a)), a):
-            i, k = divmod(ik, m)
-            b_row = b_rows[k]
-            if b_row is None:
-                b_row = b_rows[k] = [(j, v) for j, v in enumerate(b[k * p : (k + 1) * p]) if v]
-            aik, base = a[ik], i * p
-            for j, v in b_row:
-                flat[base + j] += aik * v
-        return _closed(self.rows, p, tuple(flat))
+        flat = [0] * (self.rows * other.cols)
+        _addmul(flat, self, other, 1)
+        return _closed(self.rows, other.cols, tuple(flat))
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -163,7 +165,50 @@ def _closed(rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
     object.__setattr__(m, "rows", rows)
     object.__setattr__(m, "cols", cols)
     object.__setattr__(m, "entries", entries)
+    object.__setattr__(m, "_nz", None)
     return m
+
+
+# The one tuple of each (column, value) pair in a cached row, so that the
+# matrices' caches share their pairs: entries are mostly small, and the
+# pairs would otherwise take most of a cache's memory.  Cleared when full.
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+_PAIRS_MAX = 1 << 14
+
+
+def _nonzero_rows(m: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzeros of each row of m, as (column, value) pairs in column
+    order; a zero row is the empty tuple.  Built on first use and kept on m."""
+    nz = m._nz
+    if nz is None:
+        if len(_PAIRS) > _PAIRS_MAX:
+            _PAIRS.clear()
+        e, c, share = m.entries, m.cols, _PAIRS.setdefault
+        rows: list[tuple[tuple[int, int], ...]] = [()] * m.rows
+        i, row = 0, []
+        for p in compress(range(len(e)), e):
+            if p // c != i:
+                rows[i] = tuple(row)
+                i, row = p // c, []
+            q = (p % c, e[p])
+            row.append(share(q, q))
+        if row:
+            rows[i] = tuple(row)
+        nz = tuple(rows)
+        object.__setattr__(m, "_nz", nz)
+    return nz
+
+
+def _addmul(acc: list[int], a: IntMatrix, b: IntMatrix, c: int) -> None:
+    """acc += c * (a @ b), where acc is the row-major entry list of an
+    a.rows x b.cols matrix and a.cols == b.rows (the caller checks)."""
+    b_rows, p = _nonzero_rows(b), b.cols
+    for i, a_row in enumerate(_nonzero_rows(a)):
+        base = i * p
+        for k, v in a_row:
+            cv = c * v
+            for j, w in b_rows[k]:
+                acc[base + j] += cv * w
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from .chaincore import (
     ChainComplex,
     GradedMap,
-    _add_block,
+    _check_composable,
+    _compose_into,
     _from_sums,
     complex_with_differential,
     compose,
@@ -117,6 +118,13 @@ def evaluate_words(
     word the identity map of its color's complex (B on M, W on N).  Every
     term is added into one entry list per degree.
 
+    Only the factors right of the leftmost are composed into a map; the
+    leftmost factor's blocks times that composite are accumulated into the
+    sums by ``_compose_into``, with the coefficient, so a word of length 2
+    builds no map of its own.  The checks are compose's, in its order:
+    factors are looked up right to left, and a leftmost factor that does
+    not start where the rest lands is a composition mismatch.
+
     None when there are no terms; unassigned generators are an error.
     """
     hom = None
@@ -124,25 +132,37 @@ def evaluate_words(
     for w, c in terms:
         if w.is_identity:
             cx = M if w.id_color == "B" else N
-            here, blocks = (cx, cx, 0), None
+            here = (cx, cx, 0)
         else:
-            img = None
-            for z in reversed(w.factors):
-                if z not in assign:
-                    raise ValueError(f"generator {z.token} is not assigned in this action")
-                img = assign[z] if img is None else compose(assign[z], img)
-            here, blocks = (img.source, img.target, img.degree), img.blocks
+            right = None
+            for z in reversed(w.factors[1:]):
+                right = _image(z, assign) if right is None else compose(_image(z, assign), right)
+            left = _image(w.factors[0], assign)
+            if right is None:
+                here = (left.source, left.target, left.degree)
+            else:
+                _check_composable(left, right)
+                here = (right.source, left.target, left.degree + right.degree)
         hom = hom or here
         if here != hom:
             raise ValueError("maps live in different hom groups")
-        if blocks is None:  # c on the diagonal of every degree
+        if w.is_identity:  # c on the diagonal of every degree
             for n, r in zip(cx.degrees(), cx.ranks):
                 acc = sums.setdefault(n, [0] * (r * r))
                 acc[::r + 1] = [a + c for a in acc[::r + 1]]
+        elif right is None:
+            for n, m in left.blocks:
+                acc = sums.get(n)
+                sums[n] = [c * v for v in m.entries] if acc is None else [a + c * v for a, v in zip(acc, m.entries)]
         else:
-            for n, m in blocks:
-                _add_block(sums, n, m, c)
+            _compose_into(sums, left, right, c)
     return None if hom is None else _from_sums(*hom, sums)
+
+
+def _image(z: Generator, assign: dict[Generator, GradedMap]) -> GradedMap:
+    if z not in assign:
+        raise ValueError(f"generator {z.token} is not assigned in this action")
+    return assign[z]
 
 
 def _tower_rhs(z: Generator, assign: dict[Generator, GradedMap],

@@ -235,6 +235,9 @@ def test_hom_differential_matches_compose_reference(kind, seed, pair, k, shape, 
     got = hom_differential(f)
     assert got == ref_hom_differential(f)
     assert all(type(e) is int for _, mat in got.blocks for e in mat.entries)
+    # again with every block's rows cached, and on fresh copies of the blocks
+    fresh = GradedMap.from_blocks(m, n, k, {d: IntMatrix(a.rows, a.cols, a.entries) for d, a in f.blocks})
+    assert hom_differential(f) == got == hom_differential(fresh)
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pertlab import exactlin
+from pertlab import cli_io, exactlin
 from pertlab.exactlin import (
     AbelianGroupInvariants,
     IntMatrix,
@@ -15,7 +15,8 @@ from pertlab.exactlin import (
     solve_integer,
 )
 from pertlab.fixtures import cone_retract_sdr, he_fixture
-from pertlab.she_obstruction import _filtered_differential
+from pertlab.she_obstruction import (_filtered_differential, extend_to_she, modify_homotopy_h, tower_assignment,
+                                     validate_she)
 
 
 def matrices(max_dim=6, max_entry=9):
@@ -222,6 +223,77 @@ def test_product_equals_the_triple_loop_on_rectangular_shapes(pair):
     product = a @ b
     assert all(type(e) is int for e in product.entries)
     assert product == triple_loop_product(a, b)
+
+
+NONZERO_HUGE = st.integers(1, 2**70) | st.integers(-2**70, -1)
+
+
+@settings(max_examples=300)
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda n: st.tuples(
+        sparse_huge_matrices_of(n[0], n[1]), sparse_huge_matrices_of(n[1], n[2]),
+        st.lists(NONZERO_HUGE, min_size=n[0] * n[2], max_size=n[0] * n[2]),
+        st.sampled_from([-2, -1, 0, 1, 3]))))
+def test_addmul_adds_c_times_the_triple_loop_product(case):
+    # shapes include 0 rows, 0 columns and an empty inner dimension
+    a, b, acc, c = case
+    want = [x + c * y for x, y in zip(acc, triple_loop_product(a, b).entries)]
+    exactlin._addmul(acc, a, b, c)
+    assert acc == want
+    assert all(type(e) is int for e in acc)
+
+
+@settings(max_examples=200)
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda n: st.tuples(sparse_huge_matrices_of(n[0], n[1]), sparse_huge_matrices_of(n[1], n[0]))))
+def test_cached_rows_serve_either_side_of_a_product(pair):
+    # a is the left factor first and then the right one, b the other way
+    # round; every product equals the one of fresh, uncached copies
+    a, b = pair
+
+    def fresh(m):
+        return IntMatrix(m.rows, m.cols, m.entries)
+
+    ab, ba = a @ b, b @ a
+    assert ab == triple_loop_product(fresh(a), fresh(b)) == fresh(a) @ fresh(b)
+    assert ba == triple_loop_product(fresh(b), fresh(a)) == fresh(b) @ fresh(a)
+    assert a @ b == ab and b @ a == ba
+
+
+def test_shared_pairs_are_cleared_when_the_table_is_full(monkeypatch):
+    monkeypatch.setattr(exactlin, "_PAIRS", {})
+    monkeypatch.setattr(exactlin, "_PAIRS_MAX", 3)
+    a = IntMatrix.from_rows([[1, 0, 2], [0, -3, 0]])
+    b = IntMatrix.from_rows([[4, 0], [0, 5], [6, -7]])
+    for m in (a, b, IntMatrix(a.rows, a.cols, a.entries)):
+        exactlin._nonzero_rows(m)
+    # a and b filled the table past 3, so the copy of a found it cleared
+    assert len(exactlin._PAIRS) == 3
+    assert a @ b == triple_loop_product(a, b)
+    assert exactlin._nonzero_rows(a) == (((0, 1), (2, 2)), ((1, -3),))
+
+
+def test_row_cache_is_not_part_of_the_value():
+    m = IntMatrix.from_rows([[0, 2, 0], [-1, 0, 3]])
+    twin = IntMatrix.from_rows([[0, 2, 0], [-1, 0, 3]])
+    before = (repr(m), hash(m), str(m))
+    m @ IntMatrix.identity(3)
+    assert m._nz is not None and twin._nz is None
+    assert m == twin and (repr(m), hash(m), str(m)) == before == (repr(twin), hash(twin), str(twin))
+
+
+def test_row_caches_leave_a_serialized_tower_unchanged():
+    she = extend_to_she(modify_homotopy_h(he_fixture(7)), 2)
+    text = cli_io.serialize_document(she)
+    # a parsed tower holds fresh matrices with no rows cached
+    parsed = cli_io.parse_document(text)
+    mats = [m for f in tower_assignment(parsed).values() for _, m in f.blocks]
+    mats += [*parsed.M.diffs, *parsed.N.diffs]
+    assert all(m._nz is None for m in mats)
+    assert cli_io.serialize_document(parsed) == text
+    assert validate_she(parsed) == []
+    assert any(m._nz is not None for m in mats)
+    assert cli_io.serialize_document(parsed) == text
 
 
 def test_huge_entries_survive():

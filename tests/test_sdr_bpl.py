@@ -444,3 +444,20 @@ def test_evaluate_words_refuses_an_unassigned_generator_as_the_term_by_term_sum(
     with pytest.raises(ValueError, match="is not assigned in this action") as got:
         evaluate_words(terms, assign, M, N)
     assert str(got.value) == str(want.value)
+
+
+def test_evaluate_words_refuses_factors_that_do_not_compose_as_compose_does():
+    # f_0 replaced by a self-map of M: g_0 f_0 no longer composes, in a word
+    # of length 2 at its leftmost factor, and in words of length 3 at the
+    # leftmost factor or inside the rest
+    full = _cap_one_tower(0)
+    f0, g0 = gen("f", 0), gen("g", 0)
+    M, N = full[f0].source, full[f0].target
+    bad = {**full, f0: GradedMap.zero(M, M, 0)}
+    with pytest.raises(ValueError, match="composition mismatch") as want:
+        compose(bad[g0], bad[f0])
+    for w in (word(g0, f0), word(g0, f0, g0), word(f0, g0, f0)):
+        for evaluate in (evaluate_words, evaluate_words_term_by_term):
+            with pytest.raises(ValueError, match="composition mismatch") as got:
+                evaluate(((w, 1),), bad, M, N)
+            assert str(got.value) == str(want.value)
