@@ -351,9 +351,6 @@ class HomComplexSlice:
     coordinates in the full degree k-1 ``hom_basis`` enumeration.
     """
 
-    source: ChainComplex
-    target: ChainComplex
-    hom_degree: int
     basis: tuple[tuple[int, int, int], ...]
     differential_matrix: IntMatrix
 
@@ -399,4 +396,4 @@ def hom_complex(m: ChainComplex, n: ChainComplex, k: int,
             flat[(lo + i * w_lo + j2) * cols + c] = v
         for i2, v in back[i]:
             flat[(hi + i2 * r_tgt + j) * cols + c] = v
-    return HomComplexSlice(m, n, k, basis, _closed(rows, cols, tuple(flat)))
+    return HomComplexSlice(basis, _closed(rows, cols, tuple(flat)))

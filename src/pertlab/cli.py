@@ -5,7 +5,8 @@ Exit codes are part of the interface: 0 success, 1 invalid input,
 failure, 5 internal check failed (an ``InternalConsistencyError`` or any
 other unexpected exception; the traceback goes to stderr and the
 report).  ``--report FILE`` additionally writes a machine-readable JSON
-summary of whatever the command did, on every exit code.
+summary of whatever the command did, on every exit code; when that file
+cannot be written, a command that succeeded exits 1 instead.
 """
 
 from __future__ import annotations
@@ -312,7 +313,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {e}", file=sys.stderr)
     report["exit_code"] = code
     if report_path:
-        Path(report_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        try:
+            Path(report_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        except OSError as e:
+            print(f"error: cannot write report file {report_path}: {e}", file=sys.stderr)
+            if code == EXIT_OK:
+                code = EXIT_INVALID
     return code
 
 

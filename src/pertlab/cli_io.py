@@ -6,7 +6,8 @@ survives any JSON implementation; structural integers (ranks, degrees,
 weights) stay plain.  Parsing is strict: unknown fields, wrong types,
 float literals and version mismatches are all rejected, the first two
 because silent tolerance hides author mistakes, the floats because this
-package has no approximate numbers anywhere.
+package has no approximate numbers anywhere.  A literal number is
+written in ASCII digits, the only digits JSON reads as a number.
 
 Serialization is canonical (sorted keys, fixed indentation), so equal
 objects produce byte-equal documents and golden files diff cleanly.
@@ -37,6 +38,12 @@ def _position(text: str, offset: int) -> str:
     return f"line {line}, column {col}"
 
 
+# a JSON string literal (its closing quote may be missing at the end of the
+# text), or an unquoted run of number characters that starts with a digit
+# or with a minus sign before one
+_LEXEME_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|(-?[0-9][0-9.eE+-]*)', re.S)
+
+
 def _reject_float_literals(text: str) -> None:
     """Find unquoted numeric literals that are not plain integers.
 
@@ -44,35 +51,10 @@ def _reject_float_literals(text: str) -> None:
     parse_float hook sees no position, so this scan owns the error.  It
     runs only on a text that json.loads refused, and before any other
     error is reported, so a float literal is reported first."""
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == '"':
-            i += 1
-            while i < n:
-                if text[i] == "\\":
-                    i += 2
-                    continue
-                if text[i] == '"':
-                    break
-                i += 1
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            i += 1
-            bad = False
-            while i < n and (text[i].isdigit() or text[i] in ".eE+-"):
-                if text[i] in ".eE":
-                    bad = True
-                i += 1
-            if bad:
-                raise DocumentError(
-                    f"non-integer numeric literal {text[start:i]!r} at {_position(text, start)}"
-                )
-            continue
-        i += 1
+    for m in _LEXEME_RE.finditer(text):
+        literal = m.group(1)
+        if literal and any(c in literal for c in ".eE"):
+            raise DocumentError(f"non-integer numeric literal {literal!r} at {_position(text, m.start())}")
 
 
 def _refuse_float(literal: str):

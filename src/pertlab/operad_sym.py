@@ -281,9 +281,6 @@ class OperadElement:
             return OperadElement(self.ambient, ())
         return OperadElement(self.ambient, tuple((w, k * c) for w, c in self.terms))
 
-    def __mul__(self, other: "OperadElement") -> "OperadElement":
-        return multiply(self, other)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -904,15 +901,13 @@ def parse_element(text: str, ambient: str) -> OperadElement:
     acc: dict[Word, int] = {}
     i = 0
     sign = 1
-    first = True
+    # a term runs to the next sign, so every term but the first starts at one
     while i < len(tokens):
         if tokens[i] in ("+", "-"):
             sign = 1 if tokens[i] == "+" else -1
             i += 1
             if i == len(tokens):
                 raise ValueError("empty term")
-        elif not first:
-            raise ValueError(f"expected + or - before term at token {i}")
         coeff = 1
         if tokens[i].isascii() and tokens[i].isdigit():
             coeff = int(tokens[i])
@@ -935,8 +930,6 @@ def parse_element(text: str, ambient: str) -> OperadElement:
         else:
             raise ValueError("empty term")
         acc[w] = acc.get(w, 0) + sign * coeff
-        sign = 1
-        first = False
     return element(ambient, acc)
 
 

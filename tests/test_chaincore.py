@@ -256,6 +256,21 @@ def test_hom_complex_squares_to_zero():
         assert (b.differential_matrix @ a.differential_matrix).is_zero()
 
 
+def test_map_arithmetic_refuses_maps_of_different_degrees():
+    c = two_step()
+    with pytest.raises(ValueError, match="^maps live in different hom groups$"):
+        GradedMap.zero(c, c, 0) + GradedMap.zero(c, c, 1)
+    with pytest.raises(ValueError, match="^maps live in different hom groups$"):
+        GradedMap.zero(c, c, 0) - GradedMap.zero(c, c, 1)
+
+
+def test_vec_to_map_refuses_a_vector_of_the_wrong_length():
+    c = two_step()
+    basis = hom_basis(c, c, 0)
+    with pytest.raises(ValueError, match="^vector length does not match basis size$"):
+        vec_to_map(c, c, 0, basis, (0,) * (len(basis) + 1))
+
+
 def test_complex_with_differential_swaps_d():
     c = two_step()
     z = GradedMap.zero(c, c, -1)

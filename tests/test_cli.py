@@ -232,11 +232,61 @@ def test_float_literals_are_rejected_with_position():
         parse_document('{"format_version": "1", "kind": "complex", "payload": 1e3}')
 
 
+def _float_scan_by_hand(text):
+    """The character loop that ``cli_io._reject_float_literals`` replaced,
+    kept as the reference for its pattern: strings are skipped with their
+    escapes, and a run of digits and ".eE+-" holding ".", "e" or "E" is
+    refused.  It reads a digit as ``str.isdigit`` does, any script's."""
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == '"':
+            i += 1
+            while i < n and text[i] != '"':
+                i += 2 if text[i] == "\\" else 1
+            i += 1
+        elif ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+            start = i
+            i += 1
+            while i < n and (text[i].isdigit() or text[i] in ".eE+-"):
+                i += 1
+            if any(c in text[start:i] for c in ".eE"):
+                raise DocumentError(
+                    f"non-integer numeric literal {text[start:i]!r} at {cli_io._position(text, start)}"
+                )
+        else:
+            i += 1
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet='"\\0123456789.eE+-xaz{}[]:, \n', max_size=40))
+def test_float_scan_pattern_agrees_with_the_character_loop(text):
+    def refusal(scan):
+        try:
+            scan(text)
+        except DocumentError as e:
+            return str(e)
+        return None
+
+    assert refusal(cli_io._reject_float_literals) == refusal(_float_scan_by_hand)
+
+
+def test_non_ascii_digits_are_no_number_to_the_float_scan():
+    # JSON reads only ASCII digits as a number, so an Arabic-Indic three
+    # starts no literal: json.loads' own error is reported, not a float
+    for text, column in (('{"a": \u0663.5}', 7), ('{"a": \u00b2e1}', 7), ('[1, -\u0663.0]', 5)):
+        with pytest.raises(DocumentError) as caught:
+            parse_document(text)
+        assert str(caught.value) == f"Expecting value at line 1, column {column}"
+        with pytest.raises(DocumentError, match="non-integer numeric literal"):
+            _float_scan_by_hand(text)
+
+
 def scan_first_error(text):
     """The error of the earlier JSON stage, which scanned every character
     for float literals before json.loads; None when the stage passes."""
     try:
-        cli_io._reject_float_literals(text)
+        _float_scan_by_hand(text)
         try:
             json.loads(text, object_pairs_hook=cli_io._unique_keys)
         except json.JSONDecodeError as e:
@@ -495,6 +545,18 @@ def test_cli_obstruction_exit_code_signals_verdict(tmp_path, capsys):
     assert "classes vanish: True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scale, code", [(1, 3), (2, 0)])
+def test_cli_torsion_obstruction_exit_codes(tmp_path, capsys, scale, code):
+    # an order-2 class: refused as it is, accepted once L is doubled
+    from tests.test_she_obstruction import torsion_obstructed_he
+
+    path = write_doc(tmp_path, "he.json", torsion_obstructed_he(scale))
+    assert main(["obstruction", "--he", path]) == code
+    assert f"classes vanish: {code == 0}" in capsys.readouterr().out
+    assert main(["extend", "--he", path, "--cap", "1", "-o", str(tmp_path / "t.json")]) == code
+    assert ("extension obstructed" in capsys.readouterr().err) == (code == 3)
+
+
 def test_cli_modify_then_extend(tmp_path, capsys):
     he = obstructed_he_fixture()
     path = write_doc(tmp_path, "he.json", he)
@@ -712,6 +774,34 @@ def test_cli_integer_options_refuse_non_ascii_digits(tmp_path, capsys, args, mes
     assert main([*args, "-o", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_cli_unwritable_report_is_an_error(tmp_path, capsys):
+    report = str(tmp_path / "absent" / "r.json")
+    assert main(["operad", "eval", "--expr", "f0", "--report", report]) == 1
+    out, err = capsys.readouterr()
+    assert out == "f0\n"
+    assert err.startswith(f"error: cannot write report file {report}: ")
+    # a command that had failed keeps its own exit code
+    path = write_doc(tmp_path, "he.json", obstructed_he_fixture())
+    assert main(["obstruction", "--he", path, "--report", report]) == 3
+    assert "cannot write report file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["obstruction", "--he", "{tmp}/absent.json"], "cannot read he file {tmp}/absent.json: "),
+    (["obstruction", "--he", "{tmp}/sdr.json"], "he file {tmp}/sdr.json holds a different document kind"),
+    (["operad", "eval", "--expr", "f0", "--she", "{tmp}/sdr.json"], "matrix evaluation needs both --she and --delta"),
+])
+def test_cli_load_refusals_exit_1_with_a_report(tmp_path, capsys, args, message):
+    write_doc(tmp_path, "sdr.json", sdr_fixture(0)[0])
+    report = tmp_path / "report.json"
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    assert main([*args, "--report", str(report)]) == 1
+    message = message.replace("{tmp}", str(tmp_path))
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    rep = json.loads(report.read_text())
+    assert rep["exit_code"] == 1 and rep["error"].startswith(message)
 
 
 def test_cli_usage_error_exit_code(capsys):

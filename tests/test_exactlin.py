@@ -168,6 +168,25 @@ def test_scale_rejects_non_int_factors(k):
             a.scale(k)
 
 
+def test_shape_mismatches_are_refused():
+    a = IntMatrix.from_rows([[1, 2]])
+    refusals = [
+        (lambda: IntMatrix(2, 2, (1, 2, 3)), "entry count does not match shape"),
+        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+        (lambda: a @ a, "cannot multiply 1x2 by 1x2"),
+        (lambda: a.apply((1,)), "vector length does not match column count"),
+        (lambda: a + IntMatrix.zeros(2, 1), "shape mismatch"),
+        (lambda: a - IntMatrix.zeros(1, 3), "shape mismatch"),
+        (lambda: solve_integer(a, (1, 2)), "right-hand side length does not match row count"),
+        (lambda: homology_at(IntMatrix.zeros(2, 1), IntMatrix.zeros(1, 3)),
+         "middle-degree rank mismatch between d_in and d_out"),
+    ]
+    for refused, message in refusals:
+        with pytest.raises(ValueError) as caught:
+            refused()
+        assert str(caught.value) == message
+
+
 def test_shape_constructors_reject_negative_dimensions():
     with pytest.raises(ValueError, match="negative matrix dimension"):
         IntMatrix.zeros(-1, 2)

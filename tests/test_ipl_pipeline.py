@@ -81,6 +81,14 @@ def test_action_rejects_the_zero_element():
         evaluate(parse_element("0", "dif_riso"), act)
 
 
+def test_action_rejects_terms_in_different_hom_groups():
+    # f0 maps M to N and g0 maps N to M, and here M and N differ
+    he = he_fixture(0)
+    act = action_from_she(extend_to_she(he, 1), weight_raising_perturbation(0, he.M))
+    with pytest.raises(ValueError, match="^maps live in different hom groups$"):
+        evaluate(parse_element("f0 + g0", "dif_riso"), act)
+
+
 def test_action_rejects_unassigned_generators():
     _, _, act = layered_action()
     with pytest.raises(ValueError, match="generator f6 is not assigned"):

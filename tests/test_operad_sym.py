@@ -413,6 +413,16 @@ def test_retraction_terms_reject_plain_generators():
 # --- rendering and parsing ---------------------------------------------------
 
 
+def test_parse_element_refuses_malformed_terms():
+    for text, message in (("f0 1B", "identity token inside a factor word"),
+                          ("1W f1", "identity token inside a factor word"),
+                          ("f0 +", "empty term"), ("f0 g0 -", "empty term"),
+                          ("f0 + 2", "empty term")):
+        with pytest.raises(ValueError) as caught:
+            parse_element(text, "riso")
+        assert str(caught.value) == message
+
+
 def test_render_parse_frozen():
     e = parse_element("- f0 + 3 f0 g0 f0", "riso")
     assert render_element(e) == "- f0 + 3 f0 g0 f0"

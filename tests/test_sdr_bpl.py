@@ -90,6 +90,11 @@ def test_perturbation_validation():
     assert validate_perturbation(flat) == [
         "delta has filtration shift 0, expected >= 1"
     ]
+    other = build_complex(0, (1,), ((0,),), {}, 0)
+    foreign = Perturbation(p.base, GradedMap.zero(other, other, -1))
+    assert validate_perturbation(foreign) == ["delta is not a self-map of the base complex"]
+    misgraded = Perturbation(p.base, GradedMap.zero(p.base, p.base, 0))
+    assert validate_perturbation(misgraded) == ["delta has degree 0, expected -1"]
 
 
 def test_perturbed_complex_carries_new_differential():

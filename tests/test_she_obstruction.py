@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from pertlab.chaincore import (
     vec_to_map,
 )
 from pertlab.fixtures import (
+    build_complex,
     _tower_lifts,
     cone_retract_sdr,
     he_fixture,
@@ -75,6 +77,63 @@ def test_obstructed_fixture_has_nonvanishing_linked_classes():
     assert not pair.cycle_m.is_zero() and not pair.cycle_n.is_zero()
     assert not pair.class_m_vanishes and not pair.class_n_vanishes
     assert pair.witness_m is None and pair.witness_n is None
+
+
+def torsion_obstructed_he(scale: int = 1) -> HeData:
+    """C + C[1] with C = Z --2--> Z, F = G = 1, H = 0 and L the signed shift
+    times ``scale``: the obstruction classes have order 2, so they vanish
+    at scale 2 and not at scale 1, though over Q they vanish at both."""
+    c = build_complex(0, (1, 2, 1), ((0,), (0, 0), (0,)), {1: [[2, 0]], 2: [[0], [2]]}, 0)
+    one = GradedMap.identity(c)
+    ell = GradedMap.from_blocks(c, c, 1, {0: IntMatrix.from_rows([[0], [scale]]),
+                                          1: IntMatrix.from_rows([[-scale, 0]])})
+    return HeData(c, c, one, one, GradedMap.zero(c, c, 1), ell)
+
+
+def _rank_over_q(rows: list[list[int]]) -> int:
+    """Rank over the rationals, by elimination in ``Fraction``s."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_torsion_obstruction_is_refused_over_z():
+    he = torsion_obstructed_he()
+    assert validate_he(he) == []
+    pair = obstruction_cycles(he)
+    assert not pair.class_m_vanishes and not pair.class_n_vanishes
+    with pytest.raises(ObstructionError, match="extension obstructed"):
+        extend_to_she(he, 1)
+
+
+def test_doubled_torsion_obstruction_vanishes():
+    he = torsion_obstructed_he(2)
+    assert validate_he(he) == []
+    pair = obstruction_cycles(he)
+    assert pair.class_m_vanishes and pair.class_n_vanishes
+    assert validate_she(extend_to_she(he, 1)) == []
+
+
+def test_torsion_obstruction_vanishes_over_q():
+    # o_M is a boundary over Q (appending it keeps D's rank) but not over Z
+    he = torsion_obstructed_he()
+    o_m = _obstruction_cycle(he, "f")
+    _, d = _filtered_differential(he.M, he.M, 2)
+    rhs = map_to_vec(o_m, hom_basis(he.M, he.M, 1))
+    assert any(rhs)
+    with_rhs = [[*row, v] for row, v in zip(d.to_rows(), rhs)]
+    assert _rank_over_q(with_rhs) == _rank_over_q(d.to_rows()) > 0
+    assert solve_integer(d, rhs) is None
 
 
 def test_modify_h_kills_both_cycles_on_the_nose():
@@ -290,6 +349,8 @@ def test_validate_she_checks_component_counts():
     bad = SheData(he.M, he.N, 1, (he.F,), (he.G,), (he.H,), (he.L,))
     problems = validate_she(bad)
     assert "F_even has 1 components, expected 2" in problems
+    bad = SheData(he.M, he.N, -1, (), (), (), ())
+    assert validate_she(bad) == ["index_cap must be nonnegative"]
 
 
 def test_obstruction_cycles_on_retract_vanish():
