@@ -15,6 +15,11 @@ complex of graded maps f: M -> N of degree k is
 
     D(f) = d_N o f - (-1)^k f o d_M.
 
+Every matrix in ``hom_basis`` coordinates is placed by one routine,
+``_place_composites``: D's in ``hom_complex``, on the two parts that
+``_d_parts`` states once with their signs, and every block of the joint
+system of ``she_obstruction``.
+
 Consequences used everywhere downstream (and asserted by the test suite):
 a degree-0 chain map satisfies D(f) = 0; a degree-1 homotopy h between
 chain maps p and q satisfies D(h) = p - q written as d h + h d = p - q;
@@ -25,7 +30,7 @@ this one speak only in terms of D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 
 from .exactlin import IntMatrix, _addmul, _closed, _nonzero_rows
 
@@ -85,7 +90,8 @@ class ChainComplex:
         return IntMatrix.zeros(self.rank_at(n - 1), self.rank_at(n))
 
     def differential_map(self) -> "GradedMap":
-        return GradedMap.from_blocks(self, self, -1, {n: self.d_block(n) for n in self.degrees()})
+        return GradedMap(self, self, -1, tuple(
+            (n, d) for n, d in enumerate(self.diffs, self.degree_lo + 1) if any(_nonzero_rows(d))))
 
     def total_rank(self) -> int:
         return sum(self.ranks)
@@ -357,43 +363,57 @@ class HomComplexSlice:
 
 def hom_complex(m: ChainComplex, n: ChainComplex, k: int,
                 basis: tuple[tuple[int, int, int], ...] | None = None) -> HomComplexSlice:
-    """D on Hom_k(m, n) as d_n o f - (-1)^k f o d_m, one column per basis map.
-
-    ``basis`` is a sub-enumeration of ``hom_basis(m, n, k)``, such as the
-    maps that keep a filtration; None means all of it.  The rows are always
-    the full degree-(k-1) enumeration, and only the given columns are built.
-
-    The basis map (deg, i, j) sends source basis element i of degree deg
-    to target basis element j of degree deg + k.  Its image under D has two
-    parts in disjoint rows: column j of ``n.d_block(deg + k)`` at the
-    degree-(k-1) basis maps (deg, i, .), and row i of ``m.d_block(deg + 1)``
-    times -(-1)^k at the basis maps (deg + 1, ., j).  Row positions follow
-    from the lexicographic ``hom_basis`` enumeration by arithmetic.
-    """
+    """D on Hom_k(m, n), one column per map in ``basis``, a sub-enumeration
+    of ``hom_basis(m, n, k)`` such as the maps that keep a filtration (None:
+    all of it); the rows are the full degree-(k-1) enumeration."""
     if basis is None:
         basis = hom_basis(m, n, k)
-    offset: dict[int, int] = {}
-    rows = 0
-    for deg in m.degrees():
-        offset[deg] = rows
-        rows += m.rank_at(deg) * n.rank_at(deg + k - 1)
-    sign = 1 if k % 2 else -1
-    cols = len(basis)
+    rows, cols = len(hom_basis(m, n, k - 1)), len(basis)
     flat = [0] * (rows * cols)
-    at = None
-    for c, (deg, i, j) in enumerate(basis):
-        if deg != at:
-            # this degree's row offsets, and the nonzeros of d_n by column and of d_m by row
-            at, dn, dm = deg, n.d_block(deg + k), m.d_block(deg + 1)
-            lo, w_lo, hi, r_tgt = offset[deg], dn.rows, offset.get(deg + 1, 0), dn.cols
-            down: list[list[tuple[int, int]]] = [[] for _ in range(dn.cols)]
-            for p in compress(range(len(dn.entries)), dn.entries):
-                down[p % dn.cols].append((p // dn.cols, dn.entries[p]))
-            back: list[list[tuple[int, int]]] = [[] for _ in range(dm.rows)]
-            for p in compress(range(len(dm.entries)), dm.entries):
-                back[p // dm.cols].append((p % dm.cols, sign * dm.entries[p]))
-        for j2, v in down[j]:
-            flat[(lo + i * w_lo + j2) * cols + c] = v
-        for i2, v in back[i]:
-            flat[(hi + i2 * r_tgt + j) * cols + c] = v
+    _place_composites(flat, cols, 0, 0, m, n, k, basis, *_d_parts(m, n, k))
     return HomComplexSlice(basis, _closed(rows, cols, tuple(flat)))
+
+
+def _d_parts(m: ChainComplex, n: ChainComplex, k: int):
+    """D on Hom_k(m, n) as the parts of ``_place_composites``: d_n o e with
+    coefficient 1 and e o d_m with -(-1)^k."""
+    return ((1, n.differential_map()),), ((1 if k % 2 else -1, m.differential_map()),)
+
+
+def _place_composites(flat: list[int], width: int, r0: int, c0: int, src: ChainComplex, tgt: ChainComplex,
+                      k: int, basis: tuple[tuple[int, int, int], ...], left: tuple = (), right: tuple = ()) -> None:
+    """Add to ``flat`` (row-major, ``width`` columns), at row r0 and column
+    c0, the matrix of e -> sum c (a o e) + sum c (e o b), (c, a) in ``left``
+    and (c, b) in ``right``, on the degree-k maps src -> tgt in ``basis``,
+    in the ``hom_basis`` rows of the maps they land in.  For e = (deg, i, j),
+    a o e is column j of a's block at deg + k in the rows (deg, i, .), and
+    e o b is row i of b's block into deg in the rows (deg - deg(b), ., j)."""
+    first = (left or right)[0][1]
+    rs, rt = (src, first.target) if left else (first.source, tgt)
+    sizes = [rs.rank_at(deg) * rt.rank_at(deg + k + first.degree) for deg in rs.degrees()]
+    lo = dict(zip(rs.degrees(), accumulate(sizes, initial=r0)))
+    lefts = [(c, dict(a.blocks)) for c, a in left]
+    rights = [(c, b.degree, dict(b.blocks)) for c, b in right]
+    at = None
+    for col, (deg, i, j) in enumerate(basis, c0):
+        if deg != at:
+            # this degree's factor nonzeros, a's by column and b's by row
+            at, downs, acrosses = deg, [], []
+            for c, blocks in lefts:
+                if (a := blocks.get(deg + k)) is not None:
+                    down: list[list[tuple[int, int]]] = [[] for _ in range(a.cols)]
+                    for x, row in enumerate(_nonzero_rows(a)):
+                        for y, v in row:
+                            down[y].append((x, c * v))
+                    downs.append((lo[deg], a.rows, down))
+            for c, db, blocks in rights:
+                if (b := blocks.get(deg - db)) is not None:
+                    across = [[(y, c * v) for y, v in row] for row in _nonzero_rows(b)]
+                    acrosses.append((lo[deg - db], tgt.rank_at(deg + k), across))
+        for start, stride, down in downs:
+            base = start + i * stride
+            for x, v in down[j]:
+                flat[(base + x) * width + col] += v
+        for start, stride, across in acrosses:
+            for y, v in across[i]:
+                flat[(start + y * stride + j) * width + col] += v

@@ -96,7 +96,7 @@ _VALIDATORS = {
 
 
 def _cmd_validate(args, report: dict) -> int:
-    obj = parse_document(Path(args.file).read_text(encoding="utf-8"))
+    obj = _load(args.file, object, "document")
     # maps and operad elements have no validator: parsing checked them
     problems = _VALIDATORS[type(obj)](obj) if type(obj) in _VALIDATORS else []
     report["kind"] = type(obj).__name__

@@ -912,23 +912,16 @@ def parse_element(text: str, ambient: str) -> OperadElement:
         if tokens[i].isascii() and tokens[i].isdigit():
             coeff = int(tokens[i])
             i += 1
-        factors: list[Generator] = []
-        identity: Word | None = None
+        got: list[Generator | Word] = []
         while i < len(tokens) and tokens[i] not in ("+", "-"):
-            got = _parse_token(tokens[i])
-            if isinstance(got, Word):
-                identity = got
-            else:
-                factors.append(got)
+            got.append(_parse_token(tokens[i]))
             i += 1
-        if identity is not None:
-            if factors:
-                raise ValueError("identity token inside a factor word")
-            w = identity
-        elif factors:
-            w = Word(tuple(factors))
-        else:
+        if not got:
             raise ValueError("empty term")
+        # an identity token stands alone in its term
+        if len(got) > 1 and any(isinstance(t, Word) for t in got):
+            raise ValueError("identity token inside a factor word")
+        w = got[0] if isinstance(got[0], Word) else Word(tuple(got))
         acc[w] = acc.get(w, 0) + sign * coeff
     return element(ambient, acc)
 

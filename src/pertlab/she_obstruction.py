@@ -32,8 +32,9 @@ step from index 2 on (``_lift_step``: the right-hand sides of f_n and g_n
 and their direct lifts).  At index 2 it is the obstruction decision, which
 ``obstruction_cycles`` runs alone.  From index 3 on, when a direct lift
 fails over Z, one integer system solves for both lifts together with
-cycle corrections of the previous components; that system's coupling
-entries are read from the same table.
+cycle corrections of the previous components.  Its blocks, D and the
+couplings read from the same table, and D on the filtered maps of a
+direct lift are all placed by one routine, ``chaincore._place_composites``.
 
 Every tower identity is evaluated by ``sdr_bpl._check_components``, which
 ``validate_he`` and ``validate_she`` share with ``validate_sdr`` (a retract
@@ -45,22 +46,18 @@ each object once and evaluates each obstruction cycle once.  Callers hand
 ``trivial_extension`` runs, its input; ``ipl_pipeline.solve_pp`` its
 repair, through ``_require_valid_repair``), and ``_extend`` checks only
 the components it builds, index 2 and up.
-
-A zero right-hand side costs no linear algebra: it lifts to the zero map
-with no system built or solved (``_hom_solve``), which is the canonical
-solution of A x = 0.  And ``_extend`` evaluates each right-hand side
-once: its closing check reuses the right-hand side of every step that
-took no joint correction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 
 from .chaincore import (
     ChainComplex,
     GradedMap,
+    _d_parts,
+    _place_composites,
     compose,
     hom_basis,
     hom_complex,
@@ -202,13 +199,16 @@ def _identity_failure(z: Generator) -> str:
     return f"tower identity fails for {component_name(z)}"
 
 
+def _filtered_basis(src: ChainComplex, tgt: ChainComplex, k: int) -> tuple[tuple[int, int, int], ...]:
+    """The degree-k basis maps src -> tgt that keep the filtration, in ``hom_basis`` order."""
+    return tuple((deg, i, j) for deg, i, j in hom_basis(src, tgt, k)
+                 if tgt.weights[deg + k - tgt.degree_lo][j] >= src.weights[deg - src.degree_lo][i])
+
+
 def _filtered_differential(src: ChainComplex, tgt: ChainComplex, k: int):
-    """D restricted to the degree-k maps that do not lower the filtration:
-    their basis (a sub-enumeration of ``hom_basis``) and D's matrix from it
-    into the full degree-(k-1) enumeration, built on those columns alone."""
-    basis = tuple((deg, i, j) for deg, i, j in hom_basis(src, tgt, k)
-                  if tgt.weights[deg + k - tgt.degree_lo][j] >= src.weights[deg - src.degree_lo][i])
-    sl = hom_complex(src, tgt, k, basis)
+    """D on the degree-k maps that keep the filtration (``_filtered_basis``):
+    their basis, and D's matrix built on those columns alone."""
+    sl = hom_complex(src, tgt, k, _filtered_basis(src, tgt, k))
     return sl.basis, sl.differential_matrix
 
 
@@ -329,52 +329,31 @@ def _joint_system(assign: dict[Generator, GradedMap], n: int,
     """The joint lift at index n as one integer system (matrix, right-hand
     side, column blocks), read from the generator differential table.
 
-    Unknowns, in this order: the lifts of f_n and g_n, which must satisfy
-    D(x) = rhs, and corrections c of f_n-1 and g_n-1, which must be cycles;
-    a column block is (source, target, hom degree, filtered basis), and the
-    diagonal blocks are ``_filtered_differential``.  Adding c to the
-    index-(n-1) factor of a term (a b, k) of d z changes the required
-    D(x_z) by k a c or k c b, the other factor having index 0; moved to the
-    left, that is -k times the nonzeros of that factor's blocks, in the
-    rows of z's ``hom_basis(..., n - 1)`` enumeration.
+    Unknowns, in this order: the lifts of f_n and g_n, with D(x) = rhs, and
+    corrections c of f_n-1 and g_n-1, which must be cycles; a column block
+    is (source, target, hom degree, filtered basis).  Diagonal blocks are D.
+    Adding c to the index-(n-1) factor of a term (a b, k) of d z adds
+    k a o c or k c o b to D(x_z), so c's block in z's rows is minus that.
     """
-    f0 = assign[gen("f", 0)]
-    M, N = f0.source, f0.target
+    M, N = assign[gen("f", 0)].source, assign[gen("f", 0)].target
     tops, lows = (gen("f", n), gen("g", n)), (gen("f", n - 1), gen("g", n - 1))
-    columns, diagonal = [], []
-    for z in tops + lows:
-        src, tgt = _hom_space(z, M, N)
-        basis, d = _filtered_differential(src, tgt, z.degree)
-        columns.append((src, tgt, z.degree, basis))
-        diagonal.append(d)
-    col0 = list(accumulate([len(basis) for *_, basis in columns], initial=0))
-    rows: list[list[int]] = []
-    for t, d in enumerate(diagonal):
-        for r in range(d.rows):
-            rows.append([0] * col0[-1])
-            rows[-1][col0[t]:col0[t + 1]] = d.row(r)
-    b: list[int] = []
-    for z in tops:
-        hom = hom_basis(*_hom_space(z, M, N), n - 1)
-        at = {e: len(b) + r for r, e in enumerate(hom)}
-        b += map_to_vec(rhs[z], hom)
+    columns = [(src, tgt, z.degree, _filtered_basis(src, tgt, z.degree))
+               for z in tops + lows for src, tgt in [_hom_space(z, M, N)]]
+    col0 = list(accumulate((len(basis) for *_, basis in columns), initial=0))
+    row0 = list(accumulate((len(hom_basis(src, tgt, k - 1)) for src, tgt, k, _ in columns), initial=0))
+    width = col0[-1]
+    flat = [0] * (row0[-1] * width)
+    for u, block in enumerate(columns):
+        _place_composites(flat, width, row0[u], col0[u], *block, *_d_parts(*block[:3]))
+    for t, z in enumerate(tops):
         for w, k in generator_diff(z):
             for pos, y in enumerate(w.factors):
-                if y not in lows:
-                    continue
-                u = 2 + lows.index(y)
-                blocks = dict(assign[w.factors[1 - pos]].blocks)
-                for c, (deg, i, j) in enumerate(columns[u][3], col0[u]):
-                    # a c takes column j of a's block to (deg, i, .), c b
-                    # takes row i of b's block to (deg, ., j)
-                    a = blocks.get(deg + n - 1 if pos else deg)
-                    if a is None:
-                        continue
-                    for x, v in enumerate(a.entries[j::a.cols] if pos else a.row(i)):
-                        if v:
-                            rows[at[(deg, i, x) if pos else (deg, x, j)]][c] -= k * v
-    b += [0] * (len(rows) - len(b))
-    return _closed(len(rows), col0[-1], tuple(chain.from_iterable(rows))), tuple(b), columns
+                if y in lows:
+                    part, u = ((-k, assign[w.factors[1 - pos]]),), 2 + lows.index(y)
+                    _place_composites(flat, width, row0[t], col0[u], *columns[u],
+                                      *((part, ()) if pos else ((), part)))
+    b = [v for z in tops for v in map_to_vec(rhs[z], hom_basis(*_hom_space(z, M, N), n - 1))]
+    return _closed(row0[-1], width, tuple(flat)), tuple(b) + (0,) * (row0[-1] - len(b)), columns
 
 
 def _recalibrate(assign: dict[Generator, GradedMap], n: int,

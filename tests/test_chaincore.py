@@ -96,6 +96,10 @@ def test_differential_is_chain_map_of_its_complex():
     d = c.differential_map()
     assert d.degree == -1
     assert hom_differential(d).is_zero()
+    # the block map of d, with its zero block out of degree 2 dropped
+    assert d == GradedMap.from_blocks(c, c, -1, {n: c.d_block(n) for n in c.degrees()})
+    assert [n for n, _ in d.blocks] == [1]
+    assert zero_complex().differential_map().is_zero()
 
 
 @settings(max_examples=120)

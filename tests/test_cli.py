@@ -510,7 +510,12 @@ def test_cli_rejects_malformed_document(tmp_path, capsys):
 
 
 def test_cli_missing_file(tmp_path, capsys):
-    assert main(["validate", str(tmp_path / "absent.json")]) == 1
+    path, report = str(tmp_path / "absent.json"), tmp_path / "report.json"
+    assert main(["validate", path, "--report", str(report)]) == 1
+    message = f"cannot read document file {path}: "
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    rep = json.loads(report.read_text())
+    assert rep["exit_code"] == 1 and rep["error"].startswith(message)
 
 
 def test_cli_bpl_end_to_end(tmp_path, capsys):
@@ -682,6 +687,12 @@ def test_cli_operad_eval_refuses_non_ascii_coefficients(capsys, expr, token):
            "payload": {"ambient": "riso", "element": expr}}
     with pytest.raises(DocumentError, match=f"payload.element: unrecognized token '{token}'"):
         parse_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("expr", ["1B 1W", "1B 1B 1B", "f0 1B", "1W f1"])
+def test_cli_operad_eval_refuses_an_identity_beside_another_token(capsys, expr):
+    assert main(["operad", "eval", "--expr", expr]) == 1
+    assert capsys.readouterr() == ("", "error: identity token inside a factor word\n")
 
 
 def test_cli_operad_eval_matrix(tmp_path, capsys):

@@ -416,6 +416,10 @@ def test_retraction_terms_reject_plain_generators():
 def test_parse_element_refuses_malformed_terms():
     for text, message in (("f0 1B", "identity token inside a factor word"),
                           ("1W f1", "identity token inside a factor word"),
+                          # an identity token stands alone: none is dropped beside another
+                          ("1B 1W", "identity token inside a factor word"),
+                          ("1B 1B 1B", "identity token inside a factor word"),
+                          ("f0 + 2 1W 1W", "identity token inside a factor word"),
                           ("f0 +", "empty term"), ("f0 g0 -", "empty term"),
                           ("f0 + 2", "empty term")):
         with pytest.raises(ValueError) as caught:

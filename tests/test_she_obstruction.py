@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from pertlab import ipl_pipeline, sdr_bpl, she_obstruction
 from pertlab.chaincore import (
     GradedMap,
+    _place_composites,
     compose,
     filtration_shift,
     hom_basis,
@@ -18,6 +20,10 @@ from pertlab.chaincore import (
 )
 from pertlab.fixtures import (
     build_complex,
+    _coned_sdr,
+    _conjugated,
+    _random_core,
+    _random_filtered_map,
     _tower_lifts,
     cone_retract_sdr,
     he_fixture,
@@ -391,6 +397,61 @@ def _right(u, n, k, basis_in, basis_out):
     return _composite_matrix(lambda f: compose(f, u), u.target, n, k, basis_in, basis_out)
 
 
+# Factors for the placement routine, by name: self-maps of M or N of a
+# given degree (which can stand on either side, together), and F, G.
+def _factors(x):
+    M, N = x.M, x.N
+    L = x.L if isinstance(x, HeData) else GradedMap.zero(N, N, 1)
+    return {"dM": M.differential_map(), "dN": N.differential_map(), "H": x.H, "L": L,
+            "GF": compose(x.G, x.F), "FG": compose(x.F, x.G), "F": x.F, "G": x.G}
+
+
+# (source, target, left factors, right factors) of e |-> sum c a e + sum c e b
+_PLACEMENTS = [
+    ("M", "N", ["dN"], ["dM"]), ("M", "N", ["L"], ["H"]), ("N", "M", ["GF"], ["FG"]),
+    ("M", "M", ["dM", "dM"], ["dM"]), ("N", "N", ["L"], ["L", "L"]),
+    ("M", "M", ["F"], []), ("N", "N", ["G"], []), ("M", "M", [], ["G"]), ("N", "M", [], ["F"]),
+    ("N", "M", [], ["FG", "FG"]), ("M", "N", ["FG"], []),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["sdr", "he"]), st.integers(0, 40), st.integers(-1, 3), st.sampled_from(_PLACEMENTS),
+       st.booleans(), st.data())
+def test_place_composites_matches_the_compose_reference(kind, seed, k, placement, filtered, data):
+    x = sdr_fixture(seed)[0] if kind == "sdr" else he_fixture(seed)
+    names, parts = _factors(x), {"M": x.M, "N": x.N}
+    src, tgt = parts[placement[0]], parts[placement[1]]
+    coef = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    left = tuple((data.draw(coef), names[a]) for a in placement[2])
+    right = tuple((data.draw(coef), names[b]) for b in placement[3])
+    basis = _filtered_hom(src, tgt, k)[0] if filtered else hom_basis(src, tgt, k)
+    row_src = src if left else right[0][1].source
+    row_tgt, row_k = (left[0][1].target, k + left[0][1].degree) if left else (tgt, k + right[0][1].degree)
+    rows = hom_basis(row_src, row_tgt, row_k)
+
+    def apply(e):
+        out = GradedMap.zero(row_src, row_tgt, row_k)
+        for c, a in left:
+            out = out + compose(a, e).scale(c)
+        for c, b in right:
+            out = out + compose(e, b).scale(c)
+        return out
+
+    want = _composite_matrix(apply, src, tgt, k, basis, rows)
+    # placed at an offset into a larger matrix that already holds entries
+    r0, c0 = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    width, height = c0 + want.cols + 2, r0 + want.rows + 1
+    before = [(p * 7) % 5 - 2 for p in range(width * height)]
+    flat = list(before)
+    _place_composites(flat, width, r0, c0, src, tgt, k, basis, left, right)
+    added = [a - b for a, b in zip(flat, before)]
+    assert all(type(v) is int for v in flat)
+    inside = {(r0 + r) * width + c0 + c for r in range(want.rows) for c in range(want.cols)}
+    assert all(added[p] == 0 for p in range(len(flat)) if p not in inside)
+    assert tuple(added[(r0 + r) * width + c0 + c] for r in range(want.rows) for c in range(want.cols)) == want.entries
+
+
 def _assembled(columns, equations):
     """The stacked system of block equations (row count, {column block:
     matrix}, rhs), as (matrix, right-hand side, column blocks)."""
@@ -494,6 +555,42 @@ def test_joint_system_matches_the_hand_written_blocks():
             assert _joint_system(assign, n, rhs) == old
             cases += 1
     assert cases == 192
+
+
+def _deep_he(seed):
+    """The deep-tower recipe: ``he_fixture`` at core rank 24 over 12 degrees,
+    8 cone pairs per side and max weight 4, repaired by ``modify_homotopy_h``."""
+    rng = random.Random(seed)
+    core = _random_core(rng, 24, 12, 4)
+    m_side, n_side = (_coned_sdr(core, random.Random(seed * 31 + side), 8, 4) for side in (11, 12))
+    M, N = m_side.M, n_side.M
+    F, G = compose(n_side.G, m_side.F), compose(m_side.G, n_side.F)
+    for _ in range(8):
+        t_m, t_n = _random_filtered_map(rng, M, M, 2, 0), _random_filtered_map(rng, N, N, 2, 0)
+        if not (compose(F, hom_differential(t_m)) - compose(hom_differential(t_n), F)).is_zero():
+            break
+    he = HeData(*_conjugated(rng, M, N, (F, G, m_side.H + hom_differential(t_m), n_side.H + hom_differential(t_n))))
+    assert validate_he(he) == []
+    return modify_homotopy_h(he)
+
+
+@pytest.mark.slow
+def test_joint_system_matches_the_hand_written_blocks_on_deep_towers(monkeypatch):
+    fired = _spy_on_joint_steps(monkeypatch)
+    largest = 0
+    for seed in (0, 1):
+        he = _deep_he(seed)
+        full = tower_assignment(extend_to_she(he, 5))
+        for n in range(2, 12):
+            assign = {z: f for z, f in full.items() if z.index < n}
+            rhs = {z: _tower_rhs(z, assign, he.M, he.N) for z in (gen("f", n), gen("g", n))}
+            f, g = rhs[gen("f", n)], rhs[gen("g", n)]
+            old = _old_even_system(he, n // 2, f, g) if n % 2 == 0 else _old_odd_system(he, n // 2, f, g)
+            got = _joint_system(assign, n, rhs)
+            assert got == old
+            largest = max(largest, got[0].rows)
+    # the joint step fired on these towers, and their systems have hundreds of rows
+    assert fired and largest >= 300
 
 
 def _spy_on_joint_steps(monkeypatch):
