@@ -11,9 +11,13 @@ is an explicit statement that the new output is the intended one.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import pathlib
+import tempfile
 
-from pertlab.cli_io import serialize_bundle
+from pertlab.cli import main as cli_main
+from pertlab.cli_io import serialize_bundle, serialize_document
 from pertlab.fixtures import fixture_generate
 from pertlab.operad_sym import (
     TruncationCaps,
@@ -25,6 +29,45 @@ from pertlab.operad_sym import (
 )
 
 GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "tests" / "goldens"
+
+# the command-line goldens run on fixture seed 55: both of its perturbations
+# are nonzero, the cap-2 tower of its repaired he has G_2 nonzero, and the
+# three pp strategies write three different documents
+CLI_SEED = 55
+# (golden under cli/, argv): a .json argument names, in the work directory,
+# a document of fixture_generate(CLI_SEED) or the golden of an earlier run;
+# every run but obstruction's writes a document, and with -o writes it to a file
+CLI_RUNS = (
+    ("bpl.json", ["bpl", "--sdr", "sdr.json", "--delta", "perturbation.json"]),
+    ("modify_h.json", ["modify", "--he", "he.json", "--which", "h"]),
+    ("extend_cap2.json", ["extend", "--he", "modify_h.json", "--cap", "2"]),
+    ("ipl.json", ["ipl", "--she", "extend_cap2.json", "--delta", "he_perturbation.json"]),
+    *((f"pp_{s}.json", ["pp", "--he", "he.json", "--delta", "he_perturbation.json", "--strategy", s])
+      for s in ("modify-h", "modify-l", "as-is")),
+    ("obstruction.txt", ["obstruction", "--he", "he.json"]),
+)
+
+
+def cli_argv(argv: list[str], work: pathlib.Path) -> list[str]:
+    return [str(work / a) if a.endswith(".json") else a for a in argv]
+
+
+def cli_outputs() -> dict[str, str]:
+    """What each of CLI_RUNS prints on stdout, keyed by its golden's name."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp)
+        for name, obj in fixture_generate(CLI_SEED).items():
+            (work / f"{name}.json").write_text(serialize_document(obj))
+        for name, argv in CLI_RUNS:
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                code = cli_main(cli_argv(argv, work))
+            if code != 0:
+                raise SystemExit(f"{' '.join(argv)}: exit code {code}")
+            out[f"cli/{name}"] = printed.getvalue()
+            (work / name).write_text(out[f"cli/{name}"])
+    return out
 
 
 def diff_lines_plain() -> str:
@@ -53,13 +96,14 @@ def retraction_lines() -> str:
 
 
 def main() -> None:
-    GOLDENS.mkdir(parents=True, exist_ok=True)
+    (GOLDENS / "cli").mkdir(parents=True, exist_ok=True)
     targets = {
         "diff_riso.txt": diff_lines_plain(),
         "diff_riso_tilde.txt": diff_lines_extended(),
         "kernels.txt": kernel_lines(),
         "retraction.txt": retraction_lines(),
         "fixture_seed0.json": serialize_bundle(fixture_generate(0)),
+        **cli_outputs(),
     }
     for name, text in targets.items():
         path = GOLDENS / name

@@ -15,10 +15,11 @@ complex of graded maps f: M -> N of degree k is
 
     D(f) = d_N o f - (-1)^k f o d_M.
 
-Every matrix in ``hom_basis`` coordinates is placed by one routine,
-``_place_composites``: D's in ``hom_complex``, on the two parts that
-``_d_parts`` states once with their signs, and every block of the joint
-system of ``she_obstruction``.
+D's two parts and their signs are stated once, in ``_d_parts``, and read
+there by ``hom_differential`` (on maps), ``hom_complex`` (as a matrix) and
+``she_obstruction._joint_system``.  Every matrix in ``hom_basis``
+coordinates is placed by one routine, ``_place_composites``, and every
+product of graded maps accumulates through ``_compose_into``.
 
 Consequences used everywhere downstream (and asserted by the test suite):
 a degree-0 chain map satisfies D(f) = 0; a degree-1 homotopy h between
@@ -265,33 +266,17 @@ def filtration_shift(f: GradedMap) -> int:
 
 
 def hom_differential(f: GradedMap) -> GradedMap:
-    """D(f) = d o f - (-1)^deg(f) f o d; the package-wide convention.
-
-    Composed block by block, with k = deg(f): the block f_n at source
-    degree n adds d_block(n + k) @ f_n of the target at source degree n,
-    and -(-1)^k f_n @ d_block(n + 1) of the source at source degree n + 1.
-    Both products are accumulated by ``_addmul`` straight into one entry
-    list per degree, with no product matrix built.  A d block outside its
-    complex's window or equal to zero contributes nothing.
-    """
-    src, tgt, k = f.source, f.target, f.degree
-    sign = 1 if k % 2 else -1
+    """D(f) = d o f - (-1)^deg(f) f o d; the package-wide convention, on the
+    parts that ``_d_parts`` states, each accumulated by ``_compose_into``."""
+    if f.is_zero():
+        return GradedMap.zero(f.source, f.target, f.degree - 1)
+    left, right = _d_parts(f.source, f.target, f.degree)
     sums: dict[int, list[int]] = {}
-    for n, fn in f.blocks:
-        d = _nonzero_d(tgt, n + k)
-        if d is not None:
-            _addmul(_entry_list(sums, n, d.rows * fn.cols), d, fn, 1)
-        d = _nonzero_d(src, n + 1)
-        if d is not None:
-            _addmul(_entry_list(sums, n + 1, fn.rows * d.cols), fn, d, sign)
-    return _from_sums(src, tgt, k - 1, sums)
-
-
-def _nonzero_d(c: ChainComplex, n: int) -> IntMatrix | None:
-    """The matrix of d out of degree n, or None where it is zero; read
-    from its cached rows, one per matrix row, not from its entries."""
-    t = n - c.degree_lo
-    return c.diffs[t - 1] if 1 <= t <= len(c.diffs) and any(_nonzero_rows(c.diffs[t - 1])) else None
+    for c, a in left:
+        _compose_into(sums, a, f, c)
+    for c, b in right:
+        _compose_into(sums, f, b, c)
+    return _from_sums(f.source, f.target, f.degree - 1, sums)
 
 
 def _entry_list(sums: dict[int, list[int]], n: int, size: int) -> list[int]:
@@ -306,11 +291,11 @@ def _entry_list(sums: dict[int, list[int]], n: int, size: int) -> list[int]:
 def _from_sums(source: ChainComplex, target: ChainComplex, degree: int,
                sums: dict[int, list[int]]) -> GradedMap:
     """The graded map whose block at source degree n has the entries
-    ``sums[n]``; zero blocks are dropped as ``from_blocks`` drops them."""
-    return GradedMap.from_blocks(source, target, degree, {
-        n: _closed(target.rank_at(n + degree), source.rank_at(n), tuple(flat))
-        for n, flat in sums.items()
-    })
+    ``sums[n]``, sized from the ranks by the caller: blocks in increasing
+    degree, an all-zero entry list dropped before any matrix is built."""
+    return GradedMap(source, target, degree, tuple(
+        (n, _closed(target.rank_at(n + degree), source.rank_at(n), tuple(flat)))
+        for n, flat in sorted(sums.items()) if any(flat)))
 
 
 def hom_basis(m: ChainComplex, n: ChainComplex, k: int) -> tuple[tuple[int, int, int], ...]:

@@ -1093,8 +1093,6 @@ def verify_identity_suite(caps: TruncationCaps) -> list[IdentityCheck]:
         for r1 in range(-1, r + 1, 2):
             for r2 in range(-1, r - 1 - r1 + 1, 2):
                 mid_deg = r - 1 - r1 - r2
-                if mid_deg < 0:
-                    continue
                 mid = (_pair_sum("g", "f", 0, mid_deg, "dif_riso")
                        - _pair_sum("f", "f", 1, mid_deg, "dif_riso"))
                 part = multiply(kernel_Z(r1, caps), mid, w_band)

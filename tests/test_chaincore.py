@@ -45,6 +45,10 @@ def test_constructor_rejections():
         ChainComplex(0, 1, (1, 1), ((0,), (0,)), (), 0)
     with pytest.raises(ValueError, match="wrong length"):
         ChainComplex(0, 1, (1, 1), ((0, 0), (0,)), (IntMatrix.zeros(1, 1),), 0)
+    with pytest.raises(ValueError, match="^negative rank$"):
+        ChainComplex(0, 0, (-1,), ((),), (), 0)
+    with pytest.raises(ValueError, match="^differential block 0 has shape 2x1$"):
+        ChainComplex(0, 1, (1, 1), ((0,), (0,)), (IntMatrix.zeros(2, 1),), 0)
 
 
 def test_validate_flags_filtration_leak():

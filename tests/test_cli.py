@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import re
+import runpy
 import subprocess
 import sys
 
@@ -395,6 +396,19 @@ def _refusal(doc) -> str:
     with pytest.raises(DocumentError) as caught:
         parse_document(json.dumps(doc))
     return str(caught.value)
+
+
+def test_misshapen_bodies_are_refused_with_their_paths():
+    doc = json.loads(serialize_document(sdr_fixture(2)[0].F))
+    for key, value, message in [("source", [], "payload.source: expected an object"),
+                                ("blocks", {}, "payload.blocks: expected a list")]:
+        edited = json.loads(json.dumps(doc))
+        edited["payload"][key] = value
+        assert _refusal(edited) == message
+    assert _refusal([]) == "envelope: expected an object"
+    with pytest.raises(TypeError) as caught:
+        serialize_document(object())
+    assert str(caught.value) == "no document kind for object"
 
 
 def test_zero_and_unordered_blocks_are_refused():
@@ -803,6 +817,7 @@ def test_cli_unwritable_report_is_an_error(tmp_path, capsys):
     (["obstruction", "--he", "{tmp}/absent.json"], "cannot read he file {tmp}/absent.json: "),
     (["obstruction", "--he", "{tmp}/sdr.json"], "he file {tmp}/sdr.json holds a different document kind"),
     (["operad", "eval", "--expr", "f0", "--she", "{tmp}/sdr.json"], "matrix evaluation needs both --she and --delta"),
+    (["operad", "eval", "--expr", "f0", "--ambient", "nosuch"], "unknown ambient 'nosuch'"),
 ])
 def test_cli_load_refusals_exit_1_with_a_report(tmp_path, capsys, args, message):
     write_doc(tmp_path, "sdr.json", sdr_fixture(0)[0])
@@ -813,6 +828,26 @@ def test_cli_load_refusals_exit_1_with_a_report(tmp_path, capsys, args, message)
     assert capsys.readouterr().err.startswith(f"error: {message}")
     rep = json.loads(report.read_text())
     assert rep["exit_code"] == 1 and rep["error"].startswith(message)
+
+
+_REGEN = runpy.run_path(str(pathlib.Path(__file__).parent.parent / "scripts" / "regen_goldens.py"))
+
+
+def test_cli_documents_match_the_goldens(tmp_path, capsys):
+    # each command of the golden script writes its golden's bytes to stdout,
+    # and with -o the same bytes to the file that later commands read
+    for name, obj in fixture_generate(_REGEN["CLI_SEED"]).items():
+        write_doc(tmp_path, f"{name}.json", obj)
+    for name, argv in _REGEN["CLI_RUNS"]:
+        golden = (pathlib.Path(__file__).parent / "goldens" / "cli" / name).read_text()
+        argv = _REGEN["cli_argv"](argv, tmp_path)
+        assert main(argv) == 0
+        assert capsys.readouterr() == (golden, ""), name
+        if name.endswith(".json"):
+            out = tmp_path / name
+            assert main([*argv, "-o", str(out)]) == 0
+            assert capsys.readouterr() == ("", ""), name
+            assert out.read_bytes() == golden.encode(), name
 
 
 def test_cli_usage_error_exit_code(capsys):

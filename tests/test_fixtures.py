@@ -140,6 +140,8 @@ def test_build_complex_infers_top_degree():
     assert validate_complex(c) == []
     with pytest.raises(ValueError):
         build_complex(0, (1,), ((0,), (0,)), {}, 0)
+    with pytest.raises(ValueError, match="^differential rows at degree 1 do not match the ranks$"):
+        build_complex(0, (1, 1), ((0,), (0,)), {1: [[1, 2]]}, 0)
 
 
 def test_fixtures_are_pinned_by_digest():

@@ -5,7 +5,7 @@ import itertools
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pertlab import operad_sym
@@ -15,11 +15,13 @@ from pertlab.operad_sym import (
     Word,
     all_passed,
     bounded_boundary_search,
+    degree_of,
     diff,
     element,
     enumerate_words,
     gen,
     generator_diff,
+    hom_colors,
     id_word,
     iota,
     kernel_Z,
@@ -113,6 +115,28 @@ def test_generator_rejections():
         gen("q")
     with pytest.raises(ValueError, match="carries no index"):
         gen("xb", 1)
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: gen("f", -1), ValueError, "generator index must be nonnegative"),
+    (lambda: Word(()), ValueError, "empty word needs an identity color B or W"),
+    (lambda: Word((gen("f"),), "B"), ValueError, "a word is either factors or an identity, not both"),
+    (lambda: element("nosuch", []), ValueError, "unknown ambient 'nosuch'"),
+    (lambda: element("riso", [(word(gen("f")), 1.0)]), TypeError, "coefficient 1.0 is not an int"),
+    (lambda: hom_colors(element("riso", [])), ValueError, "zero element has no hom-set"),
+    (lambda: hom_colors(parse_element("f0 + g0", "riso")), ValueError,
+     "element is not color-homogeneous: [('B', 'W'), ('W', 'B')]"),
+    (lambda: degree_of(parse_element("f0 + f1", "riso")), ValueError, "element is not degree-homogeneous"),
+    (lambda: theta(parse_element("f0 f1", "dif_riso")), ValueError,
+     "the contracting homotopy is defined on the plain ambient only"),
+    (lambda: iota(parse_element("f0", "riso")), ValueError, "inclusion is defined on the dif_riso ambient"),
+    (lambda: retraction_r(parse_element("f0", "riso"), TruncationCaps()), ValueError,
+     "the retraction is defined on the riso_tilde ambient"),
+])
+def test_malformed_operad_inputs_are_refused_with_their_messages(call, kind, message):
+    with pytest.raises(kind) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def test_word_composability():
@@ -637,6 +661,10 @@ def tilde_elements(ambient="riso_tilde"):
 
 @settings(max_examples=300, deadline=None)
 @given(tilde_elements(), st.integers(0, 3))
+# two products of one word land on one output word, merged in _fold_left
+@example(parse_element("fb0 xb fb1", "riso_tilde"), 4)
+# two input words land on one output word, merged in retraction_r
+@example(parse_element("fb0 + f0 xb f1", "riso_tilde"), 1)
 def test_retraction_equals_the_chain_of_products(e, max_fweight):
     # every band from 0 up, so the band cut drops products at each of them
     caps = TruncationCaps(3, 4, max_fweight, 8)
