@@ -10,7 +10,10 @@ Conjugation preserves all identities and the side conditions exactly,
 and filtered automorphisms with filtered inverses preserve every weight
 bound.  Each automorphism is 1 plus a map that is strictly triangular with
 the basis ordered by descending weight, so its inverse comes by
-back-substitution, without matrix products.
+back-substitution, without matrix products: it is solved from the entries
+of u drawn, as they were drawn.  Conjugation is block by block, one matrix
+product per factor of each nonzero block, with no graded map built in
+between.
 
 Seeds map to fixtures through ``random.Random`` only; the same seed
 always yields the same fixture, bit for bit.
@@ -20,15 +23,8 @@ from __future__ import annotations
 
 import random
 
-from .chaincore import (
-    ChainComplex,
-    GradedMap,
-    complex_with_differential,
-    compose,
-    hom_differential,
-    rebase,
-)
-from .exactlin import IntMatrix
+from .chaincore import ChainComplex, GradedMap, compose, hom_differential
+from .exactlin import IntMatrix, _closed
 from .sdr_bpl import (InternalConsistencyError, Perturbation, SdrData, _hom_space, _refuse, _tower_rhs,
                       tower_generators, validate_perturbation, validate_sdr)
 from .she_obstruction import HeData, extend_to_she, he_from_sdr, modify_homotopy_h, tower_assignment, validate_he
@@ -79,33 +75,43 @@ def _weight_order(weights) -> list[int]:
 
 def _unipotent_inverse(nu: IntMatrix, weights) -> IntMatrix:
     """(1 + nu)^-1 for a square nu that is strictly upper triangular with its
-    basis, of these weights, in ``_weight_order``.
-
-    (1 + nu) x = 1 gives row i of x as e_i minus nu[i][j] times row j, over
-    the j after i in that order, so back-substitution from the last row needs
-    no matrix product.  A nu with a nonzero on or below the diagonal in that
-    order is refused."""
+    basis, of these weights, in ``_weight_order``, by ``_back_substituted``.
+    A nu with a nonzero on or below the diagonal in that order is refused."""
     r = nu.rows
     order = _weight_order(weights)
     position = [0] * r
     for a, i in enumerate(order):
         position[i] = a
-    rows: list[list[int]] = [[]] * r
-    # the nonzeros (column, value) of each solved row
-    solved: list[list[tuple[int, int]]] = [[]] * r
+    nu_rows = [[(j, v) for j, v in enumerate(nu.row(i)) if v] for i in range(r)]
     for a in reversed(range(r)):
         i = order[a]
-        row = rows[i] = [0] * r
-        row[i] = 1
-        for j, v in enumerate(nu.row(i)):
-            if v:
-                if position[j] <= a:
-                    raise AssertionError(f"nu[{i}][{j}] is on or below the diagonal in the weight order, "
-                                         "so 1 + nu is not unitriangular")
-                for k, x in solved[j]:
-                    row[k] -= v * x
-        solved[i] = [(k, x) for k, x in enumerate(row) if x]
-    return IntMatrix(r, r, tuple(x for row in rows for x in row))
+        for j, _ in nu_rows[i]:
+            if position[j] <= a:
+                raise AssertionError(f"nu[{i}][{j}] is on or below the diagonal in the weight order, "
+                                     "so 1 + nu is not unitriangular")
+    return _back_substituted(order, nu_rows)
+
+
+def _back_substituted(order: list[int], nu_rows) -> IntMatrix:
+    """(1 + nu)^-1, nu given by the nonzeros (j, v) of each row i, every j
+    after i in ``order``.
+
+    (1 + nu) x = 1 gives row i of x as e_i minus nu[i][j] times row j, over
+    the j after i in that order, so back-substitution from the last row needs
+    no matrix product, and reads only the nonzeros of nu and of the rows
+    already solved."""
+    r = len(order)
+    flat = [0] * (r * r)
+    # the nonzeros (column, value) of each solved row
+    solved: list[list[tuple[int, int]]] = [[]] * r
+    for i in reversed(order):
+        base = i * r
+        flat[base + i] = 1
+        for j, v in nu_rows[i]:
+            for k, x in solved[j]:
+                flat[base + k] -= v * x
+        solved[i] = [(k, x) for k, x in enumerate(flat[base:base + r]) if x]
+    return _closed(r, r, tuple(flat))
 
 
 def _unitriangular_automorphism(rng: random.Random, c: ChainComplex) -> tuple[GradedMap, GradedMap]:
@@ -114,27 +120,30 @@ def _unitriangular_automorphism(rng: random.Random, c: ChainComplex) -> tuple[Gr
 
     Within each degree the basis is ordered by descending weight, so every
     strictly upper entry in that order automatically respects the
-    filtration; triangularity gives an exact integer inverse by
-    back-substitution.
+    filtration.  Each entry is recorded as it is drawn: u's entries are
+    written from them, and u^-1 is back-substituted over them alone.
     """
-    blocks: dict[int, IntMatrix] = {}
-    inverse_blocks: dict[int, IntMatrix] = {}
+    blocks: list[tuple[int, IntMatrix]] = []
+    inverse_blocks: list[tuple[int, IntMatrix]] = []
     for n in c.degrees():
         r = c.rank_at(n)
         if r == 0:
             continue
-        weights = c.weights[n - c.degree_lo]
-        order = _weight_order(weights)
-        rows = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+        order = _weight_order(c.weights[n - c.degree_lo])
+        flat = [0] * (r * r)
+        flat[::r + 1] = [1] * r
+        # the drawn nonzeros (column, value) of each row of u - 1
+        drawn: list[list[tuple[int, int]]] = [[] for _ in range(r)]
         for a in range(r):
+            i = order[a]
             for b in range(a + 1, r):
                 if rng.random() < 0.5:
-                    rows[order[a]][order[b]] = rng.choice((-2, -1, 1, 2))
-        blocks[n] = IntMatrix.from_rows(rows)
-        inverse_blocks[n] = _unipotent_inverse(blocks[n] - IntMatrix.identity(r), weights)
-    u_map = GradedMap.from_blocks(c, c, 0, blocks)
-    u_inv = GradedMap.from_blocks(c, c, 0, inverse_blocks)
-    return u_map, u_inv
+                    j, v = order[b], rng.choice((-2, -1, 1, 2))
+                    flat[i * r + j] = v
+                    drawn[i].append((j, v))
+        blocks.append((n, _closed(r, r, tuple(flat))))
+        inverse_blocks.append((n, _back_substituted(order, drawn)))
+    return GradedMap(c, c, 0, tuple(blocks)), GradedMap(c, c, 0, tuple(inverse_blocks))
 
 
 def _random_filtered_map(rng: random.Random, src: ChainComplex, tgt: ChainComplex,
@@ -236,18 +245,25 @@ def _conjugated(rng: random.Random, M: ChainComplex, N: ChainComplex, maps) -> l
     and v of N, drawn in that order: d becomes u d u^-1 on M and v d v^-1
     on N, and each map t f s^-1 for its source end s and target end t.
 
+    Block by block: the differential out of degree n becomes u_n-1 (d_n
+    u_n^-1), and the block of f at source degree n becomes t_n+deg (f_n
+    s_n^-1).  A zero block stays zero, so only nonzero blocks are
+    multiplied, and every block of the result is nonzero.
+
     ``maps`` are the components of f_0, g_0, f_1 (and g_1), so each map's
     ends are the roles that generator's colours give it, never looked up
     by complex: M and N may be equal complexes with different automorphisms.
     """
     ends = []
     for c in (M, N):
-        u, u_inv = _unitriangular_automorphism(rng, c)
-        ends.append((u, u_inv, complex_with_differential(c, compose(u, compose(c.differential_map(), u_inv)))))
+        u, u_inv = (dict(a.blocks) for a in _unitriangular_automorphism(rng, c))
+        diffs = tuple(d if d.is_zero() else u[n - 1] @ (d @ u_inv[n]) for n, d in enumerate(c.diffs, c.degree_lo + 1))
+        ends.append((u, u_inv, ChainComplex(c.degree_lo, c.degree_hi, c.ranks, c.weights, diffs, c.max_weight)))
     out = [end[2] for end in ends]
     for z, f in zip(tower_generators(0), maps):
         (_, s_inv, src), (t, _, tgt) = _hom_space(z, *ends)
-        out.append(rebase(compose(t, compose(f, s_inv)), src, tgt))
+        blocks = {n: t[n + f.degree] @ (m @ s_inv[n]) for n, m in f.blocks}
+        out.append(GradedMap.from_blocks(src, tgt, f.degree, blocks))
     return out
 
 

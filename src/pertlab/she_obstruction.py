@@ -207,7 +207,8 @@ def _filtered_basis(src: ChainComplex, tgt: ChainComplex, k: int) -> tuple[tuple
 
 def _filtered_differential(src: ChainComplex, tgt: ChainComplex, k: int):
     """D on the degree-k maps that keep the filtration (``_filtered_basis``):
-    their basis, and D's matrix built on those columns alone."""
+    their basis, and D's matrix built on those columns alone, the matrix
+    that ``_hom_solve`` solves in when the basis is not empty."""
     sl = hom_complex(src, tgt, k, _filtered_basis(src, tgt, k))
     return sl.basis, sl.differential_matrix
 
@@ -221,11 +222,15 @@ def _hom_solve(src: ChainComplex, tgt: ChainComplex, k: int, rhs: GradedMap) -> 
 
     A zero ``rhs`` returns the zero map with no matrix built: the
     canonical solution of A x = 0 is x = 0 (U 0 = 0, y = 0, V 0 = 0),
-    and the zero map keeps the filtration.
+    and the zero map keeps the filtration.  A nonzero one with no filtered
+    unknowns has no lift, and returns None with no matrix built either.
     """
     if rhs.is_zero():
         return GradedMap.zero(src, tgt, k)
-    basis, d = _filtered_differential(src, tgt, k)
+    basis = _filtered_basis(src, tgt, k)
+    if not basis:
+        return None
+    d = hom_complex(src, tgt, k, basis).differential_matrix
     x = solve_integer(d, map_to_vec(rhs, hom_basis(src, tgt, k - 1)))
     if x is None:
         return None

@@ -1,11 +1,12 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pertlab import fixtures
-from pertlab.chaincore import GradedMap, compose, filtration_shift, validate_complex
+from pertlab.chaincore import GradedMap, complex_with_differential, compose, filtration_shift, rebase, validate_complex
 from pertlab.cli import main
 from pertlab.cli_io import serialize_bundle, serialize_document
 from pertlab.exactlin import IntMatrix
@@ -22,7 +23,8 @@ from pertlab.fixtures import (
     weight_raising_perturbation,
     zero_complex,
 )
-from pertlab.sdr_bpl import InternalConsistencyError, check_side_conditions, validate_perturbation, validate_sdr
+from pertlab.sdr_bpl import (InternalConsistencyError, _hom_space, check_side_conditions, tower_generators,
+                             validate_perturbation, validate_sdr)
 from pertlab.she_obstruction import obstruction_cycles, validate_he
 
 
@@ -206,3 +208,77 @@ def test_unipotent_inverse_refuses_an_entry_below_the_weight_order(weights, rows
         fixtures._unipotent_inverse(IntMatrix.from_rows(rows), weights)
     assert str(refused.value) == (f"nu[{i}][{j}] is on or below the diagonal in the weight order, "
                                   "so 1 + nu is not unitriangular")
+
+
+# --- the automorphisms and the conjugation against the graded-map forms ------
+
+
+def reference_automorphism(rng, c):
+    """u = 1 + (strictly upper in the weight order) from dense rows, drawn
+    as ``_unitriangular_automorphism`` draws, and u^-1 as a power series."""
+    blocks, inverse_blocks = {}, {}
+    for n in c.degrees():
+        r = c.rank_at(n)
+        if r == 0:
+            continue
+        order = fixtures._weight_order(c.weights[n - c.degree_lo])
+        rows = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+        for a in range(r):
+            for b in range(a + 1, r):
+                if rng.random() < 0.5:
+                    rows[order[a]][order[b]] = rng.choice((-2, -1, 1, 2))
+        blocks[n] = IntMatrix.from_rows(rows)
+        inverse_blocks[n] = power_series_inverse(blocks[n] - IntMatrix.identity(r))
+    return GradedMap.from_blocks(c, c, 0, blocks), GradedMap.from_blocks(c, c, 0, inverse_blocks)
+
+
+def reference_conjugated(rng, M, N, maps):
+    """``_conjugated`` by composites of graded maps: u d u^-1 on M and on N,
+    and t f s^-1 for each map, rebased onto the conjugated complexes."""
+    ends = []
+    for c in (M, N):
+        u, u_inv = reference_automorphism(rng, c)
+        ends.append((u, u_inv, complex_with_differential(c, compose(u, compose(c.differential_map(), u_inv)))))
+    out = [end[2] for end in ends]
+    for z, f in zip(tower_generators(0), maps):
+        (_, s_inv, src), (t, _, tgt) = _hom_space(z, *ends)
+        out.append(rebase(compose(t, compose(f, s_inv)), src, tgt))
+    return out
+
+
+@st.composite
+def filtered_complexes(draw):
+    """A complex with a random matched differential: up to four degrees,
+    zero ranks included, and few weights, so that ties are common."""
+    width = draw(st.integers(1, 4))
+    degree_lo = draw(st.integers(-1, 1))
+    ranks = draw(st.lists(st.integers(0, 5), min_size=width, max_size=width))
+    weights = [draw(st.lists(st.integers(0, 2), min_size=r, max_size=r)) for r in ranks]
+    diffs = fixtures._random_matched_differential(random.Random(draw(st.integers(0, 2**16))), degree_lo, ranks, weights)
+    return build_complex(degree_lo, ranks, weights, diffs, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(filtered_complexes(), filtered_complexes(), st.booleans(), st.integers(0, 2**32), st.integers(1, 4))
+def test_conjugation_equals_the_graded_map_reference(M, N, same, seed, count):
+    # equal complexes with different automorphisms, as in he_fixture's cores
+    N = M if same else N
+    rng = random.Random(seed)
+    for c in (M, N):
+        got_rng, ref_rng = random.Random(seed), random.Random(seed)
+        u, u_inv = fixtures._unitriangular_automorphism(got_rng, c)
+        assert (u, u_inv) == reference_automorphism(ref_rng, c)
+        assert got_rng.getstate() == ref_rng.getstate()
+        for n in c.degrees():
+            one = IntMatrix.identity(c.rank_at(n))
+            assert u.block_at(n) @ u_inv.block_at(n) == one and u_inv.block_at(n) @ u.block_at(n) == one
+    # arbitrary maps of the ends and degrees of f_0, g_0, f_1, g_1
+    maps = [fixtures._random_filtered_map(rng, *_hom_space(z, M, N), z.degree, 0)
+            for z in tower_generators(0)[:count]]
+    state = rng.getstate()
+    got = fixtures._conjugated(rng, M, N, maps)
+    ref_rng = random.Random()
+    ref_rng.setstate(state)
+    assert got == reference_conjugated(ref_rng, M, N, maps)
+    # the same draws, so whatever is drawn next is the same too
+    assert rng.getstate() == ref_rng.getstate()

@@ -114,13 +114,13 @@ def test_action_from_she_checks_each_identity_once(monkeypatch):
     tower = extend_to_she(he, 1)
     p = weight_raising_perturbation(4, he.M)
     seen = []
-    real = sdr_bpl._tower_rhs
+    real = sdr_bpl._identity_holds
 
     def counted(z, *args):
         seen.append(z)
         return real(z, *args)
 
-    monkeypatch.setattr(sdr_bpl, "_tower_rhs", counted)
+    monkeypatch.setattr(sdr_bpl, "_identity_holds", counted)
     act = action_from_she(tower, p)
     # the tower check evaluates f0 ... g3 once each; xb's identity is the
     # perturbation check's (d + delta)^2 = 0
@@ -487,7 +487,7 @@ def test_solve_pp_checks_each_identity_once(monkeypatch, seed, strategy, most, t
     if strategy == "as_is":
         he = modify_homotopy_h(he)
     p = weight_raising_perturbation(seed + 1, he.M)
-    seen = {"validate_he": [], "validate_she": [], "_tower_rhs": [], "action": []}
+    seen = {"validate_he": [], "validate_she": [], "_tower_rhs": [], "_identity_holds": [], "action": []}
 
     def spy(module, name):
         real = getattr(module, name)
@@ -500,15 +500,16 @@ def test_solve_pp_checks_each_identity_once(monkeypatch, seed, strategy, most, t
     for module in (ipl_pipeline, she_obstruction):
         spy(module, "validate_he")
         spy(module, "validate_she")
-    # the tower check calls sdr_bpl's _tower_rhs, the extension she_obstruction's
-    spy(sdr_bpl, "_tower_rhs")
+    # the tower check evaluates an identity through sdr_bpl's _identity_holds,
+    # the extension a right-hand side through she_obstruction's _tower_rhs
+    spy(sdr_bpl, "_identity_holds")
     spy(she_obstruction, "_tower_rhs")
     monkeypatch.setattr(OperadAction, "__post_init__", lambda act: seen["action"].append(act))
     solve_pp(he, p, strategy)
     assert seen["validate_he"] == [he]
     assert [s.index_cap for s in seen["validate_she"]] == towers
     assert seen["action"] == []
-    assert len(seen["_tower_rhs"]) <= most
+    assert len(seen["_tower_rhs"]) + len(seen["_identity_holds"]) <= most
 
 
 @pytest.mark.parametrize("strategy", ["modify_h", "as_is"])

@@ -913,7 +913,7 @@ def test_a_zero_right_hand_side_builds_and_solves_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("a zero right-hand side reached the solver")
 
-    monkeypatch.setattr(she_obstruction, "_filtered_differential", refuse)
+    monkeypatch.setattr(she_obstruction, "hom_complex", refuse)
     monkeypatch.setattr(she_obstruction, "solve_integer", refuse)
     he = he_fixture(3)
     for src, tgt in ((he.M, he.N), (he.N, he.M), (he.M, he.M), (he.N, he.N)):
@@ -921,3 +921,27 @@ def test_a_zero_right_hand_side_builds_and_solves_nothing(monkeypatch):
             assert _hom_solve(src, tgt, k, GradedMap.zero(src, tgt, k - 1)) == GradedMap.zero(src, tgt, k)
     # every right-hand side of a trivial extension is zero
     assert trivial_extension(he_from_sdr(cone_retract_sdr(3)), 3) is not None
+
+
+def test_a_nonzero_right_hand_side_with_no_filtered_unknowns_has_no_lift(monkeypatch):
+    # each unit map of degree k - 1 where no degree-k map keeps the
+    # filtration: the reference solves over a matrix with no columns
+    cases = []
+    for seed in range(20):
+        for x in (sdr_fixture(seed)[0], he_fixture(seed)):
+            for src, tgt in ((x.M, x.N), (x.N, x.M), (x.M, x.M), (x.N, x.N)):
+                for k in range(1, 6):
+                    lower = hom_basis(src, tgt, k - 1)
+                    if lower and not she_obstruction._filtered_basis(src, tgt, k):
+                        rhs = vec_to_map(src, tgt, k - 1, lower, (1,) + (0,) * (len(lower) - 1))
+                        assert ref_hom_solve(src, tgt, k, rhs) is None
+                        cases.append((src, tgt, k, rhs))
+    assert len(cases) >= 10
+
+    def refuse(*args):
+        raise AssertionError("a lift with no unknowns reached the solver")
+
+    monkeypatch.setattr(she_obstruction, "hom_complex", refuse)
+    monkeypatch.setattr(she_obstruction, "solve_integer", refuse)
+    for case in cases:
+        assert _hom_solve(*case) is None
