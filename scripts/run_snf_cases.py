@@ -16,9 +16,9 @@ A last line covers the matrices a tower lift eliminates: the filtered
 differentials of degree k = 2, 3 between the two sides (M and N, either
 way and each to itself) of `cone_retract_sdr(5, c, c // 2, 4)` for
 c = 10..17.  It prints the total time to build all of them with
-`_filtered_differential` (the `chaincore` number of the tower path) and
-the total of their cold `cokernel_invariants` times, each the best of five
-passes.
+`hom_complex` on the filtered basis (`_filtered_basis`), the `chaincore`
+number of the tower path, and the total of their cold
+`cokernel_invariants` times, each the best of five passes.
 
 A tower-lift line covers the right-hand sides of the towers of
 `he_fixture` seeds 0..39, repaired by `modify_homotopy_h` and extended to
@@ -45,7 +45,7 @@ from pertlab import exactlin
 from pertlab.chaincore import hom_complex, hom_differential
 from pertlab.exactlin import IntMatrix
 from pertlab.fixtures import _tower_lifts, cone_retract_sdr
-from pertlab.she_obstruction import _filtered_differential, _hom_solve
+from pertlab.she_obstruction import _filtered_basis, _hom_solve
 
 
 def cases() -> list[tuple[str, IntMatrix, float | None]]:
@@ -81,8 +81,8 @@ def filtered_cases() -> list[tuple]:
 def build_s(args: list[tuple]) -> float:
     """Seconds to build the filtered differential of every (source, target, k) in ``args``."""
     t0 = time.perf_counter()
-    for a in args:
-        _filtered_differential(*a)
+    for src, tgt, k in args:
+        hom_complex(src, tgt, k, _filtered_basis(src, tgt, k))
     return time.perf_counter() - t0
 
 
@@ -101,7 +101,7 @@ def main() -> int:
         hom = "-" if t_hom is None else f"{t_hom:.3f}"
         print(f"{name:20s} {a.rows:>3d}x{a.cols:<4d} {dec.rank:5d} {bits:7d} {hom:>7s} {t_solve:8.3f} {t_coker:10.3f}")
     args = filtered_cases()
-    mats = [_filtered_differential(*a)[1] for a in args]
+    mats = [hom_complex(src, tgt, k, _filtered_basis(src, tgt, k)).differential_matrix for src, tgt, k in args]
     build = min(build_s(args) for _ in range(5))
     total = min(sum(cold(exactlin.cokernel_invariants, a)[1] for a in mats) for _ in range(5))
     nonzeros = sum(map(bool, itertools.chain.from_iterable(a.entries for a in mats)))

@@ -21,6 +21,16 @@ there by ``hom_differential`` (on maps), ``hom_complex`` (as a matrix) and
 coordinates is placed by one routine, ``_place_composites``, and every
 product of graded maps accumulates through ``_compose_into``.
 
+A complex keeps the nonzero blocks of its differential, as (degree, matrix)
+pairs, in the private field ``_dblocks``: built on the first call of
+``differential_map``, which every D reads through ``_d_parts``, and kept, as
+a matrix keeps its cached rows.  The field is derived and not part of the
+value: it is not compared, hashed, shown in the repr or passed on by
+``dataclasses.replace``.  It holds the pairs and never the ``GradedMap``
+itself, whose source and target are the complex: a map stored on its own
+complex would make a cycle for anything that walks the fields of a
+dataclass recursively.
+
 Consequences used everywhere downstream (and asserted by the test suite):
 a degree-0 chain map satisfies D(f) = 0; a degree-1 homotopy h between
 chain maps p and q satisfies D(h) = p - q written as d h + h d = p - q;
@@ -30,8 +40,8 @@ this one speak only in terms of D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate, compress
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .exactlin import IntMatrix, _addmul, _closed, _nonzero_rows
 
@@ -44,6 +54,10 @@ class ChainComplex:
     weights of that degree's basis; ``diffs[t]`` the matrix of the
     differential out of degree ``degree_lo + t + 1`` (shape
     ranks[t] x ranks[t+1]).  Degrees outside the window have rank zero.
+
+    ``_dblocks`` holds the nonzero blocks of ``differential_map`` once it
+    has been called, and None before; it is derived from ``diffs`` and is
+    not part of the value.
     """
 
     degree_lo: int
@@ -52,6 +66,8 @@ class ChainComplex:
     weights: tuple[tuple[int, ...], ...]
     diffs: tuple[IntMatrix, ...]
     max_weight: int
+    _dblocks: tuple[tuple[int, IntMatrix], ...] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         width = self.degree_hi - self.degree_lo + 1
@@ -91,8 +107,11 @@ class ChainComplex:
         return IntMatrix.zeros(self.rank_at(n - 1), self.rank_at(n))
 
     def differential_map(self) -> "GradedMap":
-        return GradedMap(self, self, -1, tuple(
-            (n, d) for n, d in enumerate(self.diffs, self.degree_lo + 1) if any(_nonzero_rows(d))))
+        blocks = self._dblocks
+        if blocks is None:
+            blocks = tuple((n, d) for n, d in enumerate(self.diffs, self.degree_lo + 1) if any(_nonzero_rows(d)))
+            object.__setattr__(self, "_dblocks", blocks)
+        return GradedMap(self, self, -1, blocks)
 
     def total_rank(self) -> int:
         return sum(self.ranks)
@@ -107,30 +126,33 @@ def complex_with_differential(c: ChainComplex, d: GradedMap) -> ChainComplex:
 
 
 def validate_complex(c: ChainComplex) -> list[str]:
-    """Every violated invariant, with the first offending entry of each."""
+    """Every violated invariant, with the first offending entry of each.
+
+    A degree's weights are read one by one only when their minimum or
+    maximum is out of range; leaks are looked for over each block's cached
+    nonzero rows, in row-major order; d o d is accumulated by ``_addmul``
+    into an entry list, with no matrix built."""
     problems: list[str] = []
     for t, row in enumerate(c.weights):
-        n = c.degree_lo + t
-        for i, w in enumerate(row):
-            if not (0 <= w <= c.max_weight):
-                problems.append(f"weight out of range at degree {n}, index {i}: {w}")
+        if row and not (0 <= min(row) and max(row) <= c.max_weight):
+            n = c.degree_lo + t
+            problems.extend(f"weight out of range at degree {n}, index {i}: {w}"
+                            for i, w in enumerate(row) if not (0 <= w <= c.max_weight))
     for t, m in enumerate(c.diffs):
-        # the nonzeros of d out of degree n in row-major order; the first leak is reported
+        # the first leak of d out of degree n in row-major order is reported
         n, w_to, w_from = c.degree_lo + t + 1, c.weights[t], c.weights[t + 1]
-        for p in compress(range(len(m.entries)), m.entries):
-            i, j = divmod(p, m.cols)
-            if w_to[i] < w_from[j]:
-                problems.append(
-                    f"filtration leak in d at degree {n}, entry ({i}, {j}): weight {w_from[j]} -> {w_to[i]}"
-                )
-                break
-    for n in range(c.degree_lo + 2, c.degree_hi + 1):
-        sq = c.d_block(n - 1) @ c.d_block(n)
-        if not sq.is_zero():
-            where = next(
-                (i, j) for i in range(sq.rows) for j in range(sq.cols) if sq.entry(i, j)
-            )
-            problems.append(f"d^2 != 0 out of degree {n}, first entry {where}")
+        leak = next(((i, j) for i, row in enumerate(_nonzero_rows(m)) for j, _ in row if w_to[i] < w_from[j]), None)
+        if leak is not None:
+            i, j = leak
+            problems.append(f"filtration leak in d at degree {n}, entry ({i}, {j}): weight {w_from[j]} -> {w_to[i]}")
+    for t in range(len(c.diffs) - 1):
+        # d out of degree n - 1 after d out of degree n, n = degree_lo + t + 2
+        a, b = c.diffs[t], c.diffs[t + 1]
+        sq = [0] * (a.rows * b.cols)
+        _addmul(sq, a, b, 1)
+        if any(sq):
+            where = divmod(next(p for p, v in enumerate(sq) if v), b.cols)
+            problems.append(f"d^2 != 0 out of degree {c.degree_lo + t + 2}, first entry {where}")
     return problems
 
 
@@ -220,7 +242,7 @@ def compose(f: GradedMap, g: GradedMap) -> GradedMap:
 
 
 def _check_composable(f: GradedMap, g: GradedMap) -> None:
-    if f.source != g.target:
+    if f.source is not g.target and f.source != g.target:
         raise ValueError("composition mismatch: source of the left map differs from target of the right")
 
 

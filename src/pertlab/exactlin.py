@@ -232,9 +232,6 @@ class AbelianGroupInvariants:
     free_rank: int
     torsion: tuple[int, ...]
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{t}" for t in self.torsion]
         return " + ".join(parts) if parts else "0"

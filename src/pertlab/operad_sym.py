@@ -35,8 +35,12 @@ any algebra that adds and composes (``_kernel_series``, ``_retraction_value``):
 here on band-cut products of words, in ``sdr_bpl`` on concrete maps.
 
 Cost: generators and words carry precomputed invariants (degree, fweight,
-colours, and a flat integer sort key that equality and hashing also
-read), so no invariant is recomputed on access.  The checked constructors
+colours, and for words a flat integer sort key that equality and hashing
+also read), so no invariant is recomputed on access.  Generators are
+interned: there is one per (family, index), however it is made (``gen``,
+``Generator`` itself, a pickle or a copy), so generators compare and hash
+by identity, in C, and a dict keyed by generators, such as a tower's
+assignment, is read without a call into Python.  The checked constructors
 (``Word``, ``element``, ``single``, ``parse_element``) stand at the edges,
 for outside input; inside, a value is built unchecked wherever its
 validity follows from how it was made, with its invariants added up from
@@ -82,25 +86,34 @@ _AMBIENTS: dict[str, tuple[frozenset[str], int | None]] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+# The one Generator of each (family, index), filled by its constructor.
+_INTERNED: dict[tuple[str, int], "Generator"] = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Generator:
     """One unary operation: family plus index (index 0 for xb and yb).
 
+    There is one generator per (family, index): the constructor returns
+    the one already made, so generators compare and hash by identity.
     Degree, fweight, colours and the integer ``rank`` (6 * index plus the
     family's rank, which orders generators as the sort key does) are
-    computed once, here; ``gen`` interns generators.
+    computed once, when it is first made.  A pickled or copied generator
+    comes back as that same object.
     """
 
     family: str
     index: int
-    degree: int = field(init=False, compare=False, repr=False)
-    fweight: int = field(init=False, compare=False, repr=False)
-    src: str = field(init=False, compare=False, repr=False)
-    dst: str = field(init=False, compare=False, repr=False)
-    rank: int = field(init=False, compare=False, repr=False)
+    degree: int = field(init=False, repr=False)
+    fweight: int = field(init=False, repr=False)
+    src: str = field(init=False, repr=False)
+    dst: str = field(init=False, repr=False)
+    rank: int = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        family, index = self.family, self.index
+    def __new__(cls, family: str, index: int = 0) -> "Generator":
+        z = _INTERNED.get((family, index))
+        if z is not None:
+            return z
         if family not in _FAMILIES:
             raise ValueError(f"unknown generator family {family!r}")
         if index < 0:
@@ -114,11 +127,16 @@ class Generator:
             degree, src = index, "B" if family in ("f", "fb") else "W"
             # even indices cross to the other colour, odd ones stay
             dst = src if index % 2 else ("W" if src == "B" else "B")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "fweight", 0 if family in ("f", "g") else 1)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "rank", 6 * index + _FAMILY_RANK[family])
+        z = object.__new__(cls)
+        for name, value in (("family", family), ("index", index), ("degree", degree),
+                            ("fweight", 0 if family in ("f", "g") else 1), ("src", src), ("dst", dst),
+                            ("rank", 6 * index + _FAMILY_RANK[family])):
+            object.__setattr__(z, name, value)
+        # setdefault: of two threads making the same generator, both keep the first
+        return _INTERNED.setdefault((family, index), z)
+
+    def __reduce__(self):
+        return Generator, (self.family, self.index)
 
     @property
     def token(self) -> str:
@@ -127,6 +145,8 @@ class Generator:
         return f"{self.family}{self.index}"
 
 
+# a lookup in C in front of the constructor: gen("f") and gen("f", 0) are two
+# keys of this cache, holding the one interned generator
 @lru_cache(maxsize=None)
 def gen(family: str, index: int = 0) -> Generator:
     return Generator(family, index)
@@ -192,9 +212,6 @@ class Word:
     @property
     def dst(self) -> str:
         return self.factors[0].dst if self.factors else self.id_color  # type: ignore[return-value]
-
-    def sort_key(self) -> tuple:
-        return self._key
 
     def render(self) -> str:
         if self.is_identity:

@@ -175,9 +175,10 @@ def _add_words(sums: dict[int, list[int]], terms: tuple[tuple[Word, int], ...],
 
 
 def _image(z: Generator, assign: dict[Generator, GradedMap]) -> GradedMap:
-    if z not in assign:
-        raise ValueError(f"generator {z.token} is not assigned in this action")
-    return assign[z]
+    try:
+        return assign[z]
+    except KeyError:
+        raise ValueError(f"generator {z.token} is not assigned in this action") from None
 
 
 def _tower_rhs(z: Generator, assign: dict[Generator, GradedMap],
@@ -204,7 +205,7 @@ def _check_components(problems: list[str], assign: dict[Generator, GradedMap],
     for z in check:
         f = assign[z]
         src, tgt = _hom_space(z, M, N)
-        if f.source != src or f.target != tgt:
+        if (f.source is not src and f.source != src) or (f.target is not tgt and f.target != tgt):
             problems.append(f"{name(z)} does not run between the stated complexes")
             ok = False
         elif f.degree != z.degree:

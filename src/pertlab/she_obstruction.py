@@ -205,14 +205,6 @@ def _filtered_basis(src: ChainComplex, tgt: ChainComplex, k: int) -> tuple[tuple
                  if tgt.weights[deg + k - tgt.degree_lo][j] >= src.weights[deg - src.degree_lo][i])
 
 
-def _filtered_differential(src: ChainComplex, tgt: ChainComplex, k: int):
-    """D on the degree-k maps that keep the filtration (``_filtered_basis``):
-    their basis, and D's matrix built on those columns alone, the matrix
-    that ``_hom_solve`` solves in when the basis is not empty."""
-    sl = hom_complex(src, tgt, k, _filtered_basis(src, tgt, k))
-    return sl.basis, sl.differential_matrix
-
-
 def _hom_solve(src: ChainComplex, tgt: ChainComplex, k: int, rhs: GradedMap) -> GradedMap | None:
     """Canonical degree-k map x with D(x) = rhs, or None over the integers.
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from pertlab.chaincore import (
     vec_to_map,
 )
 from pertlab.exactlin import IntMatrix
-from pertlab.fixtures import build_complex, he_fixture, interval_complex, sdr_fixture, zero_complex
+from pertlab.fixtures import _random_core, build_complex, he_fixture, interval_complex, sdr_fixture, zero_complex
 
 
 def two_step():
@@ -80,6 +82,95 @@ def test_validate_clean_examples():
     assert validate_complex(zero_complex()) == []
     assert validate_complex(interval_complex()) == []
     assert validate_complex(two_step()) == []
+
+
+def ref_validate_complex(c):
+    """``validate_complex`` with no shortcut: every weight read one by one,
+    every entry of each block scanned for a leak, and d o d built as a
+    matrix product and scanned entry by entry."""
+    problems = []
+    for t, row in enumerate(c.weights):
+        n = c.degree_lo + t
+        for i, w in enumerate(row):
+            if not (0 <= w <= c.max_weight):
+                problems.append(f"weight out of range at degree {n}, index {i}: {w}")
+    for t, m in enumerate(c.diffs):
+        n, w_to, w_from = c.degree_lo + t + 1, c.weights[t], c.weights[t + 1]
+        for p in range(len(m.entries)):
+            i, j = divmod(p, m.cols)
+            if m.entries[p] and w_to[i] < w_from[j]:
+                problems.append(
+                    f"filtration leak in d at degree {n}, entry ({i}, {j}): weight {w_from[j]} -> {w_to[i]}"
+                )
+                break
+    for n in range(c.degree_lo + 2, c.degree_hi + 1):
+        sq = c.d_block(n - 1) @ c.d_block(n)
+        if not sq.is_zero():
+            where = next(
+                (i, j) for i in range(sq.rows) for j in range(sq.cols) if sq.entry(i, j)
+            )
+            problems.append(f"d^2 != 0 out of degree {n}, first entry {where}")
+    return problems
+
+
+@st.composite
+def flawed_complexes(draw):
+    """A random valid complex (``fixtures._random_core``) with flaws
+    injected, each of a kind its validator must name: a weight out of
+    range, a leak (a nonzero entry from a heavier to a lighter basis
+    element) or d o d != 0 (entry (i, j) of d d made exactly 1), plus stray
+    entries set to any value.  Returns the complex and the message prefix
+    of each flaw injected, None for a stray entry."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    core = _random_core(rng, draw(st.integers(2, 9)), draw(st.integers(2, 4)), draw(st.integers(1, 3)))
+    lo, top = draw(st.integers(-2, 2)), core.max_weight
+    weights = [list(row) for row in core.weights]
+    diffs = [[list(r) for r in m.to_rows()] for m in core.diffs]
+    made = []
+    for kind in draw(st.lists(st.sampled_from(("weight", "leak", "square", "stray")), min_size=1, max_size=3)):
+        if kind == "weight":
+            t = draw(st.sampled_from([t for t, row in enumerate(weights) if row]))
+            i = draw(st.integers(0, len(weights[t]) - 1))
+            weights[t][i] = draw(st.sampled_from((-2, -1, top + 1, top + 3)))
+            made.append("weight out of range")
+            continue
+        blocks = [t for t, rows in enumerate(diffs) if rows and rows[0]]
+        if kind == "square":
+            blocks = [t for t in blocks if t + 1 in blocks]
+        if not blocks:
+            continue
+        t = draw(st.sampled_from(blocks))
+        i, j = draw(st.integers(0, len(diffs[t]) - 1)), draw(st.integers(0, len(diffs[t][0]) - 1))
+        if kind == "leak":
+            diffs[t][i][j] = draw(st.sampled_from((-2, -1, 1, 2)))
+            weights[t][i], weights[t + 1][j] = top - 1, top
+            made.append("filtration leak")
+        elif kind == "square":
+            # (d_t d_t+1)[i][q] = d_t[i][j] d_t+1[j][q] = 1, the other terms zeroed
+            q = draw(st.integers(0, len(diffs[t + 1][0]) - 1))
+            diffs[t][i] = [int(x == j) for x in range(len(diffs[t][i]))]
+            for x, row in enumerate(diffs[t + 1]):
+                row[q] = int(x == j)
+            made.append("d^2 != 0")
+        else:
+            diffs[t][i][j] = draw(st.integers(-3, 3))
+            made.append(None)
+    c = ChainComplex(lo, lo + len(core.ranks) - 1, core.ranks, tuple(map(tuple, weights)),
+                     tuple(IntMatrix(m.rows, m.cols, tuple(x for row in rows for x in row))
+                           for m, rows in zip(core.diffs, diffs)), top)
+    return c, made
+
+
+@settings(max_examples=300, deadline=None)
+@given(flawed_complexes())
+def test_validate_complex_matches_the_entry_by_entry_reference(case):
+    c, made = case
+    got = validate_complex(c)
+    assert got == ref_validate_complex(c)
+    # a later flaw can undo an earlier one, so a flaw's message is
+    # required when it is the only one injected
+    if len(made) == 1 and made[0] is not None:
+        assert any(p.startswith(made[0]) for p in got)
 
 
 def test_filtration_shift_values():

@@ -65,9 +65,12 @@ def test_parity_layout_stays_behind_she_obstruction():
 
 # object.__new__ builds an object past its constructor's check; each place
 # that does so says why its caller has already checked what it builds.
+# Generator.__new__ is the checked constructor itself: it allocates only
+# after its own checks, and only for a (family, index) not yet interned.
 UNCHECKED_CONSTRUCTORS = {
     ("exactlin", "_closed"),
     ("operad_sym", "_chain"),
+    ("operad_sym", "Generator.__new__"),
     ("ipl_pipeline", "OperadAction._checked_by_caller"),
 }
 

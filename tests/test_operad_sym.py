@@ -1,8 +1,11 @@
+import copy
+import dataclasses
 import gc
 import hashlib
 import inspect
 import itertools
 import pathlib
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from pertlab import operad_sym
 from pertlab.operad_sym import (
     XBAR,
+    Generator,
     TruncationCaps,
     Word,
     all_passed,
@@ -117,6 +121,27 @@ def test_generator_rejections():
         gen("xb", 1)
 
 
+def test_generators_are_interned():
+    # one object per (family, index), however it is made, so equality and
+    # hashing are object identity's, and an assignment keyed by one form is
+    # read with every other
+    f0 = gen("f")
+    forms = [gen("f", 0), gen("f", index=0), Generator("f", 0), Generator("f"), Generator(family="f", index=0),
+             pickle.loads(pickle.dumps(f0)), copy.copy(f0), copy.deepcopy(f0), dataclasses.replace(f0)]
+    assert all(z is f0 for z in forms)
+    assert dataclasses.replace(f0, index=3) is gen("f", 3)
+    assign = {Generator("f", 0): "F"}
+    assert [assign[z] for z in [f0, *forms]] == ["F"] * (len(forms) + 1)
+    assert generator_diff(Generator("f", 2)) is generator_diff(gen("f", 2))
+    assert Generator.__eq__ is object.__eq__ and Generator.__hash__ is object.__hash__
+    assert gen("f") != gen("g") and gen("f") != gen("f", 1)
+    assert repr(f0) == "Generator(family='f', index=0)"
+    # a refused generator is not kept
+    with pytest.raises(ValueError, match="carries no index"):
+        Generator("xb", 1)
+    assert ("xb", 1) not in operad_sym._INTERNED
+
+
 @pytest.mark.parametrize("call, kind, message", [
     (lambda: gen("f", -1), ValueError, "generator index must be nonnegative"),
     (lambda: Word(()), ValueError, "empty word needs an identity color B or W"),
@@ -189,7 +214,7 @@ def ref_word_invariants(w):
 
 
 def _all_fields(w):
-    return (w.factors, w.id_color, w.degree, w.fweight, w.src, w.dst, w.sort_key(), hash(w))
+    return (w.factors, w.id_color, w.degree, w.fweight, w.src, w.dst, w._key, hash(w))
 
 
 _TILDE_WORDS = [
@@ -218,8 +243,8 @@ def test_word_key_orders_and_equates_like_the_reference(a, b):
     ref_a, ref_b = ref_word_invariants(a), ref_word_invariants(b)
     assert (a.degree, a.fweight) == ref_a[:2]
     assert (b.degree, b.fweight) == ref_b[:2]
-    assert (a.sort_key() < b.sort_key()) == (ref_a[2] < ref_b[2])
-    assert (a == b) == (ref_a[2] == ref_b[2]) == (a.sort_key() == b.sort_key())
+    assert (a._key < b._key) == (ref_a[2] < ref_b[2])
+    assert (a == b) == (ref_a[2] == ref_b[2]) == (a._key == b._key)
     if a == b:
         assert hash(a) == hash(b)
     if a.src == b.dst:
@@ -645,7 +670,7 @@ def ref_enumerate_words(ambient, src, dst, caps, degree=None, include_identity=T
         if len(rev) < caps.max_length:
             stack.extend(rev + (z,) for z in gens
                          if z.src == w.dst and w.fweight + z.fweight <= caps.max_fweight)
-    return sorted(found, key=lambda w: w.sort_key())
+    return sorted(found, key=lambda w: w._key)
 
 
 _FIELD_CAPS = TruncationCaps(3, 4, 2, 8)

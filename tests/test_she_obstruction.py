@@ -51,7 +51,7 @@ from pertlab.she_obstruction import (
     tower_assignment,
     validate_he,
     validate_she,
-    _filtered_differential,
+    _filtered_basis,
     _hom_solve,
     _hom_space,
     _joint_system,
@@ -134,7 +134,7 @@ def test_torsion_obstruction_vanishes_over_q():
     # o_M is a boundary over Q (appending it keeps D's rank) but not over Z
     he = torsion_obstructed_he()
     o_m = _obstruction_cycle(he, "f")
-    _, d = _filtered_differential(he.M, he.M, 2)
+    d = hom_complex(he.M, he.M, 2, _filtered_basis(he.M, he.M, 2)).differential_matrix
     rhs = map_to_vec(o_m, hom_basis(he.M, he.M, 1))
     assert any(rhs)
     with_rhs = [[*row, v] for row, v in zip(d.to_rows(), rhs)]
@@ -727,7 +727,8 @@ def test_extension_validates_once_and_solves_index_two_once(monkeypatch):
 
 def _non_cycle(src, tgt, k):
     """A filtered degree-k basis map whose D is not zero."""
-    basis, d = _filtered_differential(src, tgt, k)
+    sl = hom_complex(src, tgt, k, _filtered_basis(src, tgt, k))
+    basis, d = sl.basis, sl.differential_matrix
     c = next(c for c in range(d.cols) if any(d.entries[c::d.cols]))
     return vec_to_map(src, tgt, k, basis, tuple(int(i == c) for i in range(d.cols)))
 
@@ -867,7 +868,8 @@ def test_filtered_differential_keeps_the_filtered_columns():
             for m, n in ((x.M, x.N), (x.N, x.M), (x.M, x.M)):
                 for k in range(-1, 5):
                     want_basis, want = filtered_differential_by_slicing(m, n, k)
-                    basis, got = _filtered_differential(m, n, k)
+                    sl = hom_complex(m, n, k, _filtered_basis(m, n, k))
+                    basis, got = sl.basis, sl.differential_matrix
                     assert basis == want_basis
                     assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
                     full, kept = len(hom_basis(m, n, k)), len(basis)
@@ -882,7 +884,8 @@ def test_filtered_differential_keeps_the_filtered_columns():
 def ref_hom_solve(src, tgt, k, rhs):
     """The lift with no shortcut: the filtered differential is built and
     solved whatever the right-hand side."""
-    basis, d = _filtered_differential(src, tgt, k)
+    sl = hom_complex(src, tgt, k, _filtered_basis(src, tgt, k))
+    basis, d = sl.basis, sl.differential_matrix
     x = solve_integer(d, map_to_vec(rhs, hom_basis(src, tgt, k - 1)))
     return None if x is None else vec_to_map(src, tgt, k, basis, x)
 
@@ -932,7 +935,7 @@ def test_a_nonzero_right_hand_side_with_no_filtered_unknowns_has_no_lift(monkeyp
             for src, tgt in ((x.M, x.N), (x.N, x.M), (x.M, x.M), (x.N, x.N)):
                 for k in range(1, 6):
                     lower = hom_basis(src, tgt, k - 1)
-                    if lower and not she_obstruction._filtered_basis(src, tgt, k):
+                    if lower and not _filtered_basis(src, tgt, k):
                         rhs = vec_to_map(src, tgt, k - 1, lower, (1,) + (0,) * (len(lower) - 1))
                         assert ref_hom_solve(src, tgt, k, rhs) is None
                         cases.append((src, tgt, k, rhs))
