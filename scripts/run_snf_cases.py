@@ -23,9 +23,10 @@ number of the tower path, and the total of their cold
 A tower-lift line covers the right-hand sides of the towers of
 `he_fixture` seeds 0..39, repaired by `modify_homotopy_h` and extended to
 cap 3: those of every component of index 2 and up, read on the final
-tower (`fixtures._tower_lifts`, which the tests enumerate too).  A zero one lifts to the zero map with no system built, and the
-`tower_extend` workload of `perfbench` meets only zero ones, so this line
-is where the Smith work of a nonzero lift stays timed.  It prints how many
+tower (`fixtures._tower_lifts`, which the tests enumerate too).  A zero
+one lifts to the zero map with no system built, and the `tower_extend`
+workload of `perfbench` meets only zero ones, so this line is where the
+Smith work of a nonzero lift stays timed.  It prints how many
 are zero and nonzero and the total cold `_hom_solve` time of all of them,
 and checks that every lift x exists and satisfies D x = b.
 

@@ -16,7 +16,8 @@ complex of graded maps f: M -> N of degree k is
     D(f) = d_N o f - (-1)^k f o d_M.
 
 D's two parts and their signs are stated once, in ``_d_parts``, and read
-there by ``hom_differential`` (on maps), ``hom_complex`` (as a matrix) and
+there by ``_add_d`` (D(f) into entry lists, for ``hom_differential`` and
+every check of D(f) = r), ``hom_complex`` (as a matrix) and
 ``she_obstruction._joint_system``.  Every matrix in ``hom_basis``
 coordinates is placed by one routine, ``_place_composites``, and every
 product of graded maps accumulates through ``_compose_into``.
@@ -236,9 +237,7 @@ def compose(f: GradedMap, g: GradedMap) -> GradedMap:
     """f o g, defined when g lands where f starts: the blocks' products are
     accumulated by ``_compose_into``, one entry list per source degree."""
     _check_composable(f, g)
-    sums: dict[int, list[int]] = {}
-    _compose_into(sums, f, g, 1)
-    return _from_sums(g.source, f.target, f.degree + g.degree, sums)
+    return _from_sums(g.source, f.target, f.degree + g.degree, _compose_into({}, f, g, 1))
 
 
 def _check_composable(f: GradedMap, g: GradedMap) -> None:
@@ -246,15 +245,16 @@ def _check_composable(f: GradedMap, g: GradedMap) -> None:
         raise ValueError("composition mismatch: source of the left map differs from target of the right")
 
 
-def _compose_into(sums: dict[int, list[int]], f: GradedMap, g: GradedMap, c: int) -> None:
+def _compose_into(sums: dict[int, list[int]], f: GradedMap, g: GradedMap, c: int) -> dict[int, list[int]]:
     """Add c times f o g into ``sums``, one row-major entry list per source
-    degree, block by block through ``_addmul``; g must land where f starts.
-    A degree where f or g has no block adds nothing."""
+    degree, block by block through ``_addmul``, and return ``sums``; g must
+    land where f starts.  A degree where f or g has no block adds nothing."""
     fblocks = dict(f.blocks)
     for n, gmat in g.blocks:
         fmat = fblocks.get(n + g.degree)
         if fmat is not None:
             _addmul(_entry_list(sums, n, fmat.rows * gmat.cols), fmat, gmat, c)
+    return sums
 
 
 def rebase(f: GradedMap, src: ChainComplex, tgt: ChainComplex) -> GradedMap:
@@ -288,17 +288,27 @@ def filtration_shift(f: GradedMap) -> int:
 
 
 def hom_differential(f: GradedMap) -> GradedMap:
-    """D(f) = d o f - (-1)^deg(f) f o d; the package-wide convention, on the
-    parts that ``_d_parts`` states, each accumulated by ``_compose_into``."""
-    if f.is_zero():
-        return GradedMap.zero(f.source, f.target, f.degree - 1)
-    left, right = _d_parts(f.source, f.target, f.degree)
-    sums: dict[int, list[int]] = {}
-    for c, a in left:
-        _compose_into(sums, a, f, c)
-    for c, b in right:
-        _compose_into(sums, f, b, c)
-    return _from_sums(f.source, f.target, f.degree - 1, sums)
+    """D(f) = d o f - (-1)^deg(f) f o d, the package-wide convention, as a map."""
+    return _from_sums(f.source, f.target, f.degree - 1, _add_d({}, f))
+
+
+def _add_d(sums: dict[int, list[int]], f: GradedMap) -> dict[int, list[int]]:
+    """Add D(f), the parts of ``_d_parts`` through ``_compose_into``, into
+    ``sums``, one row-major entry list per source degree; return ``sums``."""
+    if not f.is_zero():
+        left, right = _d_parts(f.source, f.target, f.degree)
+        for c, a in left:
+            _compose_into(sums, a, f, c)
+        for c, b in right:
+            _compose_into(sums, f, b, c)
+    return sums
+
+
+def _d_equals(f: GradedMap, r: GradedMap) -> bool:
+    """Whether D(f) = r, as one defect with no map built: r lies in D(f)'s hom
+    group, and minus r plus D(f) is zero in every degree's entry list."""
+    return ((r.source, r.target, r.degree) == (f.source, f.target, f.degree - 1)
+            and not any(map(any, _add_d({n: [-v for v in m.entries] for n, m in r.blocks}, f).values())))
 
 
 def _entry_list(sums: dict[int, list[int]], n: int, size: int) -> list[int]:

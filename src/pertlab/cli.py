@@ -5,8 +5,8 @@ Exit codes are part of the interface: 0 success, 1 invalid input,
 failure, 5 internal check failed (an ``InternalConsistencyError`` or any
 other unexpected exception; the traceback goes to stderr and the
 report).  ``--report FILE`` additionally writes a machine-readable JSON
-summary of whatever the command did, on every exit code; when that file
-cannot be written, a command that succeeded exits 1 instead.
+summary of whatever the command did, on every exit code (usage errors
+too); if that file cannot be written, a command that succeeded exits 1.
 """
 
 from __future__ import annotations
@@ -64,6 +64,11 @@ def _ascii_int(text: str) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse contract
         raise _UsageError(message)
+
+
+# every command's --report option, and alone the parser that reads it first
+_COMMON = _Parser(add_help=False)
+_COMMON.add_argument("--report", metavar="FILE", help="write a JSON run report")
 
 
 def _load(path: str, want: type, what: str):
@@ -216,72 +221,62 @@ def _cmd_fixture(args, report: dict) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pertlab", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--report", metavar="FILE", help="write a JSON run report")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name: str, handler, subs=sub, **kw):
+        q = subs.add_parser(name, parents=[_COMMON], **kw)
+        q.set_defaults(handler=handler)
+        return q
 
-    q = add("validate", help="run the kind-appropriate validator on a document")
+    q = add("validate", _cmd_validate, help="run the kind-appropriate validator on a document")
     q.add_argument("file")
-    q.set_defaults(handler=_cmd_validate)
 
-    q = add("bpl", help="transfer a perturbation across a retract with side conditions")
+    q = add("bpl", _cmd_bpl, help="transfer a perturbation across a retract with side conditions")
     q.add_argument("--sdr", required=True)
     q.add_argument("--delta", required=True)
     q.add_argument("-o", "--out")
-    q.set_defaults(handler=_cmd_bpl)
 
-    q = add("obstruction", help="obstruction cycles, class verdicts and witnesses")
+    q = add("obstruction", _cmd_obstruction, help="obstruction cycles, class verdicts and witnesses")
     q.add_argument("--he", required=True)
-    q.set_defaults(handler=_cmd_obstruction)
 
-    q = add("modify", help="repair one homotopy so the obstruction cycles vanish")
+    q = add("modify", _cmd_modify, help="repair one homotopy so the obstruction cycles vanish")
     q.add_argument("--he", required=True)
     q.add_argument("--which", choices=("h", "l"), required=True)
     q.add_argument("-o", "--out")
-    q.set_defaults(handler=_cmd_modify)
 
-    q = add("extend", help="extend a homotopy equivalence to a tower")
+    q = add("extend", _cmd_extend, help="extend a homotopy equivalence to a tower")
     q.add_argument("--he", required=True)
     q.add_argument("--cap", type=_ascii_int, required=True)
     q.add_argument("-o", "--out")
-    q.set_defaults(handler=_cmd_extend)
 
-    q = add("ipl", help="perturb a tower (cap drops by one)")
+    q = add("ipl", _cmd_ipl, help="perturb a tower (cap drops by one)")
     q.add_argument("--she", required=True)
     q.add_argument("--delta", required=True)
     q.add_argument("-o", "--out")
-    q.set_defaults(handler=_cmd_ipl)
 
-    q = add("pp", help="perturb a homotopy equivalence end to end")
+    q = add("pp", _cmd_pp, help="perturb a homotopy equivalence end to end")
     q.add_argument("--he", required=True)
     q.add_argument("--delta", required=True)
     q.add_argument("--strategy", choices=("modify-h", "modify-l", "as-is"), default="modify-h")
     q.add_argument("-o", "--out")
-    q.set_defaults(handler=_cmd_pp)
 
-    op = add("operad", help="symbolic engine commands")
+    op = sub.add_parser("operad", parents=[_COMMON], help="symbolic engine commands")
     opsub = op.add_subparsers(dest="operad_command", required=True, parser_class=_Parser)
 
-    q = opsub.add_parser("verify", parents=[common], help="run the symbolic identity suite")
+    q = add("verify", _cmd_operad_verify, opsub, help="run the symbolic identity suite")
     q.add_argument("--caps", help="index,length,fweight,degree")
-    q.set_defaults(handler=_cmd_operad_verify)
 
-    q = opsub.add_parser("eval", parents=[common], help="normal form of an expression, or its matrix value")
+    q = add("eval", _cmd_operad_eval, opsub, help="normal form of an expression, or its matrix value")
     q.add_argument("--expr", required=True)
     q.add_argument("--ambient", default="riso")
     q.add_argument("--she", help="tower document; with --delta, evaluate to a matrix")
     q.add_argument("--delta", help="perturbation document")
-    q.set_defaults(handler=_cmd_operad_eval)
 
-    q = add("fixture", help="deterministic valid example documents")
+    q = add("fixture", _cmd_fixture, help="deterministic valid example documents")
     q.add_argument("--seed", type=_ascii_int, default=0)
     q.add_argument("--ranks", default="2,1", help="core rank, cone pairs")
     q.add_argument("--filtration", type=_ascii_int, default=2)
     q.add_argument("-o", "--out")
-    q.set_defaults(handler=_cmd_fixture)
 
     return parser
 
@@ -297,11 +292,14 @@ _EXIT_CODES = (
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    report: dict = {"argv": list(sys.argv[1:] if argv is None else argv)}
-    report_path = None
+    argv = list(sys.argv[1:] if argv is None else argv)
+    report: dict = {"argv": argv}
+    try:  # the report path alone first, so that a usage error gets its report too
+        report_path = _COMMON.parse_known_args(argv)[0].report
+    except _UsageError:  # a bare --report: the full parse states the usage error, with no report
+        report_path = None
     try:
         args = parser.parse_args(argv)
-        report_path = args.report
         code = args.handler(args, report)
     except Exception as e:  # every failure gets an exit code, a message and a report
         code = next((c for kinds, c in _EXIT_CODES if isinstance(e, kinds)), EXIT_INTERNAL)

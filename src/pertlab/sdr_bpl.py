@@ -28,9 +28,10 @@ identity D(0) = F G - 1 says F G = 1), so the tower check lives here:
 table and every component's ends from its colours, for ``validate_sdr``,
 ``validate_he``, ``validate_she`` and ``ipl_pipeline.OperadAction``.  It
 checks an identity D(f) = (word sum) as one defect (``_identity_holds``):
-D's parts of f and minus the word sum are accumulated into one entry list
-per degree, and every list must be zero.  Each report that becomes an
-exception goes through ``_refuse``.
+minus the word sum and D(f) (``chaincore._add_d``) are accumulated into
+one entry list per degree, and every list must be zero; a right-hand side
+supplied already evaluated is the same defect (``chaincore._d_equals``).
+Each report that becomes an exception goes through ``_refuse``.
 """
 
 from __future__ import annotations
@@ -40,14 +41,14 @@ from dataclasses import dataclass
 from .chaincore import (
     ChainComplex,
     GradedMap,
+    _add_d,
     _check_composable,
     _compose_into,
-    _d_parts,
+    _d_equals,
     _from_sums,
     complex_with_differential,
     compose,
     filtration_shift,
-    hom_differential,
     rebase,
     validate_complex,
 )
@@ -198,9 +199,9 @@ def _check_components(problems: list[str], assign: dict[Generator, GradedMap],
     degree or lowers the filtration (under ``name(z)``); if none does,
     report each that fails its tower identity (as ``failure(z)``).  The
     right-hand sides read the whole assignment; ``rhs`` may supply some of
-    them already evaluated on it, and those are not evaluated again."""
+    them already evaluated on it, and those are not evaluated again but
+    checked as the same one defect (``chaincore._d_equals``)."""
     check = tuple(assign) if check is None else check
-    rhs = {} if rhs is None else rhs
     ok = True
     for z in check:
         f = assign[z]
@@ -216,35 +217,23 @@ def _check_components(problems: list[str], assign: dict[Generator, GradedMap],
     if not ok or problems:
         return
     for z in check:
-        # a right-hand side already evaluated is compared as a map, hom group
-        # included; the others are checked as one defect
-        if not ((hom_differential(assign[z]) == rhs[z]) if z in rhs else _identity_holds(z, assign, M, N)):
+        if not (_d_equals(assign[z], rhs[z]) if rhs and z in rhs else _identity_holds(z, assign, M, N)):
             problems.append(failure(z))
 
 
 def _identity_holds(z: Generator, assign: dict[Generator, GradedMap], M: ChainComplex, N: ChainComplex) -> bool:
     """Whether z's component f meets its tower identity D(f) = (the word sum
-    of z's differential), checked as one defect: D's parts of f (from
-    ``_d_parts``, through ``_compose_into``) and minus the word sum (through
-    ``_add_words``) are accumulated into one entry list per degree, and
-    every list must be zero.  No map is built for either side.
+    of z's differential), checked as one defect: minus the word sum
+    (``_add_words``) and D(f) (``chaincore._add_d``) are accumulated into
+    one entry list per degree, and every list must be zero, no map built.
 
     f's ends and degree are checked before this is called, so D(f) lies in
     (src, tgt, z.degree - 1), and so do the words once the components they
     read are checked too.  Words that land elsewhere fail the identity, as
     an unequal map would.  A zero f has D(f) = 0 and adds nothing."""
-    f = assign[z]
-    sums: dict[int, list[int]] = {}
+    f, sums = assign[z], {}
     hom = _add_words(sums, generator_diff(z), assign, M, N, -1)
-    if hom is not None and hom != (f.source, f.target, f.degree - 1):
-        return False
-    if not f.is_zero():
-        left, right = _d_parts(f.source, f.target, f.degree)
-        for c, a in left:
-            _compose_into(sums, a, f, c)
-        for c, b in right:
-            _compose_into(sums, f, b, c)
-    return not any(map(any, sums.values()))
+    return hom in (None, (f.source, f.target, f.degree - 1)) and not any(map(any, _add_d(sums, f).values()))
 
 
 # A retract and an equivalence are towers of cap 0: F, G, H, L are f_0,

@@ -56,12 +56,12 @@ from itertools import accumulate, islice
 from .chaincore import (
     ChainComplex,
     GradedMap,
+    _d_equals,
     _d_parts,
     _place_composites,
     compose,
     hom_basis,
     hom_complex,
-    hom_differential,
     map_to_vec,
     vec_to_map,
 )
@@ -237,7 +237,8 @@ def _lift_step(assign: dict[Generator, GradedMap], n: int, M: ChainComplex, N: C
     tops = (gen("f", n), gen("g", n))
     rhs = {z: _tower_rhs(z, assign, M, N) for z in tops}
     lifts = [_hom_solve(*_hom_space(z, M, N), n, rhs[z]) for z in tops]
-    if n == 2 and None in lifts and not all(hom_differential(o).is_zero() for o in rhs.values()):
+    if n == 2 and None in lifts and not all(_d_equals(o, GradedMap.zero(o.source, o.target, o.degree - 1))
+                                            for o in rhs.values()):
         raise InternalConsistencyError("obstruction cycles are not cycles")
     return rhs, lifts
 
@@ -288,8 +289,9 @@ def modification_witnesses(he: HeData, which: str = "h") -> tuple[HeData, Obstru
     """Modified equivalence plus closed-form witnesses for its obstructions.
 
     The witnesses are explicit compositions in the original data, verified
-    exactly against the modified cycles before returning; they certify that
-    the repair works over the integers, with no solver involved.
+    exactly against the modified cycles (``chaincore._d_equals``) before
+    returning; they certify that the repair works over the integers, with
+    no solver involved.
     """
     if which == "l":
         he2, p = modification_witnesses(_mirror(he), "h")
@@ -302,7 +304,7 @@ def modification_witnesses(he: HeData, which: str = "h") -> tuple[HeData, Obstru
            + compose(he.G, compose(he.L, he.L))
            - compose(he.H, compose(he.G, he.L)))
     o_m2, o_n2 = _obstruction_cycle(he2, "f"), _obstruction_cycle(he2, "g")
-    if hom_differential(w_m) != o_m2 or hom_differential(w_n) != o_n2:
+    if not (_d_equals(w_m, o_m2) and _d_equals(w_n, o_n2)):
         raise InternalConsistencyError("closed-form modification witnesses failed to verify")
     return he2, ObstructionPair(o_m2, o_n2, w_m, w_n)
 
@@ -412,9 +414,10 @@ def _extend(he: HeData, index_cap: int, advice: str) -> SheData:
     right-hand sides of every step that took no joint correction: the one
     at index n reads only components of index below n, and a joint step at
     n corrects only f_n-1 and g_n-1, so each kept value is the value on
-    the final assignment.  The right-hand sides of a step that ran a joint
-    correction were read before it, so they are not kept, and the check
-    evaluates them again on the corrected assignment.
+    the final assignment, and is checked as the same defect as the others
+    (``chaincore._d_equals``).  The right-hand sides of a step that ran a
+    joint correction were read before it, so they are not kept, and the
+    check evaluates them again on the corrected assignment.
     """
     assign = tower_assignment(she_from_he(he))
     kept: dict[Generator, GradedMap] = {}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pertlab.chaincore import (
     ChainComplex,
     GradedMap,
+    _d_equals,
     compose,
     complex_with_differential,
     filtration_shift,
@@ -18,7 +19,8 @@ from pertlab.chaincore import (
     vec_to_map,
 )
 from pertlab.exactlin import IntMatrix
-from pertlab.fixtures import _random_core, build_complex, he_fixture, interval_complex, sdr_fixture, zero_complex
+from pertlab.fixtures import (_random_core, _random_filtered_map, build_complex, he_fixture, interval_complex,
+                              sdr_fixture, zero_complex)
 
 
 def two_step():
@@ -378,3 +380,43 @@ def test_complex_with_differential_swaps_d():
     assert all(c2.d_block(n).is_zero() for n in range(1, 3))
     with pytest.raises(ValueError, match="degree -1 self-map"):
         complex_with_differential(c, GradedMap.zero(c, c, 0))
+
+
+def near_misses(r, data):
+    """r and maps that differ from it in one way each: one entry bumped
+    (when its hom group has an entry), its degree moved by one either way,
+    its ends swapped (the same map when they agree), and the zero map of
+    its hom group."""
+    src, tgt, k = r.source, r.target, r.degree
+    out = [r, GradedMap(src, tgt, k + 1, r.blocks), GradedMap(src, tgt, k - 1, r.blocks),
+           GradedMap(tgt, src, k, r.blocks), GradedMap.zero(src, tgt, k)]
+    cells = [(n, p) for n in src.degrees() for p in range(tgt.rank_at(n + k) * src.rank_at(n))]
+    if cells:
+        n, p = data.draw(st.sampled_from(cells))
+        m = r.block_at(n)
+        entries = list(m.entries)
+        entries[p] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+        blocks = {**dict(r.blocks), n: IntMatrix(m.rows, m.cols, tuple(entries))}
+        out.append(GradedMap.from_blocks(src, tgt, k, blocks))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(KINDS, st.integers(0, 40), st.sampled_from(["component", "filtered", "zero"]), PAIRS,
+       st.integers(-1, 3), st.data())
+def test_d_equals_matches_the_map_reference(kind, seed, source, pair, k, data):
+    # reference: build D(f) as a map and compare it with r
+    x = sdr_fixture(seed)[0] if kind == "sdr" else he_fixture(seed)
+    m, n = fixture_pair(kind, seed, pair)
+    if source == "component":
+        f = getattr(x, data.draw(st.sampled_from("FGHL" if kind == "he" else "FGH")))
+    elif source == "filtered":
+        f = _random_filtered_map(random.Random(data.draw(st.integers(0, 10**6))), m, n, k, 0)
+    else:
+        f = GradedMap.zero(m, n, k)
+    d = hom_differential(f)
+    answers = []
+    for r in near_misses(d, data):
+        answers.append(_d_equals(f, r))
+        assert answers[-1] == (d == r)
+    assert answers[0] and not answers[1]

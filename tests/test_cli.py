@@ -853,3 +853,32 @@ def test_cli_documents_match_the_goldens(tmp_path, capsys):
 def test_cli_usage_error_exit_code(capsys):
     assert main(["bpl", "--sdr"]) == 1
     assert main(["nonsense"]) == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["extend", "--he", "x.json"], "the following arguments are required: --cap"),
+    (["validate", "x.json", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_cli_usage_error_writes_its_report(tmp_path, capsys, args, message):
+    assert main(args) == 1
+    plain = capsys.readouterr()
+    report = tmp_path / "r.json"
+    argv = [*args, "--report", str(report)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == plain == ("", f"error: {message}\n")
+    assert json.loads(report.read_text()) == {"argv": argv, "error": message, "exit_code": 1}
+
+
+def test_cli_bare_report_is_a_usage_error_with_no_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["extend", "--he", "x.json", "--cap", "1", "--report"]) == 1
+    assert capsys.readouterr().err == "error: argument --report: expected one argument\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_report_before_the_operad_subcommand_is_written(tmp_path, capsys):
+    # the nested parser's default used to hide a --report given to "operad"
+    report = tmp_path / "r.json"
+    assert main(["operad", "--report", str(report), "eval", "--expr", "f0"]) == 0
+    assert capsys.readouterr().out == "f0\n"
+    assert json.loads(report.read_text())["normal_form"] == "f0"

@@ -330,6 +330,22 @@ def test_low_differentials_frozen():
     assert render_element(diff(single("riso", word(gen("f"))))) == "0"
 
 
+@pytest.mark.parametrize("family", ["f", "g"])
+def test_plain_rows_match_the_closed_form(family):
+    # d f_n = sum_{i<n} (-1)^i x_i f_{n-1-i}, x_i = f_i when n + i is even and
+    # g_i otherwise; the g rows are the mirror, with f and g swapped
+    other = "g" if family == "f" else "f"
+    for n in range(2, 41):
+        want: dict = {}
+        for i in range(n):
+            key = (gen(family if (n + i) % 2 == 0 else other, i), gen(family, n - 1 - i))
+            want[key] = want.get(key, 0) + (-1) ** i
+        got: dict = {}
+        for w, c in generator_diff(gen(family, n)):
+            got[w.factors] = got.get(w.factors, 0) + c
+        assert {k: c for k, c in got.items() if c} == {k: c for k, c in want.items() if c}, n
+
+
 def test_differential_tables_match_goldens():
     plain = [render_generator_diff(gen(fam, i)) for i in (2, 3, 4) for fam in ("f", "g")]
     assert "\n".join(plain) + "\n" == (GOLDENS / "diff_riso.txt").read_text()

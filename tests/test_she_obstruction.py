@@ -1,12 +1,13 @@
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pertlab import ipl_pipeline, sdr_bpl, she_obstruction
+from pertlab import chaincore, ipl_pipeline, sdr_bpl, she_obstruction
 from pertlab.chaincore import (
     GradedMap,
     _place_composites,
@@ -62,7 +63,7 @@ from pertlab.she_obstruction import (
 from pertlab.exactlin import IntMatrix, solve_integer
 from pertlab.ipl_pipeline import solve_pp
 from pertlab.operad_sym import gen
-from pertlab.sdr_bpl import InternalConsistencyError, tower_generators
+from pertlab.sdr_bpl import InternalConsistencyError, tower_generators, validate_sdr
 
 
 def test_he_fixtures_validate():
@@ -948,3 +949,29 @@ def test_a_nonzero_right_hand_side_with_no_filtered_unknowns_has_no_lift(monkeyp
     monkeypatch.setattr(she_obstruction, "solve_integer", refuse)
     for case in cases:
         assert _hom_solve(*case) is None
+
+
+def test_no_check_builds_a_hom_differential(monkeypatch):
+    # every check decides D(f) = r as one defect, so none builds D(f) as a
+    # map; the fixtures, which need D(t) as a value, are built first
+    s, direct, joint, obstructed = sdr_fixture(3)[0], he_fixture(12), he_fixture(58), obstructed_he_fixture()
+    tower = extend_to_she(direct, 1)
+
+    def refuse(f):
+        raise AssertionError("a check built D(f) as a map")
+
+    patched = [name for name, module in list(sys.modules.items()) if name.split(".")[0] == "pertlab"
+               and vars(module).get("hom_differential") is chaincore.hom_differential]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "hom_differential", refuse)
+    assert "pertlab.chaincore" in patched
+    fired = _spy_on_joint_steps(monkeypatch)
+    assert validate_sdr(s) == [] and validate_he(direct) == [] and validate_she(tower) == []
+    assert validate_she(extend_to_she(direct, 1)) == [] and fired == []
+    assert validate_she(extend_to_she(joint, 1)) == [] and fired == [3]
+    # both lifts fail, so the cycle test runs on both obstruction cycles
+    pair = obstruction_cycles(obstructed)
+    assert pair.witness_m is None and pair.witness_n is None
+    for he in (direct, obstructed):
+        for which in "hl":
+            modification_witnesses(he, which)
