@@ -19,12 +19,12 @@ degree -1.  The filtration weight (fweight) of a generator is 1 for barred
 copies and for xb, yb and 0 otherwise; a word's fweight is the sum over
 its factors, and both differentials only ever raise it.
 
-The differential acts on generators by fixed tables and extends to words
-as a derivation with Koszul signs: passing d across z costs (-1)^deg(z).
-Barred generators differentiate into the unbarred rule plus every mixed
-barred variant, matching the rule "bar at least one factor" (the
-superscript sum below excludes the all-unbarred term, which belongs to the
-unbarred differential).
+The differential acts on generators by one table in closed form,
+d f_n = sum_{i<n} (-1)^i x_i f_(n-1-i) (- 1B at n = 1), x_i = f_i when
+n + i is even and g_i when it is odd, with the g rows its colour mirror
+and a barred row every way to bar at least one factor, plus the
+perturbation terms (``generator_diff``).  It extends to words as a
+derivation with Koszul signs: passing d across z costs (-1)^deg(z).
 
 Truncation: the kernel elements and the retraction are infinite series in
 the completed operad; here they are computed per filtration band.  Only
@@ -434,49 +434,29 @@ def parse_caps(text: str) -> TruncationCaps:
 # Differentials
 
 
-def _fam(base: str, barred: int) -> str:
-    return base + "b" if barred else base
-
-
 @lru_cache(maxsize=None)
 def generator_diff(z: Generator) -> tuple[tuple[Word, int], ...]:
-    """The differential of one generator, as (word, coefficient) pairs.
+    """The differential of one generator, as (word, coefficient) pairs, in
+    one closed form.  d xb = -xb xb, d yb = -yb yb, and for every n
 
-    Each g-side row is the colour mirror of the f-side one (swap f with g
-    and xb with yb), and a plain row is the part of the barred row of the
-    same index in which no factor is barred."""
+        d f_n = sum_{i<n} (-1)^i x_i f_(n-1-i)  (- 1B at n = 1),
+
+    x_i = f_i when n + i is even and g_i when it is odd.  d fb_n is
+    (-1)^n b x - y b for b = f_n, then fb_n, with x the perturbation of its
+    source colour and y that of its target colour, and then each word of
+    the sum above with its second, its first or both factors barred.  The
+    g rows are the colour mirror (swap f with g and xb with yb)."""
     fam, n = z.family, z.index
     if fam in ("xb", "yb"):
         return ((word(z, z), -1),)
-    f, g, x, y = ("f", "g", XBAR, YBAR) if fam[0] == "f" else ("g", "f", YBAR, XBAR)
+    f, g = ("f", "g") if fam[0] == "f" else ("g", "f")
+    plain = [(gen(f if (n + i) % 2 == 0 else g, i), gen(f, n - 1 - i), (-1) ** i) for i in range(n)]
     if fam in ("f", "g"):
-        if n == 0:
-            return ()
-        if n == 1:
-            return ((word(gen(g, 0), gen(f, 0)), 1), (id_word(z.src), -1))
-        out: list[tuple[Word, int]] = []
-        bars = ((0, 0),)
-    else:
-        # four terms with the perturbations, then every way to bar at least
-        # one factor of the plain row's terms
-        fz, fb = gen(f, n), gen(f + "b", n)
-        if n % 2 == 0:
-            out = [(word(fz, x), 1), (word(y, fz), -1), (word(fb, x), 1), (word(y, fb), -1)]
-        else:
-            out = [(word(fz, x), -1), (word(x, fz), -1), (word(fb, x), -1), (word(x, fb), -1)]
-        bars = ((0, 1), (1, 0), (1, 1))
-    m = n // 2
-    for t, r in bars:
-        if n % 2 == 0:
-            for i in range(m):
-                out.append((word(gen(_fam(f, t), 2 * i), gen(_fam(f, r), 2 * (m - i) - 1)), 1))
-                out.append((word(gen(_fam(g, t), 2 * (m - i) - 1), gen(_fam(f, r), 2 * i)), -1))
-        else:
-            for j in range(m + 1):
-                out.append((word(gen(_fam(g, t), 2 * j), gen(_fam(f, r), 2 * (m - j))), 1))
-            for j in range(m):
-                out.append((word(gen(_fam(f, t), 2 * j + 1), gen(_fam(f, r), 2 * (m - j) - 1)), -1))
-    return tuple(out)
+        return tuple([(word(a, b), c) for a, b, c in plain] + ([(id_word(z.src), -1)] if n == 1 else []))
+    x, y = (XBAR if colour == "B" else YBAR for colour in (z.src, z.dst))
+    return tuple([term for b in (gen(f, n), z) for term in ((word(b, x), (-1) ** n), (word(y, b), -1))]
+                 + [(word(gen(a.family + "b" * t, a.index), gen(b.family + "b" * r, b.index)), c)
+                    for t, r in ((0, 1), (1, 0), (1, 1)) for a, b, c in plain])
 
 
 def _rows(lengthening: bool = False):
@@ -1015,6 +995,18 @@ def _homotopy_defect(factors: tuple[Generator, ...], ranks: tuple[int, ...], row
     return any(acc.values())
 
 
+def _transfer_witness(n: int) -> tuple[OperadElement, OperadElement]:
+    """(lhs, witness) of the chain-level transfer identity at index n >= 2,
+
+        x_0 d(f_n) + (-1)^n d(g_n) f_0 = d(sum_{0<k<n} (-1)^(k+1) x_k f_(n-k)),
+
+    where x_k is f_k when n + k is odd and g_k when it is even."""
+    x = [gen("f" if (n + k) % 2 else "g", k) for k in range(n)]
+    lhs = (multiply(generator_element(x[0]), diff(generator_element(gen("f", n))))
+           + multiply(diff(generator_element(gen("g", n))), generator_element(gen("f", 0))).scale((-1) ** n))
+    return lhs, element("riso", [(word(x[k], gen("f", n - k)), (-1) ** (k + 1)) for k in range(1, n)])
+
+
 def _first_by_key(failing: dict[str, list[Word]]) -> list[Word]:
     """The first word in key order of each nonempty list, target B before W."""
     return [min(failing[dst], key=_word_key) for dst in ("B", "W") if failing[dst]]
@@ -1131,34 +1123,15 @@ def verify_identity_suite(caps: TruncationCaps) -> list[IdentityCheck]:
             fails.append(f"kernel absorption identity fails at degree {r}")
     add("kernel_absorption", fails)
 
-    # (f) chain-level transfer witnesses, even and odd
-    fails = []
-    f0 = single("riso", word(gen("f", 0)))
-    g0 = single("riso", word(gen("g", 0)))
-    for m in range(1, caps.max_index // 2 + 1):
-        lhs = multiply(g0, diff(single("riso", word(gen("f", 2 * m))))) + multiply(
-            diff(single("riso", word(gen("g", 2 * m)))), f0
-        )
-        witness = element("riso", [(word(gen("f", 2 * j + 1), gen("f", 2 * (m - j) - 1)), 1)
-                                   for j in range(m)]
-                          + [(word(gen("g", 2 * j), gen("f", 2 * (m - j))), -1)
-                             for j in range(1, m)])
+    # (f) chain-level transfer witnesses, filed by the parity of the index
+    transfer: dict[str, list[str]] = {"even": [], "odd": []}
+    for n in range(2, caps.max_index + 1):
+        lhs, witness = _transfer_witness(n)
         if lhs != diff(witness):
-            fails.append(f"even transfer witness fails at index {2 * m}")
-    add("chain_level_transfer_even", fails)
-
-    fails = []
-    for m in range(1, (caps.max_index - 1) // 2 + 1):
-        lhs = multiply(f0, diff(single("riso", word(gen("f", 2 * m + 1))))) - multiply(
-            diff(single("riso", word(gen("g", 2 * m + 1)))), f0
-        )
-        witness = element("riso", [(word(gen("g", 2 * (m - i) + 1), gen("f", 2 * i)), 1)
-                                   for i in range(1, m + 1)]
-                          + [(word(gen("f", 2 * i), gen("f", 2 * (m - i) + 1)), -1)
-                             for i in range(1, m + 1)])
-        if lhs != diff(witness):
-            fails.append(f"odd transfer witness fails at index {2 * m + 1}")
-    add("chain_level_transfer_odd", fails)
+            parity = ("even", "odd")[n % 2]
+            transfer[parity].append(f"{parity} transfer witness fails at index {n}")
+    for parity, fails in transfer.items():
+        add(f"chain_level_transfer_{parity}", fails)
 
     return checks
 

@@ -42,8 +42,8 @@ is the cap-0 tower with L = 0) and ``ipl_pipeline.OperadAction``.
 Constructors check their output, public entry points check their input,
 and the private core ``_extend`` trusts its caller, so a pipeline checks
 each object once and evaluates each obstruction cycle once.  Callers hand
-``_extend`` an equivalence they have checked (``extend_to_she``, which
-``trivial_extension`` runs, its input; ``ipl_pipeline.solve_pp`` its
+``_extend`` an equivalence they have checked (``extend_to_she`` and
+``trivial_extension`` their input; ``ipl_pipeline.solve_pp`` its
 repair, through ``_require_valid_repair``), and ``_extend`` checks only
 the components it builds, index 2 and up.
 """
@@ -291,36 +291,42 @@ def modification_witnesses(he: HeData, which: str = "h") -> tuple[HeData, Obstru
     The witnesses are explicit compositions in the original data, verified
     exactly against the modified cycles (``chaincore._d_equals``) before
     returning; they certify that the repair works over the integers, with
-    no solver involved.
+    no solver involved.  The input is checked once, as given, so an invalid
+    one is refused in the terms of its own maps; the "l" repair is the "h"
+    repair of the mirror, mirrored back.
     """
-    if which == "l":
-        he2, p = modification_witnesses(_mirror(he), "h")
-        return _mirror(he2), ObstructionPair(p.cycle_n, p.cycle_m, p.witness_n, p.witness_m)
-    if which != "h":
+    if which not in ("h", "l"):
         raise ValueError(f"which must be 'h' or 'l', got {which!r}")
-    he2 = modify_homotopy_h(he)
-    w_m = -compose(he.L, _obstruction_cycle(he, "f"))
-    w_n = (compose(compose(he.H, he.H), he.G)
-           + compose(he.G, compose(he.L, he.L))
-           - compose(he.H, compose(he.G, he.L)))
+    _require_valid(he)
+    he1 = _mirror(he) if which == "l" else he
+    he2 = modify_homotopy_h(he1)
+    w_m = -compose(he1.L, _obstruction_cycle(he1, "f"))
+    w_n = (compose(compose(he1.H, he1.H), he1.G)
+           + compose(he1.G, compose(he1.L, he1.L))
+           - compose(he1.H, compose(he1.G, he1.L)))
     o_m2, o_n2 = _obstruction_cycle(he2, "f"), _obstruction_cycle(he2, "g")
     if not (_d_equals(w_m, o_m2) and _d_equals(w_n, o_n2)):
         raise InternalConsistencyError("closed-form modification witnesses failed to verify")
+    if which == "l":
+        return _mirror(he2), ObstructionPair(o_n2, o_m2, w_n, w_m)
     return he2, ObstructionPair(o_m2, o_n2, w_m, w_n)
 
 
 def trivial_extension(he: HeData, index_cap: int = 1) -> SheData | None:
     """Zero-padded tower, available only when every defect vanishes on the
     nose: both obstruction cycles are the zero map and H H = L L = 0.
-    Then every right-hand side is zero, and ``extend_to_she`` lifts each
-    by the zero map, with no system built or solved (``_hom_solve``).
-    Returns None when the data does not qualify."""
+    Then every right-hand side is zero, and ``_extend`` lifts each by the
+    zero map, with no system built or solved (``_hom_solve``).
+    The input is checked first, once: an invalid one is refused, as by
+    ``extend_to_she``.  Returns None when valid data does not qualify."""
     if index_cap < 0:
         raise ValueError("index_cap must be nonnegative")
+    _require_valid(he)
     if not (_obstruction_cycle(he, "f").is_zero() and _obstruction_cycle(he, "g").is_zero()
             and compose(he.H, he.H).is_zero() and compose(he.L, he.L).is_zero()):
         return None
-    return extend_to_she(he, index_cap)
+    # both cycles are zero, so the lifts at index 2 exist and no advice is read
+    return _extend(he, index_cap, "")
 
 
 def _joint_system(assign: dict[Generator, GradedMap], n: int,

@@ -585,6 +585,20 @@ def test_cli_modify_then_extend(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "t.json")]) == 0
 
 
+def test_cli_refuses_an_invalid_equivalence_alike_in_every_command(tmp_path, capsys):
+    # modify reports the invalid input as obstruction and extend do, exit 1
+    from tests.test_she_obstruction import unfiltered_he
+
+    path = write_doc(tmp_path, "he.json", unfiltered_he())
+    out = str(tmp_path / "o.json")
+    for argv in (["modify", "--which", "h", "-o", out], ["modify", "--which", "l", "-o", out],
+                 ["obstruction"], ["extend", "--cap", "1", "-o", out]):
+        assert main([argv[0], "--he", path, *argv[1:]]) == 1, argv
+        assert capsys.readouterr().err == (
+            "error: invalid homotopy equivalence: H does not preserve the filtration (shift -1)\n")
+    assert not os.path.exists(out)
+
+
 def test_cli_extend_obstructed_exit(tmp_path, capsys):
     path = write_doc(tmp_path, "he.json", obstructed_he_fixture())
     assert main(["extend", "--he", path, "--cap", "1", "-o", str(tmp_path / "t.json")]) == 3

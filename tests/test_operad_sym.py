@@ -346,17 +346,84 @@ def test_plain_rows_match_the_closed_form(family):
         assert {k: c for k, c in got.items() if c} == {k: c for k, c in want.items() if c}, n
 
 
+def ref_generator_diff(z):
+    """The generator differential as separate even and odd loops, the form
+    the table had before its closed form."""
+    fam, n = z.family, z.index
+    if fam in ("xb", "yb"):
+        return [(word(z, z), -1)]
+    f, g, x, y = ("f", "g", gen("xb"), gen("yb")) if fam[0] == "f" else ("g", "f", gen("yb"), gen("xb"))
+    bar = lambda base, barred: base + "b" if barred else base  # noqa: E731
+    if fam in ("f", "g"):
+        if n == 0:
+            return []
+        if n == 1:
+            return [(word(gen(g, 0), gen(f, 0)), 1), (id_word(z.src), -1)]
+        out, bars = [], ((0, 0),)
+    else:
+        fz, fb = gen(f, n), gen(f + "b", n)
+        if n % 2 == 0:
+            out = [(word(fz, x), 1), (word(y, fz), -1), (word(fb, x), 1), (word(y, fb), -1)]
+        else:
+            out = [(word(fz, x), -1), (word(x, fz), -1), (word(fb, x), -1), (word(x, fb), -1)]
+        bars = ((0, 1), (1, 0), (1, 1))
+    m = n // 2
+    for t, r in bars:
+        if n % 2 == 0:
+            for i in range(m):
+                out.append((word(gen(bar(f, t), 2 * i), gen(bar(f, r), 2 * (m - i) - 1)), 1))
+                out.append((word(gen(bar(g, t), 2 * (m - i) - 1), gen(bar(f, r), 2 * i)), -1))
+        else:
+            for j in range(m + 1):
+                out.append((word(gen(bar(g, t), 2 * j), gen(bar(f, r), 2 * (m - j))), 1))
+            for j in range(m):
+                out.append((word(gen(bar(f, t), 2 * j + 1), gen(bar(f, r), 2 * (m - j) - 1)), -1))
+    return out
+
+
+def test_generator_diff_equals_the_even_odd_loops():
+    # word -> coefficient, with as many terms: only the order within a row may differ
+    zs = [gen("xb"), gen("yb")] + [gen(fam, n) for n in range(41) for fam in ("f", "g", "fb", "gb")]
+    for z in zs:
+        got, want = generator_diff(z), ref_generator_diff(z)
+        assert len(got) == len(want) == len(dict(got)) and dict(got) == dict(want), z.token
+
+
+def ref_transfer_witness(n):
+    """The chain-level transfer identity at index n as (lhs, witness), with
+    the even and the odd index written out apart."""
+    f0, g0 = single("riso", word(gen("f", 0))), single("riso", word(gen("g", 0)))
+    d = lambda fam, i: diff(single("riso", word(gen(fam, i))))  # noqa: E731
+    m = n // 2
+    if n % 2 == 0:
+        lhs = multiply(g0, d("f", n)) + multiply(d("g", n), f0)
+        terms = ([(word(gen("f", 2 * j + 1), gen("f", 2 * (m - j) - 1)), 1) for j in range(m)]
+                 + [(word(gen("g", 2 * j), gen("f", 2 * (m - j))), -1) for j in range(1, m)])
+    else:
+        lhs = multiply(f0, d("f", n)) - multiply(d("g", n), f0)
+        terms = ([(word(gen("g", 2 * (m - i) + 1), gen("f", 2 * i)), 1) for i in range(1, m + 1)]
+                 + [(word(gen("f", 2 * i), gen("f", 2 * (m - i) + 1)), -1) for i in range(1, m + 1)])
+    return lhs, element("riso", terms)
+
+
+def test_transfer_witnesses_equal_the_even_odd_forms():
+    for n in range(2, 25):
+        lhs, witness = operad_sym._transfer_witness(n)
+        assert (lhs, witness) == ref_transfer_witness(n), n
+        assert diff(witness) == lhs and not lhs.is_zero(), n
+
+
 def test_differential_tables_match_goldens():
     plain = [render_generator_diff(gen(fam, i)) for i in (2, 3, 4) for fam in ("f", "g")]
     assert "\n".join(plain) + "\n" == (GOLDENS / "diff_riso.txt").read_text()
     zs = [gen("xb"), gen("yb")] + [gen(fam, i) for i in (0, 1, 2) for fam in ("fb", "gb")]
     extended = [render_generator_diff(z) for z in zs]
     assert "\n".join(extended) + "\n" == (GOLDENS / "diff_riso_tilde.txt").read_text()
-    # the golden files stop at index 4; every row up to index 11 is pinned by digest
-    zs = [gen("xb"), gen("yb")] + [gen(fam, i) for i in range(12) for fam in ("f", "g", "fb", "gb")]
+    # the golden files stop at index 4; every row up to index 40 is pinned by digest
+    zs = [gen("xb"), gen("yb")] + [gen(fam, i) for i in range(41) for fam in ("f", "g", "fb", "gb")]
     rows = "\n".join(render_generator_diff(z) for z in zs)
     assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "eeeb55c474a812eb3968237ddfcee61a31e44703997d0cd7b0e46ced85d05631")
+        "7e1f99a09f26895b7458b158fd25d30a1e80e14cbc669e24dafd1370fdda6d2e")
 
 
 @settings(max_examples=150, deadline=None)

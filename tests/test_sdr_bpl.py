@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pertlab import sdr_bpl
 from pertlab.chaincore import (
     GradedMap,
     complex_with_differential,
@@ -38,7 +39,7 @@ from pertlab.sdr_bpl import (
 )
 from pertlab.ipl_pipeline import solve_pp
 from pertlab.operad_sym import gen, id_word, word
-from pertlab.she_obstruction import extend_to_she, he_from_sdr, tower_assignment, validate_he
+from pertlab.she_obstruction import extend_to_she, he_from_sdr, tower_assignment, validate_he, validate_she
 
 
 def lazy_retract():
@@ -312,6 +313,18 @@ def _mutated_retract(rng: random.Random, s: SdrData) -> SdrData:
             continue
         s = dataclasses.replace(s, **{name: f})
     return s
+
+
+def test_a_word_sum_in_another_hom_group_fails_its_identity(monkeypatch):
+    # f_2's row planted as words of degree 0: they land in (M, N, 0), not in
+    # D(F_even[1])'s (M, N, 1).  f0 - f0 sums to zero there, as D of this
+    # tower's zero F_even[1] does, so only the hom group tells them apart.
+    tower = extend_to_she(he_fixture(0), 1)
+    assert tower.F_even[1].is_zero()
+    f0, f2, table = word(gen("f", 0)), gen("f", 2), sdr_bpl.generator_diff
+    for row in (((f0, 1),), ((f0, 1), (f0, -1))):
+        monkeypatch.setattr(sdr_bpl, "generator_diff", lambda z: row if z is f2 else table(z))
+        assert validate_she(tower) == ["tower identity fails for F_even[1]"]
 
 
 def test_validate_sdr_matches_the_hand_written_identities():

@@ -222,6 +222,28 @@ def test_trivial_extension_requires_vanishing_on_the_nose():
     assert trivial_extension(he) is None
 
 
+def unfiltered_he():
+    """The first ``he_fixture`` with a nonzero H, with 1 added to H's first
+    entry: H then lowers the filtration, and that is all that is wrong."""
+    he = next(he for he in map(he_fixture, range(100)) if not he.H.is_zero())
+    (n, m), *rest = he.H.blocks
+    bumped = IntMatrix(m.rows, m.cols, (m.entries[0] + 1,) + m.entries[1:])
+    he = HeData(he.M, he.N, he.F, he.G, GradedMap.from_blocks(he.M, he.M, 1, {n: bumped, **dict(rest)}), he.L)
+    assert validate_he(he) == ["H does not preserve the filtration (shift -1)"]
+    return he
+
+
+UNFILTERED = r"^invalid homotopy equivalence: H does not preserve the filtration \(shift -1\)$"
+
+
+@pytest.mark.parametrize("which", ["h", "l"])
+def test_modification_witnesses_refuse_an_invalid_equivalence(which):
+    # checked as given, before the "l" repair mirrors it, so the message
+    # names the input's H, not the mirror's; the witnesses are never built
+    with pytest.raises(ValueError, match=UNFILTERED):
+        modification_witnesses(unfiltered_he(), which)
+
+
 def test_trivial_extension_reports_invalid_input():
     # zero homotopies leave every defect zero, so the data qualifies, and
     # only the extension's input check sees that d H != G F - 1
@@ -229,6 +251,10 @@ def test_trivial_extension_reports_invalid_input():
     he = HeData(s.M, s.N, s.F, s.G, GradedMap.zero(s.M, s.M, 1), GradedMap.zero(s.N, s.N, 1))
     with pytest.raises(ValueError, match="^invalid homotopy equivalence: d H"):
         trivial_extension(he)
+    # data that would not qualify is refused too: None says that valid data
+    # does not qualify
+    with pytest.raises(ValueError, match=UNFILTERED):
+        trivial_extension(unfiltered_he())
 
 
 def ref_trivial_extension(he, index_cap):
