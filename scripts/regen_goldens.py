@@ -16,17 +16,20 @@ import io
 import pathlib
 import tempfile
 
+from pertlab.chaincore import GradedMap
 from pertlab.cli import main as cli_main
 from pertlab.cli_io import serialize_bundle, serialize_document
-from pertlab.fixtures import fixture_generate
+from pertlab.fixtures import build_complex, fixture_generate, he_fixture, sdr_fixture
 from pertlab.operad_sym import (
     TruncationCaps,
     gen,
     kernel_Z,
+    parse_element,
     render_element,
     render_generator_diff,
     render_retraction_line,
 )
+from pertlab.she_obstruction import extend_to_she
 
 GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "tests" / "goldens"
 
@@ -70,6 +73,32 @@ def cli_outputs() -> dict[str, str]:
     return out
 
 
+def validate_documents() -> dict[str, object]:
+    """cli/validate.txt's documents, by file stem: one valid document of each
+    kind, in the order of cli_io.KINDS, then a map over a complex whose
+    d o d is nonzero, which validate refuses."""
+    s, p = sdr_fixture(CLI_SEED)
+    he = he_fixture(CLI_SEED)
+    bad = build_complex(0, (1, 1, 1), ((0,), (0,), (0,)), {1: [[1]], 2: [[1]]}, 0)
+    return {"complex": s.M, "map": s.F, "sdr": s, "he": he, "she": extend_to_she(he, 1),
+            "perturbation": p, "operad-element": parse_element("f0 f1 - g1 f0", "rfake"),
+            "invalid_map": GradedMap.zero(bad, bad, 0)}
+
+
+def validate_output() -> str:
+    """What `pertlab validate` prints on each of validate_documents, with its exit code."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem, obj in validate_documents().items():
+            path = pathlib.Path(tmp) / f"{stem}.json"
+            path.write_text(serialize_document(obj))
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                code = cli_main(["validate", str(path)])
+            out.append(f"$ pertlab validate {stem}.json\n{printed.getvalue()}exit code {code}\n")
+    return "".join(out)
+
+
 def diff_lines_plain() -> str:
     zs = [gen(fam, i) for i in (2, 3, 4) for fam in ("f", "g")]
     return "".join(render_generator_diff(z) + "\n" for z in zs)
@@ -104,6 +133,7 @@ def main() -> None:
         "retraction.txt": retraction_lines(),
         "fixture_seed0.json": serialize_bundle(fixture_generate(0)),
         **cli_outputs(),
+        "cli/validate.txt": validate_output(),
     }
     for name, text in targets.items():
         path = GOLDENS / name

@@ -20,8 +20,8 @@ import traceback
 from pathlib import Path
 
 from . import fixtures
-from .chaincore import ChainComplex, GradedMap, validate_complex
-from .cli_io import DocumentError, parse_document, serialize_bundle, serialize_document
+from .chaincore import GradedMap
+from .cli_io import DocumentError, parse_document, serialize_bundle, serialize_document, validate_document
 from .ipl_pipeline import action_from_she, evaluate, ipl_perturb, solve_pp
 from .operad_sym import (
     TruncationCaps,
@@ -30,7 +30,7 @@ from .operad_sym import (
     render_element,
     verify_identity_suite,
 )
-from .sdr_bpl import Perturbation, SdrData, SideConditionError, bpl_transfer, validate_perturbation, validate_sdr
+from .sdr_bpl import Perturbation, SdrData, SideConditionError, bpl_transfer
 from .she_obstruction import (
     HeData,
     ObstructionError,
@@ -38,8 +38,6 @@ from .she_obstruction import (
     extend_to_she,
     modification_witnesses,
     obstruction_cycles,
-    validate_he,
-    validate_she,
 )
 
 EXIT_OK = 0
@@ -91,19 +89,9 @@ def _write_out(path: str | None, text: str, report: dict) -> None:
         sys.stdout.write(text)
 
 
-_VALIDATORS = {
-    ChainComplex: validate_complex,
-    SdrData: validate_sdr,
-    HeData: validate_he,
-    SheData: validate_she,
-    Perturbation: validate_perturbation,
-}
-
-
 def _cmd_validate(args, report: dict) -> int:
     obj = _load(args.file, object, "document")
-    # maps and operad elements have no validator: parsing checked them
-    problems = _VALIDATORS[type(obj)](obj) if type(obj) in _VALIDATORS else []
+    problems = validate_document(obj)
     report["kind"] = type(obj).__name__
     report["problems"] = problems
     for line in problems:
@@ -182,7 +170,7 @@ def _cmd_pp(args, report: dict) -> int:
 
 
 def _cmd_operad_verify(args, report: dict) -> int:
-    caps = parse_caps(args.caps) if args.caps else TruncationCaps()
+    caps = parse_caps(args.caps) if args.caps is not None else TruncationCaps()
     checks = verify_identity_suite(caps)
     ok = True
     for c in checks:
@@ -194,8 +182,8 @@ def _cmd_operad_verify(args, report: dict) -> int:
 
 def _cmd_operad_eval(args, report: dict) -> int:
     e = parse_element(args.expr, args.ambient)
-    if args.she or args.delta:
-        if not (args.she and args.delta):
+    if args.she is not None or args.delta is not None:
+        if args.she is None or args.delta is None:
             raise _UsageError("matrix evaluation needs both --she and --delta")
         she = _load(args.she, SheData, "she")
         p = _load(args.delta, Perturbation, "perturbation")

@@ -11,6 +11,10 @@ written in ASCII digits, the only digits JSON reads as a number.
 
 Serialization is canonical (sorted keys, fixed indentation), so equal
 objects produce byte-equal documents and golden files diff cleanly.
+
+A kind is defined in one place, its row of ``_KIND_TABLE`` (type, payload
+writer, payload reader, validator), which writing, parsing and
+``validate_document`` all read.
 """
 
 from __future__ import annotations
@@ -18,14 +22,13 @@ from __future__ import annotations
 import json
 import re
 
-from .chaincore import ChainComplex, GradedMap
+from .chaincore import ChainComplex, GradedMap, validate_complex
 from .exactlin import IntMatrix
 from .operad_sym import OperadElement, gen, parse_element, render_element
-from .sdr_bpl import Perturbation, SdrData, _hom_space, tower_generators
-from .she_obstruction import _LAYOUT, HeData, SheData
+from .sdr_bpl import Perturbation, SdrData, _hom_space, tower_generators, validate_perturbation, validate_sdr
+from .she_obstruction import _LAYOUT, HeData, SheData, validate_he, validate_she
 
 FORMAT_VERSION = "1"
-KINDS = ("complex", "map", "sdr", "he", "she", "perturbation", "operad-element")
 
 
 class DocumentError(ValueError):
@@ -122,7 +125,7 @@ def _complex_body(c: ChainComplex) -> dict:
     }
 
 
-def _complex_from_body(body, where: str = "complex") -> ChainComplex:
+def _complex_from_body(body, where: str = "payload") -> ChainComplex:
     if type(body) is not dict:
         raise DocumentError(f"{where}: expected an object")
     _require_keys(body, {"degree_lo", "ranks", "weights", "diffs", "max_weight"}, where)
@@ -194,55 +197,29 @@ def _map_from_body(body, src: ChainComplex, tgt: ChainComplex, where: str) -> Gr
 # of the layout, entry t being the generator of index 2t + parity.
 
 _SHE_LISTS = {name.lower(): (name, layout) for layout, name in _LAYOUT.items()}
-# kind -> (type, payload keys besides "big" and "small")
-_TOWERS = {"sdr": (SdrData, "fgh"), "he": (HeData, "fghl"), "she": (SheData, ("index_cap", *_SHE_LISTS))}
 
 
-def _payload(obj) -> tuple[str, dict]:
-    if isinstance(obj, ChainComplex):
-        return "complex", _complex_body(obj)
-    if isinstance(obj, GradedMap):
-        return "map", {
-            "source": _complex_body(obj.source),
-            "target": _complex_body(obj.target),
-            **_map_body(obj),
-        }
-    for kind, (cls, keys) in _TOWERS.items():
-        if isinstance(obj, cls):
-            body = {"big": _complex_body(obj.M), "small": _complex_body(obj.N)}
-            if cls is SheData:
-                body["index_cap"] = obj.index_cap
-                body.update((key, [_map_body(f) for f in getattr(obj, name)])
-                            for key, (name, _) in _SHE_LISTS.items())
-            else:
-                body.update((key, _map_body(getattr(obj, key.upper()))) for key in keys)
-            return kind, body
-    if isinstance(obj, Perturbation):
-        return "perturbation", {
-            "base": _complex_body(obj.base),
-            "delta": _map_body(obj.delta),
-        }
-    if isinstance(obj, OperadElement):
-        return "operad-element", {
-            "ambient": obj.ambient,
-            "element": render_element(obj),
-        }
-    raise TypeError(f"no document kind for {type(obj).__name__}")
+def _map_from_payload(body: dict) -> GradedMap:
+    _require_keys(body, {"source", "target", "degree", "blocks"}, "payload")
+    src = _complex_from_body(body["source"], "payload.source")
+    tgt = _complex_from_body(body["target"], "payload.target")
+    return _map_from_body({"degree": body["degree"], "blocks": body["blocks"]}, src, tgt, "payload")
 
 
-def _envelope(obj) -> dict:
-    kind, payload = _payload(obj)
-    return {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
+def _map_problems(f: GradedMap) -> list[str]:
+    """The problems of the map's two complexes: parsing checked its blocks' shapes."""
+    return [f"{end}: {p}" for end, c in (("source", f.source), ("target", f.target)) for p in validate_complex(c)]
 
 
-def serialize_document(obj) -> str:
-    return json.dumps(_envelope(obj), indent=2, sort_keys=True) + "\n"
-
-
-def serialize_bundle(documents: dict) -> str:
-    """A named set of envelopes in one file (the fixture generator's output)."""
-    body = {name: _envelope(obj) for name, obj in documents.items()}
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+def _tower_body(obj, keys) -> dict:
+    body = {"big": _complex_body(obj.M), "small": _complex_body(obj.N)}
+    if type(obj) is SheData:
+        body["index_cap"] = obj.index_cap
+        body.update((key, [_map_body(f) for f in getattr(obj, name)])
+                    for key, (name, _) in _SHE_LISTS.items())
+    else:
+        body.update((key, _map_body(getattr(obj, key.upper()))) for key in keys)
+    return body
 
 
 def _maps_list(raw, family: str, parity: int, big, small, where: str) -> tuple[GradedMap, ...]:
@@ -258,8 +235,7 @@ def _maps_list(raw, family: str, parity: int, big, small, where: str) -> tuple[G
     return tuple(out)
 
 
-def _tower_from_body(body: dict, kind: str):
-    cls, keys = _TOWERS[kind]
+def _tower_from_body(body: dict, cls, keys):
     _require_keys(body, {"big", "small", *keys}, "payload")
     big = _complex_from_body(body["big"], "payload.big")
     small = _complex_from_body(body["small"], "payload.small")
@@ -271,6 +247,79 @@ def _tower_from_body(body: dict, kind: str):
     maps = (_map_from_body(body[key], *_hom_space(z, big, small), f"payload.{key}")
             for key, z in zip(keys, tower_generators(0)))
     return cls(big, small, *maps)
+
+
+def _tower_row(cls, keys, validator) -> tuple:
+    """A tower kind's row; keys are its payload's besides "big" and "small"."""
+    return cls, lambda obj: _tower_body(obj, keys), lambda body: _tower_from_body(body, cls, keys), validator
+
+
+def _perturbation_from_payload(body: dict) -> Perturbation:
+    _require_keys(body, {"base", "delta"}, "payload")
+    base = _complex_from_body(body["base"], "payload.base")
+    return Perturbation(base, _map_from_body(body["delta"], base, base, "payload.delta"))
+
+
+def _element_from_payload(body: dict) -> OperadElement:
+    _require_keys(body, {"ambient", "element"}, "payload")
+    ambient = body["ambient"]
+    if type(ambient) is not str:
+        raise DocumentError("payload.ambient: expected a string")
+    element_text = body["element"]
+    if type(element_text) is not str:
+        raise DocumentError("payload.element: expected a string")
+    try:
+        elem = parse_element(element_text, ambient)
+    except ValueError as e:
+        raise DocumentError(f"payload.element: {e}") from None
+    if render_element(elem) != element_text:
+        raise DocumentError(f"payload.element: not in normal form, which is {render_element(elem)!r}")
+    return elem
+
+
+# kind -> (type, payload writer, payload reader, validator).  An object is
+# written as the first kind whose type it is an instance of; a reader gets a
+# payload known to be an object.  Parsing checks all of an operad element.
+_KIND_TABLE = {
+    "complex": (ChainComplex, _complex_body, _complex_from_body, validate_complex),
+    "map": (GradedMap, lambda f: {"source": _complex_body(f.source), "target": _complex_body(f.target),
+                                  **_map_body(f)}, _map_from_payload, _map_problems),
+    "sdr": _tower_row(SdrData, "fgh", validate_sdr),
+    "he": _tower_row(HeData, "fghl", validate_he),
+    "she": _tower_row(SheData, ("index_cap", *_SHE_LISTS), validate_she),
+    "perturbation": (Perturbation, lambda p: {"base": _complex_body(p.base), "delta": _map_body(p.delta)},
+                     _perturbation_from_payload, validate_perturbation),
+    "operad-element": (OperadElement, lambda e: {"ambient": e.ambient, "element": render_element(e)},
+                       _element_from_payload, lambda e: []),
+}
+KINDS = tuple(_KIND_TABLE)
+
+
+def _kind_of(obj) -> str:
+    for kind, row in _KIND_TABLE.items():
+        if isinstance(obj, row[0]):
+            return kind
+    raise TypeError(f"no document kind for {type(obj).__name__}")
+
+
+def validate_document(obj) -> list[str]:
+    """Every problem the validator of obj's kind finds (empty means valid)."""
+    return _KIND_TABLE[_kind_of(obj)][3](obj)
+
+
+def _envelope(obj) -> dict:
+    kind = _kind_of(obj)
+    return {"format_version": FORMAT_VERSION, "kind": kind, "payload": _KIND_TABLE[kind][1](obj)}
+
+
+def serialize_document(obj) -> str:
+    return json.dumps(_envelope(obj), indent=2, sort_keys=True) + "\n"
+
+
+def serialize_bundle(documents: dict) -> str:
+    """A named set of envelopes in one file (the fixture generator's output)."""
+    body = {name: _envelope(obj) for name, obj in documents.items()}
+    return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -308,38 +357,9 @@ def parse_document(text: str):
     if env["format_version"] != FORMAT_VERSION:
         raise DocumentError(f"unsupported format_version {env['format_version']!r}")
     kind = env["kind"]
-    if kind not in KINDS:
+    if kind not in KINDS:  # a tuple: a kind that is a list or an object is unknown, not unhashable
         raise DocumentError(f"unknown kind {kind!r}")
     body = env["payload"]
     if type(body) is not dict:
         raise DocumentError("payload: expected an object")
-    if kind == "complex":
-        return _complex_from_body(body, "payload")
-    if kind == "map":
-        _require_keys(body, {"source", "target", "degree", "blocks"}, "payload")
-        src = _complex_from_body(body["source"], "payload.source")
-        tgt = _complex_from_body(body["target"], "payload.target")
-        return _map_from_body(
-            {"degree": body["degree"], "blocks": body["blocks"]}, src, tgt, "payload"
-        )
-    if kind in _TOWERS:
-        return _tower_from_body(body, kind)
-    if kind == "perturbation":
-        _require_keys(body, {"base", "delta"}, "payload")
-        base = _complex_from_body(body["base"], "payload.base")
-        return Perturbation(base, _map_from_body(body["delta"], base, base, "payload.delta"))
-    # operad-element
-    _require_keys(body, {"ambient", "element"}, "payload")
-    ambient = body["ambient"]
-    if type(ambient) is not str:
-        raise DocumentError("payload.ambient: expected a string")
-    element_text = body["element"]
-    if type(element_text) is not str:
-        raise DocumentError("payload.element: expected a string")
-    try:
-        elem = parse_element(element_text, ambient)
-    except ValueError as e:
-        raise DocumentError(f"payload.element: {e}") from None
-    if render_element(elem) != element_text:
-        raise DocumentError(f"payload.element: not in normal form, which is {render_element(elem)!r}")
-    return elem
+    return _KIND_TABLE[kind][2](body)

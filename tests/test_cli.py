@@ -58,6 +58,21 @@ def test_round_trip_every_kind(seed):
         assert serialize_document(again) == text
 
 
+def test_one_table_writes_reads_and_validates_every_kind(tmp_path, capsys):
+    assert cli_io.KINDS == tuple(cli_io._KIND_TABLE)
+    objects = _objects(3)
+    kinds = [json.loads(serialize_document(obj))["kind"] for obj in objects]
+    assert sorted(kinds) == sorted(cli_io.KINDS)
+    for kind, obj in zip(kinds, objects):
+        assert parse_document(serialize_document(obj)) == obj, kind
+        assert cli_io.validate_document(obj) == [], kind
+        assert main(["validate", write_doc(tmp_path, f"{kind}.json", obj)]) == 0
+        assert capsys.readouterr() == ("valid\n", ""), kind
+    for use in (serialize_document, cli_io.validate_document):
+        with pytest.raises(TypeError, match="^no document kind for object$"):
+            use(object())
+
+
 @functools.cache
 def _mutation_documents() -> list[str]:
     return [serialize_document(obj) for obj in _objects(2)]
@@ -476,6 +491,24 @@ def test_map_fields_are_refused_with_their_paths():
         assert _refusal(doc) == f"payload.{key}: expected a list"
 
 
+# refusals that no other test reaches; an index picks the document of
+# _objects(2) to edit: the complex, the map, the perturbation, the operad element
+@pytest.mark.parametrize("index, edit, message", [
+    (0, lambda body: body.update(ranks=[]), "payload.ranks: expected a nonempty list"),
+    (3, lambda body: body.update(delta=[]), "payload.delta: expected an object"),
+    (1, lambda body: body["blocks"].insert(0, []), "payload.blocks[0]: expected an object"),
+    (6, lambda body: body.update(ambient=1), "payload.ambient: expected a string"),
+])
+def test_refusals_of_empty_ranks_and_misshapen_bodies(tmp_path, capsys, index, edit, message):
+    doc = json.loads(_mutation_documents()[index])
+    edit(doc["payload"])
+    assert _refusal(doc) == message
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_bundle_contains_named_documents():
     docs = fixture_generate(1)
     text = serialize_bundle(docs)
@@ -514,6 +547,27 @@ def test_cli_validate_reports_problems(tmp_path, capsys):
     path = write_doc(tmp_path, "bad.json", bad)
     assert main(["validate", path]) == 1
     assert "d H + H d != G F - 1 on M" in capsys.readouterr().out
+
+
+def test_cli_validate_checks_a_map_through_its_two_complexes(tmp_path, capsys):
+    # d o d = 1 out of degree 2: parsing takes the map, its validator refuses it
+    bad = build_complex(0, (1, 1, 1), ((0,), (0,), (0,)), {1: [[1]], 2: [[1]]}, 0)
+    s, _ = sdr_fixture(1)
+    problem = "d^2 != 0 out of degree 2, first entry (0, 0)"
+    for f, problems in ((GradedMap.zero(bad, s.M, 0), [f"source: {problem}"]),
+                        (GradedMap.zero(s.M, bad, 0), [f"target: {problem}"]),
+                        (s.F, [])):
+        path, report = write_doc(tmp_path, "map.json", f), tmp_path / "report.json"
+        code = 1 if problems else 0
+        assert main(["validate", path, "--report", str(report)]) == code
+        assert capsys.readouterr() == ("".join(f"{p}\n" for p in problems or ["valid"]), "")
+        rep = json.loads(report.read_text())
+        assert (rep["kind"], rep["problems"], rep["exit_code"]) == ("GradedMap", problems, code)
+
+
+def test_cli_validate_matches_its_golden():
+    golden = pathlib.Path(__file__).parent / "goldens" / "cli" / "validate.txt"
+    assert _REGEN["validate_output"]() == golden.read_text()
 
 
 def test_cli_rejects_malformed_document(tmp_path, capsys):
@@ -682,6 +736,7 @@ def test_cli_operad_verify(capsys):
     ("a,b,c,d", "caps: index must be a nonnegative integer, got 'a'"),
     ("4,1_0,3,8", "caps: length must be a nonnegative integer, got '1_0'"),
     ("4,5,\u0663,8", "caps: fweight must be a nonnegative integer, got '\u0663'"),
+    ("", "caps must be four comma-separated integers: index,length,fweight,degree"),
 ])
 def test_cli_operad_verify_refuses_malformed_caps(capsys, caps, message):
     assert main(["operad", "verify", "--caps", caps]) == 1
@@ -831,6 +886,8 @@ def test_cli_unwritable_report_is_an_error(tmp_path, capsys):
     (["obstruction", "--he", "{tmp}/absent.json"], "cannot read he file {tmp}/absent.json: "),
     (["obstruction", "--he", "{tmp}/sdr.json"], "he file {tmp}/sdr.json holds a different document kind"),
     (["operad", "eval", "--expr", "f0", "--she", "{tmp}/sdr.json"], "matrix evaluation needs both --she and --delta"),
+    (["operad", "eval", "--expr", "f0", "--she", ""], "matrix evaluation needs both --she and --delta"),
+    (["operad", "eval", "--expr", "f0", "--delta", ""], "matrix evaluation needs both --she and --delta"),
     (["operad", "eval", "--expr", "f0", "--ambient", "nosuch"], "unknown ambient 'nosuch'"),
 ])
 def test_cli_load_refusals_exit_1_with_a_report(tmp_path, capsys, args, message):
